@@ -43,6 +43,16 @@ def _check_vector(v, dim: int, name: str = "v") -> np.ndarray:
     return arr
 
 
+def _check_rows(vs, dim: int) -> np.ndarray:
+    arr = np.asarray(vs, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"rows must be a (k, {dim}) array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
+        raise ValueError(f"row {bad} must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class EuclideanBall:
     """Closed ball ``{x : ||x - center|| <= radius}``."""
@@ -76,8 +86,8 @@ class EuclideanBall:
         return self.center + d * (self.radius / norm)
 
     def project_rows(self, vs: np.ndarray) -> np.ndarray:
-        """Project each row of ``vs``; used by vectorized solvers."""
-        vs = np.asarray(vs, dtype=float)
+        """Project each row of ``vs``; a non-finite row raises ValueError."""
+        vs = _check_rows(vs, self.dim)
         d = vs - self.center
         norms = np.linalg.norm(d, axis=1)
         scale = np.ones_like(norms)
@@ -157,23 +167,30 @@ class UnitSimplex:
         v = _check_vector(v, self.dim)
         if self.mode == SIMPLEX_EXACT:
             return project_simplex_sorted(v)
-        clipped = np.maximum(v, 0.0)
-        total = clipped.sum()
-        if total <= 0.0:
+        return self._renormalize_rows(v[None, :])[0]
+
+    def project_rows(self, vs: np.ndarray) -> np.ndarray:
+        """Project each row of ``vs``; a non-finite row raises ValueError."""
+        vs = _check_rows(vs, self.dim)
+        if self.mode == SIMPLEX_EXACT:
+            return project_simplex_sorted_rows(vs)
+        return self._renormalize_rows(vs)
+
+    def _renormalize_rows(self, vs: np.ndarray) -> np.ndarray:
+        clipped = np.maximum(vs, 0.0)
+        totals = clipped.sum(axis=1)
+        degenerate = totals <= 0.0
+        # one warning per degenerate row, as row-by-row projection would emit
+        for _ in range(int(np.count_nonzero(degenerate))):
             warnings.warn(
                 "renormalizing projection got a vector with no positive "
                 "component; falling back to the uniform point",
                 DegenerateProjectionWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-            return np.full(self.dim, 1.0 / self.dim)
-        return clipped / total
-
-    def project_rows(self, vs: np.ndarray) -> np.ndarray:
-        vs = np.asarray(vs, dtype=float)
-        if self.mode == SIMPLEX_EXACT:
-            return project_simplex_sorted_rows(vs)
-        return np.stack([self.project(row) for row in vs])
+        out = clipped / np.where(degenerate, 1.0, totals)[:, None]
+        out[degenerate] = 1.0 / self.dim
+        return out
 
     def contains(self, v, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
         v = _check_vector(v, self.dim)

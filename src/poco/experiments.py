@@ -15,7 +15,7 @@ uses child r.  Rerunning with the same master seed reproduces every byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from poco.predictors import (
     NoisyOracle,
     Persistence,
     VarPredictor,
-    fit_var_yule_walker,
+    fit_var_orders,
     var_predict,
 )
 from poco.regret import (
@@ -311,12 +311,14 @@ class RiskForecastCache:
     """Per-run memo of AR risk forecasts, keyed by (order, months seen).
 
     Experts sharing an AR order see the same risk series, so their forecasts
-    coincide; fitting once per order per month saves most of the study's
-    runtime.  The cache must not outlive the repetition that owns the
-    risk path.
+    coincide.  The first request in a month fits every order in ``orders``
+    (plus the one asked for) from one set of autocovariances, so each month
+    costs one autocovariance pass however many orders the pool holds.  The
+    cache must not outlive the repetition that owns the risk path.
     """
 
-    def __init__(self):
+    def __init__(self, orders: Sequence[int] = ()):
+        self.orders = frozenset(int(k) for k in orders)
         self._cache = {}
 
     def get(self, order: int, risk_series: np.ndarray) -> float:
@@ -324,12 +326,17 @@ class RiskForecastCache:
         key = (int(order), months_seen)
         hit = self._cache.get(key)
         if hit is None:
-            if months_seen >= 2 * order + 1:
-                fit = fit_var_yule_walker(risk_series, order)
-                hit = float(var_predict(fit, risk_series)[0])
-            else:
-                hit = float(risk_series[-1])
-            self._cache[key] = hit
+            orders = self.orders | {key[0]}
+            fits = fit_var_orders(risk_series, orders)
+            for k in orders:
+                # orders still lacking 2k+1 observations repeat the last one
+                fit = fits.get(k)
+                self._cache[(k, months_seen)] = (
+                    float(var_predict(fit, risk_series)[0])
+                    if fit is not None
+                    else float(risk_series[-1])
+                )
+            hit = self._cache[key]
         return hit
 
 
@@ -448,7 +455,7 @@ def run_exp3(spec: Exp3Spec = Exp3Spec(), data: Optional[MarketData] = None) -> 
             DescentConfig(spec.eta, 1, MODE_STANDARD), x1,
         )
 
-        forecasts = RiskForecastCache()
+        forecasts = RiskForecastCache(spec.ar_orders)
         predictors = [
             MarkowitzModelPredictor(family, moments, lb, k, forecasts=forecasts)
             for lb in spec.lookbacks

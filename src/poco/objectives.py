@@ -6,6 +6,10 @@ an ``unconstrained_minimizer`` fast path, and ``derive_constants``, which
 turns a constraint set plus a parameter bounding box into the constants
 (G, L, lambda, C_theta, D) that the regret bounds consume.  Derived constants
 are allowed to be conservative: a larger G or D only loosens a bound.
+
+``value_rows`` and ``gradient_x_rows`` evaluate a (k, n) stack of points
+against a (k, m) stack of parameters, or against one (1, m) parameter row
+shared by every point.
 """
 
 from __future__ import annotations
@@ -268,6 +272,37 @@ class Markowitz:
         if np.max(np.abs(sigma - sigma.T)) > _SYMMETRY_TOL:
             raise ValueError("covariance block is not symmetric (beyond 1e-9)")
         return mu, sigma, lam_risk
+
+    def _unpack_rows(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row-wise :meth:`unpack` of a (k, m) parameter array into mu (k, n),
+        Sigma (k, n, n) and lam_risk (k,), with the same symmetry check."""
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.m:
+            raise ValueError(f"thetas must be (k, {self.m}) rows, got shape {thetas.shape}")
+        mu = thetas[:, : self.n]
+        sigma = thetas[:, self.n : self.n + self.n * self.n].reshape(-1, self.n, self.n)
+        asym = np.max(np.abs(sigma - sigma.transpose(0, 2, 1)), axis=(1, 2))
+        bad = np.flatnonzero(asym > _SYMMETRY_TOL)
+        if bad.size:
+            raise ValueError(
+                f"covariance block of row {bad[0]} is not symmetric (beyond 1e-9)"
+            )
+        return mu, sigma, thetas[:, -1]
+
+    def _sigma_x_rows(self, xs, thetas):
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.n:
+            raise ValueError(f"xs must be (k, {self.n}) rows, got shape {xs.shape}")
+        mu, sigma, lam_risk = self._unpack_rows(thetas)
+        return xs, (sigma @ xs[:, :, None])[:, :, 0], mu, lam_risk
+
+    def value_rows(self, xs, thetas) -> np.ndarray:
+        xs, sx, mu, lam_risk = self._sigma_x_rows(xs, thetas)
+        return np.sum(xs * sx, axis=1) - lam_risk * np.sum(xs * mu, axis=1)
+
+    def gradient_x_rows(self, xs, thetas) -> np.ndarray:
+        _, sx, mu, lam_risk = self._sigma_x_rows(xs, thetas)
+        return 2.0 * sx - lam_risk[:, None] * mu
 
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

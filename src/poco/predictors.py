@@ -71,34 +71,42 @@ class VarFit:
         return self.phis.shape[0]
 
 
-def fit_var_yule_walker(
-    series, order: int, ridge: float = DEFAULT_RIDGE
-) -> VarFit:
-    """Fit a VAR(order) to a (T, d) series by the Yule-Walker equations.
+def fit_var_orders(
+    series, orders: Sequence[int], ridge: float = DEFAULT_RIDGE
+) -> dict[int, VarFit]:
+    """Yule-Walker VAR fits of several orders on one (T, d) series.
 
-    The series is demeaned, lag autocovariances Gamma(0..order) are formed,
-    and the block-Toeplitz system with blocks Gamma(i - j)' is solved for
-    the stacked coefficient matrices, with ``ridge`` added to the diagonal
-    so constant or otherwise degenerate windows stay solvable.  Prediction
-    adds the mean back: theta_hat = mean + sum_h Phi_h (theta_{t+1-h} - mean).
+    The autocovariances are computed once, up to the largest order the
+    series can support; each order then solves its own block-Toeplitz
+    system.  Gamma(h) does not depend on how many lags are formed, so every
+    fit equals ``fit_var_yule_walker(series, k)`` exactly.  Orders whose
+    2k+1 exceeds the series length are left out of the result.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    orders = sorted({int(k) for k in orders})
+    if orders and orders[0] < 1:
+        raise ValueError(f"order must be >= 1, got {orders[0]}")
     y = np.asarray(series, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    t_len, d = y.shape
-    if t_len < 2 * order + 1:
-        raise PredictorNotReady(needed=2 * order + 1, have=t_len)
-    gammas, ybar = sample_autocovariances(y, order)
+    t_len = y.shape[0]
+    ready = [k for k in orders if t_len >= 2 * k + 1]
+    if not ready:
+        return {}
+    gammas, ybar = sample_autocovariances(y, ready[-1])
+    return {k: _solve_yule_walker(gammas, ybar, k, ridge) for k in ready}
 
+
+def _solve_yule_walker(
+    gammas: np.ndarray, ybar: np.ndarray, order: int, ridge: float
+) -> VarFit:
+    d = ybar.shape[0]
     big = np.empty((order * d, order * d))
     for i in range(order):
         for j in range(order):
             lag = i - j
             block = gammas[lag].T if lag >= 0 else gammas[-lag]
             big[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-    big[np.diag_indices_from(big)] += ridge
+    big.flat[:: order * d + 1] += ridge
     rhs = np.concatenate([gammas[h].T for h in range(1, order + 1)], axis=0)
     try:
         sol = scipy.linalg.solve(big, rhs)
@@ -110,6 +118,26 @@ def fit_var_yule_walker(
         [sol[h * d : (h + 1) * d].T for h in range(order)]
     )
     return VarFit(phis=phis, mean=ybar)
+
+
+def fit_var_yule_walker(
+    series, order: int, ridge: float = DEFAULT_RIDGE
+) -> VarFit:
+    """Fit a VAR(order) to a (T, d) series by the Yule-Walker equations.
+
+    The series is demeaned, lag autocovariances Gamma(0..order) are formed,
+    and the block-Toeplitz system with blocks Gamma(i - j)' is solved for
+    the stacked coefficient matrices, with ``ridge`` added to the diagonal
+    so constant or otherwise degenerate windows stay solvable.  Prediction
+    adds the mean back: theta_hat = mean + sum_h Phi_h (theta_{t+1-h} - mean).
+    This is the one-order case of :func:`fit_var_orders`.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    t_len = np.shape(series)[0]
+    if t_len < 2 * order + 1:
+        raise PredictorNotReady(needed=2 * order + 1, have=t_len)
+    return fit_var_orders(series, (order,), ridge)[order]
 
 
 def var_predict(fit: VarFit, series) -> np.ndarray:

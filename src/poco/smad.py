@@ -9,6 +9,13 @@ mixed in with mass beta: existing weights are scaled by (1 - beta) and the
 entrant starts at beta, with its iterate seeded at the previous aggregated
 output and its predictor fit on the full history observed so far.
 
+Experts are rows of arrays, not objects: each round the predictors fill an
+(N, m) array of aims row by row, and every expert then descends toward its
+own aim in one row-wise update (``gradient_x_rows`` and ``project_rows``
+per inner step), followed by one ``value_rows`` call for the losses.  The
+result equals running ``ogd_step`` once per expert, up to floating-point
+summation order.
+
 Weights are kept in log space; every exposed distribution is normalized.
 """
 
@@ -42,18 +49,16 @@ def hedge_gap_bound(gamma: float, d_range: float, horizon: int, n_experts: int) 
     return horizon * gamma * d_range * d_range / 8.0 + math.log(n_experts) / gamma
 
 
-@dataclass
-class Expert:
-    predictor: object
-    x: np.ndarray
-    activated_at: int
-    first_play: Optional[np.ndarray] = None
-    p_theta: float = 0.0  # running sum of ||theta_t - aim_t|| for t >= 2
-    cum_loss: float = 0.0
-
-
 class ExpertPool:
-    """Roster of experts with a normalized log-space weight vector."""
+    """Roster of experts with a normalized log-space weight vector.
+
+    Expert state is kept as arrays with one row per expert, in activation
+    order: iterates ``xs`` (N, n), first plays ``first_plays`` (N, n; NaN
+    until the expert's first round), prediction regularity ``p_theta`` (N,)
+    and activation rounds ``activated_at``.  After each :meth:`step`,
+    ``last_moves`` (N, n) holds every expert's move and ``last_losses`` (N,)
+    its loss against the realized parameter.
+    """
 
     def __init__(
         self,
@@ -76,8 +81,15 @@ class ExpertPool:
         self.gamma = float(gamma)
         self.eta = float(eta)
         self.inner_steps = int(inner_steps)
-        self.experts: list[Expert] = []
+        self.predictors: list = []
+        self.activated_at: list[int] = []
+        self.xs: Optional[np.ndarray] = None
+        self.first_plays: Optional[np.ndarray] = None
+        # running sum of ||theta_t - aim_t|| from each expert's second round
+        self.p_theta = np.zeros(0)
         self.log_p = np.zeros(0)
+        self.last_moves: Optional[np.ndarray] = None
+        self.last_losses: Optional[np.ndarray] = None
         # componentwise range of every parameter an expert descended toward;
         # bound checks need constants valid at the predictions, not just the
         # observations
@@ -86,10 +98,23 @@ class ExpertPool:
 
     @property
     def n_active(self) -> int:
-        return len(self.experts)
+        return len(self.predictors)
 
     def distribution(self) -> np.ndarray:
         return np.exp(self.log_p)
+
+    def _admit(self, predictors: list, x_init, t: int) -> None:
+        x_init = np.asarray(x_init, dtype=float)
+        rows = np.tile(x_init, (len(predictors), 1))
+        unplayed = np.full_like(rows, np.nan)
+        if self.xs is None:
+            self.xs, self.first_plays = rows, unplayed
+        else:
+            self.xs = np.vstack([self.xs, rows])
+            self.first_plays = np.vstack([self.first_plays, unplayed])
+        self.predictors += predictors
+        self.activated_at += [t] * len(predictors)
+        self.p_theta = np.append(self.p_theta, np.zeros(len(predictors)))
 
     def initialize(self, predictors: Sequence[object], x_init, t: int = 1) -> None:
         """Seed the starting roster with uniform weights.
@@ -107,11 +132,7 @@ class ExpertPool:
             raise RuntimeError(
                 f"expert pool full: capacity {self.capacity} reached"
             )
-        x_init = np.asarray(x_init, dtype=float)
-        for predictor in predictors:
-            self.experts.append(
-                Expert(predictor=predictor, x=x_init.copy(), activated_at=t)
-            )
+        self._admit(predictors, x_init, t)
         self.log_p = np.full(len(predictors), -math.log(len(predictors)))
 
     def activate(self, predictor, x_init, t: int) -> None:
@@ -121,8 +142,7 @@ class ExpertPool:
             raise RuntimeError(
                 f"expert pool full: capacity {self.capacity} reached"
             )
-        x_init = np.asarray(x_init, dtype=float).copy()
-        self.experts.append(Expert(predictor=predictor, x=x_init, activated_at=t))
+        self._admit([predictor], x_init, t)
         if self.n_active == 1:
             self.log_p = np.zeros(1)
         else:
@@ -137,9 +157,13 @@ class ExpertPool:
         ``history`` holds theta_1..theta_{t-1}; ``theta_t`` is the parameter
         revealed this round.  Each expert aims at its own prediction of
         theta_t (falling back to the last observation while its predictor
-        warms up, or holding still when there is no history at all), the
-        aggregate plays the projected weighted mean of the expert moves, and
-        the realized losses tilt the weights once.
+        warms up, or holding still when there is no history at all).  The
+        aims are stacked into an (N, m) array and every expert that has an
+        aim takes its ``inner_steps`` projected gradient updates together,
+        one ``family.gradient_x_rows`` and one ``cset.project_rows`` call per
+        update.  The aggregate plays the projected weighted mean of the
+        expert moves, and the realized losses, from one ``family.value_rows``
+        call against theta_t, tilt the weights once.
         """
         if self.n_active == 0:
             raise RuntimeError("cannot step an empty expert pool")
@@ -147,39 +171,50 @@ class ExpertPool:
         hist = np.asarray(history, dtype=float)
         n_obs = 0 if hist.size == 0 else hist.shape[0]
 
-        p_prev = self.distribution()
-        moves = np.empty((self.n_active, self.experts[0].x.shape[0]))
-        losses = np.empty(self.n_active)
-        for idx, expert in enumerate(self.experts):
-            aim = None
-            if expert.predictor is not None and expert.predictor.ready(n_obs):
-                aim = np.asarray(expert.predictor.predict(hist), dtype=float)
+        aims = np.empty((self.n_active, theta_t.shape[0]))
+        aimed = np.zeros(self.n_active, dtype=bool)
+        for idx, predictor in enumerate(self.predictors):
+            if predictor is not None and predictor.ready(n_obs):
+                aims[idx] = predictor.predict(hist)
+                aimed[idx] = True
             elif n_obs >= 1:
-                aim = hist[-1]
-            if aim is None:
-                v = expert.x.copy()
+                aims[idx] = hist[-1]
+                aimed[idx] = True
+
+        moves = self.xs.copy()
+        if aimed.any():
+            rows = np.flatnonzero(aimed)
+            active_aims = aims[rows]
+            z = moves[rows]
+            for _ in range(self.inner_steps):
+                g = family.gradient_x_rows(z, active_aims)
+                finite = np.isfinite(g).all(axis=1)
+                if not finite.all():
+                    bad = int(np.flatnonzero(~finite)[0])
+                    raise FloatingPointError(
+                        f"non-finite gradient for expert {rows[bad]} at "
+                        f"x={z[bad]!r}; the iterate left the region where "
+                        "the objective is well behaved"
+                    )
+                z = cset.project_rows(z - self.eta * g)
+            moves[rows] = z
+            # scored from the expert's second active round on; the first
+            # round's error is absorbed by the starting-gap term
+            scored = aimed & ~np.isnan(self.first_plays[:, 0])
+            self.p_theta[scored] += np.linalg.norm(theta_t - aims[scored], axis=1)
+            lo, hi = active_aims.min(axis=0), active_aims.max(axis=0)
+            if self.aim_lo is None:
+                self.aim_lo, self.aim_hi = lo, hi
             else:
-                v = ogd_step(family, cset, expert.x, aim, self.eta, self.inner_steps)
-                # scored from the expert's second active round on; the first
-                # round's error is absorbed by the starting-gap term
-                if expert.first_play is not None:
-                    expert.p_theta += float(np.linalg.norm(theta_t - aim))
-                if self.aim_lo is None:
-                    self.aim_lo = np.array(aim, dtype=float)
-                    self.aim_hi = np.array(aim, dtype=float)
-                else:
-                    np.minimum(self.aim_lo, aim, out=self.aim_lo)
-                    np.maximum(self.aim_hi, aim, out=self.aim_hi)
-            moves[idx] = v
+                np.minimum(self.aim_lo, lo, out=self.aim_lo)
+                np.maximum(self.aim_hi, hi, out=self.aim_hi)
 
-        x_t = cset.project(p_prev @ moves)
+        x_t = cset.project(self.distribution() @ moves)
+        losses = family.value_rows(moves, theta_t[None, :])
 
-        for idx, expert in enumerate(self.experts):
-            losses[idx] = family.value(moves[idx], theta_t)
-            expert.x = moves[idx]
-            if expert.first_play is None:
-                expert.first_play = moves[idx].copy()
-            expert.cum_loss += losses[idx]
+        unplayed = np.isnan(self.first_plays[:, 0])
+        self.first_plays[unplayed] = moves[unplayed]
+        self.xs = moves
 
         log_w = self.log_p - self.gamma * losses
         norm = _logsumexp(log_w)
@@ -189,8 +224,8 @@ class ExpertPool:
                 f"gamma={self.gamma} is too large for these loss magnitudes"
             )
         self.log_p = log_w - norm
-        self._last_moves = moves
-        self._last_losses = losses
+        self.last_moves = moves
+        self.last_losses = losses
         return x_t
 
 
@@ -281,7 +316,6 @@ def run_smad(
     expert_xs = np.full((horizon, n_total, n), np.nan)
     expert_losses = np.full((horizon, n_total), np.nan)
     p_hist = np.full((horizon, n_total), np.nan)
-    activation_times: list[int] = [e.activated_at for e in pool.experts]
     pool_empty_until = 0
 
     last_output = x.copy()
@@ -292,7 +326,6 @@ def run_smad(
             # the entrant inherits the previous played point, not the
             # fallback's pre-stepped iterate
             pool.activate(predictor, x_init=last_output, t=t)
-            activation_times.append(t)
         theta_t = thetas[i]
         if pool.n_active == 0:
             xs[i] = x
@@ -306,17 +339,16 @@ def run_smad(
             losses[i] = family.value(x, theta_t)
             last_output = xs[i]
             m_act = pool.n_active
-            expert_xs[i, :m_act] = pool._last_moves
-            expert_losses[i, :m_act] = pool._last_losses
+            expert_xs[i, :m_act] = pool.last_moves
+            expert_losses[i, :m_act] = pool.last_losses
             p_hist[i, :m_act] = pool.distribution()
         record[seed_len + i] = theta_t
 
     p_theta = np.full(n_total, np.nan)
     first_plays = np.full((n_total, n), np.nan)
-    for idx, expert in enumerate(pool.experts):
-        p_theta[idx] = expert.p_theta
-        if expert.first_play is not None:
-            first_plays[idx] = expert.first_play
+    p_theta[: pool.n_active] = pool.p_theta
+    if pool.n_active:
+        first_plays[: pool.n_active] = pool.first_plays
 
     return SmadTrajectory(
         xs=xs,
@@ -325,7 +357,7 @@ def run_smad(
         expert_xs=expert_xs,
         expert_losses=expert_losses,
         p=p_hist,
-        activation_times=tuple(activation_times),
+        activation_times=tuple(pool.activated_at),
         p_theta_by_expert=p_theta,
         first_plays=first_plays,
         pool_empty_until=pool_empty_until,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,36 @@ class TestUnitSimplexRenormalize:
         spread = np.linalg.norm(s.project(u) - s.project(v))
         assert spread > np.linalg.norm(u - v)
         assert not s.nonexpansive
+
+    def test_project_rows_matches_scalar(self):
+        rng = np.random.default_rng(29)
+        s = UnitSimplex(5, mode="renormalize")
+        vs = rng.normal(scale=3.0, size=(60, 5))
+        vs[7] = -np.abs(vs[7])  # no positive mass
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateProjectionWarning)
+            rows = s.project_rows(vs)
+            for v, row in zip(vs, rows):
+                np.testing.assert_array_equal(row, s.project(v))
+
+    def test_project_rows_warns_once_per_degenerate_row(self):
+        s = UnitSimplex(3, mode="renormalize")
+        vs = np.array([[-1.0, -2.0, 0.0], [0.2, 0.3, 0.5], [-1.0, 0.0, -3.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegenerateProjectionWarning)
+            rows = s.project_rows(vs)
+        hits = [w for w in caught if issubclass(w.category, DegenerateProjectionWarning)]
+        assert len(hits) == 2
+        np.testing.assert_array_equal(rows[[0, 2]], np.full((2, 3), 1.0 / 3.0))
+        np.testing.assert_allclose(rows[1], [0.2, 0.3, 0.5], atol=1e-15)
+
+    def test_project_rows_rejects_nonfinite_row(self):
+        s = UnitSimplex(3, mode="renormalize")
+        vs = np.array([[0.2, 0.3, 0.5], [0.1, np.nan, 0.2]])
+        with pytest.raises(ValueError, match="row 1 must be finite"):
+            s.project_rows(vs)
+        with pytest.raises(ValueError, match="rows must be"):
+            s.project_rows(np.zeros((2, 4)))
 
     def test_idempotent(self):
         import warnings

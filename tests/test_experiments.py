@@ -155,6 +155,23 @@ class TestExp3:
         )
         np.testing.assert_allclose(traj.xs[0], np.full(37, 1.0 / 37.0))
 
+    def test_risk_fits_share_one_autocovariance_pass_per_month(self, market, monkeypatch):
+        import poco.predictors as predictors
+
+        passes = []
+        original = predictors.sample_autocovariances
+
+        def counting(series, max_lag):
+            passes.append(max_lag)
+            return original(series, max_lag)
+
+        monkeypatch.setattr(predictors, "sample_autocovariances", counting)
+        spec = Exp3Spec(repetitions=2, eval_months=6, lookbacks=(15, 30), master_seed=14)
+        run_exp3(spec, data=market)
+        # one pass per (repetition, month), at the largest order ready by then:
+        # months 10, 11, 12 of history support orders up to 4, 5, 5
+        assert passes == [4, 5, 5, 6, 6, 6] * 2
+
     def test_determinism(self, market):
         spec = Exp3Spec(repetitions=2, eval_months=20, master_seed=12)
         a = run_exp3(spec, data=market)

@@ -221,6 +221,43 @@ class TestMarkowitz:
         c = f.derive_constants(simplex, (lo, hi), sigma_min=0.05)
         assert c.lam == pytest.approx(0.1)
 
+    def test_rows_match_scalar(self):
+        rng = np.random.default_rng(9)
+        f = Markowitz(4)
+        xs = rng.normal(size=(12, 4))
+        ths = np.stack([sample_theta(f, rng) for _ in range(12)])
+        np.testing.assert_allclose(
+            f.value_rows(xs, ths),
+            [f.value(x, t) for x, t in zip(xs, ths)], rtol=1e-13, atol=1e-13,
+        )
+        np.testing.assert_allclose(
+            f.gradient_x_rows(xs, ths),
+            np.stack([f.gradient_x(x, t) for x, t in zip(xs, ths)]), rtol=1e-13, atol=1e-13,
+        )
+        # one parameter row is shared by every point
+        np.testing.assert_allclose(
+            f.value_rows(xs, ths[:1]), [f.value(x, ths[0]) for x in xs], rtol=1e-13, atol=1e-13,
+        )
+
+    def test_rows_reject_asymmetric_sigma(self):
+        f = Markowitz(2)
+        good = f.pack([0.0, 0.0], np.eye(2), 1.0)
+        bad = f.pack([0.0, 0.0], np.array([[1.0, 0.5], [0.2, 1.0]]), 1.0)
+        ths = np.stack([good, good, bad])
+        xs = np.full((3, 2), 0.5)
+        with pytest.raises(ValueError, match="row 2 is not symmetric"):
+            f.gradient_x_rows(xs, ths)
+        with pytest.raises(ValueError, match="not symmetric"):
+            f.value_rows(xs, ths)
+
+    def test_rows_reject_bad_shapes(self):
+        f = Markowitz(2)
+        theta = f.pack([0.0, 0.0], np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="thetas must be"):
+            f.value_rows(np.zeros((1, 2)), theta)
+        with pytest.raises(ValueError, match="xs must be"):
+            f.gradient_x_rows(np.zeros((1, 3)), theta[None, :])
+
     def test_pack_unpack_roundtrip(self):
         f = Markowitz(3)
         rng = np.random.default_rng(8)

@@ -11,6 +11,7 @@ from poco.predictors import (
     PredictorNotReady,
     VarFit,
     VarPredictor,
+    fit_var_orders,
     fit_var_yule_walker,
     prediction_regularity,
     sample_autocovariances,
@@ -117,6 +118,50 @@ class TestYuleWalkerFit:
         with pytest.raises(PredictorNotReady) as err:
             fit_var_yule_walker(np.zeros(4), 2)
         assert err.value.needed == 5
+
+
+class TestFitVarOrders:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_each_order_equals_its_own_fit(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        y = rng.normal(size=(40, dim)).cumsum(axis=0)
+        if dim == 1:
+            y = y[:, 0]
+        fits = fit_var_orders(y, range(1, 7))
+        assert sorted(fits) == [1, 2, 3, 4, 5, 6]
+        for k, fit in fits.items():
+            single = fit_var_yule_walker(y, k)
+            np.testing.assert_allclose(fit.phis, single.phis, rtol=0, atol=0)
+            np.testing.assert_allclose(fit.mean, single.mean, rtol=0, atol=0)
+
+    def test_orders_too_long_for_the_series_are_skipped(self):
+        y = np.random.default_rng(33).normal(size=9)
+        fits = fit_var_orders(y, (1, 2, 3, 4, 5, 6))
+        assert sorted(fits) == [1, 2, 3, 4]  # 2k+1 <= 9
+        assert fit_var_orders(y[:2], (1, 2)) == {}
+
+    def test_rejects_nonpositive_order(self):
+        with pytest.raises(ValueError, match="order"):
+            fit_var_orders(np.zeros(10), (0, 1))
+
+    def test_one_autocovariance_pass_for_all_orders(self, monkeypatch):
+        import poco.predictors as predictors
+
+        passes = []
+        original = predictors.sample_autocovariances
+
+        def counting(series, max_lag):
+            passes.append(max_lag)
+            return original(series, max_lag)
+
+        monkeypatch.setattr(predictors, "sample_autocovariances", counting)
+        y = np.random.default_rng(34).normal(size=20)
+        fit_var_orders(y, range(1, 7))
+        assert passes == [6]
+        passes.clear()
+        for k in range(1, 7):
+            fit_var_yule_walker(y, k)
+        assert passes == [1, 2, 3, 4, 5, 6]
 
 
 class TestVarPredictor:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poco.descent import DescentConfig, run_predictive_ogd
-from poco.domains import EuclideanBall
-from poco.objectives import QuadraticTracking
+from poco.descent import DescentConfig, ogd_step, run_predictive_ogd
+from poco.domains import EuclideanBall, UnitSimplex
+from poco.objectives import Markowitz, QuadraticTracking
 from poco.predictors import NoisyOracle, Persistence
 from poco.scenarios import SwitchingProcessSpec, gen_switching
 from poco.smad import ExpertPool, hedge_gap_bound, run_smad, suggested_gamma
@@ -30,6 +32,67 @@ class FixedAim:
 
     def predict(self, history):
         return self.aim.copy()
+
+
+class LateAim(FixedAim):
+    """Test double: a fixed aim that needs ``warmup`` observations first."""
+
+    def __init__(self, aim, warmup):
+        super().__init__(aim)
+        self.warmup = warmup
+
+    def ready(self, n_obs):
+        return n_obs >= self.warmup
+
+
+def reference_step(pool, family, cset, theta_t, hist):
+    """The per-expert loop the batched step replaced, run on copies of the
+    pool's state: one ``ogd_step`` and one scalar ``value`` per expert."""
+    n_obs = hist.shape[0]
+    moves = pool.xs.copy()
+    p_theta = pool.p_theta.copy()
+    lo = None if pool.aim_lo is None else pool.aim_lo.copy()
+    hi = None if pool.aim_hi is None else pool.aim_hi.copy()
+    for idx, predictor in enumerate(pool.predictors):
+        if predictor.ready(n_obs):
+            aim = predictor.predict(hist)
+        elif n_obs >= 1:
+            aim = hist[-1]
+        else:
+            continue
+        moves[idx] = ogd_step(family, cset, pool.xs[idx], aim, pool.eta, pool.inner_steps)
+        if not np.isnan(pool.first_plays[idx, 0]):
+            p_theta[idx] += np.linalg.norm(theta_t - aim)
+        lo = aim.copy() if lo is None else np.minimum(lo, aim)
+        hi = aim.copy() if hi is None else np.maximum(hi, aim)
+    x_t = cset.project(pool.distribution() @ moves)
+    losses = np.array([family.value(v, theta_t) for v in moves])
+    log_w = pool.log_p - pool.gamma * losses
+    top = log_w.max()
+    log_p = log_w - (top + math.log(np.exp(log_w - top).sum()))
+    return dict(
+        x_t=x_t, moves=moves, losses=losses, log_p=log_p, p_theta=p_theta,
+        aim_lo=lo, aim_hi=hi,
+    )
+
+
+def random_problem(kind, rng):
+    """(family, cset, parameter sampler, starting point) for one setting."""
+    if kind == "ball":
+        n = int(rng.integers(2, 4))
+        family = QuadraticTracking(rng.uniform(0.5, 5.0, size=n))
+        cset = EuclideanBall(center=rng.normal(size=n), radius=rng.uniform(1.0, 5.0))
+        return family, cset, lambda: rng.normal(scale=4.0, size=n + 1), cset.interior_point()
+    n = int(rng.integers(2, 6))
+    family = Markowitz(n)
+    cset = UnitSimplex(n, mode=kind)
+
+    def sample():
+        a = rng.normal(size=(n, n))
+        mu = rng.normal(scale=0.5, size=n)
+        return family.pack(mu, a @ a.T + 0.1 * np.eye(n), rng.uniform(0.0, 3.0))
+
+    return family, cset, sample, cset.interior_point()
 
 
 class TestSuggestedGamma:
@@ -238,3 +301,84 @@ class TestRunSmad:
             np.linalg.norm(thetas[t] - thetas[t - 1]) for t in range(1, 30)
         )
         assert traj.p_theta_by_expert[1] == pytest.approx(persist, rel=1e-12)
+
+
+class TestBatchedStep:
+    """One batched ExpertPool.step against the per-expert reference loop."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["ball", "exact", "renormalize"]),
+        inner_steps=st.integers(1, 3),
+        n_experts=st.integers(1, 5),
+        warmups=st.lists(st.integers(0, 4), min_size=5, max_size=5),
+        rounds_before=st.integers(0, 3),
+        late_entrant=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_expert_reference(
+        self, seed, kind, inner_steps, n_experts, warmups, rounds_before, late_entrant
+    ):
+        rng = np.random.default_rng(seed)
+        family, cset, sample, x1 = random_problem(kind, rng)
+        pool = ExpertPool(
+            capacity=n_experts + 1, beta=0.3, gamma=rng.uniform(0.01, 1.0),
+            eta=0.05, inner_steps=inner_steps,
+        )
+        pool.initialize(
+            [LateAim(sample(), w) for w in warmups[:n_experts]], x_init=x1
+        )
+        thetas = np.stack([sample() for _ in range(rounds_before + 1)])
+        for t in range(rounds_before):
+            pool.step(family, cset, thetas[t], thetas[:t])
+        if late_entrant:
+            # an entrant that has never played next to incumbents that have
+            pool.activate(LateAim(sample(), warmups[-1]), x_init=x1, t=rounds_before + 1)
+        hist, theta_t = thetas[:rounds_before], thetas[rounds_before]
+
+        want = reference_step(pool, family, cset, theta_t, hist)
+        x_t = pool.step(family, cset, theta_t, hist)
+
+        tol = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(x_t, want["x_t"], **tol)
+        np.testing.assert_allclose(pool.last_moves, want["moves"], **tol)
+        np.testing.assert_allclose(pool.xs, want["moves"], **tol)
+        np.testing.assert_allclose(pool.last_losses, want["losses"], **tol)
+        np.testing.assert_allclose(pool.log_p, want["log_p"], **tol)
+        np.testing.assert_allclose(pool.p_theta, want["p_theta"], **tol)
+        if want["aim_lo"] is None:
+            assert pool.aim_lo is None and pool.aim_hi is None
+        else:
+            np.testing.assert_array_equal(pool.aim_lo, want["aim_lo"])
+            np.testing.assert_array_equal(pool.aim_hi, want["aim_hi"])
+        assert not np.isnan(pool.first_plays).any()
+
+    def test_nonfinite_gradient_names_the_expert(self):
+        family, cset = tracking_setup()
+        pool = ExpertPool(capacity=3, beta=0.2, gamma=1.0, eta=ETA)
+        pool.initialize(
+            [FixedAim([1.0, 1.0, 0.0]), FixedAim([np.inf, 1.0, 0.0]), FixedAim([0.0, 0.0, 0.0])],
+            x_init=[0.0, 0.0],
+        )
+        with pytest.raises(FloatingPointError, match="non-finite gradient for expert 1"):
+            pool.step(family, cset, np.zeros(3), np.zeros((1, 3)))
+
+    def test_asymmetric_aim_rejected(self):
+        family = Markowitz(2)
+        cset = UnitSimplex(2)
+        good = family.pack([0.1, 0.2], np.eye(2), 1.0)
+        bad = family.pack([0.1, 0.2], np.array([[1.0, 0.5], [0.2, 1.0]]), 1.0)
+        pool = ExpertPool(capacity=2, beta=0.2, gamma=1.0, eta=0.1)
+        pool.initialize([FixedAim(good), FixedAim(bad)], x_init=[0.5, 0.5])
+        with pytest.raises(ValueError, match="row 1 is not symmetric"):
+            pool.step(family, cset, good, good[None, :])
+
+    def test_public_round_outputs_feed_the_trajectory(self):
+        family, cset = tracking_setup()
+        thetas = gen_switching(SwitchingProcessSpec(horizon=12), 3)
+        pool = ExpertPool(capacity=2, beta=0.2, gamma=1e-6, eta=ETA)
+        pool.initialize([Persistence(), NoisyOracle(thetas, 0.0)], x_init=[0.0, 40.0])
+        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
+        np.testing.assert_array_equal(traj.expert_xs[-1], pool.last_moves)
+        np.testing.assert_array_equal(traj.expert_losses[-1], pool.last_losses)
+        np.testing.assert_array_equal(traj.first_plays, traj.expert_xs[0])
