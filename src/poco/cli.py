@@ -2,11 +2,10 @@
 
 Commands
 --------
-run-exp1 / run-exp2 / run-exp3
+run-exp1 / run-exp2 / run-exp3 / run-custom
     Run one of the three studies and write curve.csv, summary.txt and
-    manifest.json into the output directory.
-run-custom
-    Same harness with every knob taken from the config file.
+    manifest.json into the output directory.  run-custom is study 1 with
+    its arms labelled baseline and method; run-exp1 is its exp1 preset.
 check-bounds
     Batch-verify the regret bounds (single-step, multi-step, expert pool)
     and the aggregation inequality; nonzero exit when any run violates one.
@@ -29,32 +28,18 @@ import sys
 
 import numpy as np
 
-from poco import __version__
+from poco import __version__, experiments
 from poco.config import (
     ConfigError,
     default_out_dir,
     emit_results,
-    parse_config,
+    read_config,
     resolve_config,
 )
-from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
-from poco.experiments import (
-    Exp1Spec,
-    Exp2Spec,
-    Exp3Spec,
-    ExperimentResult,
-    _summarize_diffs,
-    run_exp1,
-    run_exp2,
-    run_exp3,
-    run_expert_bound_study,
-    run_predictive_bound_study,
-)
-from poco.objectives import QuadraticTracking
-from poco.predictors import Persistence, VarPredictor, fit_var_yule_walker
-from poco.regret import build_ledger
-from poco.scenarios import DataError, RiskProcessSpec, SwitchingProcessSpec, gen_switching
+from poco.experiments import Exp1Spec, Exp2Spec, Exp3Spec, ExperimentResult
+from poco.predictors import fit_var_yule_walker
+from poco.scenarios import DataError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -63,170 +48,32 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 
-# ---------------------------------------------------------------------------
-# config -> study specs
-# ---------------------------------------------------------------------------
-
-def _spec_exp1(cfg: dict) -> Exp1Spec:
-    return Exp1Spec(
-        horizon=cfg["horizon"],
-        repetitions=cfg["repetitions"],
-        eta=cfg["descent"]["eta"],
-        weights=tuple(cfg["objective"]["weights"]),
-        radius=cfg["domain"]["radius"],
-        x1=tuple(cfg["descent"]["x1"]),
-        dwell=tuple(cfg["scenario"]["dwell"]),
-        noise_scale=cfg["scenario"]["noise_scale"],
-        ar_order=cfg["predictor"]["order"],
-        warmup=cfg["predictor"]["min_history"] or 2 * cfg["predictor"]["order"] + 1,
-        refit_every=cfg["predictor"]["refit_every"],
-        inner_steps=cfg["descent"]["inner_steps"],
-        master_seed=cfg["seed"],
-    )
-
-
-def _auto_gamma(cfg: dict) -> float:
-    """sqrt(8/(T D^2)) with the loss range D declared from the scenario box."""
-    from poco.objectives import QuadraticTracking as _QT
-    from poco.scenarios import switching_declared_box
-    from poco.smad import suggested_gamma
-
-    family = _QT(cfg["objective"]["weights"])
-    cset = EuclideanBall(
-        center=np.asarray(cfg["domain"]["center"]), radius=cfg["domain"]["radius"]
-    )
-    proc = SwitchingProcessSpec(
-        state_a=tuple(cfg["scenario"]["state_a"]),
-        state_b=tuple(cfg["scenario"]["state_b"]),
-        dwell=tuple(cfg["scenario"]["dwell"]),
-        noise_scale=cfg["scenario"]["noise_scale"],
-        horizon=cfg["horizon"],
-        noise_clip=cfg["scenario"]["noise_clip"],
-    )
-    d_range = family.derive_constants(cset, switching_declared_box(proc)).D
-    return suggested_gamma(d_range, cfg["horizon"])
-
-
-def _spec_exp2(cfg: dict) -> Exp2Spec:
-    gamma = cfg["smad"]["gamma"]
-    if gamma == "auto":
-        gamma = _auto_gamma(cfg)
-    return Exp2Spec(
-        horizon=cfg["horizon"],
-        repetitions=cfg["repetitions"],
-        eta=cfg["descent"]["eta"],
-        weights=tuple(cfg["objective"]["weights"]),
-        radius=cfg["domain"]["radius"],
-        x1=tuple(cfg["descent"]["x1"]),
-        dwell=tuple(cfg["scenario"]["dwell"]),
-        noise_scale=cfg["scenario"]["noise_scale"],
-        expert_orders=tuple(cfg["smad"]["expert_orders"]),
-        first_activation=cfg["smad"]["first_activation"],
-        activation_every=cfg["smad"]["activation_every"],
-        activation_times=(
-            tuple(cfg["smad"]["activation_times"])
-            if cfg["smad"]["activation_times"] is not None
-            else None
-        ),
-        beta=cfg["smad"]["beta"],
-        gamma=gamma,
-        inner_steps=cfg["descent"]["inner_steps"],
-        master_seed=cfg["seed"],
-    )
-
-
-def _spec_exp3(cfg: dict) -> Exp3Spec:
-    sec = cfg["exp3"]
-    risk = RiskProcessSpec(
-        base=sec["risk_base"],
-        warmup_days=sec["risk_warmup_days"],
-        stay_prob=sec["risk_stay_prob"],
-        jump_low=sec["risk_jump_low"],
-        jump_high=sec["risk_jump_high"],
-        noise_var=sec["risk_noise_var"],
-        obs_every_days=sec["month_days"],
-    )
-    return Exp3Spec(
-        csv_path=sec["csv_path"],
-        risk_free=sec["risk_free"],
-        synth_assets=sec["synth_assets"],
-        synth_days=sec["synth_days"],
-        lookbacks=tuple(sec["lookbacks"]),
-        ar_orders=tuple(sec["ar_orders"]),
-        client_lookback=sec["client_lookback"],
-        eta=sec["eta"],
-        gamma=sec["gamma"],
-        beta=sec["beta"],
-        observe_months=sec["observe_months"],
-        eval_months=sec["eval_months"],
-        repetitions=cfg["repetitions"],
-        month_days=sec["month_days"],
-        risk=risk,
-        master_seed=cfg["seed"],
-    )
-
-
 def run_custom(cfg: dict) -> ExperimentResult:
-    """Generic two-arm comparison built entirely from the config."""
-    family = QuadraticTracking(cfg["objective"]["weights"])
-    dom = cfg["domain"]
-    if dom["kind"] == "ball":
-        cset = EuclideanBall(center=np.asarray(dom["center"]), radius=dom["radius"])
-    else:
-        cset = UnitSimplex(dom["dimension"], mode=dom["projection_mode"])
-    proc = SwitchingProcessSpec(
-        state_a=tuple(cfg["scenario"]["state_a"]),
-        state_b=tuple(cfg["scenario"]["state_b"]),
-        dwell=tuple(cfg["scenario"]["dwell"]),
-        noise_scale=cfg["scenario"]["noise_scale"],
-        horizon=cfg["horizon"],
-        noise_clip=cfg["scenario"]["noise_clip"],
+    """Study 1 built from the config and reported as a method arm against a
+    baseline; run-exp1 is this command's exp1 preset."""
+    result = experiments.run_exp1(
+        Exp1Spec.from_config(cfg), with_ledgers=cfg["bounds"]["check"]
     )
-    des = cfg["descent"]
-    x1 = np.asarray(des["x1"], dtype=float)
-
-    def make_predictor():
-        pred = cfg["predictor"]
-        if pred["kind"] == "persistence":
-            return Persistence()
-        return VarPredictor(
-            order=pred["order"],
-            refit_every=pred["refit_every"],
-            min_history=pred["min_history"],
-            indices=pred["indices"],
-        )
-
-    seeds = np.random.SeedSequence(cfg["seed"]).spawn(cfg["repetitions"])
-    diffs = np.empty((cfg["repetitions"], cfg["horizon"]))
-    first = {}
-    for r, child in enumerate(seeds):
-        thetas = gen_switching(proc, child)
-        baseline = run_predictive_ogd(
-            family, cset, thetas,
-            DescentConfig(des["eta"], des["inner_steps"], "standard"), x1,
-        )
-        method = run_predictive_ogd(
-            family, cset, thetas,
-            DescentConfig(des["eta"], des["inner_steps"], des["mode"]), x1,
-            predictor=make_predictor() if des["mode"] == "predictive" else None,
-        )
-        diffs[r] = np.cumsum(method.losses - baseline.losses)
-        if r == 0:
-            first = {"baseline": baseline, "method": method}
-
-    ledgers = {}
-    if cfg["bounds"]["check"]:
-        for arm, traj in first.items():
-            ledgers[arm] = build_ledger(
-                family, cset, traj, des["eta"], des["inner_steps"]
-            )
     notes = [
-        f"custom comparison: mode={des['mode']} repetitions={cfg['repetitions']} "
+        f"custom comparison: mode={cfg['descent']['mode']} repetitions={cfg['repetitions']} "
         f"horizon={cfg['horizon']} seed={cfg['seed']}",
         "curve = cumulative regret (method) - cumulative regret (baseline); "
         "regret decomposition below is for repetition 1",
     ]
-    return ExperimentResult(curve=_summarize_diffs(diffs), ledgers=ledgers, notes=notes)
+    ledgers = dict(zip(("baseline", "method"), result.ledgers.values()))
+    return ExperimentResult(curve=result.curve, ledgers=ledgers, notes=notes)
+
+
+STUDIES = {
+    "exp1": lambda cfg: experiments.run_exp1(
+        Exp1Spec.from_config(cfg), with_ledgers=cfg["bounds"]["check"]
+    ),
+    "exp2": lambda cfg: experiments.run_exp2(
+        Exp2Spec.from_config(cfg), with_ledgers=cfg["bounds"]["check"]
+    ),
+    "exp3": lambda cfg: experiments.run_exp3(Exp3Spec.from_config(cfg)),
+    "custom": run_custom,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +81,13 @@ def run_custom(cfg: dict) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def _load_config(args, experiment) -> dict:
-    if args.config:
-        cfg = parse_config(args.config, experiment=experiment)
-    else:
-        cfg = resolve_config({}, experiment=experiment)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "reps", None) is not None:
-        cfg["repetitions"] = args.reps
-    return cfg
+    """Resolve the config file (or the defaults) with the --seed and --reps
+    overrides merged in first, so the schema validates them too."""
+    user = read_config(args.config) if args.config else {}
+    for key, value in (("seed", args.seed), ("repetitions", args.reps)):
+        if value is not None:
+            user[key] = value
+    return resolve_config(user, experiment=experiment)
 
 
 def _emit_and_report(result: ExperimentResult, cfg: dict, args) -> int:
@@ -256,42 +101,29 @@ def _emit_and_report(result: ExperimentResult, cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_run_exp1(args) -> int:
-    cfg = _load_config(args, "exp1")
-    return _emit_and_report(run_exp1(_spec_exp1(cfg)), cfg, args)
+def cmd_run_study(args) -> int:
+    cfg = _load_config(args, args.experiment)
+    return _emit_and_report(STUDIES[args.experiment](cfg), cfg, args)
 
 
-def cmd_run_exp2(args) -> int:
-    cfg = _load_config(args, "exp2")
-    return _emit_and_report(run_exp2(_spec_exp2(cfg)), cfg, args)
-
-
-def cmd_run_exp3(args) -> int:
-    cfg = _load_config(args, "exp3")
-    return _emit_and_report(run_exp3(_spec_exp3(cfg)), cfg, args)
-
-
-def cmd_run_custom(args) -> int:
-    cfg = _load_config(args, "custom")
-    return _emit_and_report(run_custom(cfg), cfg, args)
+def _run_count(flag: str, value, default: int) -> int:
+    if value is None:
+        return default
+    if value < 1:
+        raise ConfigError(f"{flag} expects an integer >= 1, got {value}")
+    return value
 
 
 def cmd_check_bounds(args) -> int:
     cfg = _load_config(args, args.experiment or "exp1")
-    runs = args.runs or cfg["bounds"]["runs"]
-    expert_runs = args.expert_runs or cfg["bounds"]["expert_runs"]
-    base_spec = _spec_exp1(cfg)
-    studies = []
-    for k in (1, 2, 3):
-        studies.append(run_predictive_bound_study(runs, inner_steps=k, spec=base_spec))
-    studies.append(
-        run_expert_bound_study(
-            n_runs=expert_runs,
-            horizon=cfg["horizon"],
-            master_seed=cfg["seed"],
-            eta=cfg["descent"]["eta"],
-        )
-    )
+    runs = _run_count("--runs", args.runs, cfg["bounds"]["runs"])
+    expert_runs = _run_count("--expert-runs", args.expert_runs, cfg["bounds"]["expert_runs"])
+    spec = Exp1Spec.from_config(cfg)
+    studies = [
+        experiments.run_predictive_bound_study(runs, inner_steps=k, spec=spec)
+        for k in (1, 2, 3)
+    ]
+    studies.append(experiments.run_expert_bound_study(n_runs=expert_runs, spec=spec))
     lines = [f"bound verification (seed={cfg['seed']}, horizon={cfg['horizon']})"]
     all_ok = True
     for study in studies:
@@ -385,15 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"poco {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (
-        ("run-exp1", cmd_run_exp1),
-        ("run-exp2", cmd_run_exp2),
-        ("run-exp3", cmd_run_exp3),
-        ("run-custom", cmd_run_custom),
-    ):
+    for experiment in STUDIES:
+        name = f"run-{experiment}"
         sub = subs.add_parser(name, help=f"{name.replace('-', ' ')}")
         _add_run_flags(sub)
-        sub.set_defaults(func=fn)
+        sub.set_defaults(func=cmd_run_study, experiment=experiment)
 
     sub = subs.add_parser("check-bounds", help="verify the regret bounds empirically")
     _add_run_flags(sub)

@@ -347,6 +347,11 @@ def _cross_checks(cfg: dict) -> None:
     if len(cfg["scenario"]["state_a"]) != len(cfg["scenario"]["state_b"]):
         raise ConfigError("scenario.state_a and state_b must have equal length")
     n = len(cfg["objective"]["weights"])
+    if len(cfg["scenario"]["state_a"]) != n + 1:
+        raise ConfigError(
+            "scenario.state_a and state_b must hold one target per objective "
+            "weight plus an offset"
+        )
     if len(cfg["descent"]["x1"]) != n:
         raise ConfigError("descent.x1 and objective.weights must agree on dimension")
     if cfg["domain"]["kind"] == "ball" and len(cfg["domain"]["center"]) != n:
@@ -383,8 +388,9 @@ def resolve_config(user: Optional[dict] = None, experiment: Optional[str] = None
     return cfg
 
 
-def parse_config(path: str, experiment: Optional[str] = None) -> dict:
-    """Load and resolve a config file; manifests are accepted as configs."""
+def read_config(path: str) -> dict:
+    """The user config held in a JSON file, unresolved; a manifest yields
+    the config it records."""
     try:
         with open(path) as handle:
             raw = json.load(handle)
@@ -398,7 +404,12 @@ def parse_config(path: str, experiment: Optional[str] = None) -> dict:
         raw = raw["config"]
         if not isinstance(raw, dict):
             raise ConfigError(f"manifest {path} holds a malformed config")
-    return resolve_config(raw, experiment=experiment)
+    return raw
+
+
+def parse_config(path: str, experiment: Optional[str] = None) -> dict:
+    """Load and resolve a config file; manifests are accepted as configs."""
+    return resolve_config(read_config(path), experiment=experiment)
 
 
 def canonical_json(cfg: dict) -> str:

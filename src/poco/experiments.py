@@ -5,7 +5,8 @@ baseline under common random numbers: within a repetition both arms consume
 the identical scenario realization, so the reported curve
 cumulative_loss(method) - cumulative_loss(baseline) equals the difference in
 dynamic regret (the per-round optimal values cancel) and is exactly zero
-wherever the two arms are algorithmically identical.
+wherever the two arms are algorithmically identical.  ``compare_to_ogd``
+runs that comparison for every study.
 
 Per-repetition seeds are derived from the master seed with
 ``numpy.random.SeedSequence(master_seed).spawn(repetitions)``; repetition r
@@ -14,7 +15,7 @@ uses child r.  Rerunning with the same master seed reproduces every byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,71 +102,165 @@ class ExperimentResult:
         return lines
 
 
+def compare_to_ogd(seeds, scenario, method, family, cset, x1, eta, inner_steps=1):
+    """Play a method arm against plain projected descent, one repetition per
+    spawned seed.
+
+    ``scenario(child)`` draws a repetition's ``(thetas, history)``, where
+    ``history`` holds parameters observed before round 1 (or None), and
+    ``method(thetas, history)`` plays the method arm on that same draw.  The
+    baseline descends from ``x1`` toward the last observation with ``eta``
+    and ``inner_steps``.  Returns the difference curve and repetition 1's
+    ``(baseline, method)`` trajectories.
+    """
+    if not seeds:
+        raise ValueError("repetitions must be >= 1")
+    config = DescentConfig(eta, inner_steps, MODE_STANDARD)
+    diffs, first = [], None
+    for child in seeds:
+        thetas, history = scenario(child)
+        baseline = run_predictive_ogd(family, cset, thetas, config, x1)
+        arm = method(thetas, history)
+        diffs.append(np.cumsum(arm.losses - baseline.losses))
+        if first is None:
+            first = (baseline, arm)
+    return _summarize_diffs(np.array(diffs)), first
+
+
+# ---------------------------------------------------------------------------
+# the switching-process setup shared by studies 1 and 2 and the bound checks
+# ---------------------------------------------------------------------------
+
+def _tuple(values) -> Optional[tuple]:
+    return None if values is None else tuple(values)
+
+
+def _switching_fields(cfg: dict) -> dict:
+    """SwitchingSpec fields from a resolved config."""
+    des, dom, scen = cfg["descent"], cfg["domain"], cfg["scenario"]
+    return dict(
+        horizon=cfg["horizon"],
+        repetitions=cfg["repetitions"],
+        eta=des["eta"],
+        inner_steps=des["inner_steps"],
+        x1=tuple(des["x1"]),
+        weights=tuple(cfg["objective"]["weights"]),
+        domain=dom["kind"],
+        center=tuple(dom["center"]),
+        radius=dom["radius"],
+        projection_mode=dom["projection_mode"],
+        state_a=tuple(scen["state_a"]),
+        state_b=tuple(scen["state_b"]),
+        dwell=tuple(scen["dwell"]),
+        noise_scale=scen["noise_scale"],
+        noise_clip=scen["noise_clip"],
+        indices=_tuple(cfg["predictor"]["indices"]),
+        master_seed=cfg["seed"],
+    )
+
+
+@dataclass(frozen=True)
+class SwitchingSpec:
+    """Repetitions, plain descent, the quadratic-tracking objective, the
+    constraint set and the switching scenario of a study.  A config sets
+    them from its top-level keys, its ``descent``, ``domain``, ``objective``
+    and ``scenario`` sections and ``predictor.indices``."""
+
+    horizon: int = 200
+    repetitions: int = 50
+    eta: float = 1.0 / 200.0
+    inner_steps: int = 1
+    x1: tuple = (0.0, 40.0)
+    weights: tuple = (100.0, 1.0)
+    domain: str = "ball"
+    center: Optional[tuple] = None  # None is the origin
+    radius: float = 50.0
+    projection_mode: str = "exact"  # simplex domain only
+    state_a: tuple = (-100.0, 0.0, 30.0)
+    state_b: tuple = (100.0, 20.0, -50.0)
+    dwell: tuple = (4, 4)
+    noise_scale: float = 10.0
+    noise_clip: Optional[float] = None
+    indices: Optional[tuple] = (0, 1)  # coordinates the AR models see
+    master_seed: int = DEFAULT_SEED
+
+    def setup(self):
+        """The objective family, constraint set and scenario process."""
+        family = QuadraticTracking(self.weights)
+        if self.domain == "ball":
+            center = np.zeros(family.n) if self.center is None else self.center
+            cset = EuclideanBall(center=center, radius=self.radius)
+        else:
+            cset = UnitSimplex(family.n, mode=self.projection_mode)
+        proc = SwitchingProcessSpec(
+            state_a=self.state_a,
+            state_b=self.state_b,
+            dwell=self.dwell,
+            noise_scale=self.noise_scale,
+            horizon=self.horizon,
+            noise_clip=self.noise_clip,
+        )
+        return family, cset, proc
+
+    def declared_gamma(self) -> tuple:
+        """The loss range D over the scenario's declared parameter box, and
+        the learning rate sqrt(8/(T D^2)) it gives."""
+        family, cset, proc = self.setup()
+        d_range = family.derive_constants(cset, switching_declared_box(proc)).D
+        return d_range, suggested_gamma(d_range, self.horizon)
+
+
 # ---------------------------------------------------------------------------
 # study 1: plain vs predictive descent with a fixed model
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Exp1Spec:
-    horizon: int = 200
-    repetitions: int = 50
-    eta: float = 1.0 / 200.0
-    weights: tuple = (100.0, 1.0)
-    radius: float = 50.0
-    x1: tuple = (0.0, 40.0)
-    dwell: tuple = (4, 4)
-    noise_scale: float = 10.0
+class Exp1Spec(SwitchingSpec):
+    mode: str = MODE_PREDICTIVE
+    predictor_kind: str = "var"  # or "persistence"
     ar_order: int = 4
     warmup: int = 10
     refit_every: Optional[int] = 1
-    inner_steps: int = 1
-    master_seed: int = DEFAULT_SEED
 
-    def __post_init__(self):
-        if int(self.repetitions) < 1:
-            raise ValueError("repetitions must be >= 1")
+    @classmethod
+    def from_config(cls, cfg: dict) -> "Exp1Spec":
+        """The spec a resolved config describes."""
+        pred = cfg["predictor"]
+        return cls(
+            **_switching_fields(cfg),
+            mode=cfg["descent"]["mode"],
+            predictor_kind=pred["kind"],
+            ar_order=pred["order"],
+            warmup=pred["min_history"] or 2 * pred["order"] + 1,
+            refit_every=pred["refit_every"],
+        )
 
-
-def _exp1_components(spec: Exp1Spec):
-    family = QuadraticTracking(spec.weights)
-    cset = EuclideanBall(center=np.zeros(len(spec.weights)), radius=spec.radius)
-    proc = SwitchingProcessSpec(
-        dwell=spec.dwell, noise_scale=spec.noise_scale, horizon=spec.horizon
-    )
-    return family, cset, proc
-
-
-def _exp1_predictor(spec: Exp1Spec) -> VarPredictor:
-    return VarPredictor(
-        order=spec.ar_order,
-        refit_every=spec.refit_every,
-        min_history=max(spec.warmup, 2 * spec.ar_order + 1),
-        indices=(0, 1),
-    )
+    def make_predictor(self):
+        """A fresh predictor; an AR fit waits for max(warmup, 2k+1) rounds."""
+        if self.predictor_kind == "persistence":
+            return Persistence()
+        return VarPredictor(
+            order=self.ar_order,
+            refit_every=self.refit_every,
+            min_history=max(self.warmup, 2 * self.ar_order + 1),
+            indices=self.indices,
+        )
 
 
 def run_exp1(spec: Exp1Spec = Exp1Spec(), with_ledgers: bool = True) -> ExperimentResult:
-    """Fixed-model study: plain OGD vs descent toward an autoregressive
-    prediction of the moving target, on the switching process."""
-    family, cset, proc = _exp1_components(spec)
-    seeds = np.random.SeedSequence(spec.master_seed).spawn(spec.repetitions)
-    diffs = np.empty((spec.repetitions, spec.horizon))
-    first_rep = {}
-    for r, child in enumerate(seeds):
-        thetas = gen_switching(proc, child)
-        ogd = run_predictive_ogd(
-            family, cset, thetas,
-            DescentConfig(spec.eta, spec.inner_steps, MODE_STANDARD), spec.x1,
-        )
-        pred = run_predictive_ogd(
-            family, cset, thetas,
-            DescentConfig(spec.eta, spec.inner_steps, MODE_PREDICTIVE), spec.x1,
-            predictor=_exp1_predictor(spec),
-        )
-        diffs[r] = np.cumsum(pred.losses - ogd.losses)
-        if r == 0:
-            first_rep = {"ogd": ogd, "predictive": pred}
-
+    """Fixed-model study: plain OGD vs descent toward a prediction (an
+    autoregression by default) of the moving target, on the switching
+    process.  ``poco run-custom`` runs this study under its own labels."""
+    family, cset, proc = spec.setup()
+    descent = DescentConfig(spec.eta, spec.inner_steps, spec.mode)
+    curve, first = compare_to_ogd(
+        np.random.SeedSequence(spec.master_seed).spawn(spec.repetitions),
+        lambda child: (gen_switching(proc, child), None),
+        lambda thetas, _: run_predictive_ogd(
+            family, cset, thetas, descent, spec.x1, predictor=spec.make_predictor()
+        ),
+        family, cset, spec.x1, spec.eta, spec.inner_steps,
+    )
     ledgers = {}
     notes = [
         f"repetitions={spec.repetitions} horizon={spec.horizon} "
@@ -174,11 +269,11 @@ def run_exp1(spec: Exp1Spec = Exp1Spec(), with_ledgers: bool = True) -> Experime
         "regret decomposition below is for repetition 1",
     ]
     if with_ledgers:
-        for arm, traj in first_rep.items():
+        for arm, traj in zip(("ogd", "predictive"), first):
             ledgers[arm] = build_ledger(
                 family, cset, traj, spec.eta, spec.inner_steps
             )
-    return ExperimentResult(curve=_summarize_diffs(diffs), ledgers=ledgers, notes=notes)
+    return ExperimentResult(curve=curve, ledgers=ledgers, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +281,30 @@ def run_exp1(spec: Exp1Spec = Exp1Spec(), with_ledgers: bool = True) -> Experime
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Exp2Spec:
-    horizon: int = 200
-    repetitions: int = 50
-    eta: float = 1.0 / 200.0
-    weights: tuple = (100.0, 1.0)
-    radius: float = 50.0
-    x1: tuple = (0.0, 40.0)
+class Exp2Spec(SwitchingSpec):
     dwell: tuple = (4, 6)
-    noise_scale: float = 10.0
     expert_orders: tuple = (1, 2, 3, 4, 5)
     first_activation: int = 10
     activation_every: int = 10
     activation_times: Optional[tuple] = None  # overrides the arithmetic schedule
     beta: float = 0.2
     gamma: float = 5e-7
-    inner_steps: int = 1
-    master_seed: int = DEFAULT_SEED
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> "Exp2Spec":
+        """The spec a resolved config describes; ``smad.gamma: "auto"`` is
+        sized from the scenario and domain this spec runs."""
+        smad = cfg["smad"]
+        spec = cls(
+            **_switching_fields(cfg),
+            expert_orders=tuple(smad["expert_orders"]),
+            first_activation=smad["first_activation"],
+            activation_every=smad["activation_every"],
+            activation_times=_tuple(smad["activation_times"]),
+            beta=smad["beta"],
+        )
+        gamma = smad["gamma"]
+        return replace(spec, gamma=spec.declared_gamma()[1] if gamma == "auto" else gamma)
 
     def schedule(self) -> tuple:
         if self.activation_times is not None:
@@ -218,20 +320,10 @@ class Exp2Spec:
 def run_exp2(spec: Exp2Spec = Exp2Spec(), with_ledgers: bool = True) -> ExperimentResult:
     """Misspecified-model study: an expert pool of AR orders, brought online
     one at a time, against plain OGD."""
-    family = QuadraticTracking(spec.weights)
-    cset = EuclideanBall(center=np.zeros(len(spec.weights)), radius=spec.radius)
-    proc = SwitchingProcessSpec(
-        dwell=spec.dwell, noise_scale=spec.noise_scale, horizon=spec.horizon
-    )
-    seeds = np.random.SeedSequence(spec.master_seed).spawn(spec.repetitions)
-    diffs = np.empty((spec.repetitions, spec.horizon))
-    first_rep = {}
-    for r, child in enumerate(seeds):
-        thetas = gen_switching(proc, child)
-        ogd = run_predictive_ogd(
-            family, cset, thetas,
-            DescentConfig(spec.eta, spec.inner_steps, MODE_STANDARD), spec.x1,
-        )
+    family, cset, proc = spec.setup()
+    schedule = spec.schedule()
+
+    def expert_pool(thetas, _):
         pool = ExpertPool(
             capacity=len(spec.expert_orders),
             beta=spec.beta,
@@ -240,14 +332,17 @@ def run_exp2(spec: Exp2Spec = Exp2Spec(), with_ledgers: bool = True) -> Experime
             inner_steps=spec.inner_steps,
         )
         roster = [
-            (when, VarPredictor(order=k, indices=(0, 1)))
-            for when, k in zip(spec.schedule(), spec.expert_orders)
+            (when, VarPredictor(order=k, indices=spec.indices))
+            for when, k in zip(schedule, spec.expert_orders)
         ]
-        smad = run_smad(family, cset, thetas, pool, spec.x1, roster=roster)
-        diffs[r] = np.cumsum(smad.losses - ogd.losses)
-        if r == 0:
-            first_rep = {"ogd": ogd, "smad": smad}
+        return run_smad(family, cset, thetas, pool, spec.x1, roster=roster)
 
+    curve, (ogd, smad_traj) = compare_to_ogd(
+        np.random.SeedSequence(spec.master_seed).spawn(spec.repetitions),
+        lambda child: (gen_switching(proc, child), None),
+        expert_pool,
+        family, cset, spec.x1, spec.eta, spec.inner_steps,
+    )
     ledgers = {}
     notes = [
         f"repetitions={spec.repetitions} horizon={spec.horizon} eta={spec.eta} "
@@ -255,11 +350,8 @@ def run_exp2(spec: Exp2Spec = Exp2Spec(), with_ledgers: bool = True) -> Experime
         "curve = cumulative regret (expert pool) - cumulative regret (ogd)",
     ]
     if with_ledgers:
-        ledgers["ogd"] = build_ledger(
-            family, cset, first_rep["ogd"], spec.eta, spec.inner_steps
-        )
+        ledgers["ogd"] = build_ledger(family, cset, ogd, spec.eta, spec.inner_steps)
         # mid-run activations void the fixed-pool bound; report accounting only
-        smad_traj = first_rep["smad"]
         xstars = minimizers_batch(family, cset, smad_traj.thetas)
         opt_losses = family.value_rows(xstars, smad_traj.thetas)
         box = realized_theta_box(smad_traj.thetas)
@@ -281,7 +373,7 @@ def run_exp2(spec: Exp2Spec = Exp2Spec(), with_ledgers: bool = True) -> Experime
                 "experts joined mid-run; the fixed-pool bound does not apply"
             ),
         )
-    return ExperimentResult(curve=_summarize_diffs(diffs), ledgers=ledgers, notes=notes)
+    return ExperimentResult(curve=curve, ledgers=ledgers, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +486,39 @@ class Exp3Spec:
     risk: RiskProcessSpec = RiskProcessSpec()
     master_seed: int = DEFAULT_SEED
 
+    @classmethod
+    def from_config(cls, cfg: dict) -> "Exp3Spec":
+        """The spec a resolved config describes: the ``exp3`` section plus
+        the top-level ``repetitions`` and ``seed``."""
+        sec = cfg["exp3"]
+        risk = RiskProcessSpec(
+            base=sec["risk_base"],
+            warmup_days=sec["risk_warmup_days"],
+            stay_prob=sec["risk_stay_prob"],
+            jump_low=sec["risk_jump_low"],
+            jump_high=sec["risk_jump_high"],
+            noise_var=sec["risk_noise_var"],
+            obs_every_days=sec["month_days"],
+        )
+        return cls(
+            csv_path=sec["csv_path"],
+            risk_free=sec["risk_free"],
+            synth_assets=sec["synth_assets"],
+            synth_days=sec["synth_days"],
+            lookbacks=tuple(sec["lookbacks"]),
+            ar_orders=tuple(sec["ar_orders"]),
+            client_lookback=sec["client_lookback"],
+            eta=sec["eta"],
+            gamma=sec["gamma"],
+            beta=sec["beta"],
+            observe_months=sec["observe_months"],
+            eval_months=sec["eval_months"],
+            repetitions=cfg["repetitions"],
+            month_days=sec["month_days"],
+            risk=risk,
+            master_seed=cfg["seed"],
+        )
+
     @property
     def total_months(self) -> int:
         return self.observe_months + self.eval_months
@@ -442,19 +567,13 @@ def run_exp3(spec: Exp3Spec = Exp3Spec(), data: Optional[MarketData] = None) -> 
     moments = MomentCache(data, spec.month_days)
     needed_days = spec.month_days * spec.total_months
 
-    seeds = np.random.SeedSequence(spec.master_seed).spawn(spec.repetitions)
-    diffs = np.empty((spec.repetitions, spec.eval_months))
-    for r, child in enumerate(seeds):
+
+    def scenario(child):
         risk_obs = gen_risk_path(spec.risk, needed_days, child)
         thetas_all = _client_thetas(spec, family, moments, risk_obs)
-        history = thetas_all[: spec.observe_months]
-        eval_thetas = thetas_all[spec.observe_months :]
+        return thetas_all[spec.observe_months :], thetas_all[: spec.observe_months]
 
-        ogd = run_predictive_ogd(
-            family, cset, eval_thetas,
-            DescentConfig(spec.eta, 1, MODE_STANDARD), x1,
-        )
-
+    def expert_pool(eval_thetas, history):
         forecasts = RiskForecastCache(spec.ar_orders)
         predictors = [
             MarkowitzModelPredictor(family, moments, lb, k, forecasts=forecasts)
@@ -465,11 +584,14 @@ def run_exp3(spec: Exp3Spec = Exp3Spec(), data: Optional[MarketData] = None) -> 
             capacity=len(predictors), beta=spec.beta, gamma=spec.gamma, eta=spec.eta
         )
         pool.initialize(predictors, x_init=x1, t=1)
-        smad = run_smad(
+        return run_smad(
             family, cset, eval_thetas, pool, x1, initial_history=history
         )
-        diffs[r] = np.cumsum(smad.losses - ogd.losses)
 
+    curve, _ = compare_to_ogd(
+        np.random.SeedSequence(spec.master_seed).spawn(spec.repetitions),
+        scenario, expert_pool, family, cset, x1, spec.eta,
+    )
     notes = [
         f"repetitions={spec.repetitions} eval_months={spec.eval_months} "
         f"eta={spec.eta} gamma={spec.gamma} seed={spec.master_seed}",
@@ -481,9 +603,7 @@ def run_exp3(spec: Exp3Spec = Exp3Spec(), data: Optional[MarketData] = None) -> 
         "curve = cumulative regret (expert pool) - cumulative regret (ogd); "
         "per-round optima cancel in the difference, so no minimizers are solved",
     ]
-    return ExperimentResult(
-        curve=_summarize_diffs(diffs), ledgers={}, notes=notes
-    )
+    return ExperimentResult(curve=curve, ledgers={}, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +657,7 @@ def run_predictive_bound_study(
     """Predictive descent on the switching process; per run, check measured
     dynamic regret against the closed-form bound with constants derived from
     the realized parameter box (observations and predictions jointly)."""
-    family, cset, proc = _exp1_components(spec)
+    family, cset, proc = spec.setup()
     seeds = np.random.SeedSequence((spec.master_seed, 31 + inner_steps)).spawn(n_runs)
     records = []
     for child in seeds:
@@ -545,7 +665,7 @@ def run_predictive_bound_study(
         traj = run_predictive_ogd(
             family, cset, thetas,
             DescentConfig(spec.eta, inner_steps, MODE_PREDICTIVE), spec.x1,
-            predictor=_exp1_predictor(spec),
+            predictor=spec.make_predictor(),
         )
         ledger = build_ledger(family, cset, traj, spec.eta, inner_steps)
         records.append(
@@ -557,32 +677,27 @@ def run_predictive_bound_study(
 
 def run_expert_bound_study(
     n_runs: int = 50,
-    horizon: int = 200,
-    master_seed: int = DEFAULT_SEED,
-    eta: float = 1.0 / 200.0,
+    spec: SwitchingSpec = Exp1Spec(),
     noise_clip: float = 6.0,
     slack: float = 1e-6,
 ) -> BoundStudyResult:
     """Fixed-pool expert runs with the tuned learning rate, checked against
     the expert regret bound and the aggregation inequality.
 
-    The switching noise is clipped at ``noise_clip`` standard deviations so
-    the loss range D can be declared before the run; the learning rate
+    The objective, domain, scenario, ``x1``, ``eta``, horizon and seed come
+    from ``spec``, as for ``run_predictive_bound_study``.  The switching
+    noise is clipped at ``noise_clip`` standard deviations so the loss range
+    D can be declared before the run; the learning rate
     gamma = sqrt(8/(T D^2)) then matches the closed-form mixing penalty.
     Descent constants still come from the realized box of observations and
     expert predictions.
     """
-    weights = (100.0, 1.0)
-    family = QuadraticTracking(weights)
-    cset = EuclideanBall(center=np.zeros(2), radius=50.0)
-    proc = SwitchingProcessSpec(horizon=horizon, noise_clip=noise_clip)
-    declared = switching_declared_box(proc)
-    declared_constants = family.derive_constants(cset, declared)
-    d_range = declared_constants.D
-    gamma = suggested_gamma(d_range, horizon)
-    x1 = (0.0, 40.0)
+    spec = replace(spec, noise_clip=noise_clip)
+    family, cset, proc = spec.setup()
+    d_range, gamma = spec.declared_gamma()
+    eta, horizon, x1 = spec.eta, spec.horizon, spec.x1
 
-    seeds = np.random.SeedSequence((master_seed, 97)).spawn(n_runs)
+    seeds = np.random.SeedSequence((spec.master_seed, 97)).spawn(n_runs)
     records = []
     for child in seeds:
         scen_seed, oracle_seed = child.spawn(2)
@@ -593,7 +708,7 @@ def run_expert_bound_study(
             NoisyOracle(thetas, noise_std=1.0, rng=oracle_rngs[0]),
             NoisyOracle(thetas, noise_std=5.0, rng=oracle_rngs[1]),
             Persistence(),
-            VarPredictor(order=2, indices=(0, 1)),
+            VarPredictor(order=2, indices=spec.indices),
         ]
         pool = ExpertPool(
             capacity=len(predictors), beta=0.2, gamma=gamma, eta=eta

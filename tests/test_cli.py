@@ -183,6 +183,12 @@ class TestCommands:
         header = open(os.path.join(out, "summary.txt")).read().splitlines()[0]
         assert "gamma=1.29" in header  # tuned from the declared loss range
 
+    def test_scenario_states_must_match_the_objective(self):
+        with pytest.raises(ConfigError, match="one target per objective weight"):
+            resolve_config(
+                {"scenario": {"state_a": [1.0, 2.0], "state_b": [3.0, 4.0]}}, "exp1"
+            )
+
     def test_activation_times_must_pair_with_orders(self):
         with pytest.raises(ConfigError, match="one round per expert"):
             resolve_config({"smad": {"activation_times": [10, 20]}}, "exp2")
@@ -244,3 +250,162 @@ class TestCommands:
         a = open(os.path.join(out1, "curve.csv")).read()
         b = open(os.path.join(out2, "curve.csv")).read()
         assert a != b
+
+
+def _write_config(tmp_path, name, cfg):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _run(tmp_path, command, name, cfg, *flags):
+    """Run one study command quietly; returns (exit code, output dir)."""
+    out = tmp_path / name
+    code = main([
+        command, "--config", _write_config(tmp_path, name, cfg),
+        "--out", str(out), "--quiet", *flags,
+    ])
+    return code, out
+
+
+class TestOverridesValidated:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run-exp1", "--reps", "0"],
+            ["run-exp1", "--seed", "-5"],
+            ["run-exp3", "--reps", "0"],
+            ["run-custom", "--reps", "0"],
+            ["check-bounds", "--runs", "0"],
+            ["check-bounds", "--expert-runs", "0"],
+        ],
+    )
+    def test_bad_override_is_a_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+    def test_overrides_are_recorded_in_the_manifest(self, tmp_path):
+        code, out = _run(tmp_path, "run-exp1", "o", {"horizon": 20}, "--reps", "2", "--seed", "3")
+        assert code == EXIT_OK
+        manifest = json.load(open(out / "manifest.json"))
+        assert manifest["seed"] == 3 and manifest["config"]["repetitions"] == 2
+
+
+MOVED_STATES = {"state_a": [-60.0, 5.0, 30.0], "state_b": [60.0, 25.0, -50.0]}
+SIMPLEX_START = {"descent": {"x1": [0.5, 0.5]}}
+
+# (command, config change, the config it is compared with)
+DROPPED_KEY_CASES = [
+    pytest.param("run-exp1", {"scenario": MOVED_STATES}, {}, id="exp1-states"),
+    pytest.param("run-exp1", {"scenario": {"noise_clip": 0.5}}, {}, id="exp1-noise_clip"),
+    pytest.param("run-exp1", {"domain": {"center": [0.0, 5.0]}}, {}, id="exp1-center"),
+    pytest.param(
+        "run-exp1", {"domain": {"kind": "simplex"}, **SIMPLEX_START}, SIMPLEX_START,
+        id="exp1-simplex",
+    ),
+    pytest.param("run-exp1", {"predictor": {"kind": "persistence"}}, {}, id="exp1-persistence"),
+    pytest.param("run-exp1", {"predictor": {"indices": [0]}}, {}, id="exp1-indices"),
+    pytest.param("run-exp2", {"scenario": MOVED_STATES}, {}, id="exp2-states"),
+    pytest.param("run-exp2", {"scenario": {"noise_clip": 0.5}}, {}, id="exp2-noise_clip"),
+    pytest.param("run-exp2", {"domain": {"center": [0.0, 5.0]}}, {}, id="exp2-center"),
+    pytest.param("run-exp2", {"predictor": {"indices": [0]}}, {}, id="exp2-indices"),
+]
+
+
+class TestConfigReachesTheRun:
+    @pytest.mark.parametrize("command,change,reference", DROPPED_KEY_CASES)
+    def test_key_changes_the_curve(self, tmp_path, command, change, reference):
+        base = {"repetitions": 2, "horizon": 60}
+        curves = []
+        for name, extra in (("reference", reference), ("changed", change)):
+            code, out = _run(tmp_path, command, name, {**base, **extra})
+            assert code == EXIT_OK
+            curves.append((out / "curve.csv").read_bytes())
+        assert curves[0] != curves[1]
+
+    def test_gamma_auto_sized_from_the_scenario_the_run_draws(self, tmp_path, monkeypatch):
+        import poco.experiments as experiments
+        from poco.domains import EuclideanBall
+        from poco.objectives import QuadraticTracking
+        from poco.scenarios import switching_declared_box
+        from poco.smad import suggested_gamma
+
+        drawn = []
+        real = experiments.gen_switching
+
+        def capture(proc, seed):
+            drawn.append(proc)
+            return real(proc, seed)
+
+        monkeypatch.setattr(experiments, "gen_switching", capture)
+        cfg = {
+            "repetitions": 1,
+            "horizon": 50,
+            "smad": {"gamma": "auto"},
+            "scenario": {**MOVED_STATES, "noise_clip": 3.0},
+        }
+        code, out = _run(tmp_path, "run-exp2", "auto", cfg)
+        assert code == EXIT_OK
+        family = QuadraticTracking((100.0, 1.0))
+        cset = EuclideanBall(center=np.zeros(2), radius=50.0)
+        d_range = family.derive_constants(cset, switching_declared_box(drawn[0])).D
+        header = (out / "summary.txt").read_text().splitlines()[0]
+        assert f"gamma={suggested_gamma(d_range, 50)} " in header
+
+    def test_bounds_check_false_drops_the_ledgers(self, tmp_path):
+        sections = {}
+        for check in (True, False):
+            cfg = {"repetitions": 2, "horizon": 40, "bounds": {"check": check}}
+            code, out = _run(tmp_path, "run-exp1", f"check-{check}", cfg)
+            assert code == EXIT_OK
+            text = (out / "summary.txt").read_text()
+            sections[check] = [s for s in ("[ogd]", "[predictive]") if s in text]
+        assert sections == {True: ["[ogd]", "[predictive]"], False: []}
+
+    @pytest.mark.parametrize("command", ["run-exp1", "run-exp2"])
+    def test_bounds_check_false_lifts_the_step_size_guard(self, tmp_path, command):
+        # the config guard allows eta > 1/L only with bound checks off, so
+        # the run must then build no regret ledger (it would refuse that eta)
+        cfg = {"repetitions": 1, "horizon": 40, "descent": {"eta": 0.01}, "bounds": {"check": False}}
+        code, out = _run(tmp_path, command, "big-eta", cfg)
+        assert code == EXIT_OK
+        assert "Reg_D" not in (out / "summary.txt").read_text()
+
+    def test_run_custom_is_run_exp1_under_other_labels(self, tmp_path):
+        # min_history below 2*order+1 is raised to it by both commands
+        cfg = {
+            "repetitions": 2,
+            "horizon": 60,
+            "predictor": {"order": 3, "min_history": 4},
+            "scenario": MOVED_STATES,
+        }
+        code1, out1 = _run(tmp_path, "run-exp1", "exp1", cfg)
+        code2, out2 = _run(tmp_path, "run-custom", "custom", cfg)
+        assert code1 == code2 == EXIT_OK
+        assert (out1 / "curve.csv").read_bytes() == (out2 / "curve.csv").read_bytes()
+        exp1_text = (out1 / "summary.txt").read_text()
+        custom_text = (out2 / "summary.txt").read_text()
+        assert "[predictive]" in exp1_text and "[method]" in custom_text
+        assert exp1_text.split("[ogd]")[1].replace("[predictive]", "") == (
+            custom_text.split("[baseline]")[1].replace("[method]", "")
+        )
+
+    def test_check_bounds_studies_share_the_config_scenario(self, tmp_path, monkeypatch):
+        import poco.experiments as experiments
+
+        dwells = set()
+        real = experiments.gen_switching
+
+        def capture(proc, seed):
+            dwells.add(proc.dwell)
+            return real(proc, seed)
+
+        monkeypatch.setattr(experiments, "gen_switching", capture)
+        code = main([
+            "check-bounds", "--experiment", "exp2", "--runs", "1", "--expert-runs", "1",
+            "--out", str(tmp_path / "cb"), "--quiet",
+        ])
+        assert code == EXIT_OK
+        assert dwells == {(4, 6)}

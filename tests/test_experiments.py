@@ -31,6 +31,17 @@ class TestSeedSplitting:
             )
 
 
+class TestPairedHarness:
+    def test_zero_repetitions_rejected(self, market):
+        for run in (
+            lambda: run_exp1(Exp1Spec(repetitions=0)),
+            lambda: run_exp2(Exp2Spec(repetitions=0)),
+            lambda: run_exp3(Exp3Spec(repetitions=0, eval_months=5), data=market),
+        ):
+            with pytest.raises(ValueError, match="repetitions must be >= 1"):
+                run()
+
+
 class TestExp1:
     def test_prefix_exactly_zero_and_deterministic(self):
         spec = Exp1Spec(repetitions=4, horizon=80, master_seed=5)
