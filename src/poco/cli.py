@@ -57,8 +57,8 @@ def run_custom(cfg: dict) -> ExperimentResult:
     notes = [
         f"custom comparison: mode={cfg['descent']['mode']} repetitions={cfg['repetitions']} "
         f"horizon={cfg['horizon']} seed={cfg['seed']}",
-        "curve = cumulative regret (method) - cumulative regret (baseline); "
-        "regret decomposition below is for repetition 1",
+        "curve = cumulative regret (method) - cumulative regret (baseline)"
+        + (experiments.LEDGER_NOTE if result.ledgers else ""),
     ]
     ledgers = dict(zip(("baseline", "method"), result.ledgers.values()))
     return ExperimentResult(curve=result.curve, ledgers=ledgers, notes=notes)

@@ -1,22 +1,24 @@
 """Config files: schema, defaults, validation, and result emission.
 
 A run is described by a flat JSON object with one section per module.  Every
-key has a default baked in per experiment, so the minimal config is just
-``{"experiment": "exp1"}`` (or even ``{}`` when the CLI command names the
-experiment).  Unknown keys are rejected with a suggestion.  ``emit_results``
-writes three files per run: ``curve.csv`` (t, mean_diff, std_diff),
-``summary.txt`` (human-readable accounting and bound checks) and
+key is declared once in ``SCHEMA``, with its validator and its default;
+``PRESETS`` holds the few per-experiment departures.  The minimal config is
+just ``{"experiment": "exp1"}`` (or even ``{}`` when the CLI command names
+the experiment).  Unknown keys are rejected with a suggestion.
+``emit_results`` writes three files per run: ``curve.csv`` (t, mean_diff,
+std_diff), ``summary.txt`` (human-readable accounting and bound checks) and
 ``manifest.json`` (the fully resolved config plus its hash and the seed, so
 a run can be replayed byte for byte by pointing --config at the manifest).
 """
 
 from __future__ import annotations
 
+import copy
 import difflib
 import hashlib
 import json
 import os
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from poco.experiments import DEFAULT_SEED
 
@@ -124,82 +126,97 @@ def _v_gamma(section, key, val):
 
 
 # ---------------------------------------------------------------------------
-# schema: section -> key -> validator
+# schema: section -> key -> (validator, default)
 # ---------------------------------------------------------------------------
 
-SCHEMA: dict[str, dict[str, Callable]] = {
+class Key(NamedTuple):
+    check: Callable
+    default: Any
+
+
+SCHEMA: dict[str, dict[str, Key]] = {
     "": {
-        "experiment": _v_choice(*EXPERIMENTS),
-        "seed": _v_int(0),
-        "repetitions": _v_int(1),
-        "horizon": _v_int(1),
+        "experiment": Key(_v_choice(*EXPERIMENTS), "exp1"),
+        "seed": Key(_v_int(0), DEFAULT_SEED),
+        "repetitions": Key(_v_int(1), 50),
+        "horizon": Key(_v_int(1), 200),
     },
     "descent": {
-        "eta": _v_num(0.0, strict=True),
-        "inner_steps": _v_int(1),
-        "mode": _v_choice("standard", "predictive"),
-        "x1": _v_num_list(),
+        "eta": Key(_v_num(0.0, strict=True), 1.0 / 200.0),
+        "inner_steps": Key(_v_int(1), 1),
+        "mode": Key(_v_choice("standard", "predictive"), "predictive"),
+        "x1": Key(_v_num_list(), [0.0, 40.0]),
     },
     "domain": {
-        "kind": _v_choice("ball", "simplex"),
-        "center": _v_num_list(),
-        "radius": _v_num(0.0, strict=True),
-        "dimension": _v_int(1),
-        "projection_mode": _v_choice("exact", "renormalize"),
+        "kind": Key(_v_choice("ball", "simplex"), "ball"),
+        "center": Key(_v_num_list(), [0.0, 0.0]),
+        "radius": Key(_v_num(0.0, strict=True), 50.0),
+        "dimension": Key(_v_int(1), 2),
+        "projection_mode": Key(_v_choice("exact", "renormalize"), "exact"),
     },
     "objective": {
-        "kind": _v_choice("quadratic_tracking"),
-        "weights": _v_num_list(),
+        "kind": Key(_v_choice("quadratic_tracking"), "quadratic_tracking"),
+        "weights": Key(_v_num_list(), [100.0, 1.0]),
     },
     "predictor": {
-        "kind": _v_choice("var", "persistence"),
-        "order": _v_int(1),
-        "refit_every": _v_opt(_v_int(1)),
-        "min_history": _v_opt(_v_int(1)),
-        "indices": _v_opt(_v_int_list(0)),
+        "kind": Key(_v_choice("var", "persistence"), "var"),
+        "order": Key(_v_int(1), 4),
+        "refit_every": Key(_v_opt(_v_int(1)), 1),
+        "min_history": Key(_v_opt(_v_int(1)), 10),
+        "indices": Key(_v_opt(_v_int_list(0)), [0, 1]),
     },
     "scenario": {
-        "kind": _v_choice("switching"),
-        "state_a": _v_num_list(),
-        "state_b": _v_num_list(),
-        "dwell": _v_int_list(1),
-        "noise_scale": _v_num(0.0),
-        "noise_clip": _v_opt(_v_num(0.0, strict=True)),
+        "kind": Key(_v_choice("switching"), "switching"),
+        "state_a": Key(_v_num_list(), [-100.0, 0.0, 30.0]),
+        "state_b": Key(_v_num_list(), [100.0, 20.0, -50.0]),
+        "dwell": Key(_v_int_list(1), [4, 4]),
+        "noise_scale": Key(_v_num(0.0), 10.0),
+        "noise_clip": Key(_v_opt(_v_num(0.0, strict=True)), None),
     },
     "smad": {
-        "beta": _v_num(0.0, strict=True),
-        "gamma": _v_gamma,
-        "expert_orders": _v_int_list(1),
-        "first_activation": _v_int(1),
-        "activation_every": _v_int(1),
-        "activation_times": _v_opt(_v_int_list(1)),
+        "beta": Key(_v_num(0.0, strict=True), 0.2),
+        "gamma": Key(_v_gamma, 5e-7),
+        "expert_orders": Key(_v_int_list(1), [1, 2, 3, 4, 5]),
+        "first_activation": Key(_v_int(1), 10),
+        "activation_every": Key(_v_int(1), 10),
+        "activation_times": Key(_v_opt(_v_int_list(1)), None),
     },
     "exp3": {
-        "csv_path": _v_opt(_v_str),
-        "risk_free": _v_bool,
-        "synth_assets": _v_int(1),
-        "synth_days": _v_int(1),
-        "lookbacks": _v_int_list(2),
-        "ar_orders": _v_int_list(1),
-        "client_lookback": _v_int(2),
-        "eta": _v_num(0.0, strict=True),
-        "gamma": _v_num(0.0, strict=True),
-        "beta": _v_num(0.0, strict=True),
-        "observe_months": _v_int(1),
-        "eval_months": _v_int(1),
-        "month_days": _v_int(1),
-        "risk_base": _v_num(0.0),
-        "risk_warmup_days": _v_int(0),
-        "risk_stay_prob": _v_num(0.0),
-        "risk_noise_var": _v_num(0.0),
-        "risk_jump_low": _v_int(0),
-        "risk_jump_high": _v_int(0),
+        "csv_path": Key(_v_opt(_v_str), None),
+        "risk_free": Key(_v_bool, True),
+        "synth_assets": Key(_v_int(1), 36),
+        "synth_days": Key(_v_int(1), 5000),
+        "lookbacks": Key(_v_int_list(2), [15, 30, 45, 60, 75, 90]),
+        "ar_orders": Key(_v_int_list(1), [1, 2, 3, 4, 5, 6]),
+        "client_lookback": Key(_v_int(2), 50),
+        "eta": Key(_v_num(0.0, strict=True), 0.1),
+        "gamma": Key(_v_num(0.0, strict=True), 50.0),
+        "beta": Key(_v_num(0.0, strict=True), 0.2),
+        "observe_months": Key(_v_int(1), 10),
+        "eval_months": Key(_v_int(1), 150),
+        "month_days": Key(_v_int(1), 30),
+        "risk_base": Key(_v_num(0.0), 4.0),
+        "risk_warmup_days": Key(_v_int(0), 240),
+        "risk_stay_prob": Key(_v_num(0.0), 0.9),
+        "risk_noise_var": Key(_v_num(0.0), 0.64),
+        "risk_jump_low": Key(_v_int(0), 1),
+        "risk_jump_high": Key(_v_int(0), 20),
     },
     "bounds": {
-        "check": _v_bool,
-        "runs": _v_int(1),
-        "expert_runs": _v_int(1),
-        "inner_steps": _v_int(1),
+        "check": Key(_v_bool, True),
+        "runs": Key(_v_int(1), 100),
+        "expert_runs": Key(_v_int(1), 50),
+        "inner_steps": Key(_v_int(1), 1),
+    },
+}
+
+# the only per-experiment departures from the SCHEMA defaults
+PRESETS = {
+    "exp2": {"scenario": {"dwell": [4, 6]}},
+    "exp3": {
+        "repetitions": 200,
+        "horizon": SCHEMA["exp3"]["eval_months"].default,
+        "bounds": {"check": False},
     },
 }
 
@@ -226,96 +243,23 @@ def _suggest(key: str, known) -> str:
 
 
 def default_config(experiment: str) -> dict:
-    """Fully populated config for one experiment, matching the study specs."""
+    """Fully populated config for one experiment: the SCHEMA defaults with
+    the experiment's preset applied."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-    cfg = {
-        "experiment": experiment,
-        "seed": DEFAULT_SEED,
-        "repetitions": 50,
-        "horizon": 200,
-        "descent": {
-            "eta": 1.0 / 200.0,
-            "inner_steps": 1,
-            "mode": "predictive",
-            "x1": [0.0, 40.0],
-        },
-        "domain": {
-            "kind": "ball",
-            "center": [0.0, 0.0],
-            "radius": 50.0,
-            "dimension": 2,
-            "projection_mode": "exact",
-        },
-        "objective": {
-            "kind": "quadratic_tracking",
-            "weights": [100.0, 1.0],
-        },
-        "predictor": {
-            "kind": "var",
-            "order": 4,
-            "refit_every": 1,
-            "min_history": 10,
-            "indices": [0, 1],
-        },
-        "scenario": {
-            "kind": "switching",
-            "state_a": [-100.0, 0.0, 30.0],
-            "state_b": [100.0, 20.0, -50.0],
-            "dwell": [4, 4],
-            "noise_scale": 10.0,
-            "noise_clip": None,
-        },
-        "smad": {
-            "beta": 0.2,
-            "gamma": 5e-7,
-            "expert_orders": [1, 2, 3, 4, 5],
-            "first_activation": 10,
-            "activation_every": 10,
-            "activation_times": None,
-        },
-        "exp3": {
-            "csv_path": None,
-            "risk_free": True,
-            "synth_assets": 36,
-            "synth_days": 5000,
-            "lookbacks": [15, 30, 45, 60, 75, 90],
-            "ar_orders": [1, 2, 3, 4, 5, 6],
-            "client_lookback": 50,
-            "eta": 0.1,
-            "gamma": 50.0,
-            "beta": 0.2,
-            "observe_months": 10,
-            "eval_months": 150,
-            "month_days": 30,
-            "risk_base": 4.0,
-            "risk_warmup_days": 240,
-            "risk_stay_prob": 0.9,
-            "risk_noise_var": 0.64,
-            "risk_jump_low": 1,
-            "risk_jump_high": 20,
-        },
-        "bounds": {
-            "check": True,
-            "runs": 100,
-            "expert_runs": 50,
-            "inner_steps": 1,
-        },
-    }
-    if experiment == "exp2":
-        cfg["scenario"]["dwell"] = [4, 6]
-    if experiment == "exp3":
-        cfg["repetitions"] = 200
-        cfg["horizon"] = cfg["exp3"]["eval_months"]
-        cfg["bounds"]["check"] = False
-    return cfg
+    cfg = {key: entry.default for key, entry in SCHEMA[""].items()}
+    for section, keys in SCHEMA.items():
+        if section:
+            cfg[section] = {key: entry.default for key, entry in keys.items()}
+    cfg["experiment"] = experiment
+    return _validate_into(copy.deepcopy(cfg), PRESETS.get(experiment, {}))
 
 
 def _validate_into(base: dict, user: dict) -> dict:
     top_known = set(SCHEMA[""].keys()) | {s for s in SCHEMA if s}
     for key, val in user.items():
         if key in SCHEMA[""]:
-            base[key] = SCHEMA[""][key]("", key, val)
+            base[key] = SCHEMA[""][key].check("", key, val)
         elif key in SCHEMA:
             if not isinstance(val, dict):
                 raise ConfigError(f"config section {key!r} must be an object")
@@ -326,7 +270,7 @@ def _validate_into(base: dict, user: dict) -> dict:
                         f"unknown config key {key}.{sub}"
                         + _suggest(sub, section_schema.keys())
                     )
-                base[key][sub] = section_schema[sub](key, sub, subval)
+                base[key][sub] = section_schema[sub].check(key, sub, subval)
         else:
             raise ConfigError(f"unknown config key {key!r}" + _suggest(key, top_known))
     return base

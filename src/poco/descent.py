@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from poco.domains import ConstraintSet
+from poco.predictors import prediction_regularity
 
 MODE_STANDARD = "standard"
 MODE_PREDICTIVE = "predictive"
@@ -61,6 +62,8 @@ class Trajectory:
     is a copy of thetas[0] and is never scored by the prediction regularity.
     ``predictor_active_from`` is the first 1-based round whose play came out
     of a live predictor, or None if the predictor never produced a step.
+    ``p_theta`` and the aim range ``aim_lo``/``aim_hi`` are the fields a
+    regret ledger reads, as for :class:`poco.smad.SmadTrajectory`.
     """
 
     xs: np.ndarray
@@ -76,8 +79,18 @@ class Trajectory:
     def horizon(self) -> int:
         return self.xs.shape[0]
 
-    def cumulative_losses(self) -> np.ndarray:
-        return np.cumsum(self.losses)
+    @property
+    def p_theta(self) -> float:
+        """Prediction regularity of the parameters the steps aimed at."""
+        return prediction_regularity(self.thetas, self.theta_hats)
+
+    @property
+    def aim_lo(self) -> np.ndarray:
+        return self.theta_hats.min(axis=0)
+
+    @property
+    def aim_hi(self) -> np.ndarray:
+        return self.theta_hats.max(axis=0)
 
 
 def run_predictive_ogd(

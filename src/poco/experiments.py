@@ -30,15 +30,7 @@ from poco.predictors import (
     fit_var_orders,
     var_predict,
 )
-from poco.regret import (
-    RegretLedger,
-    build_ledger,
-    dynamic_regret,
-    expert_regret_bound,
-    minimizers_batch,
-    path_length,
-    realized_theta_box,
-)
+from poco.regret import build_ledger, expert_regret_bound
 from poco.scenarios import (
     DataError,
     MarketData,
@@ -55,6 +47,8 @@ from poco.scenarios import (
 from poco.smad import ExpertPool, hedge_gap_bound, run_smad, suggested_gamma
 
 DEFAULT_SEED = 1729
+# appended to a study's curve note when it reports repetition 1's ledgers
+LEDGER_NOTE = "; regret decomposition below is for repetition 1"
 
 
 @dataclass
@@ -265,8 +259,8 @@ def run_exp1(spec: Exp1Spec = Exp1Spec(), with_ledgers: bool = True) -> Experime
     notes = [
         f"repetitions={spec.repetitions} horizon={spec.horizon} "
         f"eta={spec.eta} seed={spec.master_seed}",
-        "curve = cumulative regret (predictive) - cumulative regret (ogd); "
-        "regret decomposition below is for repetition 1",
+        "curve = cumulative regret (predictive) - cumulative regret (ogd)"
+        + (LEDGER_NOTE if with_ledgers else ""),
     ]
     if with_ledgers:
         for arm, traj in zip(("ogd", "predictive"), first):
@@ -352,26 +346,11 @@ def run_exp2(spec: Exp2Spec = Exp2Spec(), with_ledgers: bool = True) -> Experime
     if with_ledgers:
         ledgers["ogd"] = build_ledger(family, cset, ogd, spec.eta, spec.inner_steps)
         # mid-run activations void the fixed-pool bound; report accounting only
-        xstars = minimizers_batch(family, cset, smad_traj.thetas)
-        opt_losses = family.value_rows(xstars, smad_traj.thetas)
-        box = realized_theta_box(smad_traj.thetas)
-        ledgers["smad"] = RegretLedger(
-            losses=smad_traj.losses,
-            optimal_losses=opt_losses,
-            minimizers=xstars,
-            reg_d=dynamic_regret(smad_traj.losses, opt_losses),
-            p_star=path_length(xstars),
-            p_theta=float(np.nanmin(smad_traj.p_theta_by_expert)),
-            x1_gap=float(np.linalg.norm(smad_traj.xs[0] - xstars[0])),
-            constants=family.derive_constants(cset, box),
-            eta=spec.eta,
-            inner_steps=spec.inner_steps,
-            contraction=None,
-            bound=None,
-            bound_holds=None,
-            bound_skipped_reason=(
-                "experts joined mid-run; the fixed-pool bound does not apply"
+        ledgers["smad"] = replace(
+            build_ledger(
+                family, cset, smad_traj, spec.eta, spec.inner_steps, check_bound=False
             ),
+            bound_skipped_reason="experts joined mid-run; the fixed-pool bound does not apply",
         )
     return ExperimentResult(curve=curve, ledgers=ledgers, notes=notes)
 
@@ -715,31 +694,23 @@ def run_expert_bound_study(
         )
         pool.initialize(predictors, x_init=x1, t=1)
         traj = run_smad(family, cset, thetas, pool, x1)
+        ledger = build_ledger(family, cset, traj, eta, check_bound=False)
 
-        xstars = minimizers_batch(family, cset, traj.thetas)
-        opt_losses = family.value_rows(xstars, traj.thetas)
-        reg_d = dynamic_regret(traj.losses, opt_losses)
-        p_star = path_length(xstars)
-        box = realized_theta_box(
-            traj.thetas, pool.aim_lo[None, :], pool.aim_hi[None, :]
-        )
-        constants = family.derive_constants(cset, box)
-        gaps = np.linalg.norm(traj.first_plays - xstars[0], axis=1)
-        x1_gap = float(np.max(gaps))
-        min_p_theta = float(np.nanmin(traj.p_theta_by_expert))
+        # the starting gap is the farthest expert first play from x*_1
+        gaps = np.linalg.norm(traj.first_plays - ledger.minimizers[0], axis=1)
         n_experts = len(predictors)
         bound = expert_regret_bound(
-            constants, eta, x1_gap, p_star, min_p_theta,
-            d_range, horizon, n_experts,
+            ledger.constants, eta, float(np.max(gaps)), ledger.p_star,
+            ledger.p_theta, d_range, horizon, n_experts,
         )
-        holds = reg_d <= bound + slack * (1.0 + abs(bound))
+        holds = ledger.reg_d <= bound + slack * (1.0 + abs(bound))
 
         hedge_gap = traj.hedge_gap()
         hb = hedge_gap_bound(gamma, d_range, horizon, n_experts)
         hedge_holds = hedge_gap <= hb + slack
         records.append(
             BoundCheckRecord(
-                reg_d=reg_d, bound=bound, holds=bool(holds),
+                reg_d=ledger.reg_d, bound=bound, holds=bool(holds),
                 hedge_gap=hedge_gap, hedge_bound=hb, hedge_holds=bool(hedge_holds),
             )
         )

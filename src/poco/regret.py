@@ -26,10 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from poco.descent import Trajectory
 from poco.domains import ConstraintSet, SIMPLEX_EXACT, UnitSimplex
 from poco.objectives import ObjectiveConstants, contraction_factor
-from poco.predictors import prediction_regularity
 
 logger = logging.getLogger(__name__)
 
@@ -275,33 +273,34 @@ BOUND_SLACK = 1e-6
 def build_ledger(
     family,
     cset: ConstraintSet,
-    trajectory: Trajectory,
+    trajectory,
     eta: float,
     inner_steps: int = 1,
     constants: Optional[ObjectiveConstants] = None,
     check_bound: bool = True,
     slack: float = BOUND_SLACK,
 ) -> RegretLedger:
-    """Assemble the regret accounting for a finished descent run.
+    """Assemble the regret accounting for a finished run.
 
-    Constants default to ``derive_constants`` over the bounding box of the
-    realized parameters and the predictions actually descended toward.  The
-    bound is evaluated only on nonexpansive projections; heuristic runs get
-    a logged notice instead.
+    ``trajectory`` is a descent ``Trajectory`` or a pool ``SmadTrajectory``;
+    the ledger reads its ``thetas``, ``losses``, ``xs[0]``, prediction
+    regularity ``p_theta`` and aim range ``aim_lo``/``aim_hi``.  Constants
+    default to ``derive_constants`` over the bounding box of the realized
+    parameters and the aims actually descended toward (the parameters
+    alone when nothing was aimed at).  The predictive-descent bound is
+    evaluated only on nonexpansive projections; heuristic runs get a logged
+    notice instead.
     """
     xstars = minimizers_batch(family, cset, trajectory.thetas)
-    if hasattr(family, "value_rows"):
-        opt_losses = family.value_rows(xstars, trajectory.thetas)
-    else:
-        opt_losses = np.array(
-            [family.value(x, th) for x, th in zip(xstars, trajectory.thetas)]
-        )
+    opt_losses = family.value_rows(xstars, trajectory.thetas)
     reg_d = dynamic_regret(trajectory.losses, opt_losses)
     p_star = path_length(xstars)
-    p_theta = prediction_regularity(trajectory.thetas, trajectory.theta_hats)
+    p_theta = trajectory.p_theta
     x1_gap = float(np.linalg.norm(trajectory.xs[0] - xstars[0]))
     if constants is None:
-        box = realized_theta_box(trajectory.thetas, trajectory.theta_hats)
+        lo, hi = trajectory.aim_lo, trajectory.aim_hi
+        aims = () if lo is None else (lo[None], hi[None])
+        box = realized_theta_box(trajectory.thetas, *aims)
         constants = family.derive_constants(cset, box)
 
     contraction = None

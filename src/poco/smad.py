@@ -242,6 +242,9 @@ class SmadTrajectory:
 
     Expert arrays are padded with NaN before activation.  ``p`` holds the
     post-update distribution of each round, aligned to the full roster.
+    ``aim_lo``/``aim_hi`` copy the pool's aim range (None when no expert
+    ever aimed) and ``p_theta`` is the best expert's prediction regularity;
+    a regret ledger reads them as it reads a descent ``Trajectory``.
     """
 
     xs: np.ndarray  # (T, n) aggregated plays
@@ -254,13 +257,17 @@ class SmadTrajectory:
     p_theta_by_expert: np.ndarray  # (N,) effective prediction regularity
     first_plays: np.ndarray  # (N, n)
     pool_empty_until: int  # rounds 1..pool_empty_until ran the plain fallback
+    aim_lo: Optional[np.ndarray]  # (m,)
+    aim_hi: Optional[np.ndarray]  # (m,)
 
     @property
     def horizon(self) -> int:
         return self.xs.shape[0]
 
-    def cumulative_losses(self) -> np.ndarray:
-        return np.cumsum(self.losses)
+    @property
+    def p_theta(self) -> float:
+        """The smallest expert regularity; NaN when no expert was active."""
+        return float(np.fmin.reduce(self.p_theta_by_expert))
 
     def expert_cumulative_losses(self) -> np.ndarray:
         return np.nansum(self.expert_losses, axis=0)
@@ -361,4 +368,6 @@ def run_smad(
         p_theta_by_expert=p_theta,
         first_plays=first_plays,
         pool_empty_until=pool_empty_until,
+        aim_lo=None if pool.aim_lo is None else pool.aim_lo.copy(),
+        aim_hi=None if pool.aim_hi is None else pool.aim_hi.copy(),
     )

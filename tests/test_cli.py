@@ -364,6 +364,33 @@ class TestConfigReachesTheRun:
             sections[check] = [s for s in ("[ogd]", "[predictive]") if s in text]
         assert sections == {True: ["[ogd]", "[predictive]"], False: []}
 
+    @pytest.mark.parametrize("command", ["run-exp1", "run-custom"])
+    def test_repetition_note_only_with_ledgers(self, tmp_path, command):
+        notes = {}
+        for check, eta in ((True, 0.005), (False, 0.01)):
+            cfg = {
+                "repetitions": 1, "horizon": 40,
+                "descent": {"eta": eta}, "bounds": {"check": check},
+            }
+            code, out = _run(tmp_path, command, f"check-{check}", cfg)
+            assert code == EXIT_OK
+            text = (out / "summary.txt").read_text()
+            notes[check] = "regret decomposition below is for repetition 1" in text
+        assert notes == {True: True, False: False}
+
+    def test_pool_that_never_activates_gets_a_ledger(self, tmp_path):
+        # the pool is empty for the whole run, so its aggregate is plain
+        # descent and its ledger box holds the observations alone
+        cfg = {"repetitions": 2, "smad": {"first_activation": 300}}
+        code, out = _run(tmp_path, "run-exp2", "late", cfg)
+        assert code == EXIT_OK
+        ogd, smad = (out / "summary.txt").read_text().split("[ogd]")[1].split("[smad]")
+        ogd, smad = ogd.splitlines(), smad.splitlines()
+        for key in ("Reg_D", "P* (path length)", "||x1 - x1*||", "constants"):
+            assert [l for l in ogd if l.startswith(key)] == [l for l in smad if l.startswith(key)]
+        assert "P^theta          nan" in smad
+        assert any("experts joined mid-run" in line for line in smad)
+
     @pytest.mark.parametrize("command", ["run-exp1", "run-exp2"])
     def test_bounds_check_false_lifts_the_step_size_guard(self, tmp_path, command):
         # the config guard allows eta > 1/L only with bound checks off, so

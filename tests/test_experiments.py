@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from poco.config import resolve_config
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall
 from poco.objectives import QuadraticTracking
@@ -18,6 +21,18 @@ from poco.experiments import (
     run_expert_bound_study,
     run_predictive_bound_study,
 )
+
+
+class TestSpecDefaults:
+    @pytest.mark.parametrize(
+        "experiment,spec_cls",
+        [("exp1", Exp1Spec), ("custom", Exp1Spec), ("exp2", Exp2Spec), ("exp3", Exp3Spec)],
+    )
+    def test_config_defaults_give_the_default_spec(self, experiment, spec_cls):
+        want = spec_cls()
+        if getattr(want, "center", ()) is None:  # None is the origin
+            want = replace(want, center=(0.0,) * len(want.weights))
+        assert spec_cls.from_config(resolve_config({}, experiment=experiment)) == want
 
 
 class TestSeedSplitting:

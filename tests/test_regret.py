@@ -12,7 +12,7 @@ from poco.objectives import (
     QuadraticTracking,
     contraction_factor,
 )
-from poco.predictors import VarPredictor
+from poco.predictors import NoisyOracle, Persistence, VarPredictor
 from poco.regret import (
     build_ledger,
     dynamic_regret,
@@ -24,6 +24,7 @@ from poco.regret import (
     realized_theta_box,
 )
 from poco.scenarios import SwitchingProcessSpec, gen_switching
+from poco.smad import ExpertPool, run_smad
 
 from helpers import secular_ball_minimizer, simplex_mesh_argmin
 
@@ -288,3 +289,41 @@ class TestLedger:
         ledger = build_ledger(family, cset, traj, 1.0 / 200.0)
         text = "\n".join(ledger.summary_lines())
         assert "Reg_D" in text and "regret bound" in text and "PASS" in text
+
+
+class TestPoolLedger:
+    def pool_run(self, thetas, roster=(), predictors=()):
+        family, cset = tracking_setup()
+        pool = ExpertPool(capacity=max(len(roster), len(predictors), 1), beta=0.2,
+                          gamma=5e-7, eta=1.0 / 200.0)
+        if predictors:
+            pool.initialize(predictors, x_init=(0.0, 40.0))
+        return family, cset, run_smad(family, cset, thetas, pool, (0.0, 40.0), roster=roster)
+
+    def test_box_covers_the_expert_aims(self):
+        thetas = gen_switching(SwitchingProcessSpec(horizon=60), 23)
+        noisy = NoisyOracle(thetas, noise_std=40.0, rng=np.random.default_rng(5))
+        family, cset, traj = self.pool_run(thetas, predictors=[Persistence(), noisy])
+        ledger = build_ledger(family, cset, traj, 1.0 / 200.0, check_bound=False)
+        box = realized_theta_box(thetas, traj.aim_lo[None], traj.aim_hi[None])
+        assert ledger.constants == family.derive_constants(cset, box)
+        assert ledger.constants.D > family.derive_constants(cset, realized_theta_box(thetas)).D
+        assert ledger.p_theta == np.nanmin(traj.p_theta_by_expert)
+        assert ledger.bound is None and ledger.bound_skipped_reason is None
+
+    def test_pool_that_never_activates_uses_the_observations(self):
+        thetas = gen_switching(SwitchingProcessSpec(horizon=40), 24)
+        family, cset, traj = self.pool_run(thetas, roster=[(100, Persistence())])
+        assert traj.aim_lo is None and math.isnan(traj.p_theta)
+        ledger = build_ledger(family, cset, traj, 1.0 / 200.0, check_bound=False)
+        assert ledger.constants == family.derive_constants(cset, realized_theta_box(thetas))
+
+    def test_descent_record_exposes_its_aims(self):
+        family, cset = tracking_setup()
+        thetas = gen_switching(SwitchingProcessSpec(horizon=40), 25)
+        traj = run_predictive_ogd(
+            family, cset, thetas, DescentConfig(1.0 / 200.0, 1, "standard"), (0.0, 40.0)
+        )
+        np.testing.assert_array_equal(traj.aim_lo, traj.theta_hats.min(axis=0))
+        np.testing.assert_array_equal(traj.aim_hi, traj.theta_hats.max(axis=0))
+        assert build_ledger(family, cset, traj, 1.0 / 200.0).p_theta == traj.p_theta
