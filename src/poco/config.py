@@ -206,7 +206,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "check": Key(_v_bool, True),
         "runs": Key(_v_int(1), 100),
         "expert_runs": Key(_v_int(1), 50),
-        "inner_steps": Key(_v_int(1), 1),
     },
 }
 

@@ -30,7 +30,7 @@ from poco.predictors import (
     fit_var_orders,
     var_predict,
 )
-from poco.regret import build_ledger, expert_regret_bound
+from poco.regret import BOUND_SLACK, build_ledger, expert_regret_bound
 from poco.scenarios import (
     DataError,
     MarketData,
@@ -49,6 +49,7 @@ from poco.smad import ExpertPool, hedge_gap_bound, run_smad, suggested_gamma
 DEFAULT_SEED = 1729
 # appended to a study's curve note when it reports repetition 1's ledgers
 LEDGER_NOTE = "; regret decomposition below is for repetition 1"
+EXPERT_NOISE_CLIP = 6.0  # standard deviations, so the expert study can declare D
 
 
 @dataclass
@@ -341,7 +342,8 @@ def run_exp2(spec: Exp2Spec = Exp2Spec(), with_ledgers: bool = True) -> Experime
     notes = [
         f"repetitions={spec.repetitions} horizon={spec.horizon} eta={spec.eta} "
         f"beta={spec.beta} gamma={spec.gamma} seed={spec.master_seed}",
-        "curve = cumulative regret (expert pool) - cumulative regret (ogd)",
+        "curve = cumulative regret (expert pool) - cumulative regret (ogd)"
+        + (LEDGER_NOTE if with_ledgers else ""),
     ]
     if with_ledgers:
         ledgers["ogd"] = build_ledger(family, cset, ogd, spec.eta, spec.inner_steps)
@@ -427,13 +429,13 @@ class MarkowitzModelPredictor:
         moments: MomentCache,
         lookback: int,
         ar_order: int,
-        forecasts: Optional[RiskForecastCache] = None,
+        forecasts: RiskForecastCache,
     ):
         self.family = family
         self.moments = moments
         self.lookback = int(lookback)
         self.ar_order = int(ar_order)
-        self.forecasts = forecasts if forecasts is not None else RiskForecastCache()
+        self.forecasts = forecasts
 
     def ready(self, n_obs: int) -> bool:
         return n_obs >= 1
@@ -657,21 +659,19 @@ def run_predictive_bound_study(
 def run_expert_bound_study(
     n_runs: int = 50,
     spec: SwitchingSpec = Exp1Spec(),
-    noise_clip: float = 6.0,
-    slack: float = 1e-6,
 ) -> BoundStudyResult:
     """Fixed-pool expert runs with the tuned learning rate, checked against
     the expert regret bound and the aggregation inequality.
 
     The objective, domain, scenario, ``x1``, ``eta``, horizon and seed come
     from ``spec``, as for ``run_predictive_bound_study``.  The switching
-    noise is clipped at ``noise_clip`` standard deviations so the loss range
-    D can be declared before the run; the learning rate
+    noise is clipped at ``EXPERT_NOISE_CLIP`` standard deviations so the
+    loss range D can be declared before the run; the learning rate
     gamma = sqrt(8/(T D^2)) then matches the closed-form mixing penalty.
     Descent constants still come from the realized box of observations and
     expert predictions.
     """
-    spec = replace(spec, noise_clip=noise_clip)
+    spec = replace(spec, noise_clip=EXPERT_NOISE_CLIP)
     family, cset, proc = spec.setup()
     d_range, gamma = spec.declared_gamma()
     eta, horizon, x1 = spec.eta, spec.horizon, spec.x1
@@ -703,11 +703,11 @@ def run_expert_bound_study(
             ledger.constants, eta, float(np.max(gaps)), ledger.p_star,
             ledger.p_theta, d_range, horizon, n_experts,
         )
-        holds = ledger.reg_d <= bound + slack * (1.0 + abs(bound))
+        holds = ledger.reg_d <= bound + BOUND_SLACK * (1.0 + abs(bound))
 
         hedge_gap = traj.hedge_gap()
         hb = hedge_gap_bound(gamma, d_range, horizon, n_experts)
-        hedge_holds = hedge_gap <= hb + slack
+        hedge_holds = hedge_gap <= hb + BOUND_SLACK
         records.append(
             BoundCheckRecord(
                 reg_d=ledger.reg_d, bound=bound, holds=bool(holds),

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_RIDGE = 1e-8
 
@@ -80,7 +79,8 @@ def fit_var_orders(
     series can support; each order then solves its own block-Toeplitz
     system.  Gamma(h) does not depend on how many lags are formed, so every
     fit equals ``fit_var_yule_walker(series, k)`` exactly.  Orders whose
-    2k+1 exceeds the series length are left out of the result.
+    2k+1 exceeds the series length are left out of the result.  When some
+    order is fitted, a NaN or inf in the series raises ``ValueError``.
     """
     orders = sorted({int(k) for k in orders})
     if orders and orders[0] < 1:
@@ -92,7 +92,14 @@ def fit_var_orders(
     ready = [k for k in orders if t_len >= 2 * k + 1]
     if not ready:
         return {}
+    if not np.isfinite(ridge):
+        raise ValueError(f"ridge must be finite, got {ridge}")
     gammas, ybar = sample_autocovariances(y, ready[-1])
+    if not np.isfinite(gammas).all():
+        raise ValueError(
+            "series holds NaN or inf (or overflows its autocovariances); "
+            "the Yule-Walker fit needs finite values"
+        )
     return {k: _solve_yule_walker(gammas, ybar, k, ridge) for k in ready}
 
 
@@ -109,8 +116,8 @@ def _solve_yule_walker(
     big.flat[:: order * d + 1] += ridge
     rhs = np.concatenate([gammas[h].T for h in range(1, order + 1)], axis=0)
     try:
-        sol = scipy.linalg.solve(big, rhs)
-    except scipy.linalg.LinAlgError as exc:
+        sol = np.linalg.solve(big, rhs)
+    except np.linalg.LinAlgError as exc:
         raise ValueError(
             f"Yule-Walker system singular even with ridge {ridge}"
         ) from exc

@@ -48,15 +48,15 @@ def minimizer_oracle(
     family,
     cset: ConstraintSet,
     theta,
-    step_tol: float = MINIMIZER_STEP_TOL,
     max_iter: int = MINIMIZER_MAX_ITER,
 ) -> np.ndarray:
     """Constrained minimizer of f(., theta) to high accuracy.
 
     If the unconstrained stationary point is feasible it is returned
     directly; otherwise projected gradient descent with the exact parameter
-    is iterated until the step displacement falls below ``step_tol``, which
-    the contraction property turns into a guarantee on ||x - x*||.
+    is iterated until the step displacement falls below
+    ``MINIMIZER_STEP_TOL``, which the contraction property turns into a
+    guarantee on ||x - x*||.
     """
     cset = _exact_twin(cset)
     xu = family.unconstrained_minimizer(theta)
@@ -72,7 +72,7 @@ def minimizer_oracle(
     eta = 1.0 / big_l
     for _ in range(max_iter):
         z_new = cset.project(z - eta * family.gradient_x(z, theta))
-        if float(np.linalg.norm(z_new - z)) < step_tol:
+        if float(np.linalg.norm(z_new - z)) < MINIMIZER_STEP_TOL:
             return z_new
         z = z_new
     raise RuntimeError(
@@ -84,8 +84,6 @@ def minimizers_batch(
     family,
     cset: ConstraintSet,
     thetas,
-    step_tol: float = MINIMIZER_STEP_TOL,
-    max_iter: int = MINIMIZER_MAX_ITER,
 ) -> np.ndarray:
     """Row-wise minimizer_oracle, vectorized when the family supports it."""
     cset = _exact_twin(cset)
@@ -97,7 +95,7 @@ def minimizers_batch(
         and hasattr(cset, "project_rows")
     ):
         return np.stack(
-            [minimizer_oracle(family, cset, row, step_tol, max_iter) for row in thetas]
+            [minimizer_oracle(family, cset, row) for row in thetas]
         )
 
     xu = family.unconstrained_minimizer_rows(thetas)
@@ -112,13 +110,13 @@ def minimizers_batch(
     z_act = z[idx]
     th_act = thetas[idx]
     eta_act = etas[idx]
-    for _ in range(max_iter):
+    for _ in range(MINIMIZER_MAX_ITER):
         if len(idx) == 0:
             break
         g = family.gradient_x_rows(z_act, th_act)
         z_new = cset.project_rows(z_act - eta_act * g)
         disp = np.linalg.norm(z_new - z_act, axis=1)
-        done = disp < step_tol
+        done = disp < MINIMIZER_STEP_TOL
         if np.any(done):
             out[idx[done]] = z_new[done]
             keep = ~done
@@ -130,7 +128,7 @@ def minimizers_batch(
             z_act = z_new
     else:
         raise RuntimeError(
-            f"minimizer iteration cap {max_iter} reached without convergence"
+            f"minimizer iteration cap {MINIMIZER_MAX_ITER} reached without convergence"
         )
     return out
 
@@ -276,16 +274,14 @@ def build_ledger(
     trajectory,
     eta: float,
     inner_steps: int = 1,
-    constants: Optional[ObjectiveConstants] = None,
     check_bound: bool = True,
-    slack: float = BOUND_SLACK,
 ) -> RegretLedger:
     """Assemble the regret accounting for a finished run.
 
     ``trajectory`` is a descent ``Trajectory`` or a pool ``SmadTrajectory``;
     the ledger reads its ``thetas``, ``losses``, ``xs[0]``, prediction
     regularity ``p_theta`` and aim range ``aim_lo``/``aim_hi``.  Constants
-    default to ``derive_constants`` over the bounding box of the realized
+    come from ``derive_constants`` over the bounding box of the realized
     parameters and the aims actually descended toward (the parameters
     alone when nothing was aimed at).  The predictive-descent bound is
     evaluated only on nonexpansive projections; heuristic runs get a logged
@@ -297,11 +293,10 @@ def build_ledger(
     p_star = path_length(xstars)
     p_theta = trajectory.p_theta
     x1_gap = float(np.linalg.norm(trajectory.xs[0] - xstars[0]))
-    if constants is None:
-        lo, hi = trajectory.aim_lo, trajectory.aim_hi
-        aims = () if lo is None else (lo[None], hi[None])
-        box = realized_theta_box(trajectory.thetas, *aims)
-        constants = family.derive_constants(cset, box)
+    lo, hi = trajectory.aim_lo, trajectory.aim_hi
+    aims = () if lo is None else (lo[None], hi[None])
+    box = realized_theta_box(trajectory.thetas, *aims)
+    constants = family.derive_constants(cset, box)
 
     contraction = None
     bound = None
@@ -319,7 +314,7 @@ def build_ledger(
             bound = predictive_regret_bound(
                 constants, eta, x1_gap, p_star, p_theta, k=inner_steps
             )
-            holds = reg_d <= bound + slack * (1.0 + abs(bound))
+            holds = reg_d <= bound + BOUND_SLACK * (1.0 + abs(bound))
 
     return RegretLedger(
         losses=np.asarray(trajectory.losses, dtype=float),

@@ -208,9 +208,9 @@ class MarketData:
         return self.relatives.shape[1]
 
 
-def append_risk_free(data: MarketData, daily_relative: float = RISK_FREE_DAILY_RELATIVE) -> MarketData:
+def append_risk_free(data: MarketData) -> MarketData:
     """Add a constant-return asset column named ``riskfree``."""
-    col = np.full((data.n_days, 1), float(daily_relative))
+    col = np.full((data.n_days, 1), RISK_FREE_DAILY_RELATIVE)
     return MarketData(
         relatives=np.hstack([data.relatives, col]),
         names=data.names + ("riskfree",),
@@ -269,19 +269,16 @@ def synthetic_market(
     n_assets: int = 36,
     n_days: int = 5000,
     seed=0,
-    drift_mean: float = 3e-4,
-    drift_spread: float = 3e-4,
-    vol_low: float = 0.008,
-    vol_high: float = 0.025,
 ) -> MarketData:
     """Seeded geometric-random-walk stand-in for a historical dataset.
 
-    Each asset gets its own drift and volatility; relatives are
+    Each asset gets its own drift, normal with mean and spread 3e-4, and
+    volatility, uniform on [0.008, 0.025]; relatives are
     exp(drift + vol * z) with iid standard normal z, hence always positive.
     """
     rng = np.random.default_rng(seed)
-    drift = rng.normal(drift_mean, drift_spread, size=n_assets)
-    vol = rng.uniform(vol_low, vol_high, size=n_assets)
+    drift = rng.normal(3e-4, 3e-4, size=n_assets)
+    vol = rng.uniform(0.008, 0.025, size=n_assets)
     z = rng.standard_normal((n_days, n_assets))
     relatives = np.exp(drift + vol * z)
     names = tuple(f"synth_{j + 1}" for j in range(n_assets))

@@ -46,6 +46,11 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="unknown config key"):
             resolve_config({"optimizer": {}}, "exp1")
 
+    def test_removed_bounds_inner_steps_rejected(self):
+        # check-bounds always runs k = 1, 2, 3; the key was never read
+        with pytest.raises(ConfigError, match="unknown config key bounds.inner_steps"):
+            resolve_config({"bounds": {"inner_steps": 1}}, "exp1")
+
     def test_type_errors_name_key_and_expectation(self):
         with pytest.raises(ConfigError, match="descent.eta expects a number > 0"):
             resolve_config({"descent": {"eta": -1.0}}, "exp1")
@@ -364,7 +369,7 @@ class TestConfigReachesTheRun:
             sections[check] = [s for s in ("[ogd]", "[predictive]") if s in text]
         assert sections == {True: ["[ogd]", "[predictive]"], False: []}
 
-    @pytest.mark.parametrize("command", ["run-exp1", "run-custom"])
+    @pytest.mark.parametrize("command", ["run-exp1", "run-custom", "run-exp2"])
     def test_repetition_note_only_with_ledgers(self, tmp_path, command):
         notes = {}
         for check, eta in ((True, 0.005), (False, 0.01)):
