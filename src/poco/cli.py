@@ -37,9 +37,9 @@ from poco.config import (
     resolve_config,
 )
 from poco.domains import EuclideanBall, UnitSimplex
-from poco.experiments import Exp1Spec, Exp2Spec, Exp3Spec, ExperimentResult
+from poco.experiments import ExperimentResult
 from poco.predictors import fit_var_yule_walker
-from poco.scenarios import DataError
+from poco.scenarios import DataError, read_numeric_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -51,9 +51,7 @@ EXIT_RUNTIME = 4
 def run_custom(cfg: dict) -> ExperimentResult:
     """Study 1 built from the config and reported as a method arm against a
     baseline; run-exp1 is this command's exp1 preset."""
-    result = experiments.run_exp1(
-        Exp1Spec.from_config(cfg), with_ledgers=cfg["bounds"]["check"]
-    )
+    result = experiments.run_exp1(cfg)
     notes = [
         f"custom comparison: mode={cfg['descent']['mode']} repetitions={cfg['repetitions']} "
         f"horizon={cfg['horizon']} seed={cfg['seed']}",
@@ -64,14 +62,12 @@ def run_custom(cfg: dict) -> ExperimentResult:
     return ExperimentResult(curve=result.curve, ledgers=ledgers, notes=notes)
 
 
+# each study is looked up in its module at call time, so a replaced module
+# attribute (a test's monkeypatch, a profiler's wrapper) is the one that runs
 STUDIES = {
-    "exp1": lambda cfg: experiments.run_exp1(
-        Exp1Spec.from_config(cfg), with_ledgers=cfg["bounds"]["check"]
-    ),
-    "exp2": lambda cfg: experiments.run_exp2(
-        Exp2Spec.from_config(cfg), with_ledgers=cfg["bounds"]["check"]
-    ),
-    "exp3": lambda cfg: experiments.run_exp3(Exp3Spec.from_config(cfg)),
+    "exp1": lambda cfg: experiments.run_exp1(cfg),
+    "exp2": lambda cfg: experiments.run_exp2(cfg),
+    "exp3": lambda cfg: experiments.run_exp3(cfg),
     "custom": run_custom,
 }
 
@@ -106,7 +102,7 @@ def cmd_run_study(args) -> int:
     return _emit_and_report(STUDIES[args.experiment](cfg), cfg, args)
 
 
-def _run_count(flag: str, value, default: int) -> int:
+def _at_least_one(flag: str, value, default=None) -> int:
     if value is None:
         return default
     if value < 1:
@@ -116,14 +112,13 @@ def _run_count(flag: str, value, default: int) -> int:
 
 def cmd_check_bounds(args) -> int:
     cfg = _load_config(args, args.experiment or "exp1")
-    runs = _run_count("--runs", args.runs, cfg["bounds"]["runs"])
-    expert_runs = _run_count("--expert-runs", args.expert_runs, cfg["bounds"]["expert_runs"])
-    spec = Exp1Spec.from_config(cfg)
+    runs = _at_least_one("--runs", args.runs, cfg["bounds"]["runs"])
+    expert_runs = _at_least_one("--expert-runs", args.expert_runs, cfg["bounds"]["expert_runs"])
     studies = [
-        experiments.run_predictive_bound_study(runs, inner_steps=k, spec=spec)
+        experiments.run_predictive_bound_study(cfg, runs, inner_steps=k)
         for k in (1, 2, 3)
     ]
-    studies.append(experiments.run_expert_bound_study(n_runs=expert_runs, spec=spec))
+    studies.append(experiments.run_expert_bound_study(cfg, expert_runs))
     lines = [f"bound verification (seed={cfg['seed']}, horizon={cfg['horizon']})"]
     all_ok = True
     for study in studies:
@@ -151,12 +146,13 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def cmd_project(args) -> int:
     v = _parse_vector(args.vector)
-    if args.kind == "ball":
-        center = _parse_vector(args.center) if args.center else np.zeros(v.shape[0])
-        cset = EuclideanBall(center=center, radius=args.radius)
-    else:
-        cset = UnitSimplex(args.dimension or v.shape[0], mode=args.mode)
     try:
+        if args.kind == "ball":
+            center = _parse_vector(args.center) if args.center else np.zeros(v.shape[0])
+            cset = EuclideanBall(center=center, radius=args.radius)
+        else:
+            dim = v.shape[0] if args.dimension is None else args.dimension
+            cset = UnitSimplex(dim, mode=args.mode)
         projected = cset.project(v)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -164,31 +160,10 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-def _read_series_csv(path: str) -> np.ndarray:
-    import csv as _csv
-
-    rows = []
-    with open(path, newline="") as handle:
-        for r, row in enumerate(_csv.reader(handle), start=1):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                if r == 1:
-                    continue  # header
-                raise DataError(f"{path}: unparsable row {r}")
-    if not rows:
-        raise DataError(f"{path}: no numeric rows")
-    widths = {len(row) for row in rows}
-    if len(widths) != 1:
-        raise DataError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return np.array(rows)
-
-
 def cmd_fit_ar(args) -> int:
-    series = _read_series_csv(args.csv)
-    fit = fit_var_yule_walker(series, args.order)
+    order = _at_least_one("--order", args.order)
+    series, _ = read_numeric_csv(args.csv)
+    fit = fit_var_yule_walker(series, order)
     print(f"series: {series.shape[0]} observations, dimension {series.shape[1]}")
     print("mean: " + ",".join(repr(float(x)) for x in fit.mean))
     for h, phi in enumerate(fit.phis, start=1):

@@ -20,9 +20,8 @@ import json
 import os
 from typing import Any, Callable, NamedTuple, Optional
 
-from poco.experiments import DEFAULT_SEED
-
 EXPERIMENTS = ("exp1", "exp2", "exp3", "custom")
+DEFAULT_SEED = 1729
 
 
 class ConfigError(ValueError):
@@ -151,11 +150,9 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "kind": Key(_v_choice("ball", "simplex"), "ball"),
         "center": Key(_v_num_list(), [0.0, 0.0]),
         "radius": Key(_v_num(0.0, strict=True), 50.0),
-        "dimension": Key(_v_int(1), 2),
         "projection_mode": Key(_v_choice("exact", "renormalize"), "exact"),
     },
     "objective": {
-        "kind": Key(_v_choice("quadratic_tracking"), "quadratic_tracking"),
         "weights": Key(_v_num_list(), [100.0, 1.0]),
     },
     "predictor": {
@@ -166,7 +163,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "indices": Key(_v_opt(_v_int_list(0)), [0, 1]),
     },
     "scenario": {
-        "kind": Key(_v_choice("switching"), "switching"),
         "state_a": Key(_v_num_list(), [-100.0, 0.0, 30.0]),
         "state_b": Key(_v_num_list(), [100.0, 20.0, -50.0]),
         "dwell": Key(_v_int_list(1), [4, 4]),
@@ -276,7 +272,7 @@ def _validate_into(base: dict, user: dict) -> dict:
 
 
 def _cross_checks(cfg: dict) -> None:
-    if cfg["bounds"]["check"] and cfg["objective"]["kind"] == "quadratic_tracking":
+    if cfg["bounds"]["check"]:
         big_l = 2.0 * max(cfg["objective"]["weights"])
         eta = cfg["descent"]["eta"]
         if eta > 1.0 / big_l * (1 + 1e-12):
@@ -299,8 +295,6 @@ def _cross_checks(cfg: dict) -> None:
         raise ConfigError("descent.x1 and objective.weights must agree on dimension")
     if cfg["domain"]["kind"] == "ball" and len(cfg["domain"]["center"]) != n:
         raise ConfigError("domain.center and objective.weights must agree on dimension")
-    if cfg["domain"]["kind"] == "simplex" and cfg["domain"]["dimension"] != n:
-        raise ConfigError("domain.dimension and objective.weights must agree")
     smad = cfg["smad"]
     if smad["activation_times"] is not None and len(smad["activation_times"]) != len(
         smad["expert_orders"]

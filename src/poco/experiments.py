@@ -46,7 +46,6 @@ from poco.scenarios import (
 )
 from poco.smad import ExpertPool, hedge_gap_bound, run_smad, suggested_gamma
 
-DEFAULT_SEED = 1729
 # appended to a study's curve note when it reports repetition 1's ledgers
 LEDGER_NOTE = "; regret decomposition below is for repetition 1"
 EXPERT_NOISE_CLIP = 6.0  # standard deviations, so the expert study can declare D
@@ -90,10 +89,7 @@ class ExperimentResult:
         for arm, ledger in self.ledgers.items():
             lines.append("")
             lines.append(f"[{arm}]")
-            if ledger is None:
-                lines.append("regret decomposition not computed for this arm")
-            else:
-                lines.extend(ledger.summary_lines())
+            lines.extend(ledger.summary_lines())
         return lines
 
 
@@ -126,148 +122,81 @@ def compare_to_ogd(seeds, scenario, method, family, cset, x1, eta, inner_steps=1
 # the switching-process setup shared by studies 1 and 2 and the bound checks
 # ---------------------------------------------------------------------------
 
-def _tuple(values) -> Optional[tuple]:
-    return None if values is None else tuple(values)
-
-
-def _switching_fields(cfg: dict) -> dict:
-    """SwitchingSpec fields from a resolved config."""
-    des, dom, scen = cfg["descent"], cfg["domain"], cfg["scenario"]
-    return dict(
-        horizon=cfg["horizon"],
-        repetitions=cfg["repetitions"],
-        eta=des["eta"],
-        inner_steps=des["inner_steps"],
-        x1=tuple(des["x1"]),
-        weights=tuple(cfg["objective"]["weights"]),
-        domain=dom["kind"],
-        center=tuple(dom["center"]),
-        radius=dom["radius"],
-        projection_mode=dom["projection_mode"],
+def switching_setup(cfg: dict):
+    """The objective family, constraint set and scenario process of a
+    resolved config: its ``objective``, ``domain`` and ``scenario``
+    sections and the top-level ``horizon``."""
+    dom, scen = cfg["domain"], cfg["scenario"]
+    family = QuadraticTracking(cfg["objective"]["weights"])
+    if dom["kind"] == "ball":
+        cset = EuclideanBall(center=dom["center"], radius=dom["radius"])
+    else:
+        cset = UnitSimplex(family.n, mode=dom["projection_mode"])
+    proc = SwitchingProcessSpec(
         state_a=tuple(scen["state_a"]),
         state_b=tuple(scen["state_b"]),
         dwell=tuple(scen["dwell"]),
         noise_scale=scen["noise_scale"],
+        horizon=cfg["horizon"],
         noise_clip=scen["noise_clip"],
-        indices=_tuple(cfg["predictor"]["indices"]),
-        master_seed=cfg["seed"],
     )
+    return family, cset, proc
 
 
-@dataclass(frozen=True)
-class SwitchingSpec:
-    """Repetitions, plain descent, the quadratic-tracking objective, the
-    constraint set and the switching scenario of a study.  A config sets
-    them from its top-level keys, its ``descent``, ``domain``, ``objective``
-    and ``scenario`` sections and ``predictor.indices``."""
-
-    horizon: int = 200
-    repetitions: int = 50
-    eta: float = 1.0 / 200.0
-    inner_steps: int = 1
-    x1: tuple = (0.0, 40.0)
-    weights: tuple = (100.0, 1.0)
-    domain: str = "ball"
-    center: Optional[tuple] = None  # None is the origin
-    radius: float = 50.0
-    projection_mode: str = "exact"  # simplex domain only
-    state_a: tuple = (-100.0, 0.0, 30.0)
-    state_b: tuple = (100.0, 20.0, -50.0)
-    dwell: tuple = (4, 4)
-    noise_scale: float = 10.0
-    noise_clip: Optional[float] = None
-    indices: Optional[tuple] = (0, 1)  # coordinates the AR models see
-    master_seed: int = DEFAULT_SEED
-
-    def setup(self):
-        """The objective family, constraint set and scenario process."""
-        family = QuadraticTracking(self.weights)
-        if self.domain == "ball":
-            center = np.zeros(family.n) if self.center is None else self.center
-            cset = EuclideanBall(center=center, radius=self.radius)
-        else:
-            cset = UnitSimplex(family.n, mode=self.projection_mode)
-        proc = SwitchingProcessSpec(
-            state_a=self.state_a,
-            state_b=self.state_b,
-            dwell=self.dwell,
-            noise_scale=self.noise_scale,
-            horizon=self.horizon,
-            noise_clip=self.noise_clip,
-        )
-        return family, cset, proc
-
-    def declared_gamma(self) -> tuple:
-        """The loss range D over the scenario's declared parameter box, and
-        the learning rate sqrt(8/(T D^2)) it gives."""
-        family, cset, proc = self.setup()
-        d_range = family.derive_constants(cset, switching_declared_box(proc)).D
-        return d_range, suggested_gamma(d_range, self.horizon)
+def declared_gamma(cfg: dict) -> tuple:
+    """The loss range D over the scenario's declared parameter box, and
+    the learning rate sqrt(8/(T D^2)) it gives."""
+    family, cset, proc = switching_setup(cfg)
+    d_range = family.derive_constants(cset, switching_declared_box(proc)).D
+    return d_range, suggested_gamma(d_range, cfg["horizon"])
 
 
 # ---------------------------------------------------------------------------
 # study 1: plain vs predictive descent with a fixed model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Exp1Spec(SwitchingSpec):
-    mode: str = MODE_PREDICTIVE
-    predictor_kind: str = "var"  # or "persistence"
-    ar_order: int = 4
-    warmup: int = 10
-    refit_every: Optional[int] = 1
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Exp1Spec":
-        """The spec a resolved config describes."""
-        pred = cfg["predictor"]
-        return cls(
-            **_switching_fields(cfg),
-            mode=cfg["descent"]["mode"],
-            predictor_kind=pred["kind"],
-            ar_order=pred["order"],
-            warmup=pred["min_history"] or 2 * pred["order"] + 1,
-            refit_every=pred["refit_every"],
-        )
-
-    def make_predictor(self):
-        """A fresh predictor; an AR fit waits for max(warmup, 2k+1) rounds."""
-        if self.predictor_kind == "persistence":
-            return Persistence()
-        return VarPredictor(
-            order=self.ar_order,
-            refit_every=self.refit_every,
-            min_history=max(self.warmup, 2 * self.ar_order + 1),
-            indices=self.indices,
-        )
+def make_predictor(cfg: dict):
+    """A fresh predictor from the ``predictor`` section; an AR fit waits
+    for max(min_history, 2k+1) rounds."""
+    pred = cfg["predictor"]
+    if pred["kind"] == "persistence":
+        return Persistence()
+    order = pred["order"]
+    return VarPredictor(
+        order=order,
+        refit_every=pred["refit_every"],
+        min_history=max(pred["min_history"] or 0, 2 * order + 1),
+        indices=pred["indices"],
+    )
 
 
-def run_exp1(spec: Exp1Spec = Exp1Spec(), with_ledgers: bool = True) -> ExperimentResult:
+def run_exp1(cfg: dict) -> ExperimentResult:
     """Fixed-model study: plain OGD vs descent toward a prediction (an
     autoregression by default) of the moving target, on the switching
     process.  ``poco run-custom`` runs this study under its own labels."""
-    family, cset, proc = spec.setup()
-    descent = DescentConfig(spec.eta, spec.inner_steps, spec.mode)
+    family, cset, proc = switching_setup(cfg)
+    des = cfg["descent"]
+    eta, inner_steps, x1 = des["eta"], des["inner_steps"], des["x1"]
+    descent = DescentConfig(eta, inner_steps, des["mode"])
     curve, first = compare_to_ogd(
-        np.random.SeedSequence(spec.master_seed).spawn(spec.repetitions),
+        np.random.SeedSequence(cfg["seed"]).spawn(cfg["repetitions"]),
         lambda child: (gen_switching(proc, child), None),
         lambda thetas, _: run_predictive_ogd(
-            family, cset, thetas, descent, spec.x1, predictor=spec.make_predictor()
+            family, cset, thetas, descent, x1, predictor=make_predictor(cfg)
         ),
-        family, cset, spec.x1, spec.eta, spec.inner_steps,
+        family, cset, x1, eta, inner_steps,
     )
+    checked = cfg["bounds"]["check"]
     ledgers = {}
     notes = [
-        f"repetitions={spec.repetitions} horizon={spec.horizon} "
-        f"eta={spec.eta} seed={spec.master_seed}",
+        f"repetitions={cfg['repetitions']} horizon={cfg['horizon']} "
+        f"eta={eta} seed={cfg['seed']}",
         "curve = cumulative regret (predictive) - cumulative regret (ogd)"
-        + (LEDGER_NOTE if with_ledgers else ""),
+        + (LEDGER_NOTE if checked else ""),
     ]
-    if with_ledgers:
+    if checked:
         for arm, traj in zip(("ogd", "predictive"), first):
-            ledgers[arm] = build_ledger(
-                family, cset, traj, spec.eta, spec.inner_steps
-            )
+            ledgers[arm] = build_ledger(family, cset, traj, eta, inner_steps)
     return ExperimentResult(curve=curve, ledgers=ledgers, notes=notes)
 
 
@@ -275,83 +204,58 @@ def run_exp1(spec: Exp1Spec = Exp1Spec(), with_ledgers: bool = True) -> Experime
 # study 2: expert learning over autoregressive orders, synthetic data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Exp2Spec(SwitchingSpec):
-    dwell: tuple = (4, 6)
-    expert_orders: tuple = (1, 2, 3, 4, 5)
-    first_activation: int = 10
-    activation_every: int = 10
-    activation_times: Optional[tuple] = None  # overrides the arithmetic schedule
-    beta: float = 0.2
-    gamma: float = 5e-7
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Exp2Spec":
-        """The spec a resolved config describes; ``smad.gamma: "auto"`` is
-        sized from the scenario and domain this spec runs."""
-        smad = cfg["smad"]
-        spec = cls(
-            **_switching_fields(cfg),
-            expert_orders=tuple(smad["expert_orders"]),
-            first_activation=smad["first_activation"],
-            activation_every=smad["activation_every"],
-            activation_times=_tuple(smad["activation_times"]),
-            beta=smad["beta"],
-        )
-        gamma = smad["gamma"]
-        return replace(spec, gamma=spec.declared_gamma()[1] if gamma == "auto" else gamma)
-
-    def schedule(self) -> tuple:
-        if self.activation_times is not None:
-            if len(self.activation_times) != len(self.expert_orders):
-                raise ValueError("activation_times must pair with expert_orders")
-            return tuple(int(t) for t in self.activation_times)
-        return tuple(
-            self.first_activation + i * self.activation_every
-            for i in range(len(self.expert_orders))
-        )
+def activation_schedule(smad: dict) -> tuple:
+    """The rounds at which the experts of a ``smad`` section join the pool:
+    ``activation_times`` when set, else the arithmetic schedule."""
+    if smad["activation_times"] is not None:
+        return tuple(smad["activation_times"])
+    return tuple(
+        smad["first_activation"] + i * smad["activation_every"]
+        for i in range(len(smad["expert_orders"]))
+    )
 
 
-def run_exp2(spec: Exp2Spec = Exp2Spec(), with_ledgers: bool = True) -> ExperimentResult:
+def run_exp2(cfg: dict) -> ExperimentResult:
     """Misspecified-model study: an expert pool of AR orders, brought online
-    one at a time, against plain OGD."""
-    family, cset, proc = spec.setup()
-    schedule = spec.schedule()
+    one at a time, against plain OGD.  ``smad.gamma: "auto"`` is sized from
+    the scenario and domain this study runs."""
+    family, cset, proc = switching_setup(cfg)
+    des, smad = cfg["descent"], cfg["smad"]
+    eta, inner_steps, x1 = des["eta"], des["inner_steps"], des["x1"]
+    beta, orders = smad["beta"], smad["expert_orders"]
+    gamma = declared_gamma(cfg)[1] if smad["gamma"] == "auto" else smad["gamma"]
+    schedule = activation_schedule(smad)
+    indices = cfg["predictor"]["indices"]
 
     def expert_pool(thetas, _):
         pool = ExpertPool(
-            capacity=len(spec.expert_orders),
-            beta=spec.beta,
-            gamma=spec.gamma,
-            eta=spec.eta,
-            inner_steps=spec.inner_steps,
+            capacity=len(orders), beta=beta, gamma=gamma, eta=eta, inner_steps=inner_steps
         )
         roster = [
-            (when, VarPredictor(order=k, indices=spec.indices))
-            for when, k in zip(schedule, spec.expert_orders)
+            (when, VarPredictor(order=k, indices=indices))
+            for when, k in zip(schedule, orders)
         ]
-        return run_smad(family, cset, thetas, pool, spec.x1, roster=roster)
+        return run_smad(family, cset, thetas, pool, x1, roster=roster)
 
     curve, (ogd, smad_traj) = compare_to_ogd(
-        np.random.SeedSequence(spec.master_seed).spawn(spec.repetitions),
+        np.random.SeedSequence(cfg["seed"]).spawn(cfg["repetitions"]),
         lambda child: (gen_switching(proc, child), None),
         expert_pool,
-        family, cset, spec.x1, spec.eta, spec.inner_steps,
+        family, cset, x1, eta, inner_steps,
     )
+    checked = cfg["bounds"]["check"]
     ledgers = {}
     notes = [
-        f"repetitions={spec.repetitions} horizon={spec.horizon} eta={spec.eta} "
-        f"beta={spec.beta} gamma={spec.gamma} seed={spec.master_seed}",
+        f"repetitions={cfg['repetitions']} horizon={cfg['horizon']} eta={eta} "
+        f"beta={beta} gamma={gamma} seed={cfg['seed']}",
         "curve = cumulative regret (expert pool) - cumulative regret (ogd)"
-        + (LEDGER_NOTE if with_ledgers else ""),
+        + (LEDGER_NOTE if checked else ""),
     ]
-    if with_ledgers:
-        ledgers["ogd"] = build_ledger(family, cset, ogd, spec.eta, spec.inner_steps)
+    if checked:
+        ledgers["ogd"] = build_ledger(family, cset, ogd, eta, inner_steps)
         # mid-run activations void the fixed-pool bound; report accounting only
         ledgers["smad"] = replace(
-            build_ledger(
-                family, cset, smad_traj, spec.eta, spec.inner_steps, check_bound=False
-            ),
+            build_ledger(family, cset, smad_traj, eta, inner_steps, check_bound=False),
             bound_skipped_reason="experts joined mid-run; the fixed-pool bound does not apply",
         )
     return ExperimentResult(curve=curve, ledgers=ledgers, notes=notes)
@@ -448,121 +352,84 @@ class MarkowitzModelPredictor:
         return self.family.pack(mu, sigma, max(risk_hat, 0.0))
 
 
-@dataclass(frozen=True)
-class Exp3Spec:
-    csv_path: Optional[str] = None
-    risk_free: bool = True
-    synth_assets: int = 36
-    synth_days: int = 5000
-    lookbacks: tuple = (15, 30, 45, 60, 75, 90)
-    ar_orders: tuple = (1, 2, 3, 4, 5, 6)
-    client_lookback: int = 50
-    eta: float = 0.1
-    gamma: float = 50.0
-    beta: float = 0.2
-    observe_months: int = 10
-    eval_months: int = 150
-    repetitions: int = 200
-    month_days: int = 30
-    risk: RiskProcessSpec = RiskProcessSpec()
-    master_seed: int = DEFAULT_SEED
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Exp3Spec":
-        """The spec a resolved config describes: the ``exp3`` section plus
-        the top-level ``repetitions`` and ``seed``."""
-        sec = cfg["exp3"]
-        risk = RiskProcessSpec(
-            base=sec["risk_base"],
-            warmup_days=sec["risk_warmup_days"],
-            stay_prob=sec["risk_stay_prob"],
-            jump_low=sec["risk_jump_low"],
-            jump_high=sec["risk_jump_high"],
-            noise_var=sec["risk_noise_var"],
-            obs_every_days=sec["month_days"],
-        )
-        return cls(
-            csv_path=sec["csv_path"],
-            risk_free=sec["risk_free"],
-            synth_assets=sec["synth_assets"],
-            synth_days=sec["synth_days"],
-            lookbacks=tuple(sec["lookbacks"]),
-            ar_orders=tuple(sec["ar_orders"]),
-            client_lookback=sec["client_lookback"],
-            eta=sec["eta"],
-            gamma=sec["gamma"],
-            beta=sec["beta"],
-            observe_months=sec["observe_months"],
-            eval_months=sec["eval_months"],
-            repetitions=cfg["repetitions"],
-            month_days=sec["month_days"],
-            risk=risk,
-            master_seed=cfg["seed"],
-        )
-
-    @property
-    def total_months(self) -> int:
-        return self.observe_months + self.eval_months
+def _total_months(sec: dict) -> int:
+    return sec["observe_months"] + sec["eval_months"]
 
 
-def load_exp3_market(spec: Exp3Spec) -> MarketData:
-    """Historical CSV when provided, else the seeded synthetic stand-in."""
-    if spec.csv_path:
-        data = load_market_csv(spec.csv_path, risk_free=spec.risk_free)
+def load_exp3_market(cfg: dict) -> MarketData:
+    """Historical CSV when ``exp3.csv_path`` is set, else the synthetic
+    stand-in seeded by the top-level ``seed``."""
+    sec = cfg["exp3"]
+    months = _total_months(sec)
+    needed = sec["month_days"] * months
+    if sec["csv_path"]:
+        data = load_market_csv(sec["csv_path"], risk_free=sec["risk_free"])
     else:
         data = synthetic_market(
-            n_assets=spec.synth_assets,
-            n_days=max(spec.synth_days, spec.month_days * spec.total_months),
-            seed=np.random.SeedSequence((spec.master_seed, 0xDA7A)),
+            n_assets=sec["synth_assets"],
+            n_days=max(sec["synth_days"], needed),
+            seed=np.random.SeedSequence((cfg["seed"], 0xDA7A)),
         )
-        if spec.risk_free:
+        if sec["risk_free"]:
             data = append_risk_free(data)
-    needed = spec.month_days * spec.total_months
     if data.n_days < needed:
         raise DataError(
-            f"need {needed} days of data for {spec.total_months} months, "
-            f"have {data.n_days}"
+            f"need {needed} days of data for {months} months, have {data.n_days}"
         )
     return data
 
 
 def _client_thetas(
-    spec: Exp3Spec, family: Markowitz, moments: MomentCache, risk_obs: np.ndarray
+    sec: dict, family: Markowitz, moments: MomentCache, risk_obs: np.ndarray
 ) -> np.ndarray:
-    """Client objective parameters for months 1..total, one row per month."""
-    rows = np.empty((spec.total_months, family.m))
-    for g in range(1, spec.total_months + 1):
-        mu, sigma = moments.get(g, spec.client_lookback)
+    """Client objective parameters for months 1..total of an ``exp3``
+    section, one row per month."""
+    rows = np.empty((_total_months(sec), family.m))
+    for g in range(1, rows.shape[0] + 1):
+        mu, sigma = moments.get(g, sec["client_lookback"])
         rows[g - 1] = family.pack(mu, sigma, risk_obs[g - 1])
     return rows
 
 
-def run_exp3(spec: Exp3Spec = Exp3Spec(), data: Optional[MarketData] = None) -> ExperimentResult:
+def run_exp3(cfg: dict, data: Optional[MarketData] = None) -> ExperimentResult:
     """Portfolio study: a pool of (lookback, AR order) manager models scored
-    monthly by a client objective with hidden, jumpy risk tolerance."""
+    monthly by a client objective with hidden, jumpy risk tolerance.  Reads
+    the ``exp3`` section and the top-level ``repetitions`` and ``seed``;
+    ``data`` replaces the market that section describes."""
+    sec = cfg["exp3"]
     if data is None:
-        data = load_exp3_market(spec)
+        data = load_exp3_market(cfg)
+    risk = RiskProcessSpec(
+        base=sec["risk_base"],
+        warmup_days=sec["risk_warmup_days"],
+        stay_prob=sec["risk_stay_prob"],
+        jump_low=sec["risk_jump_low"],
+        jump_high=sec["risk_jump_high"],
+        noise_var=sec["risk_noise_var"],
+        obs_every_days=sec["month_days"],
+    )
+    lookbacks, ar_orders = sec["lookbacks"], sec["ar_orders"]
+    eta, gamma, observe = sec["eta"], sec["gamma"], sec["observe_months"]
     family = Markowitz(data.n_assets)
     cset = UnitSimplex(data.n_assets, mode="renormalize")
     x1 = cset.interior_point()
-    moments = MomentCache(data, spec.month_days)
-    needed_days = spec.month_days * spec.total_months
-
+    moments = MomentCache(data, sec["month_days"])
+    needed_days = sec["month_days"] * _total_months(sec)
 
     def scenario(child):
-        risk_obs = gen_risk_path(spec.risk, needed_days, child)
-        thetas_all = _client_thetas(spec, family, moments, risk_obs)
-        return thetas_all[spec.observe_months :], thetas_all[: spec.observe_months]
+        risk_obs = gen_risk_path(risk, needed_days, child)
+        thetas_all = _client_thetas(sec, family, moments, risk_obs)
+        return thetas_all[observe:], thetas_all[:observe]
 
     def expert_pool(eval_thetas, history):
-        forecasts = RiskForecastCache(spec.ar_orders)
+        forecasts = RiskForecastCache(ar_orders)
         predictors = [
             MarkowitzModelPredictor(family, moments, lb, k, forecasts=forecasts)
-            for lb in spec.lookbacks
-            for k in spec.ar_orders
+            for lb in lookbacks
+            for k in ar_orders
         ]
         pool = ExpertPool(
-            capacity=len(predictors), beta=spec.beta, gamma=spec.gamma, eta=spec.eta
+            capacity=len(predictors), beta=sec["beta"], gamma=gamma, eta=eta
         )
         pool.initialize(predictors, x_init=x1, t=1)
         return run_smad(
@@ -570,15 +437,15 @@ def run_exp3(spec: Exp3Spec = Exp3Spec(), data: Optional[MarketData] = None) -> 
         )
 
     curve, _ = compare_to_ogd(
-        np.random.SeedSequence(spec.master_seed).spawn(spec.repetitions),
-        scenario, expert_pool, family, cset, x1, spec.eta,
+        np.random.SeedSequence(cfg["seed"]).spawn(cfg["repetitions"]),
+        scenario, expert_pool, family, cset, x1, eta,
     )
     notes = [
-        f"repetitions={spec.repetitions} eval_months={spec.eval_months} "
-        f"eta={spec.eta} gamma={spec.gamma} seed={spec.master_seed}",
-        f"assets={data.n_assets} ({'historical csv' if spec.csv_path else 'synthetic stand-in'})",
-        f"experts={len(spec.lookbacks)} lookbacks x {len(spec.ar_orders)} AR orders "
-        f"= {len(spec.lookbacks) * len(spec.ar_orders)}",
+        f"repetitions={cfg['repetitions']} eval_months={sec['eval_months']} "
+        f"eta={eta} gamma={gamma} seed={cfg['seed']}",
+        f"assets={data.n_assets} ({'historical csv' if sec['csv_path'] else 'synthetic stand-in'})",
+        f"experts={len(lookbacks)} lookbacks x {len(ar_orders)} AR orders "
+        f"= {len(lookbacks) * len(ar_orders)}",
         "projection mode is the renormalizing heuristic, so regret-bound "
         "checks are skipped for this study",
         "curve = cumulative regret (expert pool) - cumulative regret (ogd); "
@@ -631,24 +498,24 @@ class BoundStudyResult:
 
 
 def run_predictive_bound_study(
-    n_runs: int = 100,
-    inner_steps: int = 1,
-    spec: Exp1Spec = Exp1Spec(),
+    cfg: dict, n_runs: int, inner_steps: int = 1
 ) -> BoundStudyResult:
-    """Predictive descent on the switching process; per run, check measured
-    dynamic regret against the closed-form bound with constants derived from
-    the realized parameter box (observations and predictions jointly)."""
-    family, cset, proc = spec.setup()
-    seeds = np.random.SeedSequence((spec.master_seed, 31 + inner_steps)).spawn(n_runs)
+    """Predictive descent on the switching process of a resolved config;
+    per run, check measured dynamic regret against the closed-form bound
+    with constants derived from the realized parameter box (observations
+    and predictions jointly)."""
+    family, cset, proc = switching_setup(cfg)
+    eta, x1 = cfg["descent"]["eta"], cfg["descent"]["x1"]
+    seeds = np.random.SeedSequence((cfg["seed"], 31 + inner_steps)).spawn(n_runs)
     records = []
     for child in seeds:
         thetas = gen_switching(proc, child)
         traj = run_predictive_ogd(
             family, cset, thetas,
-            DescentConfig(spec.eta, inner_steps, MODE_PREDICTIVE), spec.x1,
-            predictor=spec.make_predictor(),
+            DescentConfig(eta, inner_steps, MODE_PREDICTIVE), x1,
+            predictor=make_predictor(cfg),
         )
-        ledger = build_ledger(family, cset, traj, spec.eta, inner_steps)
+        ledger = build_ledger(family, cset, traj, eta, inner_steps)
         records.append(
             BoundCheckRecord(reg_d=ledger.reg_d, bound=ledger.bound, holds=bool(ledger.bound_holds))
         )
@@ -656,27 +523,24 @@ def run_predictive_bound_study(
     return BoundStudyResult(records=records, label=label)
 
 
-def run_expert_bound_study(
-    n_runs: int = 50,
-    spec: SwitchingSpec = Exp1Spec(),
-) -> BoundStudyResult:
+def run_expert_bound_study(cfg: dict, n_runs: int) -> BoundStudyResult:
     """Fixed-pool expert runs with the tuned learning rate, checked against
     the expert regret bound and the aggregation inequality.
 
     The objective, domain, scenario, ``x1``, ``eta``, horizon and seed come
-    from ``spec``, as for ``run_predictive_bound_study``.  The switching
+    from ``cfg``, as for ``run_predictive_bound_study``.  The switching
     noise is clipped at ``EXPERT_NOISE_CLIP`` standard deviations so the
     loss range D can be declared before the run; the learning rate
     gamma = sqrt(8/(T D^2)) then matches the closed-form mixing penalty.
     Descent constants still come from the realized box of observations and
     expert predictions.
     """
-    spec = replace(spec, noise_clip=EXPERT_NOISE_CLIP)
-    family, cset, proc = spec.setup()
-    d_range, gamma = spec.declared_gamma()
-    eta, horizon, x1 = spec.eta, spec.horizon, spec.x1
+    cfg = {**cfg, "scenario": {**cfg["scenario"], "noise_clip": EXPERT_NOISE_CLIP}}
+    family, cset, proc = switching_setup(cfg)
+    d_range, gamma = declared_gamma(cfg)
+    eta, horizon, x1 = cfg["descent"]["eta"], cfg["horizon"], cfg["descent"]["x1"]
 
-    seeds = np.random.SeedSequence((spec.master_seed, 97)).spawn(n_runs)
+    seeds = np.random.SeedSequence((cfg["seed"], 97)).spawn(n_runs)
     records = []
     for child in seeds:
         scen_seed, oracle_seed = child.spawn(2)
@@ -687,7 +551,7 @@ def run_expert_bound_study(
             NoisyOracle(thetas, noise_std=1.0, rng=oracle_rngs[0]),
             NoisyOracle(thetas, noise_std=5.0, rng=oracle_rngs[1]),
             Persistence(),
-            VarPredictor(order=2, indices=spec.indices),
+            VarPredictor(order=2, indices=cfg["predictor"]["indices"]),
         ]
         pool = ExpertPool(
             capacity=len(predictors), beta=0.2, gamma=gamma, eta=eta

@@ -217,49 +217,65 @@ def append_risk_free(data: MarketData) -> MarketData:
     )
 
 
-def load_market_csv(path, risk_free: bool = False) -> MarketData:
-    """Read a rectangular CSV of positive daily price relatives.
+def read_numeric_csv(path) -> tuple[np.ndarray, tuple]:
+    """The cells of a rectangular CSV of finite numbers, as a (rows, columns)
+    array, and the names in its header row (empty when it has none).
 
-    An optional header row of asset names is detected by non-numeric cells.
-    Errors name the offending row and column.
+    A first row holding a non-numeric cell is a header; blank lines are
+    skipped.  A missing file, a ragged row and a missing, unparsable or
+    non-finite cell raise ``DataError`` naming the path and, for a cell or
+    a row, its 1-based row (line) and column.
     """
-    rows = []
-    names: tuple = ()
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        raw = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not raw:
-        raise DataError(f"{path}: empty file")
-    start = 0
     try:
-        [float(cell) for cell in raw[0]]
-    except ValueError:
-        names = tuple(cell.strip() for cell in raw[0])
-        start = 1
-    width = None
-    for r, row in enumerate(raw[start:], start=start + 1):
-        if width is None:
-            width = len(row)
+        with open(path, newline="") as handle:
+            raw = [
+                (r, row) for r, row in enumerate(csv.reader(handle), start=1)
+                if any(cell.strip() for cell in row)
+            ]
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    names: tuple = ()
+    if raw:
+        try:
+            [float(cell) for cell in raw[0][1]]
+        except ValueError:
+            names = tuple(cell.strip() for cell in raw.pop(0)[1])
+    if not raw:
+        raise DataError(f"{path}: no data rows")
+    width = len(raw[0][1])
+    rows = []
+    for r, row in raw:
         if len(row) != width:
-            raise DataError(
-                f"{path}: row {r} has {len(row)} cells, expected {width}"
-            )
+            raise DataError(f"{path}: row {r} has {len(row)} cells, expected {width}")
         vals = []
         for c, cell in enumerate(row, start=1):
             cell = cell.strip()
             if not cell:
                 raise DataError(f"{path}: missing cell at row {r}, column {c}")
             try:
-                vals.append(float(cell))
+                val = float(cell)
             except ValueError as exc:
                 raise DataError(
                     f"{path}: unparsable cell at row {r}, column {c}: {cell!r}"
                 ) from exc
+            if not np.isfinite(val):
+                raise DataError(
+                    f"{path}: non-finite cell at row {r}, column {c}: {cell!r}"
+                )
+            vals.append(val)
         rows.append(vals)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+    return np.array(rows, dtype=float), names
+
+
+def load_market_csv(path, risk_free: bool = False) -> MarketData:
+    """Read a rectangular CSV of positive daily price relatives, with an
+    optional header row of asset names (see ``read_numeric_csv``).
+
+    Errors name the offending row and column.
+    """
+    relatives, names = read_numeric_csv(path)
     try:
-        data = MarketData(relatives=np.array(rows, dtype=float), names=names)
+        data = MarketData(relatives=relatives, names=names)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
     return append_risk_free(data) if risk_free else data

@@ -5,9 +5,10 @@ reference::
 
     PYTHONPATH=src python3 tests/data/record_golden.py > tests/data/golden.json
 
-It uses only public entry points at their default configuration, at the
-default seed and with 2 repetitions (3 runs per bound study), so the same
-script records any version of the package.
+It calls the public study entry points with ``resolve_config(overrides,
+experiment)``, the config the CLI resolves, at each experiment's defaults,
+the default seed and 2 repetitions (3 runs per bound study); run-exp1 and
+run-exp2 skip their regret ledgers, which leave the curves unchanged.
 """
 
 import json
@@ -16,9 +17,6 @@ import sys
 from poco.cli import run_custom
 from poco.config import resolve_config
 from poco.experiments import (
-    Exp1Spec,
-    Exp2Spec,
-    Exp3Spec,
     run_exp1,
     run_exp2,
     run_exp3,
@@ -45,10 +43,11 @@ def study_record(study) -> dict:
 
 
 def record() -> dict:
+    unchecked = {"repetitions": REPS, "bounds": {"check": False}}
     curves = {
-        "run_exp1": run_exp1(Exp1Spec(repetitions=REPS), with_ledgers=False),
-        "run_exp2": run_exp2(Exp2Spec(repetitions=REPS), with_ledgers=False),
-        "run_exp3": run_exp3(Exp3Spec(repetitions=REPS)),
+        "run_exp1": run_exp1(resolve_config(unchecked, "exp1")),
+        "run_exp2": run_exp2(resolve_config(unchecked, "exp2")),
+        "run_exp3": run_exp3(resolve_config({"repetitions": REPS}, "exp3")),
         "run_custom": run_custom(resolve_config({"repetitions": REPS}, "custom")),
         "run_custom_standard": run_custom(
             resolve_config(
@@ -56,10 +55,11 @@ def record() -> dict:
             )
         ),
     }
+    cfg = resolve_config({}, "exp1")
     studies = [
-        run_predictive_bound_study(BOUND_RUNS, inner_steps=k) for k in (1, 2, 3)
+        run_predictive_bound_study(cfg, BOUND_RUNS, inner_steps=k) for k in (1, 2, 3)
     ]
-    studies.append(run_expert_bound_study(n_runs=BOUND_RUNS))
+    studies.append(run_expert_bound_study(cfg, BOUND_RUNS))
     return {
         "repetitions": REPS,
         "bound_runs": BOUND_RUNS,

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from poco.cli import main
+from poco.config import resolve_config
 from poco.descent import ogd_step
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import (
@@ -28,9 +29,6 @@ from poco.objectives import (
 from poco.predictors import fit_var_yule_walker
 from poco.regret import minimizer_oracle
 from poco.experiments import (
-    Exp1Spec,
-    Exp2Spec,
-    Exp3Spec,
     run_exp1,
     run_exp2,
     run_exp3,
@@ -49,7 +47,7 @@ def report(number, ok, detail):
 
 @pytest.fixture(scope="module")
 def expert_study():
-    return run_expert_bound_study(n_runs=50)
+    return run_expert_bound_study(resolve_config({}, "exp1"), 50)
 
 
 def test_criterion_01_contraction_suite():
@@ -124,7 +122,7 @@ def test_criterion_03_single_step_bound():
     """Measured dynamic regret of 100 predictive runs on the switching
     process stays below the closed-form bound, in < 30 s."""
     start = time.perf_counter()
-    study = run_predictive_bound_study(n_runs=100, inner_steps=1)
+    study = run_predictive_bound_study(resolve_config({}, "exp1"), 100, inner_steps=1)
     elapsed = time.perf_counter() - start
     report(
         3,
@@ -138,7 +136,7 @@ def test_criterion_04_multi_step_bound():
     each."""
     results = []
     for k in (2, 3):
-        study = run_predictive_bound_study(n_runs=100, inner_steps=k)
+        study = run_predictive_bound_study(resolve_config({}, "exp1"), 100, inner_steps=k)
         results.append((k, study.n_pass, study.n_runs, study.all_hold))
     ok = all(r[3] for r in results)
     detail = "; ".join(f"k={k}: {p}/{n}" for k, p, n, _ in results)
@@ -167,7 +165,7 @@ def test_criterion_07_study1_shape():
     """Study 1 at the default seed: difference curve exactly zero through
     round 10 and negative on average at the horizon, in < 60 s."""
     start = time.perf_counter()
-    res = run_exp1(Exp1Spec(), with_ledgers=False)
+    res = run_exp1(resolve_config({"bounds": {"check": False}}, "exp1"))
     elapsed = time.perf_counter() - start
     flat = bool(np.all(res.curve.diffs[:, :10] == 0.0))
     final = float(res.curve.mean_diff[-1])
@@ -182,11 +180,12 @@ def test_criterion_08_study2_shape():
     """Study 2 at the default seed: nonnegative mean difference over the
     first activation window, negative at the horizon, in < 120 s."""
     start = time.perf_counter()
-    spec = Exp2Spec()
-    res = run_exp2(spec, with_ledgers=False)
+    cfg = resolve_config({"bounds": {"check": False}}, "exp2")
+    res = run_exp2(cfg)
     elapsed = time.perf_counter() - start
-    lo = spec.first_activation - 1
-    hi = spec.first_activation + spec.activation_every - 1
+    smad = cfg["smad"]
+    lo = smad["first_activation"] - 1
+    hi = smad["first_activation"] + smad["activation_every"] - 1
     window = float(res.curve.mean_diff[lo:hi].mean())
     final = float(res.curve.mean_diff[-1])
     report(
@@ -200,7 +199,7 @@ def test_criterion_09_study3_sign():
     """Study 3 at the default seed over 200 repetitions: the mean final
     difference is nonpositive, in < 600 s."""
     start = time.perf_counter()
-    res = run_exp3(Exp3Spec())
+    res = run_exp3(resolve_config({}, "exp3"))
     elapsed = time.perf_counter() - start
     final = float(res.curve.mean_diff[-1])
     report(

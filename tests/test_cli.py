@@ -51,6 +51,16 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="unknown config key bounds.inner_steps"):
             resolve_config({"bounds": {"inner_steps": 1}}, "exp1")
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("objective", "kind", "quadratic_tracking"), ("scenario", "kind", "switching"),
+         ("domain", "dimension", 2)],
+    )
+    def test_removed_unread_keys_rejected(self, section, key, value):
+        # one-value choices and a dimension the objective weights already fix
+        with pytest.raises(ConfigError, match=f"unknown config key {section}.{key}"):
+            resolve_config({section: {key: value}}, "exp1")
+
     def test_type_errors_name_key_and_expectation(self):
         with pytest.raises(ConfigError, match="descent.eta expects a number > 0"):
             resolve_config({"descent": {"eta": -1.0}}, "exp1")
@@ -237,6 +247,20 @@ class TestCommands:
         ]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "0.0,0.5,0.5"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["project", "--kind", "ball", "--radius", "-1", "--vector", "1,2"],
+            ["project", "--kind", "simplex", "--dimension", "0", "--vector", "1,2"],
+            ["fit-ar", "--csv", "unread.csv", "--order", "0"],
+        ],
+        ids=["ball-radius", "simplex-dimension", "fit-ar-order"],
+    )
+    def test_bad_utility_argument_is_a_config_error(self, capsys, argv):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: ")
+
     def test_fit_ar_output(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         series = rng.normal(size=(60, 1)).cumsum(axis=0)
@@ -300,6 +324,7 @@ class TestOverridesValidated:
 
 MOVED_STATES = {"state_a": [-60.0, 5.0, 30.0], "state_b": [60.0, 25.0, -50.0]}
 SIMPLEX_START = {"descent": {"x1": [0.5, 0.5]}}
+SHORT_EXP3 = {"eval_months": 6}
 
 # (command, config change, the config it is compared with)
 DROPPED_KEY_CASES = [
@@ -316,7 +341,54 @@ DROPPED_KEY_CASES = [
     pytest.param("run-exp2", {"scenario": {"noise_clip": 0.5}}, {}, id="exp2-noise_clip"),
     pytest.param("run-exp2", {"domain": {"center": [0.0, 5.0]}}, {}, id="exp2-center"),
     pytest.param("run-exp2", {"predictor": {"indices": [0]}}, {}, id="exp2-indices"),
+    pytest.param(
+        "run-exp3", {"exp3": {**SHORT_EXP3, "eta": 0.05}}, {"exp3": SHORT_EXP3},
+        id="exp3-eta",
+    ),
+    pytest.param(
+        "run-exp3", {"exp3": {**SHORT_EXP3, "lookbacks": [20, 40]}}, {"exp3": SHORT_EXP3},
+        id="exp3-lookbacks",
+    ),
 ]
+
+# (command, a change to a key that the README says the command does not read)
+UNREAD_KEY_CASES = [
+    pytest.param("run-exp3", {"descent": {"eta": 0.001}}, id="exp3-descent.eta"),
+    pytest.param("run-exp3", {"smad": {"gamma": 1.0}}, id="exp3-smad.gamma"),
+    pytest.param("run-exp3", {"horizon": 30}, id="exp3-horizon"),
+    pytest.param("run-exp2", {"descent": {"mode": "standard"}}, id="exp2-descent.mode"),
+    pytest.param("run-exp2", {"predictor": {"order": 2}}, id="exp2-predictor.order"),
+    pytest.param("run-exp1", {"smad": {"beta": 0.5}}, id="exp1-smad.beta"),
+    pytest.param("run-exp1", {"exp3": {"eta": 0.5}}, id="exp1-exp3.eta"),
+]
+
+
+class TestBadCsvIsADataError:
+    """fit-ar and run-exp3 read CSVs through one reader; a bad cell or a
+    missing file exits 3, naming the path and the cell's row and column."""
+
+    def _exit_code(self, tmp_path, command, path):
+        if command == "fit-ar":
+            return main(["fit-ar", "--csv", str(path), "--order", "1"])
+        cfg = {"repetitions": 1, "exp3": {"csv_path": str(path), "eval_months": 2}}
+        return _run(tmp_path, "run-exp3", "o", cfg)[0]
+
+    @pytest.mark.parametrize("command", ["fit-ar", "run-exp3"])
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_cell(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n1.0,1.0\n1.0,{bad}\n1.0,1.0\n")
+        assert self._exit_code(tmp_path, command, path) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert f"{path}: non-finite cell at row 3, column 2" in err
+
+    @pytest.mark.parametrize("command", ["fit-ar", "run-exp3"])
+    def test_missing_file(self, tmp_path, capsys, command):
+        path = tmp_path / "absent.csv"
+        assert self._exit_code(tmp_path, command, path) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(path) in err
 
 
 class TestConfigReachesTheRun:
@@ -329,6 +401,16 @@ class TestConfigReachesTheRun:
             assert code == EXIT_OK
             curves.append((out / "curve.csv").read_bytes())
         assert curves[0] != curves[1]
+
+    @pytest.mark.parametrize("command,change", UNREAD_KEY_CASES)
+    def test_unread_key_leaves_the_outputs(self, tmp_path, command, change):
+        base = {"repetitions": 2, "horizon": 60, "exp3": SHORT_EXP3}
+        outputs = []
+        for name, extra in (("reference", {}), ("changed", change)):
+            code, out = _run(tmp_path, command, name, {**base, **extra})
+            assert code == EXIT_OK
+            outputs.append([(out / f).read_bytes() for f in ("curve.csv", "summary.txt")])
+        assert outputs[0] == outputs[1]
 
     def test_gamma_auto_sized_from_the_scenario_the_run_draws(self, tmp_path, monkeypatch):
         import poco.experiments as experiments

@@ -1,8 +1,9 @@
-"""numpy is poco's only runtime dependency.
+"""numpy is poco's only runtime dependency, and the config layer loads no
+study code.
 
-Two guards: a static scan of every import statement under ``src/poco``,
-and a fresh interpreter that imports the package and its CLI and then
-lists what got loaded.
+Guards: a static scan of every import statement under ``src/poco``, and
+fresh interpreters that import part of the package and then list what got
+loaded.
 """
 
 import ast
@@ -36,15 +37,26 @@ def test_numpy_is_the_only_third_party_import():
     assert set(third_party) == {"numpy"}, third_party
 
 
-def test_importing_poco_loads_no_scipy():
+def _loaded_after(statement: str, modules: tuple) -> str:
+    """Which of ``modules`` a fresh interpreter has loaded after running
+    ``statement``, as a printed sorted list."""
     code = (
         "import sys\n"
-        "import poco, poco.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"{statement}\n"
+        f"print(sorted(set(sys.modules) & set({modules!r})))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_importing_poco_loads_no_scipy():
+    assert _loaded_after("import poco, poco.cli", ("scipy",)) == "[]"
+
+
+def test_config_imports_no_study_code():
+    studies = ("poco.experiments", "poco.scenarios")
+    assert _loaded_after("import poco.config", studies) == "[]"

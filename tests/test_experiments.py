@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -11,9 +9,6 @@ from poco.predictors import NoisyOracle
 from poco.scenarios import RiskProcessSpec, SwitchingProcessSpec, gen_switching
 from poco.smad import ExpertPool, run_smad
 from poco.experiments import (
-    Exp1Spec,
-    Exp2Spec,
-    Exp3Spec,
     load_exp3_market,
     run_exp1,
     run_exp2,
@@ -23,16 +18,14 @@ from poco.experiments import (
 )
 
 
-class TestSpecDefaults:
-    @pytest.mark.parametrize(
-        "experiment,spec_cls",
-        [("exp1", Exp1Spec), ("custom", Exp1Spec), ("exp2", Exp2Spec), ("exp3", Exp3Spec)],
-    )
-    def test_config_defaults_give_the_default_spec(self, experiment, spec_cls):
-        want = spec_cls()
-        if getattr(want, "center", ()) is None:  # None is the origin
-            want = replace(want, center=(0.0,) * len(want.weights))
-        assert spec_cls.from_config(resolve_config({}, experiment=experiment)) == want
+def unchecked(experiment, **overrides):
+    """The resolved config of ``experiment`` with ``overrides`` merged in
+    and no regret ledgers."""
+    return resolve_config({"bounds": {"check": False}, **overrides}, experiment)
+
+
+def exp3_config(seed, repetitions, **exp3):
+    return resolve_config({"seed": seed, "repetitions": repetitions, "exp3": exp3}, "exp3")
 
 
 class TestSeedSplitting:
@@ -49,9 +42,11 @@ class TestSeedSplitting:
 class TestPairedHarness:
     def test_zero_repetitions_rejected(self, market):
         for run in (
-            lambda: run_exp1(Exp1Spec(repetitions=0)),
-            lambda: run_exp2(Exp2Spec(repetitions=0)),
-            lambda: run_exp3(Exp3Spec(repetitions=0, eval_months=5), data=market),
+            lambda: run_exp1(dict(resolve_config({}, "exp1"), repetitions=0)),
+            lambda: run_exp2(dict(resolve_config({}, "exp2"), repetitions=0)),
+            lambda: run_exp3(
+                dict(exp3_config(1729, 1, eval_months=5), repetitions=0), data=market
+            ),
         ):
             with pytest.raises(ValueError, match="repetitions must be >= 1"):
                 run()
@@ -59,24 +54,26 @@ class TestPairedHarness:
 
 class TestExp1:
     def test_prefix_exactly_zero_and_deterministic(self):
-        spec = Exp1Spec(repetitions=4, horizon=80, master_seed=5)
-        a = run_exp1(spec, with_ledgers=False)
-        b = run_exp1(spec, with_ledgers=False)
+        cfg = unchecked("exp1", repetitions=4, horizon=80, seed=5)
+        a = run_exp1(cfg)
+        b = run_exp1(cfg)
         np.testing.assert_array_equal(a.curve.diffs, b.curve.diffs)
         assert np.all(a.curve.diffs[:, :10] == 0.0)
         assert np.any(a.curve.diffs[:, 11:] != 0.0)
 
     def test_ledgers_bound_passes(self):
-        spec = Exp1Spec(repetitions=2, horizon=100, master_seed=6)
-        res = run_exp1(spec)
+        cfg = resolve_config({"repetitions": 2, "horizon": 100, "seed": 6}, "exp1")
+        res = run_exp1(cfg)
         for ledger in res.ledgers.values():
             assert ledger.bound_holds
 
     def test_noise_free_predictor_catches_switches(self):
         # with the noise off, an exact-lag model stops paying for jumps that
         # plain descent keeps paying for at every switch
-        spec = Exp1Spec(repetitions=2, horizon=160, noise_scale=0.0, master_seed=7)
-        res = run_exp1(spec, with_ledgers=False)
+        cfg = unchecked(
+            "exp1", repetitions=2, horizon=160, seed=7, scenario={"noise_scale": 0.0}
+        )
+        res = run_exp1(cfg)
         assert res.curve.mean_diff[-1] < 0
         family = QuadraticTracking((100.0, 1.0))
         cset = EuclideanBall(center=np.zeros(2), radius=50.0)
@@ -98,7 +95,6 @@ class TestExp1:
         # run the baseline against itself via the custom harness: the
         # difference curve must be identically zero at every step
         from poco.cli import run_custom
-        from poco.config import resolve_config
 
         cfg = resolve_config(
             {"repetitions": 3, "horizon": 40, "descent": {"mode": "standard"}},
@@ -110,34 +106,33 @@ class TestExp1:
 
 class TestExp2:
     def test_smoke_and_determinism(self):
-        spec = Exp2Spec(repetitions=3, horizon=120, master_seed=8)
-        a = run_exp2(spec, with_ledgers=False)
-        b = run_exp2(spec, with_ledgers=False)
+        cfg = unchecked("exp2", repetitions=3, horizon=120, seed=8)
+        a = run_exp2(cfg)
+        b = run_exp2(cfg)
         np.testing.assert_array_equal(a.curve.diffs, b.curve.diffs)
-        assert np.all(a.curve.diffs[:, : spec.first_activation - 1] == 0.0)
+        assert np.all(a.curve.diffs[:, : cfg["smad"]["first_activation"] - 1] == 0.0)
 
     def test_perfect_experts_dominate_after_warmup(self):
-        spec = Exp2Spec(repetitions=1, horizon=200, master_seed=9)
-        family = QuadraticTracking(spec.weights)
-        cset = EuclideanBall(center=np.zeros(2), radius=spec.radius)
-        proc = SwitchingProcessSpec(dwell=spec.dwell, horizon=spec.horizon)
+        cfg = resolve_config({}, "exp2")
+        eta, x1, smad = cfg["descent"]["eta"], cfg["descent"]["x1"], cfg["smad"]
+        first = smad["first_activation"]
+        family = QuadraticTracking(cfg["objective"]["weights"])
+        cset = EuclideanBall(center=np.zeros(2), radius=cfg["domain"]["radius"])
+        proc = SwitchingProcessSpec(dwell=tuple(cfg["scenario"]["dwell"]), horizon=cfg["horizon"])
         thetas = gen_switching(proc, 42)
         ogd = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(spec.eta, 1, "standard"), spec.x1
+            family, cset, thetas, DescentConfig(eta, 1, "standard"), x1
         )
-        pool = ExpertPool(capacity=5, beta=spec.beta, gamma=spec.gamma, eta=spec.eta)
-        roster = [
-            (spec.first_activation + 10 * i, NoisyOracle(thetas, 0.0)) for i in range(5)
-        ]
-        smad = run_smad(family, cset, thetas, pool, spec.x1, roster=roster)
-        diff = np.cumsum(smad.losses - ogd.losses)
+        pool = ExpertPool(capacity=5, beta=smad["beta"], gamma=smad["gamma"], eta=eta)
+        roster = [(first + 10 * i, NoisyOracle(thetas, 0.0)) for i in range(5)]
+        smad_traj = run_smad(family, cset, thetas, pool, x1, roster=roster)
+        diff = np.cumsum(smad_traj.losses - ogd.losses)
         # warmup covers rounds 1..first_activation; strictly after it the
         # exact predictions dominate at every round
-        assert np.all(diff[spec.first_activation :] <= 0.0)
+        assert np.all(diff[first:] <= 0.0)
 
     def test_smad_ledger_reports_skip_reason(self):
-        spec = Exp2Spec(repetitions=1, horizon=80, master_seed=10)
-        res = run_exp2(spec, with_ledgers=True)
+        res = run_exp2(resolve_config({"repetitions": 1, "horizon": 80, "seed": 10}, "exp2"))
         assert res.ledgers["smad"].bound is None
         assert "mid-run" in res.ledgers["smad"].bound_skipped_reason
         assert res.ledgers["ogd"].bound_holds
@@ -145,14 +140,13 @@ class TestExp2:
 
 @pytest.fixture(scope="module")
 def market():
-    return load_exp3_market(Exp3Spec())
+    return load_exp3_market(resolve_config({}, "exp3"))
 
 
 class TestExp3:
 
     def test_uniform_start_and_shapes(self, market):
-        spec = Exp3Spec(repetitions=2, eval_months=30, master_seed=11)
-        res = run_exp3(spec, data=market)
+        res = run_exp3(exp3_config(11, 2, eval_months=30), data=market)
         assert res.curve.horizon == 30
         assert res.curve.n_reps == 2
         assert market.n_assets == 37  # 36 stocks plus the risk-free column
@@ -168,16 +162,18 @@ class TestExp3:
         from poco.experiments import MomentCache, _client_thetas
         from poco.scenarios import gen_risk_path
 
-        spec = Exp3Spec(repetitions=1, eval_months=5, master_seed=11)
+        sec = exp3_config(11, 1, eval_months=5)["exp3"]
         family = Markowitz(market.n_assets)
-        moments = MomentCache(market, spec.month_days)
-        child = np.random.SeedSequence(spec.master_seed).spawn(1)[0]
-        risk = gen_risk_path(spec.risk, spec.month_days * spec.total_months, child)
-        thetas = _client_thetas(spec, family, moments, risk)
+        moments = MomentCache(market, sec["month_days"])
+        child = np.random.SeedSequence(11).spawn(1)[0]
+        months = sec["observe_months"] + sec["eval_months"]
+        # the exp3 risk defaults are RiskProcessSpec's own
+        risk = gen_risk_path(RiskProcessSpec(), sec["month_days"] * months, child)
+        thetas = _client_thetas(sec, family, moments, risk)
         cset = UnitSimplex(market.n_assets, mode="renormalize")
         traj = run_predictive_ogd(
-            family, cset, thetas[spec.observe_months :],
-            DescentConfig(spec.eta, 1, "standard"), cset.interior_point(),
+            family, cset, thetas[sec["observe_months"] :],
+            DescentConfig(sec["eta"], 1, "standard"), cset.interior_point(),
         )
         np.testing.assert_allclose(traj.xs[0], np.full(37, 1.0 / 37.0))
 
@@ -192,27 +188,21 @@ class TestExp3:
             return original(series, max_lag)
 
         monkeypatch.setattr(predictors, "sample_autocovariances", counting)
-        spec = Exp3Spec(repetitions=2, eval_months=6, lookbacks=(15, 30), master_seed=14)
-        run_exp3(spec, data=market)
+        run_exp3(exp3_config(14, 2, eval_months=6, lookbacks=[15, 30]), data=market)
         # one pass per (repetition, month), at the largest order ready by then:
         # months 10, 11, 12 of history support orders up to 4, 5, 5
         assert passes == [4, 5, 5, 6, 6, 6] * 2
 
     def test_determinism(self, market):
-        spec = Exp3Spec(repetitions=2, eval_months=20, master_seed=12)
-        a = run_exp3(spec, data=market)
-        b = run_exp3(spec, data=market)
+        cfg = exp3_config(12, 2, eval_months=20)
+        a = run_exp3(cfg, data=market)
+        b = run_exp3(cfg, data=market)
         np.testing.assert_array_equal(a.curve.diffs, b.curve.diffs)
 
     def test_constant_risk_shrinks_the_gap(self, market):
-        noisy = run_exp3(Exp3Spec(repetitions=3, eval_months=40, master_seed=13), data=market)
+        noisy = run_exp3(exp3_config(13, 3, eval_months=40), data=market)
         quiet = run_exp3(
-            Exp3Spec(
-                repetitions=3,
-                eval_months=40,
-                master_seed=13,
-                risk=RiskProcessSpec(stay_prob=1.0, noise_var=0.0),
-            ),
+            exp3_config(13, 3, eval_months=40, risk_stay_prob=1.0, risk_noise_var=0.0),
             data=market,
         )
         assert abs(quiet.curve.mean_diff[-1]) < abs(noisy.curve.mean_diff[-1])
@@ -222,23 +212,23 @@ class TestExp3:
         # is too short must be rejected with the day counts
         path = tmp_path / "short.csv"
         path.write_text("1.0,1.0\n" * 50)
-        spec = Exp3Spec(csv_path=str(path), eval_months=150)
+        cfg = exp3_config(1729, 1, csv_path=str(path), eval_months=150)
         with pytest.raises(Exception, match="4800 days"):
-            load_exp3_market(spec)
+            load_exp3_market(cfg)
 
 
 class TestBoundStudies:
     def test_predictive_study_all_hold(self):
-        st = run_predictive_bound_study(n_runs=6)
+        st = run_predictive_bound_study(resolve_config({}, "exp1"), 6)
         assert st.all_hold and st.n_runs == 6
 
     def test_k_step_studies_hold(self):
         for k in (2, 3):
-            st = run_predictive_bound_study(n_runs=4, inner_steps=k)
+            st = run_predictive_bound_study(resolve_config({}, "exp1"), 4, inner_steps=k)
             assert st.all_hold
 
     def test_expert_study_holds_with_hedge(self):
-        st = run_expert_bound_study(n_runs=4)
+        st = run_expert_bound_study(resolve_config({}, "exp1"), 4)
         assert st.all_hold
         assert all(rec.hedge_holds for rec in st.records)
         lines = "\n".join(st.summary_lines())

@@ -1,8 +1,9 @@
 """Input checks of the Yule-Walker fit.
 
 A NaN or inf in a modeled coordinate must stop the fit with an error that
-names the cause, at the library entry points and at the CLI; a degenerate
-system must still be reported as singular.  Inputs that never reach a fit
+names the cause; the CLI rejects such a CSV cell before any fit, as a data
+error naming its row and column.  A degenerate system must still be
+reported as singular.  Inputs that never reach a fit
 (too short for any order, or non-finite only in unmodeled coordinates) are
 not rejected.
 """
@@ -10,7 +11,7 @@ not rejected.
 import numpy as np
 import pytest
 
-from poco.cli import EXIT_RUNTIME, main
+from poco.cli import EXIT_DATA, main
 from poco.predictors import VarPredictor, fit_var_orders, fit_var_yule_walker
 
 NON_FINITE = r"NaN.*inf|inf.*NaN"
@@ -57,16 +58,16 @@ def test_non_finite_ridge_is_rejected(ridge):
         fit_var_yule_walker(_series(1.0), 2, ridge=ridge)
 
 
-def test_fit_ar_with_nan_cell_exits_runtime(tmp_path, capsys):
+def test_fit_ar_with_nan_cell_is_a_data_error(tmp_path, capsys):
     values = [str(v) for v in np.random.default_rng(0).normal(size=40).cumsum()]
     values[12] = "nan"
     path = tmp_path / "series.csv"
     path.write_text("\n".join(values))
-    assert main(["fit-ar", "--csv", str(path), "--order", "2"]) == EXIT_RUNTIME
+    assert main(["fit-ar", "--csv", str(path), "--order", "2"]) == EXIT_DATA
     captured = capsys.readouterr()
     assert "phi[1]" not in captured.out
-    assert captured.err.startswith("error: ")
-    assert "NaN" in captured.err
+    assert captured.err.startswith("data error: ")
+    assert "row 13, column 1" in captured.err
 
 
 def test_constant_series_without_ridge_is_singular():
