@@ -38,7 +38,7 @@ from poco.config import (
 )
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.experiments import ExperimentResult
-from poco.predictors import fit_var_yule_walker
+from poco.predictors import PredictorNotReady, fit_var_yule_walker
 from poco.scenarios import DataError, read_numeric_csv
 
 EXIT_OK = 0
@@ -53,7 +53,7 @@ def run_custom(cfg: dict) -> ExperimentResult:
     baseline; run-exp1 is this command's exp1 preset."""
     result = experiments.run_exp1(cfg)
     notes = [
-        f"custom comparison: mode={cfg['descent']['mode']} repetitions={cfg['repetitions']} "
+        f"custom comparison: predictor={cfg['predictor']['kind']} repetitions={cfg['repetitions']} "
         f"horizon={cfg['horizon']} seed={cfg['seed']}",
         "curve = cumulative regret (method) - cumulative regret (baseline)"
         + (experiments.LEDGER_NOTE if result.ledgers else ""),
@@ -120,13 +120,9 @@ def cmd_check_bounds(args) -> int:
     ]
     studies.append(experiments.run_expert_bound_study(cfg, expert_runs))
     lines = [f"bound verification (seed={cfg['seed']}, horizon={cfg['horizon']})"]
-    all_ok = True
     for study in studies:
         lines.extend(study.summary_lines())
-        all_ok = all_ok and study.all_hold
-        all_ok = all_ok and all(
-            rec.hedge_holds in (None, True) for rec in study.records
-        )
+    all_ok = all(study.all_hold for study in studies)
     lines.append("RESULT: " + ("all bounds hold" if all_ok else "BOUND VIOLATION"))
     out_dir = default_out_dir(args.out)
     emit_results(None, lines, out_dir, cfg, __version__)
@@ -162,8 +158,14 @@ def cmd_project(args) -> int:
 
 def cmd_fit_ar(args) -> int:
     order = _at_least_one("--order", args.order)
-    series, _ = read_numeric_csv(args.csv)
-    fit = fit_var_yule_walker(series, order)
+    series, _, _ = read_numeric_csv(args.csv)
+    try:
+        fit = fit_var_yule_walker(series, order)
+    except PredictorNotReady as exc:
+        raise DataError(
+            f"{args.csv}: an order-{order} fit needs at least {exc.needed} "
+            f"observations, have {exc.have}"
+        ) from exc
     print(f"series: {series.shape[0]} observations, dimension {series.shape[1]}")
     print("mean: " + ",".join(repr(float(x)) for x in fit.mean))
     for h, phi in enumerate(fit.phis, start=1):

@@ -143,7 +143,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "descent": {
         "eta": Key(_v_num(0.0, strict=True), 1.0 / 200.0),
         "inner_steps": Key(_v_int(1), 1),
-        "mode": Key(_v_choice("standard", "predictive"), "predictive"),
         "x1": Key(_v_num_list(), [0.0, 40.0]),
     },
     "domain": {

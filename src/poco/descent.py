@@ -1,10 +1,13 @@
-"""Projected online gradient descent, standard and predictive.
+"""Projected online gradient descent toward a predicted parameter.
 
 One update is x_{t+1} = P_X(x_t - eta * grad_x f(x_t, theta_ref)) where
-theta_ref is the last observed parameter (standard mode) or a one-step-ahead
-prediction (predictive mode).  ``inner_steps`` > 1 repeats the update map
-within a single round.  Losses are always charged against the realized
-parameter: the step ordering per round is observe, charge, predict, step.
+theta_ref is the round's aim (:func:`poco.predictors.step_aim`): the
+predictor's forecast of the next parameter once it is ready, else the last
+observation.  Standard descent is the run without a predictor, which always
+aims at the last observation; a ``Persistence`` predictor gives the same
+run.  ``inner_steps`` > 1 repeats the update map within a single round.
+Losses are always charged against the realized parameter: the step
+ordering per round is observe, charge, predict, step.
 """
 
 from __future__ import annotations
@@ -15,26 +18,21 @@ from typing import Optional
 import numpy as np
 
 from poco.domains import ConstraintSet
-from poco.predictors import prediction_regularity
-
-MODE_STANDARD = "standard"
-MODE_PREDICTIVE = "predictive"
+from poco.predictors import prediction_regularity, step_aim
 
 
 @dataclass(frozen=True)
 class DescentConfig:
     eta: float
     inner_steps: int = 1
-    mode: str = MODE_PREDICTIVE
 
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be positive, got {self.eta}")
         if int(self.inner_steps) < 1:
             raise ValueError(f"inner_steps must be >= 1, got {self.inner_steps}")
+        object.__setattr__(self, "eta", float(self.eta))
         object.__setattr__(self, "inner_steps", int(self.inner_steps))
-        if self.mode not in (MODE_STANDARD, MODE_PREDICTIVE):
-            raise ValueError(f"mode must be standard or predictive, got {self.mode!r}")
 
 
 def ogd_step(family, cset: ConstraintSet, x, theta_ref, eta: float, inner_steps: int = 1):
@@ -58,19 +56,19 @@ class Trajectory:
     Row t-1 holds the round-t quantities: the play ``xs[t-1]``, the observed
     parameter ``thetas[t-1]`` and the realized loss.  ``theta_hats[t-1]`` is
     the parameter the step that produced x_t descended toward (a prediction,
-    or the previous observation while warming up / in standard mode); entry 0
-    is a copy of thetas[0] and is never scored by the prediction regularity.
-    ``predictor_active_from`` is the first 1-based round whose play came out
-    of a live predictor, or None if the predictor never produced a step.
-    ``p_theta`` and the aim range ``aim_lo``/``aim_hi`` are the fields a
-    regret ledger reads, as for :class:`poco.smad.SmadTrajectory`.
+    or the previous observation while warming up or without a predictor);
+    entry 0 is a copy of thetas[0] and is never scored by the prediction
+    regularity.  ``predictor_active_from`` is the first 1-based round whose
+    play came out of a live predictor, or None if no predictor ever produced
+    a step.  ``p_theta``, the aim range ``aim_lo``/``aim_hi``, ``eta`` and
+    ``inner_steps`` are the fields a regret ledger reads, as for
+    :class:`poco.smad.SmadTrajectory`.
     """
 
     xs: np.ndarray
     thetas: np.ndarray
     theta_hats: np.ndarray
     losses: np.ndarray
-    mode: str
     eta: float
     inner_steps: int
     predictor_active_from: Optional[int] = None
@@ -104,16 +102,16 @@ def run_predictive_ogd(
     """Run the online loop over a realized parameter sequence.
 
     ``thetas`` is the full (T, m) scenario; the loop still only ever feeds
-    the predictor the prefix observed so far.  In predictive mode the step
-    falls back to the freshly observed parameter until ``predictor.ready``;
-    that keeps the early rounds identical to standard mode, which is also
-    what makes paired difference curves start at exactly zero.
+    the predictor the prefix observed so far.  Each step aims where
+    :func:`poco.predictors.step_aim` says: at the freshly observed parameter
+    until ``predictor.ready``, and always when ``predictor`` is None
+    (standard descent).  That keeps a predictive run's early rounds
+    identical to standard descent, which is also what makes paired
+    difference curves start at exactly zero.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[0] < 1:
         raise ValueError("thetas must be a nonempty (T, m) array")
-    if config.mode == MODE_PREDICTIVE and predictor is None:
-        raise ValueError("predictive mode requires a predictor")
     horizon = thetas.shape[0]
     x = np.asarray(x1, dtype=float)
     if not cset.contains(x, tol=1e-9):
@@ -132,22 +130,16 @@ def run_predictive_ogd(
         losses[i] = family.value(x, thetas[i])
         if t == horizon:
             break
-        aim = None
-        if config.mode == MODE_PREDICTIVE and predictor.ready(t):
-            aim = np.asarray(predictor.predict(thetas[:t]), dtype=float)
-            if active_from is None:
-                active_from = t + 1
-        if aim is None:
-            aim = thetas[i]
-        theta_hats[t] = aim
-        x = ogd_step(family, cset, x, aim, config.eta, config.inner_steps)
+        theta_hats[t] = step_aim(predictor, thetas[:t])
+        if active_from is None and predictor is not None and predictor.ready(t):
+            active_from = t + 1
+        x = ogd_step(family, cset, x, theta_hats[t], config.eta, config.inner_steps)
 
     return Trajectory(
         xs=xs,
         thetas=thetas,
         theta_hats=theta_hats,
         losses=losses,
-        mode=config.mode,
         eta=config.eta,
         inner_steps=config.inner_steps,
         predictor_active_from=active_from,

@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from poco.descent import DescentConfig, MODE_PREDICTIVE, MODE_STANDARD, run_predictive_ogd
+from poco.config import ConfigError
+from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import Markowitz, QuadraticTracking
 from poco.predictors import (
@@ -106,7 +107,7 @@ def compare_to_ogd(seeds, scenario, method, family, cset, x1, eta, inner_steps=1
     """
     if not seeds:
         raise ValueError("repetitions must be >= 1")
-    config = DescentConfig(eta, inner_steps, MODE_STANDARD)
+    config = DescentConfig(eta, inner_steps)
     diffs, first = [], None
     for child in seeds:
         thetas, history = scenario(child)
@@ -125,13 +126,19 @@ def compare_to_ogd(seeds, scenario, method, family, cset, x1, eta, inner_steps=1
 def switching_setup(cfg: dict):
     """The objective family, constraint set and scenario process of a
     resolved config: its ``objective``, ``domain`` and ``scenario``
-    sections and the top-level ``horizon``."""
+    sections and the top-level ``horizon``.  A ``descent.x1`` outside the
+    domain is a ``ConfigError``."""
     dom, scen = cfg["domain"], cfg["scenario"]
     family = QuadraticTracking(cfg["objective"]["weights"])
     if dom["kind"] == "ball":
         cset = EuclideanBall(center=dom["center"], radius=dom["radius"])
     else:
         cset = UnitSimplex(family.n, mode=dom["projection_mode"])
+    if not cset.contains(cfg["descent"]["x1"]):
+        raise ConfigError(
+            f"descent.x1={cfg['descent']['x1']} lies outside the "
+            f"{dom['kind']} domain; choose a starting point inside it"
+        )
     proc = SwitchingProcessSpec(
         state_a=tuple(scen["state_a"]),
         state_b=tuple(scen["state_b"]),
@@ -177,7 +184,7 @@ def run_exp1(cfg: dict) -> ExperimentResult:
     family, cset, proc = switching_setup(cfg)
     des = cfg["descent"]
     eta, inner_steps, x1 = des["eta"], des["inner_steps"], des["x1"]
-    descent = DescentConfig(eta, inner_steps, des["mode"])
+    descent = DescentConfig(eta, inner_steps)
     curve, first = compare_to_ogd(
         np.random.SeedSequence(cfg["seed"]).spawn(cfg["repetitions"]),
         lambda child: (gen_switching(proc, child), None),
@@ -196,7 +203,7 @@ def run_exp1(cfg: dict) -> ExperimentResult:
     ]
     if checked:
         for arm, traj in zip(("ogd", "predictive"), first):
-            ledgers[arm] = build_ledger(family, cset, traj, eta, inner_steps)
+            ledgers[arm] = build_ledger(family, cset, traj)
     return ExperimentResult(curve=curve, ledgers=ledgers, notes=notes)
 
 
@@ -252,10 +259,10 @@ def run_exp2(cfg: dict) -> ExperimentResult:
         + (LEDGER_NOTE if checked else ""),
     ]
     if checked:
-        ledgers["ogd"] = build_ledger(family, cset, ogd, eta, inner_steps)
+        ledgers["ogd"] = build_ledger(family, cset, ogd)
         # mid-run activations void the fixed-pool bound; report accounting only
         ledgers["smad"] = replace(
-            build_ledger(family, cset, smad_traj, eta, inner_steps, check_bound=False),
+            build_ledger(family, cset, smad_traj, check_bound=False),
             bound_skipped_reason="experts joined mid-run; the fixed-pool bound does not apply",
         )
     return ExperimentResult(curve=curve, ledgers=ledgers, notes=notes)
@@ -483,7 +490,9 @@ class BoundStudyResult:
 
     @property
     def all_hold(self) -> bool:
-        return all(rec.holds for rec in self.records)
+        """Every run satisfied its bound and, where checked, the
+        aggregation inequality."""
+        return all(rec.holds and rec.hedge_holds in (None, True) for rec in self.records)
 
     def summary_lines(self) -> list:
         lines = [f"{self.label}: {self.n_pass}/{self.n_runs} runs satisfied the bound"]
@@ -512,10 +521,10 @@ def run_predictive_bound_study(
         thetas = gen_switching(proc, child)
         traj = run_predictive_ogd(
             family, cset, thetas,
-            DescentConfig(eta, inner_steps, MODE_PREDICTIVE), x1,
+            DescentConfig(eta, inner_steps), x1,
             predictor=make_predictor(cfg),
         )
-        ledger = build_ledger(family, cset, traj, eta, inner_steps)
+        ledger = build_ledger(family, cset, traj)
         records.append(
             BoundCheckRecord(reg_d=ledger.reg_d, bound=ledger.bound, holds=bool(ledger.bound_holds))
         )
@@ -558,7 +567,7 @@ def run_expert_bound_study(cfg: dict, n_runs: int) -> BoundStudyResult:
         )
         pool.initialize(predictors, x_init=x1, t=1)
         traj = run_smad(family, cset, thetas, pool, x1)
-        ledger = build_ledger(family, cset, traj, eta, check_bound=False)
+        ledger = build_ledger(family, cset, traj, check_bound=False)
 
         # the starting gap is the farthest expert first play from x*_1
         gaps = np.linalg.norm(traj.first_plays - ledger.minimizers[0], axis=1)

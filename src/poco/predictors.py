@@ -10,9 +10,9 @@ array) and emits theta_hat for time t+1.  Three kinds are provided:
   handed at construction and perturbs it with Gaussian noise.  Only
   meaningful in controlled experiments.
 
-Predictors report readiness via ``ready(n_obs)``; callers are expected to
-keep their previous policy (typically plain descent on the last observation)
-until the predictor is ready.
+Predictors report readiness via ``ready(n_obs)``.  :func:`step_aim` is the
+one rule every descent step uses to pick its target: the forecast once the
+predictor is ready, else the last observation (plain descent).
 """
 
 from __future__ import annotations
@@ -272,6 +272,20 @@ class NoisyOracle:
         if self.noise_std == 0.0:
             return base
         return base + self.noise_std * self.rng.standard_normal(base.shape)
+
+
+def step_aim(predictor, history):
+    """The parameter a descent step aims at after observing ``history``
+    (rows theta_1..theta_t): the predictor's forecast once it is ready,
+    else the last observation, else None when nothing has been observed.
+    A ``predictor`` of None is standard descent, which always takes the
+    last observation."""
+    n_obs = len(history)
+    if predictor is not None and predictor.ready(n_obs):
+        return predictor.predict(history)
+    if n_obs >= 1:
+        return history[-1]
+    return None
 
 
 def prediction_regularity(thetas, theta_hats) -> float:

@@ -272,21 +272,21 @@ def build_ledger(
     family,
     cset: ConstraintSet,
     trajectory,
-    eta: float,
-    inner_steps: int = 1,
     check_bound: bool = True,
 ) -> RegretLedger:
     """Assemble the regret accounting for a finished run.
 
     ``trajectory`` is a descent ``Trajectory`` or a pool ``SmadTrajectory``;
     the ledger reads its ``thetas``, ``losses``, ``xs[0]``, prediction
-    regularity ``p_theta`` and aim range ``aim_lo``/``aim_hi``.  Constants
+    regularity ``p_theta``, aim range ``aim_lo``/``aim_hi`` and the step
+    size ``eta`` and ``inner_steps`` the run descended with.  Constants
     come from ``derive_constants`` over the bounding box of the realized
     parameters and the aims actually descended toward (the parameters
     alone when nothing was aimed at).  The predictive-descent bound is
     evaluated only on nonexpansive projections; heuristic runs get a logged
     notice instead.
     """
+    eta, inner_steps = trajectory.eta, trajectory.inner_steps
     xstars = minimizers_batch(family, cset, trajectory.thetas)
     opt_losses = family.value_rows(xstars, trajectory.thetas)
     reg_d = dynamic_regret(trajectory.losses, opt_losses)

@@ -217,9 +217,10 @@ def append_risk_free(data: MarketData) -> MarketData:
     )
 
 
-def read_numeric_csv(path) -> tuple[np.ndarray, tuple]:
+def read_numeric_csv(path) -> tuple[np.ndarray, tuple, tuple]:
     """The cells of a rectangular CSV of finite numbers, as a (rows, columns)
-    array, and the names in its header row (empty when it has none).
+    array, the names in its header row (empty when it has none) and the
+    1-based file line of each data row.
 
     A first row holding a non-numeric cell is a header; blank lines are
     skipped.  A missing file, a ragged row and a missing, unparsable or
@@ -264,16 +265,23 @@ def read_numeric_csv(path) -> tuple[np.ndarray, tuple]:
                 )
             vals.append(val)
         rows.append(vals)
-    return np.array(rows, dtype=float), names
+    return np.array(rows, dtype=float), names, tuple(r for r, _ in raw)
 
 
 def load_market_csv(path, risk_free: bool = False) -> MarketData:
     """Read a rectangular CSV of positive daily price relatives, with an
     optional header row of asset names (see ``read_numeric_csv``).
 
-    Errors name the offending row and column.
+    Errors name the offending row (file line) and column.
     """
-    relatives, names = read_numeric_csv(path)
+    relatives, names, lines = read_numeric_csv(path)
+    bad = np.argwhere(relatives <= 0)
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(
+            f"{path}: nonpositive price relative at row {lines[r]}, "
+            f"column {c + 1}: {float(relatives[r, c])!r}"
+        )
     try:
         data = MarketData(relatives=relatives, names=names)
     except DataError as exc:

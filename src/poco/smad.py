@@ -27,8 +27,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from poco.descent import ogd_step
+from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import ConstraintSet
+from poco.predictors import step_aim
 
 
 def suggested_gamma(d_range: float, horizon: int) -> float:
@@ -74,13 +75,11 @@ class ExpertPool:
             raise ValueError(f"beta must lie in (0, 1), got {beta}")
         if not (np.isfinite(gamma) and gamma > 0):
             raise ValueError(f"gamma must be positive, got {gamma}")
-        if not (np.isfinite(eta) and eta > 0):
-            raise ValueError(f"eta must be positive, got {eta}")
+        descent = DescentConfig(eta, inner_steps)
+        self.eta, self.inner_steps = descent.eta, descent.inner_steps
         self.capacity = int(capacity)
         self.beta = float(beta)
         self.gamma = float(gamma)
-        self.eta = float(eta)
-        self.inner_steps = int(inner_steps)
         self.predictors: list = []
         self.activated_at: list[int] = []
         self.xs: Optional[np.ndarray] = None
@@ -155,9 +154,10 @@ class ExpertPool:
         """One round: expert descent steps, aggregation, Gibbs reweighting.
 
         ``history`` holds theta_1..theta_{t-1}; ``theta_t`` is the parameter
-        revealed this round.  Each expert aims at its own prediction of
-        theta_t (falling back to the last observation while its predictor
-        warms up, or holding still when there is no history at all).  The
+        revealed this round.  Each expert aims where
+        :func:`poco.predictors.step_aim` says: at its own prediction of
+        theta_t, at the last observation while its predictor warms up, and
+        nowhere (it holds still) when there is no history at all.  The
         aims are stacked into an (N, m) array and every expert that has an
         aim takes its ``inner_steps`` projected gradient updates together,
         one ``family.gradient_x_rows`` and one ``cset.project_rows`` call per
@@ -169,16 +169,13 @@ class ExpertPool:
             raise RuntimeError("cannot step an empty expert pool")
         theta_t = np.asarray(theta_t, dtype=float)
         hist = np.asarray(history, dtype=float)
-        n_obs = 0 if hist.size == 0 else hist.shape[0]
 
         aims = np.empty((self.n_active, theta_t.shape[0]))
         aimed = np.zeros(self.n_active, dtype=bool)
         for idx, predictor in enumerate(self.predictors):
-            if predictor is not None and predictor.ready(n_obs):
-                aims[idx] = predictor.predict(hist)
-                aimed[idx] = True
-            elif n_obs >= 1:
-                aims[idx] = hist[-1]
+            aim = step_aim(predictor, hist)
+            if aim is not None:
+                aims[idx] = aim
                 aimed[idx] = True
 
         moves = self.xs.copy()
@@ -243,8 +240,9 @@ class SmadTrajectory:
     Expert arrays are padded with NaN before activation.  ``p`` holds the
     post-update distribution of each round, aligned to the full roster.
     ``aim_lo``/``aim_hi`` copy the pool's aim range (None when no expert
-    ever aimed) and ``p_theta`` is the best expert's prediction regularity;
-    a regret ledger reads them as it reads a descent ``Trajectory``.
+    ever aimed), ``p_theta`` is the best expert's prediction regularity and
+    ``eta``/``inner_steps`` are the pool's; a regret ledger reads them as it
+    reads a descent ``Trajectory``.
     """
 
     xs: np.ndarray  # (T, n) aggregated plays
@@ -259,6 +257,8 @@ class SmadTrajectory:
     pool_empty_until: int  # rounds 1..pool_empty_until ran the plain fallback
     aim_lo: Optional[np.ndarray]  # (m,)
     aim_hi: Optional[np.ndarray]  # (m,)
+    eta: float  # the pool's step size and inner steps per round
+    inner_steps: int
 
     @property
     def horizon(self) -> int:
@@ -290,11 +290,12 @@ def run_smad(
     """Drive an expert pool over a realized parameter sequence.
 
     ``roster`` lists (activation round, predictor) pairs handled at the top
-    of the given round.  While the pool is empty the aggregate falls back to
-    plain projected descent on the last observation, so a run whose first
-    activation is late stays identical to the standard baseline until then.
-    ``initial_history`` seeds the observation record (data available before
-    round 1).
+    of the given round.  Rounds before the first activation into an empty
+    pool are played by one standard-descent ``run_predictive_ogd`` call with
+    the pool's ``eta`` and ``inner_steps``, so a run whose first activation
+    is late stays identical to the standard baseline until then; the first
+    entrant starts from the last of those plays.  ``initial_history`` seeds
+    the observation record (data available before round 1).
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[0] < 1:
@@ -323,32 +324,31 @@ def run_smad(
     expert_xs = np.full((horizon, n_total, n), np.nan)
     expert_losses = np.full((horizon, n_total), np.nan)
     p_hist = np.full((horizon, n_total), np.nan)
-    pool_empty_until = 0
 
-    last_output = x.copy()
-    for t in range(1, horizon + 1):
+    first = pending[0][0] if pending else horizon + 1
+    pool_empty_until = 0 if pool.n_active else min(max(first - 1, 0), horizon)
+    if pool_empty_until:
+        plain = run_predictive_ogd(
+            family, cset, thetas[:pool_empty_until],
+            DescentConfig(pool.eta, pool.inner_steps), x,
+        )
+        xs[:pool_empty_until] = plain.xs
+        losses[:pool_empty_until] = plain.losses
+        record[seed_len : seed_len + pool_empty_until] = thetas[:pool_empty_until]
+
+    for t in range(pool_empty_until + 1, horizon + 1):
         i = t - 1
         while pending and pending[0][0] <= t:
             _, predictor = pending.pop(0)
-            # the entrant inherits the previous played point, not the
-            # fallback's pre-stepped iterate
-            pool.activate(predictor, x_init=last_output, t=t)
+            # the entrant starts from the previous round's play
+            pool.activate(predictor, x_init=xs[i - 1] if i else x, t=t)
         theta_t = thetas[i]
-        if pool.n_active == 0:
-            xs[i] = x
-            losses[i] = family.value(x, theta_t)
-            last_output = xs[i]
-            x = ogd_step(family, cset, x, theta_t, pool.eta, pool.inner_steps)
-            pool_empty_until = t
-        else:
-            x = pool.step(family, cset, theta_t, record[: seed_len + i])
-            xs[i] = x
-            losses[i] = family.value(x, theta_t)
-            last_output = xs[i]
-            m_act = pool.n_active
-            expert_xs[i, :m_act] = pool.last_moves
-            expert_losses[i, :m_act] = pool.last_losses
-            p_hist[i, :m_act] = pool.distribution()
+        xs[i] = pool.step(family, cset, theta_t, record[: seed_len + i])
+        losses[i] = family.value(xs[i], theta_t)
+        m_act = pool.n_active
+        expert_xs[i, :m_act] = pool.last_moves
+        expert_losses[i, :m_act] = pool.last_losses
+        p_hist[i, :m_act] = pool.distribution()
         record[seed_len + i] = theta_t
 
     p_theta = np.full(n_total, np.nan)
@@ -370,4 +370,6 @@ def run_smad(
         pool_empty_until=pool_empty_until,
         aim_lo=None if pool.aim_lo is None else pool.aim_lo.copy(),
         aim_hi=None if pool.aim_hi is None else pool.aim_hi.copy(),
+        eta=pool.eta,
+        inner_steps=pool.inner_steps,
     )

@@ -49,9 +49,10 @@ def record() -> dict:
         "run_exp2": run_exp2(resolve_config(unchecked, "exp2")),
         "run_exp3": run_exp3(resolve_config({"repetitions": REPS}, "exp3")),
         "run_custom": run_custom(resolve_config({"repetitions": REPS}, "custom")),
+        # standard descent in both arms: persistence aims at the last observation
         "run_custom_standard": run_custom(
             resolve_config(
-                {"repetitions": REPS, "descent": {"mode": "standard"}}, "custom"
+                {"repetitions": REPS, "predictor": {"kind": "persistence"}}, "custom"
             )
         ),
     }

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from poco.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from poco.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from poco.config import (
     ConfigError,
     config_hash,
@@ -54,10 +54,11 @@ class TestConfigResolution:
     @pytest.mark.parametrize(
         "section,key,value",
         [("objective", "kind", "quadratic_tracking"), ("scenario", "kind", "switching"),
-         ("domain", "dimension", 2)],
+         ("domain", "dimension", 2), ("descent", "mode", "standard")],
     )
     def test_removed_unread_keys_rejected(self, section, key, value):
-        # one-value choices and a dimension the objective weights already fix
+        # one-value choices, a dimension the objective weights already fix,
+        # and the descent mode a persistence predictor now expresses
         with pytest.raises(ConfigError, match=f"unknown config key {section}.{key}"):
             resolve_config({section: {key: value}}, "exp1")
 
@@ -178,7 +179,7 @@ class TestCommands:
         assert "synthetic stand-in" in lines
 
     def test_run_custom(self, tmp_path):
-        cfg = self.fast_cfg(tmp_path, {"descent": {"mode": "standard"}})
+        cfg = self.fast_cfg(tmp_path, {"predictor": {"kind": "persistence"}})
         out = str(tmp_path / "oc")
         assert main(["run-custom", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
         body = open(os.path.join(out, "curve.csv")).read().strip().splitlines()
@@ -356,7 +357,6 @@ UNREAD_KEY_CASES = [
     pytest.param("run-exp3", {"descent": {"eta": 0.001}}, id="exp3-descent.eta"),
     pytest.param("run-exp3", {"smad": {"gamma": 1.0}}, id="exp3-smad.gamma"),
     pytest.param("run-exp3", {"horizon": 30}, id="exp3-horizon"),
-    pytest.param("run-exp2", {"descent": {"mode": "standard"}}, id="exp2-descent.mode"),
     pytest.param("run-exp2", {"predictor": {"order": 2}}, id="exp2-predictor.order"),
     pytest.param("run-exp1", {"smad": {"beta": 0.5}}, id="exp1-smad.beta"),
     pytest.param("run-exp1", {"exp3": {"eta": 0.5}}, id="exp1-exp3.eta"),
@@ -389,6 +389,15 @@ class TestBadCsvIsADataError:
         assert self._exit_code(tmp_path, command, path) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(path) in err
+
+    def test_fit_ar_series_too_short_for_the_order(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("a,b\n1.0,2.0\n1.5,2.5\n")
+        assert main(["fit-ar", "--csv", str(path), "--order", "2"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {path}: ")
+        assert "needs at least 5 observations, have 2" in captured.err
 
 
 class TestConfigReachesTheRun:
@@ -505,6 +514,41 @@ class TestConfigReachesTheRun:
         assert exp1_text.split("[ogd]")[1].replace("[predictive]", "") == (
             custom_text.split("[baseline]")[1].replace("[method]", "")
         )
+
+    @pytest.mark.parametrize(
+        "command,cfg",
+        [("run-custom", {"domain": {"kind": "simplex"}}),
+         ("run-exp1", {"descent": {"x1": [0.0, 60.0]}}),
+         ("check-bounds", {"descent": {"x1": [0.0, 60.0]}})],
+        ids=["custom-simplex-default-x1", "exp1-x1-outside-ball", "check-bounds"],
+    )
+    def test_x1_outside_the_domain_is_a_config_error(self, tmp_path, capsys, command, cfg):
+        flags = ("--runs", "1", "--expert-runs", "1") if command == "check-bounds" else ()
+        code, out = _run(tmp_path, command, "x1", {"repetitions": 1, **cfg}, *flags)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: descent.x1=")
+        assert "outside the" in err and not out.exists()
+
+    def test_check_bounds_fails_on_a_hedge_violation_alone(self, tmp_path, monkeypatch):
+        import poco.experiments as experiments
+        from poco.experiments import BoundCheckRecord, BoundStudyResult
+
+        def violated(cfg, n_runs):
+            rec = BoundCheckRecord(
+                reg_d=1.0, bound=2.0, holds=True,
+                hedge_gap=3.0, hedge_bound=2.0, hedge_holds=False,
+            )
+            return BoundStudyResult(records=[rec], label="expert-pool regret bound")
+
+        monkeypatch.setattr(experiments, "run_expert_bound_study", violated)
+        code = main([
+            "check-bounds", "--runs", "1", "--expert-runs", "1",
+            "--out", str(tmp_path / "cb"), "--quiet",
+        ])
+        assert code == EXIT_CHECK_FAILED
+        text = (tmp_path / "cb" / "summary.txt").read_text()
+        assert "RESULT: BOUND VIOLATION" in text
 
     def test_check_bounds_studies_share_the_config_scenario(self, tmp_path, monkeypatch):
         import poco.experiments as experiments

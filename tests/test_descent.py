@@ -53,8 +53,6 @@ class TestDescentConfig:
             DescentConfig(eta=0.0)
         with pytest.raises(ValueError):
             DescentConfig(eta=0.1, inner_steps=0)
-        with pytest.raises(ValueError):
-            DescentConfig(eta=0.1, mode="clairvoyant")
 
 
 class TestContractionProperty:
@@ -100,7 +98,7 @@ class TestRunLoop:
         proc = SwitchingProcessSpec(horizon=80)
         thetas = gen_switching(proc, 1)
         traj = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(ETA, 1, "standard"), (0.0, 40.0)
+            family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0)
         )
         for x in traj.xs:
             assert cset.contains(x, tol=1e-9)
@@ -110,7 +108,7 @@ class TestRunLoop:
         thetas = np.zeros((3, 3))
         with pytest.raises(ValueError, match="constraint set"):
             run_predictive_ogd(
-                family, cset, thetas, DescentConfig(ETA, 1, "standard"), (60.0, 0.0)
+                family, cset, thetas, DescentConfig(ETA, 1), (60.0, 0.0)
             )
 
     def test_bitwise_determinism(self):
@@ -121,7 +119,7 @@ class TestRunLoop:
             thetas = gen_switching(proc, 7)
             pred = VarPredictor(order=2, indices=(0, 1))
             return run_predictive_ogd(
-                family, cset, thetas, DescentConfig(ETA, 1, "predictive"), (0.0, 40.0),
+                family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0),
                 predictor=pred,
             )
 
@@ -135,7 +133,7 @@ class TestRunLoop:
         thetas = np.tile(np.array([10.0, 5.0, 2.0]), (3, 1))
         x1 = np.array([10.0, 5.0])  # the minimizer, feasible
         traj = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(ETA, 1, "predictive"), x1,
+            family, cset, thetas, DescentConfig(ETA, 1), x1,
             predictor=NoisyOracle(thetas, 0.0),
         )
         np.testing.assert_allclose(traj.losses, 2.0, atol=1e-12)
@@ -148,10 +146,10 @@ class TestRunLoop:
         proc = SwitchingProcessSpec(horizon=40)
         thetas = gen_switching(proc, 3)
         std = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(ETA, 1, "standard"), (0.0, 40.0)
+            family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0)
         )
         pred = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(ETA, 1, "predictive"), (0.0, 40.0),
+            family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0),
             predictor=VarPredictor(order=4, min_history=10, indices=(0, 1)),
         )
         assert pred.predictor_active_from == 11
@@ -165,7 +163,7 @@ class TestRunLoop:
         proc = SwitchingProcessSpec(horizon=20)
         thetas = gen_switching(proc, 9)
         std = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(ETA, 1, "standard"), (0.0, 40.0)
+            family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0)
         )
         np.testing.assert_array_equal(std.theta_hats[1:], thetas[:-1])
 
@@ -174,10 +172,10 @@ class TestRunLoop:
         proc = SwitchingProcessSpec(horizon=200)
         thetas = gen_switching(proc, 11)
         std = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(ETA, 1, "standard"), (0.0, 40.0)
+            family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0)
         )
         pred = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(ETA, 1, "predictive"), (0.0, 40.0),
+            family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0),
             predictor=NoisyOracle(thetas, 0.0),
         )
         assert pred.losses.sum() <= std.losses.sum()
@@ -189,7 +187,7 @@ class TestRunLoop:
         proc = SwitchingProcessSpec(horizon=120)
         thetas = gen_switching(proc, 5)
         traj = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(ETA, 1, "standard"), (0.0, 40.0)
+            family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0)
         )
         xstars = minimizers_batch(family, cset, thetas)
         per_step = traj.losses - family.value_rows(xstars, thetas)
@@ -205,7 +203,7 @@ class TestRunLoop:
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=12), 2)
         traj = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(ETA, 3, "standard"), (0.0, 40.0)
+            family, cset, thetas, DescentConfig(ETA, 3), (0.0, 40.0)
         )
         assert traj.inner_steps == 3
         assert isinstance(traj, Trajectory)

@@ -80,12 +80,12 @@ class TestExp1:
         proc = SwitchingProcessSpec(noise_scale=0.0, horizon=160)
         thetas = gen_switching(proc, 0)
         std = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(1 / 200, 1, "standard"), (0.0, 40.0)
+            family, cset, thetas, DescentConfig(1 / 200, 1), (0.0, 40.0)
         )
         from poco.predictors import VarPredictor
 
         pred = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(1 / 200, 1, "predictive"), (0.0, 40.0),
+            family, cset, thetas, DescentConfig(1 / 200, 1), (0.0, 40.0),
             predictor=VarPredictor(order=4, min_history=10, indices=(0, 1)),
         )
         switch_rounds = np.array([t for t in range(30, 161) if (t - 1) % 4 == 0])
@@ -97,7 +97,7 @@ class TestExp1:
         from poco.cli import run_custom
 
         cfg = resolve_config(
-            {"repetitions": 3, "horizon": 40, "descent": {"mode": "standard"}},
+            {"repetitions": 3, "horizon": 40, "predictor": {"kind": "persistence"}},
             experiment="custom",
         )
         res = run_custom(cfg)
@@ -121,7 +121,7 @@ class TestExp2:
         proc = SwitchingProcessSpec(dwell=tuple(cfg["scenario"]["dwell"]), horizon=cfg["horizon"])
         thetas = gen_switching(proc, 42)
         ogd = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(eta, 1, "standard"), x1
+            family, cset, thetas, DescentConfig(eta, 1), x1
         )
         pool = ExpertPool(capacity=5, beta=smad["beta"], gamma=smad["gamma"], eta=eta)
         roster = [(first + 10 * i, NoisyOracle(thetas, 0.0)) for i in range(5)]
@@ -173,7 +173,7 @@ class TestExp3:
         cset = UnitSimplex(market.n_assets, mode="renormalize")
         traj = run_predictive_ogd(
             family, cset, thetas[sec["observe_months"] :],
-            DescentConfig(sec["eta"], 1, "standard"), cset.interior_point(),
+            DescentConfig(sec["eta"], 1), cset.interior_point(),
         )
         np.testing.assert_allclose(traj.xs[0], np.full(37, 1.0 / 37.0))
 
@@ -226,6 +226,20 @@ class TestBoundStudies:
         for k in (2, 3):
             st = run_predictive_bound_study(resolve_config({}, "exp1"), 4, inner_steps=k)
             assert st.all_hold
+
+    def test_all_hold_covers_the_aggregation_inequality(self):
+        from poco.experiments import BoundCheckRecord, BoundStudyResult
+
+        def study(hedge_holds):
+            rec = BoundCheckRecord(
+                reg_d=1.0, bound=2.0, holds=True,
+                hedge_gap=0.5, hedge_bound=1.0, hedge_holds=hedge_holds,
+            )
+            return BoundStudyResult(records=[rec], label="expert-pool regret bound")
+
+        assert study(None).all_hold and study(True).all_hold
+        assert not study(False).all_hold
+        assert study(False).n_pass == 1  # the regret bound itself held
 
     def test_expert_study_holds_with_hedge(self):
         st = run_expert_bound_study(resolve_config({}, "exp1"), 4)

@@ -226,21 +226,21 @@ class TestLedger:
         thetas = gen_switching(proc, 19)
         shifted = thetas.copy()
         shifted[:, 2] += 123.456
-        cfg = DescentConfig(1.0 / 200.0, 1, "standard")
+        cfg = DescentConfig(1.0 / 200.0, 1)
         a = run_predictive_ogd(family, cset, thetas, cfg, (0.0, 40.0))
         b = run_predictive_ogd(family, cset, shifted, cfg, (0.0, 40.0))
-        la = build_ledger(family, cset, a, 1.0 / 200.0)
-        lb = build_ledger(family, cset, b, 1.0 / 200.0)
+        la = build_ledger(family, cset, a)
+        lb = build_ledger(family, cset, b)
         assert la.reg_d == pytest.approx(lb.reg_d, abs=1e-9 * max(1.0, abs(la.reg_d)))
 
     def test_bound_holds_on_predictive_run(self):
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=120), 20)
         traj = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(1.0 / 200.0, 1, "predictive"),
+            family, cset, thetas, DescentConfig(1.0 / 200.0, 1),
             (0.0, 40.0), predictor=VarPredictor(order=4, min_history=10, indices=(0, 1)),
         )
-        ledger = build_ledger(family, cset, traj, 1.0 / 200.0)
+        ledger = build_ledger(family, cset, traj)
         assert ledger.bound_holds
         assert ledger.reg_d <= ledger.bound
         assert ledger.p_theta > 0
@@ -265,10 +265,10 @@ class TestLedger:
             thetas.append(family.pack(rng.normal(size=3), a @ a.T + 0.1 * np.eye(3), 1.0))
         thetas = np.stack(thetas)
         traj = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(0.05, 1, "standard"),
+            family, cset, thetas, DescentConfig(0.05, 1),
             np.full(3, 1.0 / 3.0),
         )
-        ledger = build_ledger(family, cset, traj, 0.05)
+        ledger = build_ledger(family, cset, traj)
         assert ledger.bound is None
         assert "nonexpansive" in ledger.bound_skipped_reason
         assert ledger.reg_d >= -1e-9
@@ -284,9 +284,9 @@ class TestLedger:
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=30), 22)
         traj = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(1.0 / 200.0, 1, "standard"), (0.0, 40.0)
+            family, cset, thetas, DescentConfig(1.0 / 200.0, 1), (0.0, 40.0)
         )
-        ledger = build_ledger(family, cset, traj, 1.0 / 200.0)
+        ledger = build_ledger(family, cset, traj)
         text = "\n".join(ledger.summary_lines())
         assert "Reg_D" in text and "regret bound" in text and "PASS" in text
 
@@ -304,7 +304,7 @@ class TestPoolLedger:
         thetas = gen_switching(SwitchingProcessSpec(horizon=60), 23)
         noisy = NoisyOracle(thetas, noise_std=40.0, rng=np.random.default_rng(5))
         family, cset, traj = self.pool_run(thetas, predictors=[Persistence(), noisy])
-        ledger = build_ledger(family, cset, traj, 1.0 / 200.0, check_bound=False)
+        ledger = build_ledger(family, cset, traj, check_bound=False)
         box = realized_theta_box(thetas, traj.aim_lo[None], traj.aim_hi[None])
         assert ledger.constants == family.derive_constants(cset, box)
         assert ledger.constants.D > family.derive_constants(cset, realized_theta_box(thetas)).D
@@ -315,15 +315,15 @@ class TestPoolLedger:
         thetas = gen_switching(SwitchingProcessSpec(horizon=40), 24)
         family, cset, traj = self.pool_run(thetas, roster=[(100, Persistence())])
         assert traj.aim_lo is None and math.isnan(traj.p_theta)
-        ledger = build_ledger(family, cset, traj, 1.0 / 200.0, check_bound=False)
+        ledger = build_ledger(family, cset, traj, check_bound=False)
         assert ledger.constants == family.derive_constants(cset, realized_theta_box(thetas))
 
     def test_descent_record_exposes_its_aims(self):
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=40), 25)
         traj = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(1.0 / 200.0, 1, "standard"), (0.0, 40.0)
+            family, cset, thetas, DescentConfig(1.0 / 200.0, 1), (0.0, 40.0)
         )
         np.testing.assert_array_equal(traj.aim_lo, traj.theta_hats.min(axis=0))
         np.testing.assert_array_equal(traj.aim_hi, traj.theta_hats.max(axis=0))
-        assert build_ledger(family, cset, traj, 1.0 / 200.0).p_theta == traj.p_theta
+        assert build_ledger(family, cset, traj).p_theta == traj.p_theta

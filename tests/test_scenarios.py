@@ -149,6 +149,16 @@ class TestMarketData:
         with pytest.raises(DataError, match="row 2, column 2"):
             load_market_csv(path)
 
+    @pytest.mark.parametrize("bad", ["0.0", "inf"])
+    def test_csv_errors_name_the_file_line(self, tmp_path, bad):
+        # the header is line 1 and a blank line still counts, so the bad
+        # cell is on line 4 whether the positivity or the finiteness check
+        # rejects it
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n1.0,1.0\n\n1.0,{bad}\n")
+        with pytest.raises(DataError, match="row 4, column 2"):
+            load_market_csv(path)
+
     def test_synthetic_market_positive_and_deterministic(self):
         a = synthetic_market(n_assets=5, n_days=100, seed=9)
         b = synthetic_market(n_assets=5, n_days=100, seed=9)

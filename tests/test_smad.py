@@ -141,6 +141,8 @@ class TestActivation:
             ExpertPool(capacity=2, beta=1.0, gamma=1.0, eta=ETA)
         with pytest.raises(ValueError):
             ExpertPool(capacity=2, beta=0.2, gamma=0.0, eta=ETA)
+        with pytest.raises(ValueError, match="inner_steps"):
+            ExpertPool(capacity=2, beta=0.2, gamma=1.0, eta=ETA, inner_steps=0)
 
 
 class TestGibbsUpdate:
@@ -227,7 +229,7 @@ class TestRunSmad:
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=40), 4)
         std = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(ETA, 1, "standard"), (0.0, 40.0)
+            family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0)
         )
         pool = ExpertPool(capacity=1, beta=0.2, gamma=1e-6, eta=ETA)
         roster = [(15, Persistence())]
@@ -240,7 +242,7 @@ class TestRunSmad:
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=20), 6)
         std = run_predictive_ogd(
-            family, cset, thetas, DescentConfig(ETA, 1, "standard"), (0.0, 40.0)
+            family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0)
         )
         pool = ExpertPool(capacity=1, beta=0.2, gamma=1e-6, eta=ETA)
         traj = run_smad(family, cset, thetas, pool, (0.0, 40.0), roster=[(5, Persistence())])
