@@ -110,7 +110,7 @@ def _at_least_one(flag: str, value, default=None) -> int:
     return value
 
 
-def cmd_check_bounds(args) -> int:
+def cmd_verify_bounds(args) -> int:
     cfg = _load_config(args, args.experiment or "exp1")
     runs = _at_least_one("--runs", args.runs, cfg["bounds"]["runs"])
     expert_runs = _at_least_one("--expert-runs", args.expert_runs, cfg["bounds"]["expert_runs"])
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--expert-runs", dest="expert_runs", type=int,
                      help="expert-pool bound runs (default 50)")
     sub.add_argument("--experiment", choices=("exp1", "exp2"), help="base config")
-    sub.set_defaults(func=cmd_check_bounds)
+    sub.set_defaults(func=cmd_verify_bounds)
 
     sub = subs.add_parser("project", help="project a vector onto a constraint set")
     sub.add_argument("--kind", choices=("ball", "simplex"), required=True)

@@ -68,6 +68,18 @@ def _v_num(minimum=None, strict=False):
     return check
 
 
+def _v_fraction(strict=False):
+    """A number in [0, 1], or in (0, 1) when ``strict``."""
+    def check(section, key, val):
+        val = _v_num()(section, key, val)
+        if not (0.0 < val < 1.0 if strict else 0.0 <= val <= 1.0):
+            interval = "(0, 1)" if strict else "[0, 1]"
+            raise _type_error(section, key, f"a number in {interval}", val)
+        return val
+
+    return check
+
+
 def _v_choice(*choices):
     def check(section, key, val):
         if val not in choices:
@@ -169,7 +181,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "noise_clip": Key(_v_opt(_v_num(0.0, strict=True)), None),
     },
     "smad": {
-        "beta": Key(_v_num(0.0, strict=True), 0.2),
+        "beta": Key(_v_fraction(strict=True), 0.2),
         "gamma": Key(_v_gamma, 5e-7),
         "expert_orders": Key(_v_int_list(1), [1, 2, 3, 4, 5]),
         "first_activation": Key(_v_int(1), 10),
@@ -186,13 +198,13 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "client_lookback": Key(_v_int(2), 50),
         "eta": Key(_v_num(0.0, strict=True), 0.1),
         "gamma": Key(_v_num(0.0, strict=True), 50.0),
-        "beta": Key(_v_num(0.0, strict=True), 0.2),
+        "beta": Key(_v_fraction(strict=True), 0.2),
         "observe_months": Key(_v_int(1), 10),
         "eval_months": Key(_v_int(1), 150),
         "month_days": Key(_v_int(1), 30),
         "risk_base": Key(_v_num(0.0), 4.0),
         "risk_warmup_days": Key(_v_int(0), 240),
-        "risk_stay_prob": Key(_v_num(0.0), 0.9),
+        "risk_stay_prob": Key(_v_fraction(), 0.9),
         "risk_noise_var": Key(_v_num(0.0), 0.64),
         "risk_jump_low": Key(_v_int(0), 1),
         "risk_jump_high": Key(_v_int(0), 20),
@@ -289,6 +301,12 @@ def _cross_checks(cfg: dict) -> None:
         raise ConfigError(
             "scenario.state_a and state_b must hold one target per objective "
             "weight plus an offset"
+        )
+    m = len(cfg["scenario"]["state_a"])
+    if any(i >= m for i in cfg["predictor"]["indices"] or ()):
+        raise ConfigError(
+            f"predictor.indices={cfg['predictor']['indices']} must index the {m} "
+            "parameter components that scenario.state_a defines"
         )
     if len(cfg["descent"]["x1"]) != n:
         raise ConfigError("descent.x1 and objective.weights must agree on dimension")

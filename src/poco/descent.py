@@ -60,10 +60,12 @@ class Trajectory:
     entry 0 is a copy of thetas[0] and is never scored by the prediction
     regularity.  ``predictor_active_from`` is the first 1-based round whose
     play came out of a live predictor, or None if no predictor ever produced
-    a step.  ``p_theta``, the aim range ``aim_lo``/``aim_hi``, ``eta`` and
-    ``inner_steps`` are the fields a regret ledger reads, as for
-    :class:`poco.smad.SmadTrajectory`.
+    a step.  ``p_theta``, the aim range ``aim_lo``/``aim_hi``, ``eta``,
+    ``inner_steps`` and ``bound_skipped_reason`` are the fields a regret
+    ledger reads, as for :class:`poco.smad.SmadTrajectory`.
     """
+
+    bound_skipped_reason = None  # the predictive-descent bound covers every descent run
 
     xs: np.ndarray
     thetas: np.ndarray

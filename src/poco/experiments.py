@@ -15,7 +15,7 @@ uses child r.  Rerunning with the same master seed reproduces every byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -235,9 +235,7 @@ def run_exp2(cfg: dict) -> ExperimentResult:
     indices = cfg["predictor"]["indices"]
 
     def expert_pool(thetas, _):
-        pool = ExpertPool(
-            capacity=len(orders), beta=beta, gamma=gamma, eta=eta, inner_steps=inner_steps
-        )
+        pool = ExpertPool(beta=beta, gamma=gamma, eta=eta, inner_steps=inner_steps)
         roster = [
             (when, VarPredictor(order=k, indices=indices))
             for when, k in zip(schedule, orders)
@@ -260,11 +258,7 @@ def run_exp2(cfg: dict) -> ExperimentResult:
     ]
     if checked:
         ledgers["ogd"] = build_ledger(family, cset, ogd)
-        # mid-run activations void the fixed-pool bound; report accounting only
-        ledgers["smad"] = replace(
-            build_ledger(family, cset, smad_traj, check_bound=False),
-            bound_skipped_reason="experts joined mid-run; the fixed-pool bound does not apply",
-        )
+        ledgers["smad"] = build_ledger(family, cset, smad_traj)
     return ExperimentResult(curve=curve, ledgers=ledgers, notes=notes)
 
 
@@ -430,17 +424,14 @@ def run_exp3(cfg: dict, data: Optional[MarketData] = None) -> ExperimentResult:
 
     def expert_pool(eval_thetas, history):
         forecasts = RiskForecastCache(ar_orders)
-        predictors = [
-            MarkowitzModelPredictor(family, moments, lb, k, forecasts=forecasts)
+        roster = [
+            (1, MarkowitzModelPredictor(family, moments, lb, k, forecasts=forecasts))
             for lb in lookbacks
             for k in ar_orders
         ]
-        pool = ExpertPool(
-            capacity=len(predictors), beta=sec["beta"], gamma=gamma, eta=eta
-        )
-        pool.initialize(predictors, x_init=x1, t=1)
+        pool = ExpertPool(beta=sec["beta"], gamma=gamma, eta=eta)
         return run_smad(
-            family, cset, eval_thetas, pool, x1, initial_history=history
+            family, cset, eval_thetas, pool, x1, roster=roster, initial_history=history
         )
 
     curve, _ = compare_to_ogd(
@@ -562,12 +553,11 @@ def run_expert_bound_study(cfg: dict, n_runs: int) -> BoundStudyResult:
             Persistence(),
             VarPredictor(order=2, indices=cfg["predictor"]["indices"]),
         ]
-        pool = ExpertPool(
-            capacity=len(predictors), beta=0.2, gamma=gamma, eta=eta
+        pool = ExpertPool(beta=0.2, gamma=gamma, eta=eta)
+        traj = run_smad(
+            family, cset, thetas, pool, x1, roster=[(1, p) for p in predictors]
         )
-        pool.initialize(predictors, x_init=x1, t=1)
-        traj = run_smad(family, cset, thetas, pool, x1)
-        ledger = build_ledger(family, cset, traj, check_bound=False)
+        ledger = build_ledger(family, cset, traj)
 
         # the starting gap is the farthest expert first play from x*_1
         gaps = np.linalg.norm(traj.first_plays - ledger.minimizers[0], axis=1)

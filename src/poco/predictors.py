@@ -107,24 +107,23 @@ def _solve_yule_walker(
     gammas: np.ndarray, ybar: np.ndarray, order: int, ridge: float
 ) -> VarFit:
     d = ybar.shape[0]
-    big = np.empty((order * d, order * d))
-    for i in range(order):
-        for j in range(order):
-            lag = i - j
-            block = gammas[lag].T if lag >= 0 else gammas[-lag]
-            big[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
+    # block (i, j) is Gamma(i - j)', with Gamma(-h) = Gamma(h)'; lags[k]
+    # holds lag k - (order - 1)
+    lags = np.concatenate(
+        [gammas[order - 1 : 0 : -1], gammas[:order].transpose(0, 2, 1)]
+    )
+    steps = np.arange(order)
+    blocks = lags[steps[:, None] - steps[None, :] + order - 1]
+    big = blocks.transpose(0, 2, 1, 3).reshape(order * d, order * d)
     big.flat[:: order * d + 1] += ridge
-    rhs = np.concatenate([gammas[h].T for h in range(1, order + 1)], axis=0)
+    rhs = gammas[1 : order + 1].transpose(0, 2, 1).reshape(order * d, d)
     try:
         sol = np.linalg.solve(big, rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             f"Yule-Walker system singular even with ridge {ridge}"
         ) from exc
-    phis = np.stack(
-        [sol[h * d : (h + 1) * d].T for h in range(order)]
-    )
-    return VarFit(phis=phis, mean=ybar)
+    return VarFit(phis=sol.reshape(order, d, d).transpose(0, 2, 1), mean=ybar)
 
 
 def fit_var_yule_walker(
@@ -185,7 +184,6 @@ class VarPredictor:
         refit_every: Optional[int] = 1,
         min_history: Optional[int] = None,
         indices: Optional[Sequence[int]] = None,
-        ridge: float = DEFAULT_RIDGE,
     ):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
@@ -199,7 +197,6 @@ class VarPredictor:
                 f"min_history must be at least 2*order+1 = {2 * order + 1}"
             )
         self.indices = None if indices is None else tuple(int(i) for i in indices)
-        self.ridge = ridge
         self._fit: Optional[VarFit] = None
         self._fit_at: int = -1
 
@@ -218,7 +215,7 @@ class VarPredictor:
             self.refit_every is not None and n_obs - self._fit_at >= self.refit_every
         )
         if needs_fit:
-            self._fit = fit_var_yule_walker(sub, self.order, ridge=self.ridge)
+            self._fit = fit_var_yule_walker(sub, self.order)
             self._fit_at = n_obs
         sub_hat = var_predict(self._fit, sub)
         if self.indices is None:

@@ -272,19 +272,18 @@ def build_ledger(
     family,
     cset: ConstraintSet,
     trajectory,
-    check_bound: bool = True,
 ) -> RegretLedger:
     """Assemble the regret accounting for a finished run.
 
     ``trajectory`` is a descent ``Trajectory`` or a pool ``SmadTrajectory``;
     the ledger reads its ``thetas``, ``losses``, ``xs[0]``, prediction
-    regularity ``p_theta``, aim range ``aim_lo``/``aim_hi`` and the step
-    size ``eta`` and ``inner_steps`` the run descended with.  Constants
-    come from ``derive_constants`` over the bounding box of the realized
-    parameters and the aims actually descended toward (the parameters
-    alone when nothing was aimed at).  The predictive-descent bound is
-    evaluated only on nonexpansive projections; heuristic runs get a logged
-    notice instead.
+    regularity ``p_theta``, aim range ``aim_lo``/``aim_hi``, the ``eta``
+    and ``inner_steps`` it descended with and its ``bound_skipped_reason``.
+    Constants come from ``derive_constants`` over the bounding box of the
+    realized parameters and the aims actually descended toward (the
+    parameters alone when nothing was aimed at).  The predictive-descent
+    bound is evaluated only when the run gives no skip reason and the
+    projection is nonexpansive; heuristic runs get a logged notice instead.
     """
     eta, inner_steps = trajectory.eta, trajectory.inner_steps
     xstars = minimizers_batch(family, cset, trajectory.thetas)
@@ -301,20 +300,19 @@ def build_ledger(
     contraction = None
     bound = None
     holds = None
-    skipped = None
-    if check_bound:
-        if not cset.nonexpansive:
-            skipped = (
-                "projection mode is not nonexpansive; the contraction "
-                "argument behind the bound does not apply"
-            )
-            logger.info("bound check skipped: %s", skipped)
-        else:
-            contraction = contraction_factor(constants, eta)
-            bound = predictive_regret_bound(
-                constants, eta, x1_gap, p_star, p_theta, k=inner_steps
-            )
-            holds = reg_d <= bound + BOUND_SLACK * (1.0 + abs(bound))
+    skipped = trajectory.bound_skipped_reason
+    if skipped is None and not cset.nonexpansive:
+        skipped = (
+            "projection mode is not nonexpansive; the contraction "
+            "argument behind the bound does not apply"
+        )
+        logger.info("bound check skipped: %s", skipped)
+    if skipped is None:
+        contraction = contraction_factor(constants, eta)
+        bound = predictive_regret_bound(
+            constants, eta, x1_gap, p_star, p_theta, k=inner_steps
+        )
+        holds = reg_d <= bound + BOUND_SLACK * (1.0 + abs(bound))
 
     return RegretLedger(
         losses=np.asarray(trajectory.losses, dtype=float),

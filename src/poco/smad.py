@@ -4,10 +4,11 @@ A pool of experts, each wrapping its own parameter predictor and running its
 own predictive descent iterate, is aggregated by an exponentially weighted
 average.  After every round each expert is scored with l_i =
 exp(-gamma * f(v_i, theta_t)) and the mixture is reweighted by the Gibbs
-rule w_i = p_i * l_i (applied once per round).  Experts joining mid-run are
-mixed in with mass beta: existing weights are scaled by (1 - beta) and the
-entrant starts at beta, with its iterate seeded at the previous aggregated
-output and its predictor fit on the full history observed so far.
+rule w_i = p_i * l_i (applied once per round).  Experts join from a roster:
+those that find the pool empty share its mass uniformly; each later entrant
+is mixed in with mass beta (existing weights are scaled by (1 - beta)),
+with its iterate seeded at the previous aggregated output and its predictor
+fit on the full history observed so far.
 
 Experts are rows of arrays, not objects: each round the predictors fill an
 (N, m) array of aims row by row, and every expert then descends toward its
@@ -53,31 +54,28 @@ def hedge_gap_bound(gamma: float, d_range: float, horizon: int, n_experts: int) 
 class ExpertPool:
     """Roster of experts with a normalized log-space weight vector.
 
-    Expert state is kept as arrays with one row per expert, in activation
-    order: iterates ``xs`` (N, n), first plays ``first_plays`` (N, n; NaN
-    until the expert's first round), prediction regularity ``p_theta`` (N,)
-    and activation rounds ``activated_at``.  After each :meth:`step`,
-    ``last_moves`` (N, n) holds every expert's move and ``last_losses`` (N,)
-    its loss against the realized parameter.
+    Experts join through :meth:`activate`; their state is kept as arrays
+    with one row per expert, in activation order: iterates ``xs`` (N, n),
+    first plays ``first_plays`` (N, n; NaN until the expert's first round),
+    prediction regularity ``p_theta`` (N,) and activation rounds
+    ``activated_at``.  After each :meth:`step`, ``last_moves`` (N, n) holds
+    every expert's move and ``last_losses`` (N,) its loss against the
+    realized parameter.
     """
 
     def __init__(
         self,
-        capacity: int,
         beta: float,
         gamma: float,
         eta: float,
         inner_steps: int = 1,
     ):
-        if int(capacity) < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         if not (0.0 < beta < 1.0):
             raise ValueError(f"beta must lie in (0, 1), got {beta}")
         if not (np.isfinite(gamma) and gamma > 0):
             raise ValueError(f"gamma must be positive, got {gamma}")
         descent = DescentConfig(eta, inner_steps)
         self.eta, self.inner_steps = descent.eta, descent.inner_steps
-        self.capacity = int(capacity)
         self.beta = float(beta)
         self.gamma = float(gamma)
         self.predictors: list = []
@@ -102,53 +100,33 @@ class ExpertPool:
     def distribution(self) -> np.ndarray:
         return np.exp(self.log_p)
 
-    def _admit(self, predictors: list, x_init, t: int) -> None:
-        x_init = np.asarray(x_init, dtype=float)
-        rows = np.tile(x_init, (len(predictors), 1))
-        unplayed = np.full_like(rows, np.nan)
-        if self.xs is None:
-            self.xs, self.first_plays = rows, unplayed
-        else:
-            self.xs = np.vstack([self.xs, rows])
-            self.first_plays = np.vstack([self.first_plays, unplayed])
-        self.predictors += predictors
-        self.activated_at += [t] * len(predictors)
-        self.p_theta = np.append(self.p_theta, np.zeros(len(predictors)))
+    def activate(self, predictors: Sequence[object], x_init, t: int) -> None:
+        """Admit experts at round ``t``, each starting from ``x_init``.
 
-    def initialize(self, predictors: Sequence[object], x_init, t: int = 1) -> None:
-        """Seed the starting roster with uniform weights.
-
-        This is the day-one pool; use :meth:`activate` for models that join
-        once the run is underway.  Starting uniform (rather than chaining the
-        beta mixing rule) is what the aggregation guarantee assumes.
+        Entrants that find the pool empty share its mass uniformly, the
+        day-one pool that the aggregation guarantee T*gamma*D^2/8 +
+        ln(N)/gamma assumes; into a nonempty pool each entrant in turn
+        scales the incumbents by (1 - beta) and takes mass beta.
         """
-        if self.n_active > 0:
-            raise RuntimeError("initialize requires an empty pool")
         predictors = list(predictors)
         if not predictors:
             raise ValueError("need at least one predictor")
-        if len(predictors) > self.capacity:
-            raise RuntimeError(
-                f"expert pool full: capacity {self.capacity} reached"
-            )
-        self._admit(predictors, x_init, t)
-        self.log_p = np.full(len(predictors), -math.log(len(predictors)))
-
-    def activate(self, predictor, x_init, t: int) -> None:
-        """Admit a new expert mid-run, scaling incumbents by (1 - beta)
-        and giving the entrant mass beta."""
-        if self.n_active >= self.capacity:
-            raise RuntimeError(
-                f"expert pool full: capacity {self.capacity} reached"
-            )
-        self._admit([predictor], x_init, t)
-        if self.n_active == 1:
-            self.log_p = np.zeros(1)
+        rows = np.tile(np.asarray(x_init, dtype=float), (len(predictors), 1))
+        unplayed = np.full_like(rows, np.nan)
+        if self.n_active == 0:
+            self.xs, self.first_plays = rows, unplayed
+            self.log_p = np.full(len(predictors), -math.log(len(predictors)))
         else:
-            self.log_p = np.append(
-                self.log_p + math.log1p(-self.beta), math.log(self.beta)
-            )
-            self.log_p -= _logsumexp(self.log_p)
+            self.xs = np.vstack([self.xs, rows])
+            self.first_plays = np.vstack([self.first_plays, unplayed])
+            for _ in predictors:
+                self.log_p = np.append(
+                    self.log_p + math.log1p(-self.beta), math.log(self.beta)
+                )
+                self.log_p -= _logsumexp(self.log_p)
+        self.predictors += predictors
+        self.activated_at += [t] * len(predictors)
+        self.p_theta = np.append(self.p_theta, np.zeros(len(predictors)))
 
     def step(self, family, cset: ConstraintSet, theta_t, history) -> np.ndarray:
         """One round: expert descent steps, aggregation, Gibbs reweighting.
@@ -242,7 +220,9 @@ class SmadTrajectory:
     ``aim_lo``/``aim_hi`` copy the pool's aim range (None when no expert
     ever aimed), ``p_theta`` is the best expert's prediction regularity and
     ``eta``/``inner_steps`` are the pool's; a regret ledger reads them as it
-    reads a descent ``Trajectory``.
+    reads a descent ``Trajectory``.  ``bound_skipped_reason`` says why the
+    predictive-descent bound, which covers one descent run, does not apply;
+    a pool that was empty in round 1 or admitted experts later is mid-run.
     """
 
     xs: np.ndarray  # (T, n) aggregated plays
@@ -269,6 +249,15 @@ class SmadTrajectory:
         """The smallest expert regularity; NaN when no expert was active."""
         return float(np.fmin.reduce(self.p_theta_by_expert))
 
+    @property
+    def bound_skipped_reason(self) -> str:
+        if self.pool_empty_until or any(t > 1 for t in self.activation_times):
+            return "experts joined mid-run; the fixed-pool bound does not apply"
+        return (
+            "an expert pool is not a single descent run; the "
+            "predictive-descent bound does not apply"
+        )
+
     def expert_cumulative_losses(self) -> np.ndarray:
         return np.nansum(self.expert_losses, axis=0)
 
@@ -289,13 +278,16 @@ def run_smad(
 ) -> SmadTrajectory:
     """Drive an expert pool over a realized parameter sequence.
 
-    ``roster`` lists (activation round, predictor) pairs handled at the top
-    of the given round.  Rounds before the first activation into an empty
-    pool are played by one standard-descent ``run_predictive_ogd`` call with
-    the pool's ``eta`` and ``inner_steps``, so a run whose first activation
-    is late stays identical to the standard baseline until then; the first
-    entrant starts from the last of those plays.  ``initial_history`` seeds
-    the observation record (data available before round 1).
+    ``roster`` lists (activation round, predictor) pairs; a day-one pool
+    puts every entry in round 1.  At the top of each round the entrants due
+    by then join through one :meth:`ExpertPool.activate` call, in roster
+    order, starting from the previous round's play (``x1`` in round 1).
+    Rounds before the first activation into an empty pool are played by one
+    standard-descent ``run_predictive_ogd`` call with the pool's ``eta`` and
+    ``inner_steps``, so a run whose first activation is late stays identical
+    to the standard baseline until then.  Per-expert arrays hold the pool's
+    experts, then the roster's.  ``initial_history`` seeds the observation
+    record (data available before round 1).
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[0] < 1:
@@ -317,7 +309,7 @@ def run_smad(
     record[:seed_len] = seed_rows
 
     pending = sorted(roster, key=lambda pair: pair[0])
-    n_total = pool.capacity
+    n_total = pool.n_active + len(pending)
     n = x.shape[0]
     xs = np.empty((horizon, n))
     losses = np.empty(horizon)
@@ -338,10 +330,11 @@ def run_smad(
 
     for t in range(pool_empty_until + 1, horizon + 1):
         i = t - 1
+        due = []
         while pending and pending[0][0] <= t:
-            _, predictor = pending.pop(0)
-            # the entrant starts from the previous round's play
-            pool.activate(predictor, x_init=xs[i - 1] if i else x, t=t)
+            due.append(pending.pop(0)[1])
+        if due:
+            pool.activate(due, x_init=xs[i - 1] if i else x, t=t)
         theta_t = thetas[i]
         xs[i] = pool.step(family, cset, theta_t, record[: seed_len + i])
         losses[i] = family.value(xs[i], theta_t)

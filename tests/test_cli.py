@@ -530,6 +530,29 @@ class TestConfigReachesTheRun:
         assert err.startswith("config error: descent.x1=")
         assert "outside the" in err and not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,cfg,message",
+        [("run-exp2", {"smad": {"beta": 1.5}}, "smad.beta expects a number in (0, 1)"),
+         ("run-exp3", {"exp3": {"beta": 1.0}}, "exp3.beta expects a number in (0, 1)"),
+         ("run-exp3", {"exp3": {"risk_stay_prob": 1.5}},
+          "exp3.risk_stay_prob expects a number in [0, 1]")],
+        ids=["smad.beta", "exp3.beta", "exp3.risk_stay_prob"],
+    )
+    def test_out_of_range_fraction_is_a_config_error(
+        self, tmp_path, capsys, command, cfg, message
+    ):
+        code, out = _run(tmp_path, command, "range", {"repetitions": 1, **cfg})
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("command", ["run-exp1", "run-exp2", "run-custom", "check-bounds"])
+    def test_indices_beyond_the_parameter_are_a_config_error(self, tmp_path, capsys, command):
+        flags = ("--runs", "1", "--expert-runs", "1") if command == "check-bounds" else ()
+        cfg = {"repetitions": 1, "predictor": {"indices": [5]}}
+        code, out = _run(tmp_path, command, "indices", cfg, *flags)
+        assert code == EXIT_CONFIG
+        assert "predictor.indices=[5]" in capsys.readouterr().err and not out.exists()
+
     def test_check_bounds_fails_on_a_hedge_violation_alone(self, tmp_path, monkeypatch):
         import poco.experiments as experiments
         from poco.experiments import BoundCheckRecord, BoundStudyResult

@@ -123,7 +123,7 @@ class TestExp2:
         ogd = run_predictive_ogd(
             family, cset, thetas, DescentConfig(eta, 1), x1
         )
-        pool = ExpertPool(capacity=5, beta=smad["beta"], gamma=smad["gamma"], eta=eta)
+        pool = ExpertPool(beta=smad["beta"], gamma=smad["gamma"], eta=eta)
         roster = [(first + 10 * i, NoisyOracle(thetas, 0.0)) for i in range(5)]
         smad_traj = run_smad(family, cset, thetas, pool, x1, roster=roster)
         diff = np.cumsum(smad_traj.losses - ogd.losses)

@@ -55,6 +55,23 @@ class TestYuleWalkerFit:
         g1 = autocov_oracle(y, 1)[0, 0]
         assert fit.phis[0][0, 0] == pytest.approx(g1 / (g0 + 1e-8), rel=1e-12)
 
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_satisfies_the_ridged_yule_walker_equations(self, order):
+        # sum_j Phi_j Gamma(i - j) + ridge Phi_i = Gamma(i), i = 1..k, with
+        # Gamma(-h) = Gamma(h)' and the autocovariances re-accumulated
+        rng = np.random.default_rng(10 + order)
+        y = rng.normal(size=(50, 2)).cumsum(axis=0)
+        ridge = 1e-3
+        fit = fit_var_yule_walker(y, order, ridge=ridge)
+
+        def gamma(h):
+            return autocov_oracle(y, h) if h >= 0 else autocov_oracle(y, -h).T
+
+        for i in range(1, order + 1):
+            lhs = sum(fit.phis[j - 1] @ gamma(i - j) for j in range(1, order + 1))
+            lhs = lhs + ridge * fit.phis[i - 1]
+            np.testing.assert_allclose(lhs, gamma(i), rtol=1e-9, atol=1e-9 * abs(gamma(0)).max())
+
     def test_alternating_series_exact_ratio(self):
         # +-1 alternation of length T has gamma0 = 1 and gamma1 = -(T-1)/T
         # under the 1/T normalization, fixing the coefficient exactly

@@ -294,29 +294,29 @@ class TestLedger:
 class TestPoolLedger:
     def pool_run(self, thetas, roster=(), predictors=()):
         family, cset = tracking_setup()
-        pool = ExpertPool(capacity=max(len(roster), len(predictors), 1), beta=0.2,
-                          gamma=5e-7, eta=1.0 / 200.0)
-        if predictors:
-            pool.initialize(predictors, x_init=(0.0, 40.0))
+        pool = ExpertPool(beta=0.2, gamma=5e-7, eta=1.0 / 200.0)
+        roster = [(1, predictor) for predictor in predictors] + list(roster)
         return family, cset, run_smad(family, cset, thetas, pool, (0.0, 40.0), roster=roster)
 
     def test_box_covers_the_expert_aims(self):
         thetas = gen_switching(SwitchingProcessSpec(horizon=60), 23)
         noisy = NoisyOracle(thetas, noise_std=40.0, rng=np.random.default_rng(5))
         family, cset, traj = self.pool_run(thetas, predictors=[Persistence(), noisy])
-        ledger = build_ledger(family, cset, traj, check_bound=False)
+        ledger = build_ledger(family, cset, traj)
         box = realized_theta_box(thetas, traj.aim_lo[None], traj.aim_hi[None])
         assert ledger.constants == family.derive_constants(cset, box)
         assert ledger.constants.D > family.derive_constants(cset, realized_theta_box(thetas)).D
         assert ledger.p_theta == np.nanmin(traj.p_theta_by_expert)
-        assert ledger.bound is None and ledger.bound_skipped_reason is None
+        assert ledger.bound is None
+        assert "not a single descent run" in ledger.bound_skipped_reason
 
     def test_pool_that_never_activates_uses_the_observations(self):
         thetas = gen_switching(SwitchingProcessSpec(horizon=40), 24)
         family, cset, traj = self.pool_run(thetas, roster=[(100, Persistence())])
         assert traj.aim_lo is None and math.isnan(traj.p_theta)
-        ledger = build_ledger(family, cset, traj, check_bound=False)
+        ledger = build_ledger(family, cset, traj)
         assert ledger.constants == family.derive_constants(cset, realized_theta_box(thetas))
+        assert "mid-run" in ledger.bound_skipped_reason
 
     def test_descent_record_exposes_its_aims(self):
         family, cset = tracking_setup()

@@ -110,39 +110,31 @@ class TestSuggestedGamma:
 
 class TestActivation:
     def test_single_then_mix(self):
-        pool = ExpertPool(capacity=3, beta=0.2, gamma=1.0, eta=ETA)
-        pool.activate(Persistence(), x_init=[0.0, 0.0], t=1)
+        pool = ExpertPool(beta=0.2, gamma=1.0, eta=ETA)
+        pool.activate([Persistence()], x_init=[0.0, 0.0], t=1)
         np.testing.assert_allclose(pool.distribution(), [1.0])
-        pool.activate(Persistence(), x_init=[0.0, 0.0], t=2)
+        pool.activate([Persistence()], x_init=[0.0, 0.0], t=2)
         np.testing.assert_allclose(pool.distribution(), [0.8, 0.2])
 
     def test_equal_pair_plus_entrant(self):
-        pool = ExpertPool(capacity=3, beta=0.5, gamma=1.0, eta=ETA)
-        pool.initialize([Persistence(), Persistence()], x_init=[0.0, 0.0])
+        pool = ExpertPool(beta=0.5, gamma=1.0, eta=ETA)
+        pool.activate([Persistence(), Persistence()], x_init=[0.0, 0.0], t=1)
         np.testing.assert_allclose(pool.distribution(), [0.5, 0.5])
-        pool.activate(Persistence(), x_init=[0.0, 0.0], t=5)
+        pool.activate([Persistence()], x_init=[0.0, 0.0], t=5)
         np.testing.assert_allclose(pool.distribution(), [0.25, 0.25, 0.5])
 
-    def test_full_pool_rejected(self):
-        pool = ExpertPool(capacity=1, beta=0.2, gamma=1.0, eta=ETA)
-        pool.activate(Persistence(), x_init=[0.0, 0.0], t=1)
-        with pytest.raises(RuntimeError, match="full"):
-            pool.activate(Persistence(), x_init=[0.0, 0.0], t=2)
-
-    def test_initialize_uniform_and_guarded(self):
-        pool = ExpertPool(capacity=4, beta=0.2, gamma=1.0, eta=ETA)
-        pool.initialize([Persistence()] * 4, x_init=[0.0, 0.0])
+    def test_empty_pool_entrants_start_uniform(self):
+        pool = ExpertPool(beta=0.2, gamma=1.0, eta=ETA)
+        pool.activate([Persistence()] * 4, x_init=[0.0, 0.0], t=1)
         np.testing.assert_allclose(pool.distribution(), np.full(4, 0.25))
-        with pytest.raises(RuntimeError, match="empty"):
-            pool.initialize([Persistence()], x_init=[0.0, 0.0])
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            ExpertPool(capacity=2, beta=1.0, gamma=1.0, eta=ETA)
+            ExpertPool(beta=1.0, gamma=1.0, eta=ETA)
         with pytest.raises(ValueError):
-            ExpertPool(capacity=2, beta=0.2, gamma=0.0, eta=ETA)
+            ExpertPool(beta=0.2, gamma=0.0, eta=ETA)
         with pytest.raises(ValueError, match="inner_steps"):
-            ExpertPool(capacity=2, beta=0.2, gamma=1.0, eta=ETA, inner_steps=0)
+            ExpertPool(beta=0.2, gamma=1.0, eta=ETA, inner_steps=0)
 
 
 class TestGibbsUpdate:
@@ -151,12 +143,12 @@ class TestGibbsUpdate:
         # (1, e^-1) / (1 + e^-1)
         family = QuadraticTracking((1.0, 1.0))
         cset = EuclideanBall(center=np.zeros(2), radius=100.0)
-        pool = ExpertPool(capacity=2, beta=0.2, gamma=1.0, eta=0.5)
+        pool = ExpertPool(beta=0.2, gamma=1.0, eta=0.5)
         # aims chosen so one expert lands on the target (loss 0) and the
         # other lands at squared distance 1 (loss 1, split across coords)
         good = FixedAim([3.0, 4.0, 0.0])
         off = FixedAim([3.0 + math.sqrt(0.5), 4.0 + math.sqrt(0.5), 0.0])
-        pool.initialize([good, off], x_init=[3.0, 4.0])
+        pool.activate([good, off], x_init=[3.0, 4.0], t=1)
         theta_t = np.array([3.0, 4.0, 0.0])
         pool.step(family, cset, theta_t, np.zeros((1, 3)))
         z = 1.0 + math.exp(-1.0)
@@ -166,16 +158,16 @@ class TestGibbsUpdate:
     def test_identical_experts_stay_balanced(self):
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=30), 0)
-        pool = ExpertPool(capacity=2, beta=0.2, gamma=1e-5, eta=ETA)
-        pool.initialize([Persistence(), Persistence()], x_init=[0.0, 40.0])
+        pool = ExpertPool(beta=0.2, gamma=1e-5, eta=ETA)
+        pool.activate([Persistence(), Persistence()], x_init=[0.0, 40.0], t=1)
         traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
         np.testing.assert_allclose(traj.p, 0.5, atol=1e-12)
 
     def test_single_expert_is_its_own_aggregate(self):
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=25), 1)
-        pool = ExpertPool(capacity=1, beta=0.2, gamma=1e-6, eta=ETA)
-        pool.initialize([Persistence()], x_init=[0.0, 40.0])
+        pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
+        pool.activate([Persistence()], x_init=[0.0, 40.0], t=1)
         traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
         np.testing.assert_allclose(traj.xs, traj.expert_xs[:, 0, :], atol=1e-12)
         np.testing.assert_allclose(traj.p[:, 0], 1.0, atol=1e-15)
@@ -183,10 +175,10 @@ class TestGibbsUpdate:
     def test_distribution_valid_every_round(self):
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=60), 2)
-        pool = ExpertPool(capacity=3, beta=0.2, gamma=1e-6, eta=ETA)
-        pool.initialize(
+        pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
+        pool.activate(
             [Persistence(), NoisyOracle(thetas, 0.0), NoisyOracle(thetas, 3.0, rng=np.random.default_rng(5))],
-            x_init=[0.0, 40.0],
+            x_init=[0.0, 40.0], t=1,
         )
         traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
         for row in traj.p:
@@ -198,10 +190,10 @@ class TestGibbsUpdate:
         # every round, so its posterior mass never decreases
         family, cset = tracking_setup()
         thetas = np.tile(np.array([30.0, 10.0, 0.0]), (50, 1))
-        pool = ExpertPool(capacity=2, beta=0.2, gamma=1e-4, eta=ETA)
-        pool.initialize(
+        pool = ExpertPool(beta=0.2, gamma=1e-4, eta=ETA)
+        pool.activate(
             [NoisyOracle(thetas, 0.0), FixedAim([-40.0, -40.0, 0.0])],
-            x_init=[0.0, 40.0],
+            x_init=[0.0, 40.0], t=1,
         )
         traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
         losses = traj.expert_losses
@@ -212,14 +204,14 @@ class TestGibbsUpdate:
     def test_all_weights_vanish_raises(self):
         family, cset = tracking_setup()
         thetas = np.array([[0.0, 0.0, 0.0], [1e306, 0.0, 0.0]])
-        pool = ExpertPool(capacity=2, beta=0.2, gamma=10.0, eta=ETA)
-        pool.initialize([Persistence(), Persistence()], x_init=[0.0, 0.0])
+        pool = ExpertPool(beta=0.2, gamma=10.0, eta=ETA)
+        pool.activate([Persistence(), Persistence()], x_init=[0.0, 0.0], t=1)
         with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="gamma"):
             run_smad(family, cset, thetas, pool, [0.0, 0.0])
 
     def test_step_empty_pool_rejected(self):
         family, cset = tracking_setup()
-        pool = ExpertPool(capacity=1, beta=0.2, gamma=1.0, eta=ETA)
+        pool = ExpertPool(beta=0.2, gamma=1.0, eta=ETA)
         with pytest.raises(RuntimeError, match="empty"):
             pool.step(family, cset, np.zeros(3), np.zeros((0, 3)))
 
@@ -231,12 +223,24 @@ class TestRunSmad:
         std = run_predictive_ogd(
             family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0)
         )
-        pool = ExpertPool(capacity=1, beta=0.2, gamma=1e-6, eta=ETA)
+        pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
         roster = [(15, Persistence())]
         traj = run_smad(family, cset, thetas, pool, (0.0, 40.0), roster=roster)
         np.testing.assert_array_equal(traj.xs[:14], std.xs[:14])
         assert traj.pool_empty_until == 14
         assert traj.activation_times == (15,)
+
+    def test_same_round_entrants_into_an_empty_pool_start_uniform(self):
+        family, cset = tracking_setup()
+        thetas = gen_switching(SwitchingProcessSpec(horizon=8), 11)
+        pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
+        roster = [(3, Persistence()), (3, Persistence()), (5, Persistence())]
+        traj = run_smad(family, cset, thetas, pool, (0.0, 40.0), roster=roster)
+        assert traj.activation_times == (3, 3, 5)
+        # identical experts keep their weights: the pair shares the mass,
+        # the later entrant takes beta
+        np.testing.assert_allclose(traj.p[2, :2], [0.5, 0.5], rtol=1e-9)
+        np.testing.assert_allclose(traj.p[4], [0.4, 0.4, 0.2], rtol=1e-9)
 
     def test_entrant_starts_from_previous_output(self):
         family, cset = tracking_setup()
@@ -244,7 +248,7 @@ class TestRunSmad:
         std = run_predictive_ogd(
             family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0)
         )
-        pool = ExpertPool(capacity=1, beta=0.2, gamma=1e-6, eta=ETA)
+        pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
         traj = run_smad(family, cset, thetas, pool, (0.0, 40.0), roster=[(5, Persistence())])
         # the entrant inherits x_4 and immediately aims at theta_4; its move
         # equals one projected step from x_4, and it is the only expert
@@ -256,8 +260,8 @@ class TestRunSmad:
     def test_aggregate_stays_feasible(self):
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=50), 8)
-        pool = ExpertPool(capacity=2, beta=0.2, gamma=1e-6, eta=ETA)
-        pool.initialize([Persistence(), NoisyOracle(thetas, 0.0)], x_init=[0.0, 40.0])
+        pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
+        pool.activate([Persistence(), NoisyOracle(thetas, 0.0)], x_init=[0.0, 40.0], t=1)
         traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
         for x in traj.xs:
             assert cset.contains(x, tol=1e-9)
@@ -265,8 +269,8 @@ class TestRunSmad:
     def test_hedge_gap_matches_reaccumulation(self):
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=30), 9)
-        pool = ExpertPool(capacity=2, beta=0.2, gamma=1e-6, eta=ETA)
-        pool.initialize([Persistence(), NoisyOracle(thetas, 0.0)], x_init=[0.0, 40.0])
+        pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
+        pool.activate([Persistence(), NoisyOracle(thetas, 0.0)], x_init=[0.0, 40.0], t=1)
         traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
         best = min(traj.expert_losses[:, i].sum() for i in range(2))
         assert traj.hedge_gap() == pytest.approx(traj.losses.sum() - best, rel=1e-12)
@@ -277,14 +281,14 @@ class TestRunSmad:
         for seed in range(10):
             thetas = gen_switching(SwitchingProcessSpec(horizon=40), seed)
             gamma = 10.0 ** np.random.default_rng(seed).uniform(-7, -5)
-            pool = ExpertPool(capacity=3, beta=0.2, gamma=gamma, eta=ETA)
-            pool.initialize(
+            pool = ExpertPool(beta=0.2, gamma=gamma, eta=ETA)
+            pool.activate(
                 [
                     Persistence(),
                     NoisyOracle(thetas, 0.0),
                     NoisyOracle(thetas, 4.0, rng=np.random.default_rng(seed + 100)),
                 ],
-                x_init=[0.0, 40.0],
+                x_init=[0.0, 40.0], t=1,
             )
             traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
             ranges = traj.expert_losses.max(axis=1) - traj.expert_losses.min(axis=1)
@@ -295,8 +299,8 @@ class TestRunSmad:
     def test_prediction_error_accumulates_per_expert(self):
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=30), 10)
-        pool = ExpertPool(capacity=2, beta=0.2, gamma=1e-6, eta=ETA)
-        pool.initialize([NoisyOracle(thetas, 0.0), Persistence()], x_init=[0.0, 40.0])
+        pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
+        pool.activate([NoisyOracle(thetas, 0.0), Persistence()], x_init=[0.0, 40.0], t=1)
         traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
         assert traj.p_theta_by_expert[0] == pytest.approx(0.0, abs=1e-12)
         persist = sum(
@@ -324,18 +328,18 @@ class TestBatchedStep:
         rng = np.random.default_rng(seed)
         family, cset, sample, x1 = random_problem(kind, rng)
         pool = ExpertPool(
-            capacity=n_experts + 1, beta=0.3, gamma=rng.uniform(0.01, 1.0),
+            beta=0.3, gamma=rng.uniform(0.01, 1.0),
             eta=0.05, inner_steps=inner_steps,
         )
-        pool.initialize(
-            [LateAim(sample(), w) for w in warmups[:n_experts]], x_init=x1
+        pool.activate(
+            [LateAim(sample(), w) for w in warmups[:n_experts]], x_init=x1, t=1
         )
         thetas = np.stack([sample() for _ in range(rounds_before + 1)])
         for t in range(rounds_before):
             pool.step(family, cset, thetas[t], thetas[:t])
         if late_entrant:
             # an entrant that has never played next to incumbents that have
-            pool.activate(LateAim(sample(), warmups[-1]), x_init=x1, t=rounds_before + 1)
+            pool.activate([LateAim(sample(), warmups[-1])], x_init=x1, t=rounds_before + 1)
         hist, theta_t = thetas[:rounds_before], thetas[rounds_before]
 
         want = reference_step(pool, family, cset, theta_t, hist)
@@ -357,10 +361,10 @@ class TestBatchedStep:
 
     def test_nonfinite_gradient_names_the_expert(self):
         family, cset = tracking_setup()
-        pool = ExpertPool(capacity=3, beta=0.2, gamma=1.0, eta=ETA)
-        pool.initialize(
+        pool = ExpertPool(beta=0.2, gamma=1.0, eta=ETA)
+        pool.activate(
             [FixedAim([1.0, 1.0, 0.0]), FixedAim([np.inf, 1.0, 0.0]), FixedAim([0.0, 0.0, 0.0])],
-            x_init=[0.0, 0.0],
+            x_init=[0.0, 0.0], t=1,
         )
         with pytest.raises(FloatingPointError, match="non-finite gradient for expert 1"):
             pool.step(family, cset, np.zeros(3), np.zeros((1, 3)))
@@ -370,16 +374,16 @@ class TestBatchedStep:
         cset = UnitSimplex(2)
         good = family.pack([0.1, 0.2], np.eye(2), 1.0)
         bad = family.pack([0.1, 0.2], np.array([[1.0, 0.5], [0.2, 1.0]]), 1.0)
-        pool = ExpertPool(capacity=2, beta=0.2, gamma=1.0, eta=0.1)
-        pool.initialize([FixedAim(good), FixedAim(bad)], x_init=[0.5, 0.5])
+        pool = ExpertPool(beta=0.2, gamma=1.0, eta=0.1)
+        pool.activate([FixedAim(good), FixedAim(bad)], x_init=[0.5, 0.5], t=1)
         with pytest.raises(ValueError, match="row 1 is not symmetric"):
             pool.step(family, cset, good, good[None, :])
 
     def test_public_round_outputs_feed_the_trajectory(self):
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=12), 3)
-        pool = ExpertPool(capacity=2, beta=0.2, gamma=1e-6, eta=ETA)
-        pool.initialize([Persistence(), NoisyOracle(thetas, 0.0)], x_init=[0.0, 40.0])
+        pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
+        pool.activate([Persistence(), NoisyOracle(thetas, 0.0)], x_init=[0.0, 40.0], t=1)
         traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
         np.testing.assert_array_equal(traj.expert_xs[-1], pool.last_moves)
         np.testing.assert_array_equal(traj.expert_losses[-1], pool.last_losses)
