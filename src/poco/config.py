@@ -17,6 +17,7 @@ import copy
 import difflib
 import hashlib
 import json
+import math
 import os
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -55,10 +56,21 @@ def _v_int(minimum=None):
     return check
 
 
+def _is_number(val) -> bool:
+    """A finite int or float.  ``json`` parses the NaN and Infinity
+    literals and integers beyond the float range, so each is checked here."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def _v_num(minimum=None, strict=False):
     def check(section, key, val):
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise _type_error(section, key, "a number", val)
+        if not _is_number(val):
+            raise _type_error(section, key, "a finite number", val)
         val = float(val)
         if minimum is not None and (val <= minimum if strict else val < minimum):
             cmp = ">" if strict else ">="
@@ -91,10 +103,8 @@ def _v_choice(*choices):
 
 def _v_num_list(length=None):
     def check(section, key, val):
-        if not isinstance(val, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
-        ):
-            raise _type_error(section, key, "a list of numbers", val)
+        if not isinstance(val, list) or not all(_is_number(x) for x in val):
+            raise _type_error(section, key, "a list of finite numbers", val)
         if length is not None and len(val) != length:
             raise _type_error(section, key, f"a list of {length} numbers", val)
         return [float(x) for x in val]
@@ -169,7 +179,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "predictor": {
         "kind": Key(_v_choice("var", "persistence"), "var"),
         "order": Key(_v_int(1), 4),
-        "refit_every": Key(_v_opt(_v_int(1)), 1),
         "min_history": Key(_v_opt(_v_int(1)), 10),
         "indices": Key(_v_opt(_v_int_list(0)), [0, 1]),
     },
@@ -201,7 +210,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "beta": Key(_v_fraction(strict=True), 0.2),
         "observe_months": Key(_v_int(1), 10),
         "eval_months": Key(_v_int(1), 150),
-        "month_days": Key(_v_int(1), 30),
+        "month_days": Key(_v_int(2), 30),
         "risk_base": Key(_v_num(0.0), 4.0),
         "risk_warmup_days": Key(_v_int(0), 240),
         "risk_stay_prob": Key(_v_fraction(), 0.9),

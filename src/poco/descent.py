@@ -13,7 +13,6 @@ ordering per round is observe, charge, predict, step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -58,9 +57,7 @@ class Trajectory:
     the parameter the step that produced x_t descended toward (a prediction,
     or the previous observation while warming up or without a predictor);
     entry 0 is a copy of thetas[0] and is never scored by the prediction
-    regularity.  ``predictor_active_from`` is the first 1-based round whose
-    play came out of a live predictor, or None if no predictor ever produced
-    a step.  ``p_theta``, the aim range ``aim_lo``/``aim_hi``, ``eta``,
+    regularity.  ``p_theta``, the aim range ``aim_lo``/``aim_hi``, ``eta``,
     ``inner_steps`` and ``bound_skipped_reason`` are the fields a regret
     ledger reads, as for :class:`poco.smad.SmadTrajectory`.
     """
@@ -73,7 +70,6 @@ class Trajectory:
     losses: np.ndarray
     eta: float
     inner_steps: int
-    predictor_active_from: Optional[int] = None
 
     @property
     def horizon(self) -> int:
@@ -124,7 +120,6 @@ def run_predictive_ogd(
     losses = np.empty(horizon)
     theta_hats = np.empty_like(thetas)
     theta_hats[0] = thetas[0]
-    active_from: Optional[int] = None
 
     for t in range(1, horizon + 1):
         i = t - 1
@@ -133,8 +128,6 @@ def run_predictive_ogd(
         if t == horizon:
             break
         theta_hats[t] = step_aim(predictor, thetas[:t])
-        if active_from is None and predictor is not None and predictor.ready(t):
-            active_from = t + 1
         x = ogd_step(family, cset, x, theta_hats[t], config.eta, config.inner_steps)
 
     return Trajectory(
@@ -144,5 +137,4 @@ def run_predictive_ogd(
         losses=losses,
         eta=config.eta,
         inner_steps=config.inner_steps,
-        predictor_active_from=active_from,
     )

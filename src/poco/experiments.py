@@ -163,15 +163,14 @@ def declared_gamma(cfg: dict) -> tuple:
 # ---------------------------------------------------------------------------
 
 def make_predictor(cfg: dict):
-    """A fresh predictor from the ``predictor`` section; an AR fit waits
-    for max(min_history, 2k+1) rounds."""
+    """The predictor of the ``predictor`` section; an AR fit waits for
+    max(min_history, 2k+1) rounds."""
     pred = cfg["predictor"]
     if pred["kind"] == "persistence":
         return Persistence()
     order = pred["order"]
     return VarPredictor(
         order=order,
-        refit_every=pred["refit_every"],
         min_history=max(pred["min_history"] or 0, 2 * order + 1),
         indices=pred["indices"],
     )
@@ -185,11 +184,12 @@ def run_exp1(cfg: dict) -> ExperimentResult:
     des = cfg["descent"]
     eta, inner_steps, x1 = des["eta"], des["inner_steps"], des["x1"]
     descent = DescentConfig(eta, inner_steps)
+    predictor = make_predictor(cfg)
     curve, first = compare_to_ogd(
         np.random.SeedSequence(cfg["seed"]).spawn(cfg["repetitions"]),
         lambda child: (gen_switching(proc, child), None),
         lambda thetas, _: run_predictive_ogd(
-            family, cset, thetas, descent, x1, predictor=make_predictor(cfg)
+            family, cset, thetas, descent, x1, predictor=predictor
         ),
         family, cset, x1, eta, inner_steps,
     )
@@ -231,15 +231,14 @@ def run_exp2(cfg: dict) -> ExperimentResult:
     eta, inner_steps, x1 = des["eta"], des["inner_steps"], des["x1"]
     beta, orders = smad["beta"], smad["expert_orders"]
     gamma = declared_gamma(cfg)[1] if smad["gamma"] == "auto" else smad["gamma"]
-    schedule = activation_schedule(smad)
     indices = cfg["predictor"]["indices"]
+    roster = [
+        (when, VarPredictor(order=k, indices=indices))
+        for when, k in zip(activation_schedule(smad), orders)
+    ]
 
     def expert_pool(thetas, _):
         pool = ExpertPool(beta=beta, gamma=gamma, eta=eta, inner_steps=inner_steps)
-        roster = [
-            (when, VarPredictor(order=k, indices=indices))
-            for when, k in zip(schedule, orders)
-        ]
         return run_smad(family, cset, thetas, pool, x1, roster=roster)
 
     curve, (ogd, smad_traj) = compare_to_ogd(
@@ -290,12 +289,13 @@ class RiskForecastCache:
 
     Experts sharing an AR order see the same risk series, so their forecasts
     coincide.  The first request in a month fits every order in ``orders``
-    (plus the one asked for) from one set of autocovariances, so each month
-    costs one autocovariance pass however many orders the pool holds.  The
-    cache must not outlive the repetition that owns the risk path.
+    from one set of autocovariances, so each month costs one autocovariance
+    pass however many orders the pool holds; ``get`` asks only for those
+    orders.  The cache must not outlive the repetition that owns the risk
+    path.
     """
 
-    def __init__(self, orders: Sequence[int] = ()):
+    def __init__(self, orders: Sequence[int]):
         self.orders = frozenset(int(k) for k in orders)
         self._cache = {}
 
@@ -304,9 +304,8 @@ class RiskForecastCache:
         key = (int(order), months_seen)
         hit = self._cache.get(key)
         if hit is None:
-            orders = self.orders | {key[0]}
-            fits = fit_var_orders(risk_series, orders)
-            for k in orders:
+            fits = fit_var_orders(risk_series, self.orders)
+            for k in self.orders:
                 # orders still lacking 2k+1 observations repeat the last one
                 fit = fits.get(k)
                 self._cache[(k, months_seen)] = (
@@ -507,14 +506,11 @@ def run_predictive_bound_study(
     family, cset, proc = switching_setup(cfg)
     eta, x1 = cfg["descent"]["eta"], cfg["descent"]["x1"]
     seeds = np.random.SeedSequence((cfg["seed"], 31 + inner_steps)).spawn(n_runs)
+    descent, predictor = DescentConfig(eta, inner_steps), make_predictor(cfg)
     records = []
     for child in seeds:
         thetas = gen_switching(proc, child)
-        traj = run_predictive_ogd(
-            family, cset, thetas,
-            DescentConfig(eta, inner_steps), x1,
-            predictor=make_predictor(cfg),
-        )
+        traj = run_predictive_ogd(family, cset, thetas, descent, x1, predictor=predictor)
         ledger = build_ledger(family, cset, traj)
         records.append(
             BoundCheckRecord(reg_d=ledger.reg_d, bound=ledger.bound, holds=bool(ledger.bound_holds))

@@ -90,8 +90,6 @@ class QuadraticTracking:
     out of any regret difference.
     """
 
-    kind = "quadratic_tracking"
-
     def __init__(self, weights=(100.0, 1.0)):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 1 or not np.all(np.isfinite(w)) or np.any(w <= 0):
@@ -160,8 +158,6 @@ class QuadraticTracking:
 class FunctionalTimeSeries:
     """Simplex-weighted mix of diagonal quadratics: f(x, theta) = sum_i theta_i q_i(x)
     with q_i(x) = (x - v_i)' diag(a_i) (x - v_i) and theta on the unit simplex."""
-
-    kind = "functional_time_series"
 
     def __init__(self, coeffs, centers):
         a = np.asarray(coeffs, dtype=float)
@@ -246,8 +242,6 @@ class Markowitz:
     n + n^2 + 1 entries for n assets.  Sigma must be symmetric (to 1e-9) and
     positive semidefinite for convexity.
     """
-
-    kind = "markowitz"
 
     def __init__(self, n_assets: int):
         if int(n_assets) < 1:

@@ -4,7 +4,7 @@ A predictor consumes the observed history theta_1..theta_t (rows of an
 array) and emits theta_hat for time t+1.  Three kinds are provided:
 
 * :class:`VarPredictor`: a vector autoregression fit by the Yule-Walker
-  moment equations, refit on a configurable cadence;
+  moment equations to the history it is handed;
 * :class:`Persistence`: repeats the last observation;
 * :class:`NoisyOracle`: looks up the true next value from a scenario it was
   handed at construction and perturbs it with Gaussian noise.  Only
@@ -161,15 +161,16 @@ def var_predict(fit: VarFit, series) -> np.ndarray:
 
 
 class VarPredictor:
-    """Yule-Walker VAR predictor with rolling refits.
+    """Yule-Walker VAR predictor, refit on every call.
+
+    ``predict`` is a pure function of the history it is handed: each call
+    fits the VAR to that history and forecasts from it, so one predictor
+    can serve any number of runs.
 
     Parameters
     ----------
     order:
         Autoregressive order (lags).
-    refit_every:
-        Refit cadence in observations; 1 refits at every step, ``None``
-        freezes the first fit.
     min_history:
         Observations required before the first fit; defaults to 2*order + 1.
     indices:
@@ -181,24 +182,18 @@ class VarPredictor:
     def __init__(
         self,
         order: int,
-        refit_every: Optional[int] = 1,
         min_history: Optional[int] = None,
         indices: Optional[Sequence[int]] = None,
     ):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        if refit_every is not None and refit_every < 1:
-            raise ValueError("refit_every must be >= 1 or None (freeze)")
         self.order = int(order)
-        self.refit_every = refit_every
         self.min_history = int(min_history) if min_history is not None else 2 * order + 1
         if self.min_history < 2 * order + 1:
             raise ValueError(
                 f"min_history must be at least 2*order+1 = {2 * order + 1}"
             )
         self.indices = None if indices is None else tuple(int(i) for i in indices)
-        self._fit: Optional[VarFit] = None
-        self._fit_at: int = -1
 
     def ready(self, n_obs: int) -> bool:
         return n_obs >= self.min_history
@@ -211,13 +206,7 @@ class VarPredictor:
         if not self.ready(n_obs):
             raise PredictorNotReady(needed=self.min_history, have=n_obs)
         sub = hist if self.indices is None else hist[:, self.indices]
-        needs_fit = self._fit is None or (
-            self.refit_every is not None and n_obs - self._fit_at >= self.refit_every
-        )
-        if needs_fit:
-            self._fit = fit_var_yule_walker(sub, self.order)
-            self._fit_at = n_obs
-        sub_hat = var_predict(self._fit, sub)
+        sub_hat = var_predict(fit_var_yule_walker(sub, self.order), sub)
         if self.indices is None:
             return sub_hat
         out = hist[-1].copy()

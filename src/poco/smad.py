@@ -56,11 +56,10 @@ class ExpertPool:
 
     Experts join through :meth:`activate`; their state is kept as arrays
     with one row per expert, in activation order: iterates ``xs`` (N, n),
-    first plays ``first_plays`` (N, n; NaN until the expert's first round),
-    prediction regularity ``p_theta`` (N,) and activation rounds
-    ``activated_at``.  After each :meth:`step`, ``last_moves`` (N, n) holds
-    every expert's move and ``last_losses`` (N,) its loss against the
-    realized parameter.
+    ``played`` (N,; False until the expert's first round), prediction
+    regularity ``p_theta`` (N,) and activation rounds ``activated_at``.
+    After each :meth:`step`, ``xs`` holds every expert's move of that round
+    and ``last_losses`` (N,) its loss against the realized parameter.
     """
 
     def __init__(
@@ -81,11 +80,10 @@ class ExpertPool:
         self.predictors: list = []
         self.activated_at: list[int] = []
         self.xs: Optional[np.ndarray] = None
-        self.first_plays: Optional[np.ndarray] = None
+        self.played = np.zeros(0, dtype=bool)
         # running sum of ||theta_t - aim_t|| from each expert's second round
         self.p_theta = np.zeros(0)
         self.log_p = np.zeros(0)
-        self.last_moves: Optional[np.ndarray] = None
         self.last_losses: Optional[np.ndarray] = None
         # componentwise range of every parameter an expert descended toward;
         # bound checks need constants valid at the predictions, not just the
@@ -112,13 +110,11 @@ class ExpertPool:
         if not predictors:
             raise ValueError("need at least one predictor")
         rows = np.tile(np.asarray(x_init, dtype=float), (len(predictors), 1))
-        unplayed = np.full_like(rows, np.nan)
         if self.n_active == 0:
-            self.xs, self.first_plays = rows, unplayed
+            self.xs = rows
             self.log_p = np.full(len(predictors), -math.log(len(predictors)))
         else:
             self.xs = np.vstack([self.xs, rows])
-            self.first_plays = np.vstack([self.first_plays, unplayed])
             for _ in predictors:
                 self.log_p = np.append(
                     self.log_p + math.log1p(-self.beta), math.log(self.beta)
@@ -126,6 +122,7 @@ class ExpertPool:
                 self.log_p -= _logsumexp(self.log_p)
         self.predictors += predictors
         self.activated_at += [t] * len(predictors)
+        self.played = np.append(self.played, np.zeros(len(predictors), dtype=bool))
         self.p_theta = np.append(self.p_theta, np.zeros(len(predictors)))
 
     def step(self, family, cset: ConstraintSet, theta_t, history) -> np.ndarray:
@@ -175,7 +172,7 @@ class ExpertPool:
             moves[rows] = z
             # scored from the expert's second active round on; the first
             # round's error is absorbed by the starting-gap term
-            scored = aimed & ~np.isnan(self.first_plays[:, 0])
+            scored = aimed & self.played
             self.p_theta[scored] += np.linalg.norm(theta_t - aims[scored], axis=1)
             lo, hi = active_aims.min(axis=0), active_aims.max(axis=0)
             if self.aim_lo is None:
@@ -187,8 +184,7 @@ class ExpertPool:
         x_t = cset.project(self.distribution() @ moves)
         losses = family.value_rows(moves, theta_t[None, :])
 
-        unplayed = np.isnan(self.first_plays[:, 0])
-        self.first_plays[unplayed] = moves[unplayed]
+        self.played[:] = True
         self.xs = moves
 
         log_w = self.log_p - self.gamma * losses
@@ -199,7 +195,6 @@ class ExpertPool:
                 f"gamma={self.gamma} is too large for these loss magnitudes"
             )
         self.log_p = log_w - norm
-        self.last_moves = moves
         self.last_losses = losses
         return x_t
 
@@ -217,12 +212,14 @@ class SmadTrajectory:
 
     Expert arrays are padded with NaN before activation.  ``p`` holds the
     post-update distribution of each round, aligned to the full roster.
+    ``first_plays`` reads each expert's play in its activation round off
+    ``expert_xs``.
     ``aim_lo``/``aim_hi`` copy the pool's aim range (None when no expert
     ever aimed), ``p_theta`` is the best expert's prediction regularity and
     ``eta``/``inner_steps`` are the pool's; a regret ledger reads them as it
     reads a descent ``Trajectory``.  ``bound_skipped_reason`` says why the
     predictive-descent bound, which covers one descent run, does not apply;
-    a pool that was empty in round 1 or admitted experts later is mid-run.
+    the run counts as mid-run unless every expert joined in round 1.
     """
 
     xs: np.ndarray  # (T, n) aggregated plays
@@ -233,8 +230,6 @@ class SmadTrajectory:
     p: np.ndarray  # (T, N)
     activation_times: tuple
     p_theta_by_expert: np.ndarray  # (N,) effective prediction regularity
-    first_plays: np.ndarray  # (N, n)
-    pool_empty_until: int  # rounds 1..pool_empty_until ran the plain fallback
     aim_lo: Optional[np.ndarray]  # (m,)
     aim_hi: Optional[np.ndarray]  # (m,)
     eta: float  # the pool's step size and inner steps per round
@@ -250,21 +245,28 @@ class SmadTrajectory:
         return float(np.fmin.reduce(self.p_theta_by_expert))
 
     @property
+    def first_plays(self) -> np.ndarray:
+        """(N, n) each expert's play in its activation round; NaN for
+        roster entries that never joined."""
+        first = np.full(self.expert_xs.shape[1:], np.nan)
+        joined = np.arange(len(self.activation_times))
+        rounds = np.asarray(self.activation_times, dtype=int) - 1
+        first[joined] = self.expert_xs[rounds, joined]
+        return first
+
+    @property
     def bound_skipped_reason(self) -> str:
-        if self.pool_empty_until or any(t > 1 for t in self.activation_times):
+        if set(self.activation_times) != {1}:
             return "experts joined mid-run; the fixed-pool bound does not apply"
         return (
             "an expert pool is not a single descent run; the "
             "predictive-descent bound does not apply"
         )
 
-    def expert_cumulative_losses(self) -> np.ndarray:
-        return np.nansum(self.expert_losses, axis=0)
-
     def hedge_gap(self) -> float:
         """Aggregated cumulative loss minus the best expert's; only
         meaningful when every expert was active from the first round."""
-        return float(self.losses.sum() - self.expert_cumulative_losses().min())
+        return float(self.losses.sum() - np.nansum(self.expert_losses, axis=0).min())
 
 
 def run_smad(
@@ -278,17 +280,25 @@ def run_smad(
 ) -> SmadTrajectory:
     """Drive an expert pool over a realized parameter sequence.
 
-    ``roster`` lists (activation round, predictor) pairs; a day-one pool
-    puts every entry in round 1.  At the top of each round the entrants due
-    by then join through one :meth:`ExpertPool.activate` call, in roster
-    order, starting from the previous round's play (``x1`` in round 1).
-    Rounds before the first activation into an empty pool are played by one
-    standard-descent ``run_predictive_ogd`` call with the pool's ``eta`` and
+    ``pool`` supplies ``beta``, ``gamma``, ``eta`` and ``inner_steps`` and
+    must be empty: the roster is the only way experts enter a run, and a
+    pool that already holds experts raises ``ValueError``.  ``roster`` lists
+    (activation round, predictor) pairs; a day-one pool puts every entry in
+    round 1.  At the top of each round the entrants due by then join
+    through one :meth:`ExpertPool.activate` call, in roster order, starting
+    from the previous round's play (``x1`` in round 1).  Rounds before the
+    first activation are played by one standard-descent
+    ``run_predictive_ogd`` call with the pool's ``eta`` and
     ``inner_steps``, so a run whose first activation is late stays identical
-    to the standard baseline until then.  Per-expert arrays hold the pool's
-    experts, then the roster's.  ``initial_history`` seeds the observation
+    to the standard baseline until then.  Per-expert arrays hold the roster
+    entries sorted by round.  ``initial_history`` seeds the observation
     record (data available before round 1).
     """
+    if pool.n_active:
+        raise ValueError(
+            "run_smad admits experts only from its roster; pass an empty "
+            f"ExpertPool, not one holding {pool.n_active} experts"
+        )
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[0] < 1:
         raise ValueError("thetas must be a nonempty (T, m) array")
@@ -309,7 +319,7 @@ def run_smad(
     record[:seed_len] = seed_rows
 
     pending = sorted(roster, key=lambda pair: pair[0])
-    n_total = pool.n_active + len(pending)
+    n_total = len(pending)
     n = x.shape[0]
     xs = np.empty((horizon, n))
     losses = np.empty(horizon)
@@ -318,17 +328,17 @@ def run_smad(
     p_hist = np.full((horizon, n_total), np.nan)
 
     first = pending[0][0] if pending else horizon + 1
-    pool_empty_until = 0 if pool.n_active else min(max(first - 1, 0), horizon)
-    if pool_empty_until:
+    n_plain = min(max(first - 1, 0), horizon)
+    if n_plain:
         plain = run_predictive_ogd(
-            family, cset, thetas[:pool_empty_until],
+            family, cset, thetas[:n_plain],
             DescentConfig(pool.eta, pool.inner_steps), x,
         )
-        xs[:pool_empty_until] = plain.xs
-        losses[:pool_empty_until] = plain.losses
-        record[seed_len : seed_len + pool_empty_until] = thetas[:pool_empty_until]
+        xs[:n_plain] = plain.xs
+        losses[:n_plain] = plain.losses
+        record[seed_len : seed_len + n_plain] = thetas[:n_plain]
 
-    for t in range(pool_empty_until + 1, horizon + 1):
+    for t in range(n_plain + 1, horizon + 1):
         i = t - 1
         due = []
         while pending and pending[0][0] <= t:
@@ -339,16 +349,13 @@ def run_smad(
         xs[i] = pool.step(family, cset, theta_t, record[: seed_len + i])
         losses[i] = family.value(xs[i], theta_t)
         m_act = pool.n_active
-        expert_xs[i, :m_act] = pool.last_moves
+        expert_xs[i, :m_act] = pool.xs
         expert_losses[i, :m_act] = pool.last_losses
         p_hist[i, :m_act] = pool.distribution()
         record[seed_len + i] = theta_t
 
     p_theta = np.full(n_total, np.nan)
-    first_plays = np.full((n_total, n), np.nan)
     p_theta[: pool.n_active] = pool.p_theta
-    if pool.n_active:
-        first_plays[: pool.n_active] = pool.first_plays
 
     return SmadTrajectory(
         xs=xs,
@@ -359,8 +366,6 @@ def run_smad(
         p=p_hist,
         activation_times=tuple(pool.activated_at),
         p_theta_by_expert=p_theta,
-        first_plays=first_plays,
-        pool_empty_until=pool_empty_until,
         aim_lo=None if pool.aim_lo is None else pool.aim_lo.copy(),
         aim_hi=None if pool.aim_hi is None else pool.aim_hi.copy(),
         eta=pool.eta,

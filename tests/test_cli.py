@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -54,11 +55,13 @@ class TestConfigResolution:
     @pytest.mark.parametrize(
         "section,key,value",
         [("objective", "kind", "quadratic_tracking"), ("scenario", "kind", "switching"),
-         ("domain", "dimension", 2), ("descent", "mode", "standard")],
+         ("domain", "dimension", 2), ("descent", "mode", "standard"),
+         ("predictor", "refit_every", 1)],
     )
     def test_removed_unread_keys_rejected(self, section, key, value):
         # one-value choices, a dimension the objective weights already fix,
-        # and the descent mode a persistence predictor now expresses
+        # the descent mode a persistence predictor now expresses, and a
+        # refit cadence whose only configured value was every round
         with pytest.raises(ConfigError, match=f"unknown config key {section}.{key}"):
             resolve_config({section: {key: value}}, "exp1")
 
@@ -535,8 +538,10 @@ class TestConfigReachesTheRun:
         [("run-exp2", {"smad": {"beta": 1.5}}, "smad.beta expects a number in (0, 1)"),
          ("run-exp3", {"exp3": {"beta": 1.0}}, "exp3.beta expects a number in (0, 1)"),
          ("run-exp3", {"exp3": {"risk_stay_prob": 1.5}},
-          "exp3.risk_stay_prob expects a number in [0, 1]")],
-        ids=["smad.beta", "exp3.beta", "exp3.risk_stay_prob"],
+          "exp3.risk_stay_prob expects a number in [0, 1]"),
+         # month 1's client window would hold one day, too few for a covariance
+         ("run-exp3", {"exp3": {"month_days": 1}}, "exp3.month_days expects an integer >= 2")],
+        ids=["smad.beta", "exp3.beta", "exp3.risk_stay_prob", "exp3.month_days"],
     )
     def test_out_of_range_fraction_is_a_config_error(
         self, tmp_path, capsys, command, cfg, message
@@ -544,6 +549,23 @@ class TestConfigReachesTheRun:
         code, out = _run(tmp_path, command, "range", {"repetitions": 1, **cfg})
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,cfg,key",
+        [("run-exp1", {"descent": {"eta": math.nan}}, "descent.eta"),
+         ("run-exp2", {"smad": {"gamma": math.inf}}, "smad.gamma"),
+         ("run-exp1", {"bounds": {"check": False}, "scenario": {"state_a": [-100, 0, math.inf]}},
+          "scenario.state_a"),
+         ("run-exp1", {"descent": {"eta": 10**400}}, "descent.eta")],
+        ids=["nan-eta", "infinite-gamma", "infinite-state", "eta-beyond-float-range"],
+    )
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, command, cfg, key):
+        # json writes and reads the NaN and Infinity literals and integers of
+        # any size
+        code, out = _run(tmp_path, command, "finite", {"repetitions": 1, **cfg})
+        assert code == EXIT_CONFIG
+        assert f"config key {key} expects a " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run-exp1", "run-exp2", "run-custom", "check-bounds"])
     def test_indices_beyond_the_parameter_are_a_config_error(self, tmp_path, capsys, command):

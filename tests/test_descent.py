@@ -152,7 +152,6 @@ class TestRunLoop:
             family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0),
             predictor=VarPredictor(order=4, min_history=10, indices=(0, 1)),
         )
-        assert pred.predictor_active_from == 11
         np.testing.assert_array_equal(pred.xs[:10], std.xs[:10])
         assert not np.array_equal(pred.xs[10], std.xs[10])
         # while warming up the recorded aim is the last observation

@@ -51,6 +51,22 @@ class TestPairedHarness:
             with pytest.raises(ValueError, match="repetitions must be >= 1"):
                 run()
 
+    @pytest.mark.parametrize("experiment", ["exp1", "exp2", "exp3"])
+    def test_repetition_does_not_depend_on_the_repetition_count(self, market, experiment):
+        # repetition r draws child r of the master seed and shares no state
+        # with the other repetitions, so a longer run only appends rows
+        run = {
+            "exp1": run_exp1,
+            "exp2": run_exp2,
+            "exp3": lambda cfg: run_exp3(cfg, data=market),
+        }[experiment]
+        extra = {"exp3": {"eval_months": 20}} if experiment == "exp3" else {}
+        two, four = (
+            run(unchecked(experiment, repetitions=reps, **extra)).curve.diffs
+            for reps in (2, 4)
+        )
+        np.testing.assert_array_equal(two, four[:2])
+
 
 class TestExp1:
     def test_prefix_exactly_zero_and_deterministic(self):

@@ -207,19 +207,16 @@ class TestVarPredictor:
         sub = full.predict(hist[:, :2])
         np.testing.assert_allclose(out[:2], sub)
 
-    def test_refit_freeze(self):
+    def test_predict_depends_only_on_the_history(self):
+        # one predictor serves many runs: a forecast never reuses the fit of
+        # an earlier call, even one on a history of the same length
         rng = np.random.default_rng(8)
-        hist = rng.normal(size=(40, 1)).cumsum(axis=0)
-        frozen = VarPredictor(order=1, refit_every=None)
-        frozen.predict(hist[:10])
-        fit_before = frozen._fit
-        frozen.predict(hist)
-        assert frozen._fit is fit_before
-        rolling = VarPredictor(order=1, refit_every=1)
-        rolling.predict(hist[:10])
-        fit_roll = rolling._fit
-        rolling.predict(hist)
-        assert rolling._fit is not fit_roll
+        first, other = rng.normal(size=(2, 30, 2)).cumsum(axis=1)
+        p = VarPredictor(order=2)
+        before = p.predict(first)
+        p.predict(other)
+        np.testing.assert_array_equal(p.predict(first), before)
+        np.testing.assert_array_equal(p.predict(other), VarPredictor(order=2).predict(other))
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)

@@ -61,7 +61,7 @@ def reference_step(pool, family, cset, theta_t, hist):
         else:
             continue
         moves[idx] = ogd_step(family, cset, pool.xs[idx], aim, pool.eta, pool.inner_steps)
-        if not np.isnan(pool.first_plays[idx, 0]):
+        if pool.played[idx]:
             p_theta[idx] += np.linalg.norm(theta_t - aim)
         lo = aim.copy() if lo is None else np.minimum(lo, aim)
         hi = aim.copy() if hi is None else np.maximum(hi, aim)
@@ -159,16 +159,15 @@ class TestGibbsUpdate:
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=30), 0)
         pool = ExpertPool(beta=0.2, gamma=1e-5, eta=ETA)
-        pool.activate([Persistence(), Persistence()], x_init=[0.0, 40.0], t=1)
-        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
+        roster = [(1, Persistence()), (1, Persistence())]
+        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0], roster=roster)
         np.testing.assert_allclose(traj.p, 0.5, atol=1e-12)
 
     def test_single_expert_is_its_own_aggregate(self):
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=25), 1)
         pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
-        pool.activate([Persistence()], x_init=[0.0, 40.0], t=1)
-        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
+        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0], roster=[(1, Persistence())])
         np.testing.assert_allclose(traj.xs, traj.expert_xs[:, 0, :], atol=1e-12)
         np.testing.assert_allclose(traj.p[:, 0], 1.0, atol=1e-15)
 
@@ -176,11 +175,10 @@ class TestGibbsUpdate:
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=60), 2)
         pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
-        pool.activate(
-            [Persistence(), NoisyOracle(thetas, 0.0), NoisyOracle(thetas, 3.0, rng=np.random.default_rng(5))],
-            x_init=[0.0, 40.0], t=1,
-        )
-        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
+        experts = [
+            Persistence(), NoisyOracle(thetas, 0.0), NoisyOracle(thetas, 3.0, rng=np.random.default_rng(5))
+        ]
+        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0], roster=[(1, p) for p in experts])
         for row in traj.p:
             assert np.all(row >= 0)
             assert abs(row.sum() - 1.0) <= 1e-12
@@ -191,11 +189,8 @@ class TestGibbsUpdate:
         family, cset = tracking_setup()
         thetas = np.tile(np.array([30.0, 10.0, 0.0]), (50, 1))
         pool = ExpertPool(beta=0.2, gamma=1e-4, eta=ETA)
-        pool.activate(
-            [NoisyOracle(thetas, 0.0), FixedAim([-40.0, -40.0, 0.0])],
-            x_init=[0.0, 40.0], t=1,
-        )
-        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
+        roster = [(1, NoisyOracle(thetas, 0.0)), (1, FixedAim([-40.0, -40.0, 0.0]))]
+        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0], roster=roster)
         losses = traj.expert_losses
         assert np.all(losses[:, 0] < losses[:, 1])
         winner = traj.p[:, 0]
@@ -205,9 +200,9 @@ class TestGibbsUpdate:
         family, cset = tracking_setup()
         thetas = np.array([[0.0, 0.0, 0.0], [1e306, 0.0, 0.0]])
         pool = ExpertPool(beta=0.2, gamma=10.0, eta=ETA)
-        pool.activate([Persistence(), Persistence()], x_init=[0.0, 0.0], t=1)
+        roster = [(1, Persistence()), (1, Persistence())]
         with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="gamma"):
-            run_smad(family, cset, thetas, pool, [0.0, 0.0])
+            run_smad(family, cset, thetas, pool, [0.0, 0.0], roster=roster)
 
     def test_step_empty_pool_rejected(self):
         family, cset = tracking_setup()
@@ -227,8 +222,15 @@ class TestRunSmad:
         roster = [(15, Persistence())]
         traj = run_smad(family, cset, thetas, pool, (0.0, 40.0), roster=roster)
         np.testing.assert_array_equal(traj.xs[:14], std.xs[:14])
-        assert traj.pool_empty_until == 14
         assert traj.activation_times == (15,)
+
+    def test_pool_already_holding_experts_is_rejected(self):
+        family, cset = tracking_setup()
+        thetas = gen_switching(SwitchingProcessSpec(horizon=10), 12)
+        pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
+        pool.activate([Persistence()], x_init=[0.0, 40.0], t=1)
+        with pytest.raises(ValueError, match="only from its roster"):
+            run_smad(family, cset, thetas, pool, (0.0, 40.0), roster=[(1, Persistence())])
 
     def test_same_round_entrants_into_an_empty_pool_start_uniform(self):
         family, cset = tracking_setup()
@@ -241,6 +243,8 @@ class TestRunSmad:
         # the later entrant takes beta
         np.testing.assert_allclose(traj.p[2, :2], [0.5, 0.5], rtol=1e-9)
         np.testing.assert_allclose(traj.p[4], [0.4, 0.4, 0.2], rtol=1e-9)
+        # an expert's first play is its move in its activation round
+        np.testing.assert_array_equal(traj.first_plays, traj.expert_xs[[2, 2, 4], [0, 1, 2]])
 
     def test_entrant_starts_from_previous_output(self):
         family, cset = tracking_setup()
@@ -261,8 +265,8 @@ class TestRunSmad:
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=50), 8)
         pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
-        pool.activate([Persistence(), NoisyOracle(thetas, 0.0)], x_init=[0.0, 40.0], t=1)
-        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
+        roster = [(1, Persistence()), (1, NoisyOracle(thetas, 0.0))]
+        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0], roster=roster)
         for x in traj.xs:
             assert cset.contains(x, tol=1e-9)
 
@@ -270,8 +274,8 @@ class TestRunSmad:
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=30), 9)
         pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
-        pool.activate([Persistence(), NoisyOracle(thetas, 0.0)], x_init=[0.0, 40.0], t=1)
-        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
+        roster = [(1, Persistence()), (1, NoisyOracle(thetas, 0.0))]
+        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0], roster=roster)
         best = min(traj.expert_losses[:, i].sum() for i in range(2))
         assert traj.hedge_gap() == pytest.approx(traj.losses.sum() - best, rel=1e-12)
 
@@ -282,15 +286,12 @@ class TestRunSmad:
             thetas = gen_switching(SwitchingProcessSpec(horizon=40), seed)
             gamma = 10.0 ** np.random.default_rng(seed).uniform(-7, -5)
             pool = ExpertPool(beta=0.2, gamma=gamma, eta=ETA)
-            pool.activate(
-                [
-                    Persistence(),
-                    NoisyOracle(thetas, 0.0),
-                    NoisyOracle(thetas, 4.0, rng=np.random.default_rng(seed + 100)),
-                ],
-                x_init=[0.0, 40.0], t=1,
-            )
-            traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
+            experts = [
+                Persistence(),
+                NoisyOracle(thetas, 0.0),
+                NoisyOracle(thetas, 4.0, rng=np.random.default_rng(seed + 100)),
+            ]
+            traj = run_smad(family, cset, thetas, pool, [0.0, 40.0], roster=[(1, p) for p in experts])
             ranges = traj.expert_losses.max(axis=1) - traj.expert_losses.min(axis=1)
             d_hat = float(ranges.max())
             bound = hedge_gap_bound(gamma, d_hat, traj.horizon, 3)
@@ -300,8 +301,8 @@ class TestRunSmad:
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=30), 10)
         pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
-        pool.activate([NoisyOracle(thetas, 0.0), Persistence()], x_init=[0.0, 40.0], t=1)
-        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
+        roster = [(1, NoisyOracle(thetas, 0.0)), (1, Persistence())]
+        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0], roster=roster)
         assert traj.p_theta_by_expert[0] == pytest.approx(0.0, abs=1e-12)
         persist = sum(
             np.linalg.norm(thetas[t] - thetas[t - 1]) for t in range(1, 30)
@@ -347,7 +348,6 @@ class TestBatchedStep:
 
         tol = dict(rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(x_t, want["x_t"], **tol)
-        np.testing.assert_allclose(pool.last_moves, want["moves"], **tol)
         np.testing.assert_allclose(pool.xs, want["moves"], **tol)
         np.testing.assert_allclose(pool.last_losses, want["losses"], **tol)
         np.testing.assert_allclose(pool.log_p, want["log_p"], **tol)
@@ -357,7 +357,7 @@ class TestBatchedStep:
         else:
             np.testing.assert_array_equal(pool.aim_lo, want["aim_lo"])
             np.testing.assert_array_equal(pool.aim_hi, want["aim_hi"])
-        assert not np.isnan(pool.first_plays).any()
+        assert pool.played.all()
 
     def test_nonfinite_gradient_names_the_expert(self):
         family, cset = tracking_setup()
@@ -383,8 +383,8 @@ class TestBatchedStep:
         family, cset = tracking_setup()
         thetas = gen_switching(SwitchingProcessSpec(horizon=12), 3)
         pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
-        pool.activate([Persistence(), NoisyOracle(thetas, 0.0)], x_init=[0.0, 40.0], t=1)
-        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0])
-        np.testing.assert_array_equal(traj.expert_xs[-1], pool.last_moves)
+        roster = [(1, Persistence()), (1, NoisyOracle(thetas, 0.0))]
+        traj = run_smad(family, cset, thetas, pool, [0.0, 40.0], roster=roster)
+        np.testing.assert_array_equal(traj.expert_xs[-1], pool.xs)
         np.testing.assert_array_equal(traj.expert_losses[-1], pool.last_losses)
         np.testing.assert_array_equal(traj.first_plays, traj.expert_xs[0])
