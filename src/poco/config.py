@@ -321,6 +321,9 @@ def _cross_checks(cfg: dict) -> None:
         raise ConfigError("descent.x1 and objective.weights must agree on dimension")
     if cfg["domain"]["kind"] == "ball" and len(cfg["domain"]["center"]) != n:
         raise ConfigError("domain.center and objective.weights must agree on dimension")
+    for sec, key in (("smad", "expert_orders"), ("exp3", "lookbacks"), ("exp3", "ar_orders")):
+        if not cfg[sec][key]:
+            raise ConfigError(f"{sec}.{key} is empty; an expert pool needs at least one expert")
     smad = cfg["smad"]
     if smad["activation_times"] is not None and len(smad["activation_times"]) != len(
         smad["expert_orders"]

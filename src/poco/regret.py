@@ -9,8 +9,10 @@ regret, and the closed-form bounds the library promises:
   descent in terms of the contraction factor, the starting gap, the
   minimizer path length and the prediction regularity (the k-step variant
   raises the contraction factor to the k-th power in the first two terms);
-* ``expert_regret_bound``: the same evaluated at the best expert's
-  prediction regularity, plus the aggregation penalty D*sqrt(2T)/4*(1+ln N).
+* ``hedge_gap_bound``: the exponential-weights aggregation penalty
+  T*gamma*D^2/8 + ln(N)/gamma (Cesa-Bianchi & Lugosi 2006, Thm 2.2);
+* ``expert_regret_bound``: the first at the best expert's prediction
+  regularity plus the second at the tuned gamma, D*sqrt(2T)/4*(1+ln N).
 
 Bound checks refuse to run when the projection is not nonexpansive (the
 renormalizing simplex heuristic), because the contraction argument behind
@@ -212,6 +214,14 @@ def expert_regret_bound(
     return descent_part + mixing_part
 
 
+def hedge_gap_bound(gamma: float, d_range: float, horizon: int, n_experts: int) -> float:
+    """Upper bound T*gamma*D^2/8 + ln(N)/gamma on the aggregated loss minus
+    the best expert's loss, valid for pools held fixed over the run."""
+    if gamma <= 0 or d_range < 0 or horizon < 1 or n_experts < 1:
+        raise ValueError("need gamma > 0, D >= 0, T >= 1, N >= 1")
+    return horizon * gamma * d_range * d_range / 8.0 + math.log(n_experts) / gamma
+
+
 def realized_theta_box(*theta_arrays) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise bounding box of realized parameters and predictions.
 
@@ -243,6 +253,9 @@ class RegretLedger:
     bound: Optional[float]
     bound_holds: Optional[bool]
     bound_skipped_reason: Optional[str] = None
+    hedge_gap: Optional[float] = None  # the aggregation check, day-one pools only
+    hedge_bound: Optional[float] = None
+    hedge_holds: Optional[bool] = None
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -260,6 +273,10 @@ class RegretLedger:
         if self.bound is not None:
             verdict = "PASS" if self.bound_holds else "FAIL"
             lines.append(f"regret bound     {self.bound:.6g}  [{verdict}]")
+        if self.hedge_bound is not None:
+            verdict = "PASS" if self.hedge_holds else "FAIL"
+            gap, bound = self.hedge_gap, self.hedge_bound
+            lines.append(f"aggregation gap  {gap:.6g}  bound {bound:.6g}  [{verdict}]")
         if self.bound_skipped_reason:
             lines.append(f"bound check skipped: {self.bound_skipped_reason}")
         return lines
@@ -281,9 +298,13 @@ def build_ledger(
     and ``inner_steps`` it descended with and its ``bound_skipped_reason``.
     Constants come from ``derive_constants`` over the bounding box of the
     realized parameters and the aims actually descended toward (the
-    parameters alone when nothing was aimed at).  The predictive-descent
-    bound is evaluated only when the run gives no skip reason and the
-    projection is nonexpansive; heuristic runs get a logged notice instead.
+    parameters alone when nothing was aimed at).  A bound is evaluated only
+    when the run gives no skip reason and the projection is nonexpansive;
+    heuristic runs get a logged notice instead.  A descent run gets the
+    predictive-descent bound.  A day-one pool gets it at the farthest expert
+    first play from x*_1, plus ``hedge_gap_bound`` at the pool's ``gamma``
+    and the run's largest per-round spread of expert losses, and its
+    ``hedge_gap()`` is checked against that penalty.
     """
     eta, inner_steps = trajectory.eta, trajectory.inner_steps
     xstars = minimizers_batch(family, cset, trajectory.thetas)
@@ -307,11 +328,21 @@ def build_ledger(
             "argument behind the bound does not apply"
         )
         logger.info("bound check skipped: %s", skipped)
+    hedge_gap = hedge_bound = hedge_holds = None
     if skipped is None:
         contraction = contraction_factor(constants, eta)
+        start_gap, penalty = x1_gap, 0.0
+        if hasattr(trajectory, "expert_losses"):  # a day-one pool
+            n = len(trajectory.activation_times)  # joined experts come first
+            gaps = np.linalg.norm(trajectory.first_plays[:n] - xstars[0], axis=1)
+            expert_losses = trajectory.expert_losses[:, :n]
+            spread = float((expert_losses.max(1) - expert_losses.min(1)).max())
+            start_gap, hedge_gap = float(gaps.max()), trajectory.hedge_gap()
+            penalty = hedge_bound = hedge_gap_bound(trajectory.gamma, spread, trajectory.horizon, n)
+            hedge_holds = hedge_gap <= hedge_bound + BOUND_SLACK
         bound = predictive_regret_bound(
-            constants, eta, x1_gap, p_star, p_theta, k=inner_steps
-        )
+            constants, eta, start_gap, p_star, p_theta, k=inner_steps
+        ) + penalty
         holds = reg_d <= bound + BOUND_SLACK * (1.0 + abs(bound))
 
     return RegretLedger(
@@ -329,4 +360,7 @@ def build_ledger(
         bound=bound,
         bound_holds=holds,
         bound_skipped_reason=skipped,
+        hedge_gap=hedge_gap,
+        hedge_bound=hedge_bound,
+        hedge_holds=hedge_holds,
     )

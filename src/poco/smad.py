@@ -43,14 +43,6 @@ def suggested_gamma(d_range: float, horizon: int) -> float:
     return math.sqrt(8.0 / (horizon * d_range * d_range))
 
 
-def hedge_gap_bound(gamma: float, d_range: float, horizon: int, n_experts: int) -> float:
-    """Upper bound T*gamma*D^2/8 + ln(N)/gamma on the aggregated loss minus
-    the best expert's loss, valid for pools held fixed over the run."""
-    if gamma <= 0 or d_range < 0 or horizon < 1 or n_experts < 1:
-        raise ValueError("need gamma > 0, D >= 0, T >= 1, N >= 1")
-    return horizon * gamma * d_range * d_range / 8.0 + math.log(n_experts) / gamma
-
-
 class ExpertPool:
     """Roster of experts with a normalized log-space weight vector.
 
@@ -212,14 +204,12 @@ class SmadTrajectory:
 
     Expert arrays are padded with NaN before activation.  ``p`` holds the
     post-update distribution of each round, aligned to the full roster.
-    ``first_plays`` reads each expert's play in its activation round off
-    ``expert_xs``.
     ``aim_lo``/``aim_hi`` copy the pool's aim range (None when no expert
     ever aimed), ``p_theta`` is the best expert's prediction regularity and
-    ``eta``/``inner_steps`` are the pool's; a regret ledger reads them as it
-    reads a descent ``Trajectory``.  ``bound_skipped_reason`` says why the
-    predictive-descent bound, which covers one descent run, does not apply;
-    the run counts as mid-run unless every expert joined in round 1.
+    ``eta``/``inner_steps``/``gamma`` are the pool's; a regret ledger reads
+    them as it reads a descent ``Trajectory``.  ``bound_skipped_reason`` is
+    None for a day-one pool, which the fixed-pool bound covers, and says
+    why that bound does not apply otherwise.
     """
 
     xs: np.ndarray  # (T, n) aggregated plays
@@ -232,8 +222,9 @@ class SmadTrajectory:
     p_theta_by_expert: np.ndarray  # (N,) effective prediction regularity
     aim_lo: Optional[np.ndarray]  # (m,)
     aim_hi: Optional[np.ndarray]  # (m,)
-    eta: float  # the pool's step size and inner steps per round
+    eta: float  # the pool's step size, inner steps per round and learning rate
     inner_steps: int
+    gamma: float
 
     @property
     def horizon(self) -> int:
@@ -242,7 +233,7 @@ class SmadTrajectory:
     @property
     def p_theta(self) -> float:
         """The smallest expert regularity; NaN when no expert was active."""
-        return float(np.fmin.reduce(self.p_theta_by_expert))
+        return float(np.fmin.reduce(self.p_theta_by_expert, initial=np.nan))
 
     @property
     def first_plays(self) -> np.ndarray:
@@ -255,18 +246,18 @@ class SmadTrajectory:
         return first
 
     @property
-    def bound_skipped_reason(self) -> str:
+    def bound_skipped_reason(self) -> Optional[str]:
+        if not self.activation_times:
+            return "no expert joined the pool; the fixed-pool bound does not apply"
         if set(self.activation_times) != {1}:
             return "experts joined mid-run; the fixed-pool bound does not apply"
-        return (
-            "an expert pool is not a single descent run; the "
-            "predictive-descent bound does not apply"
-        )
+        return None
 
     def hedge_gap(self) -> float:
-        """Aggregated cumulative loss minus the best expert's; only
+        """Aggregated cumulative loss minus the best joined expert's; only
         meaningful when every expert was active from the first round."""
-        return float(self.losses.sum() - np.nansum(self.expert_losses, axis=0).min())
+        joined = self.expert_losses[:, : len(self.activation_times)]
+        return float(self.losses.sum() - np.nansum(joined, axis=0).min())
 
 
 def run_smad(
@@ -370,4 +361,5 @@ def run_smad(
         aim_hi=None if pool.aim_hi is None else pool.aim_hi.copy(),
         eta=pool.eta,
         inner_steps=pool.inner_steps,
+        gamma=pool.gamma,
     )

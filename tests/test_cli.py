@@ -488,7 +488,17 @@ class TestConfigReachesTheRun:
         for key in ("Reg_D", "P* (path length)", "||x1 - x1*||", "constants"):
             assert [l for l in ogd if l.startswith(key)] == [l for l in smad if l.startswith(key)]
         assert "P^theta          nan" in smad
-        assert any("experts joined mid-run" in line for line in smad)
+        reason = "no expert joined the pool; the fixed-pool bound does not apply"
+        assert f"bound check skipped: {reason}" in smad
+
+    def test_day_one_pool_is_checked_against_the_fixed_pool_bound(self, tmp_path):
+        cfg = {"repetitions": 1, "horizon": 60, "smad": {"activation_times": [1, 1, 1, 1, 1]}}
+        code, out = _run(tmp_path, "run-exp2", "day-one", cfg)
+        assert code == EXIT_OK
+        smad = (out / "summary.txt").read_text().split("[smad]")[1].splitlines()
+        assert any(l.startswith("regret bound") and l.endswith("[PASS]") for l in smad)
+        assert any(l.startswith("aggregation gap") and l.endswith("[PASS]") for l in smad)
+        assert not any("bound check skipped" in l for l in smad)
 
     @pytest.mark.parametrize("command", ["run-exp1", "run-exp2"])
     def test_bounds_check_false_lifts_the_step_size_guard(self, tmp_path, command):
@@ -551,6 +561,19 @@ class TestConfigReachesTheRun:
         assert message in capsys.readouterr().err and not out.exists()
 
     @pytest.mark.parametrize(
+        "command,section,key",
+        [("run-exp2", "smad", "expert_orders"),
+         ("run-exp3", "exp3", "lookbacks"),
+         ("run-exp3", "exp3", "ar_orders")],
+        ids=["smad.expert_orders", "exp3.lookbacks", "exp3.ar_orders"],
+    )
+    def test_empty_expert_list_is_a_config_error(self, tmp_path, capsys, command, section, key):
+        cfg = {"repetitions": 1, "horizon": 20, section: {key: []}}
+        code, out = _run(tmp_path, command, "no-experts", cfg)
+        assert code == EXIT_CONFIG
+        assert f"{section}.{key} is empty" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize(
         "command,cfg,key",
         [("run-exp1", {"descent": {"eta": math.nan}}, "descent.eta"),
          ("run-exp2", {"smad": {"gamma": math.inf}}, "smad.gamma"),
@@ -576,14 +599,20 @@ class TestConfigReachesTheRun:
         assert "predictor.indices=[5]" in capsys.readouterr().err and not out.exists()
 
     def test_check_bounds_fails_on_a_hedge_violation_alone(self, tmp_path, monkeypatch):
+        import dataclasses
+
         import poco.experiments as experiments
-        from poco.experiments import BoundCheckRecord, BoundStudyResult
+        from poco.experiments import BoundStudyResult
+
+        # a real ledger whose verdicts say: regret bound held, aggregation did not
+        study = experiments.run_predictive_bound_study(resolve_config({"horizon": 10}), 1)
+        ledger = study.records[0]
+        rec = dataclasses.replace(
+            ledger, reg_d=1.0, bound=2.0, bound_holds=True,
+            hedge_gap=3.0, hedge_bound=2.0, hedge_holds=False,
+        )
 
         def violated(cfg, n_runs):
-            rec = BoundCheckRecord(
-                reg_d=1.0, bound=2.0, holds=True,
-                hedge_gap=3.0, hedge_bound=2.0, hedge_holds=False,
-            )
             return BoundStudyResult(records=[rec], label="expert-pool regret bound")
 
         monkeypatch.setattr(experiments, "run_expert_bound_study", violated)

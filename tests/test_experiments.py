@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,12 @@ from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall
 from poco.objectives import QuadraticTracking
 from poco.predictors import NoisyOracle
+from poco.regret import hedge_gap_bound
 from poco.scenarios import RiskProcessSpec, SwitchingProcessSpec, gen_switching
 from poco.smad import ExpertPool, run_smad
 from poco.experiments import (
+    EXPERT_NOISE_CLIP,
+    declared_gamma,
     load_exp3_market,
     run_exp1,
     run_exp2,
@@ -244,11 +249,13 @@ class TestBoundStudies:
             assert st.all_hold
 
     def test_all_hold_covers_the_aggregation_inequality(self):
-        from poco.experiments import BoundCheckRecord, BoundStudyResult
+        from poco.experiments import BoundStudyResult
+
+        ledger = run_predictive_bound_study(resolve_config({"horizon": 10}, "exp1"), 1).records[0]
 
         def study(hedge_holds):
-            rec = BoundCheckRecord(
-                reg_d=1.0, bound=2.0, holds=True,
+            rec = dataclasses.replace(
+                ledger, reg_d=1.0, bound=2.0, bound_holds=True,
                 hedge_gap=0.5, hedge_bound=1.0, hedge_holds=hedge_holds,
             )
             return BoundStudyResult(records=[rec], label="expert-pool regret bound")
@@ -263,3 +270,15 @@ class TestBoundStudies:
         assert all(rec.hedge_holds for rec in st.records)
         lines = "\n".join(st.summary_lines())
         assert "exponential-weights" in lines
+
+    def test_expert_study_penalty_never_exceeds_the_declared_range(self):
+        # the ledger charges the measured spread of expert losses, which the
+        # declared D bounds, so its aggregation check is never looser
+        cfg = resolve_config({}, "exp1")
+        clipped = {**cfg, "scenario": {**cfg["scenario"], "noise_clip": EXPERT_NOISE_CLIP}}
+        d_range, gamma = declared_gamma(clipped)
+        st = run_expert_bound_study(cfg, 4)
+        declared = hedge_gap_bound(gamma, d_range, cfg["horizon"], 5)
+        for rec in st.records:
+            assert rec.bound_holds and rec.hedge_holds
+            assert rec.hedge_bound <= declared

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from poco.regret import (
     build_ledger,
     dynamic_regret,
     expert_regret_bound,
+    hedge_gap_bound,
     minimizer_oracle,
     minimizers_batch,
     path_length,
@@ -24,7 +26,7 @@ from poco.regret import (
     realized_theta_box,
 )
 from poco.scenarios import SwitchingProcessSpec, gen_switching
-from poco.smad import ExpertPool, run_smad
+from poco.smad import ExpertPool, run_smad, suggested_gamma
 
 from helpers import secular_ball_minimizer, simplex_mesh_argmin
 
@@ -218,6 +220,17 @@ class TestExpertRegretBound:
             self.CONSTANTS, eta, 0.5, 2.0, 3.0, d, t, n
         ) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("d,t,n", [(3.0, 50, 1), (2.5, 120, 7), (1e-3, 1, 2), (40.0, 200, 5)])
+    def test_tuned_form_is_the_ledger_rule_at_the_tuned_rate(self, d, t, n):
+        # the ledger charges hedge_gap_bound at the pool's gamma; at the
+        # tuned gamma that is the exported closed form's mixing penalty
+        eta = 1.0 / 20.0
+        base = predictive_regret_bound(self.CONSTANTS, eta, 0.5, 2.0, 3.0, k=2)
+        ledger_rule = base + hedge_gap_bound(suggested_gamma(d, t), d, t, n)
+        assert expert_regret_bound(
+            self.CONSTANTS, eta, 0.5, 2.0, 3.0, d, t, n, k=2
+        ) == pytest.approx(ledger_rule, rel=1e-12)
+
 
 class TestLedger:
     def test_offset_cancels_in_regret(self):
@@ -307,8 +320,50 @@ class TestPoolLedger:
         assert ledger.constants == family.derive_constants(cset, box)
         assert ledger.constants.D > family.derive_constants(cset, realized_theta_box(thetas)).D
         assert ledger.p_theta == np.nanmin(traj.p_theta_by_expert)
-        assert ledger.bound is None
-        assert "not a single descent run" in ledger.bound_skipped_reason
+        # a day-one pool is checked against the fixed-pool bound
+        assert ledger.bound_skipped_reason is None
+        assert ledger.bound_holds and ledger.hedge_holds
+
+    def test_day_one_pool_gets_both_verdicts(self):
+        thetas = gen_switching(SwitchingProcessSpec(horizon=50), 26)
+        noisy = NoisyOracle(thetas, noise_std=4.0, rng=np.random.default_rng(6))
+        family, cset, traj = self.pool_run(
+            thetas, predictors=[Persistence(), NoisyOracle(thetas, 0.0), noisy]
+        )
+        ledger = build_ledger(family, cset, traj)
+        assert ledger.bound_holds is True and ledger.hedge_holds is True
+        assert ledger.hedge_gap == traj.hedge_gap()
+        spread = (traj.expert_losses.max(1) - traj.expert_losses.min(1)).max()
+        assert ledger.hedge_bound == hedge_gap_bound(traj.gamma, spread, 50, 3)
+        starts = np.linalg.norm(traj.expert_xs[0] - ledger.minimizers[0], axis=1).max()
+        assert ledger.bound == pytest.approx(
+            predictive_regret_bound(
+                ledger.constants, traj.eta, starts, ledger.p_star, ledger.p_theta
+            )
+            + ledger.hedge_bound,
+            rel=1e-12,
+        )
+        text = "\n".join(ledger.summary_lines())
+        assert "regret bound" in text and "aggregation gap" in text and "FAIL" not in text
+
+        # the aggregate paying a constant more every round breaks both
+        worse = build_ledger(
+            family, cset, dataclasses.replace(traj, losses=traj.losses + ledger.bound)
+        )
+        assert worse.bound_holds is False and worse.hedge_holds is False
+        assert "\n".join(worse.summary_lines()).count("[FAIL]") == 2
+
+    def test_pool_with_an_expert_due_after_the_horizon_counts_the_joined(self):
+        thetas = gen_switching(SwitchingProcessSpec(horizon=30), 27)
+        family, cset, traj = self.pool_run(
+            thetas, roster=[(100, Persistence())],
+            predictors=[Persistence(), NoisyOracle(thetas, 0.0)],
+        )
+        assert traj.activation_times == (1, 1)
+        ledger = build_ledger(family, cset, traj)
+        best = traj.expert_losses[:, :2].sum(axis=0).min()
+        assert ledger.hedge_gap == pytest.approx(traj.losses.sum() - best, rel=1e-12)
+        assert ledger.bound_holds and ledger.hedge_holds
 
     def test_pool_that_never_activates_uses_the_observations(self):
         thetas = gen_switching(SwitchingProcessSpec(horizon=40), 24)
@@ -316,7 +371,15 @@ class TestPoolLedger:
         assert traj.aim_lo is None and math.isnan(traj.p_theta)
         ledger = build_ledger(family, cset, traj)
         assert ledger.constants == family.derive_constants(cset, realized_theta_box(thetas))
-        assert "mid-run" in ledger.bound_skipped_reason
+        assert ledger.bound_skipped_reason.startswith("no expert joined the pool")
+
+    def test_empty_roster_gets_a_ledger(self):
+        thetas = gen_switching(SwitchingProcessSpec(horizon=20), 28)
+        family, cset, traj = self.pool_run(thetas)
+        assert traj.activation_times == () and math.isnan(traj.p_theta)
+        ledger = build_ledger(family, cset, traj)
+        assert math.isnan(ledger.p_theta) and ledger.bound is None
+        assert ledger.bound_skipped_reason.startswith("no expert joined the pool")
 
     def test_descent_record_exposes_its_aims(self):
         family, cset = tracking_setup()

@@ -9,8 +9,9 @@ from poco.descent import DescentConfig, ogd_step, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import Markowitz, QuadraticTracking
 from poco.predictors import NoisyOracle, Persistence
+from poco.regret import hedge_gap_bound
 from poco.scenarios import SwitchingProcessSpec, gen_switching
-from poco.smad import ExpertPool, hedge_gap_bound, run_smad, suggested_gamma
+from poco.smad import ExpertPool, run_smad, suggested_gamma
 
 ETA = 1.0 / 200.0
 
