@@ -13,6 +13,8 @@ array) and emits theta_hat for time t+1.  Three kinds are provided:
 Predictors report readiness via ``ready(n_obs)``.  :func:`step_aim` is the
 one rule every descent step uses to pick its target: the forecast once the
 predictor is ready, else the last observation (plain descent).
+:func:`step_aims` applies it to a whole expert pool, with one shared fit
+for the VAR experts that model the same coordinates.
 """
 
 from __future__ import annotations
@@ -75,12 +77,14 @@ def fit_var_orders(
 ) -> dict[int, VarFit]:
     """Yule-Walker VAR fits of several orders on one (T, d) series.
 
-    The autocovariances are computed once, up to the largest order the
-    series can support; each order then solves its own block-Toeplitz
-    system.  Gamma(h) does not depend on how many lags are formed, so every
-    fit equals ``fit_var_yule_walker(series, k)`` exactly.  Orders whose
-    2k+1 exceeds the series length are left out of the result.  When some
-    order is fitted, a NaN or inf in the series raises ``ValueError``.
+    The autocovariances are computed once, up to the largest order K the
+    series can support, and so is the ridged block-Toeplitz system of order
+    K.  Order k's system is that system's leading k*d x k*d block against
+    the first k*d rows of its right-hand side: block (i, j) is
+    Gamma(i - j)' whatever the order, so every fit equals
+    ``fit_var_yule_walker(series, k)`` exactly.  Orders whose 2k+1 exceeds
+    the series length are left out of the result.  When some order is
+    fitted, a NaN or inf in the series raises ``ValueError``.
     """
     orders = sorted({int(k) for k in orders})
     if orders and orders[0] < 1:
@@ -94,36 +98,34 @@ def fit_var_orders(
         return {}
     if not np.isfinite(ridge):
         raise ValueError(f"ridge must be finite, got {ridge}")
-    gammas, ybar = sample_autocovariances(y, ready[-1])
+    top = ready[-1]
+    gammas, ybar = sample_autocovariances(y, top)
     if not np.isfinite(gammas).all():
         raise ValueError(
             "series holds NaN or inf (or overflows its autocovariances); "
             "the Yule-Walker fit needs finite values"
         )
-    return {k: _solve_yule_walker(gammas, ybar, k, ridge) for k in ready}
-
-
-def _solve_yule_walker(
-    gammas: np.ndarray, ybar: np.ndarray, order: int, ridge: float
-) -> VarFit:
     d = ybar.shape[0]
     # block (i, j) is Gamma(i - j)', with Gamma(-h) = Gamma(h)'; lags[k]
-    # holds lag k - (order - 1)
+    # holds lag k - (top - 1)
     lags = np.concatenate(
-        [gammas[order - 1 : 0 : -1], gammas[:order].transpose(0, 2, 1)]
+        [gammas[top - 1 : 0 : -1], gammas[:top].transpose(0, 2, 1)]
     )
-    steps = np.arange(order)
-    blocks = lags[steps[:, None] - steps[None, :] + order - 1]
-    big = blocks.transpose(0, 2, 1, 3).reshape(order * d, order * d)
-    big.flat[:: order * d + 1] += ridge
-    rhs = gammas[1 : order + 1].transpose(0, 2, 1).reshape(order * d, d)
-    try:
-        sol = np.linalg.solve(big, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"Yule-Walker system singular even with ridge {ridge}"
-        ) from exc
-    return VarFit(phis=sol.reshape(order, d, d).transpose(0, 2, 1), mean=ybar)
+    steps = np.arange(top)
+    blocks = lags[steps[:, None] - steps[None, :] + top - 1]
+    big = blocks.transpose(0, 2, 1, 3).reshape(top * d, top * d)
+    big.flat[:: top * d + 1] += ridge
+    rhs = gammas[1 : top + 1].transpose(0, 2, 1).reshape(top * d, d)
+    fits = {}
+    for k in ready:
+        try:
+            sol = np.linalg.solve(big[: k * d, : k * d], rhs[: k * d])
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                f"Yule-Walker system singular even with ridge {ridge}"
+            ) from exc
+        fits[k] = VarFit(phis=sol.reshape(k, d, d).transpose(0, 2, 1), mean=ybar)
+    return fits
 
 
 def fit_var_yule_walker(
@@ -272,6 +274,47 @@ def step_aim(predictor, history):
     if n_obs >= 1:
         return history[-1]
     return None
+
+
+def step_aims(predictors, history):
+    """Every predictor's :func:`step_aim` after observing ``history``, as
+    an (N, m) array of aims and an (N,) mask of the rows that have one
+    (unaimed rows hold NaN).
+
+    Ready :class:`VarPredictor` rows that model the same coordinates share
+    one :func:`fit_var_orders` call over all their orders and one
+    :func:`var_predict` per order; every other row, a VAR expert still
+    warming up included, is ``step_aim(predictor, history)`` in roster
+    order.  Each row equals its ``step_aim`` bit for bit.
+    """
+    hist = np.asarray(history, dtype=float)
+    if hist.ndim == 1:
+        hist = hist[:, None]
+    n_obs = hist.shape[0]
+    aims = np.full((len(predictors), hist.shape[1]), np.nan)
+    aimed = np.zeros(len(predictors), dtype=bool)
+    groups: dict = {}
+    for idx, predictor in enumerate(predictors):
+        if isinstance(predictor, VarPredictor) and predictor.ready(n_obs):
+            groups.setdefault(predictor.indices, []).append(idx)
+            continue
+        aim = step_aim(predictor, hist)
+        if aim is not None:
+            aims[idx] = aim
+            aimed[idx] = True
+    for indices, rows in groups.items():
+        sub = hist if indices is None else hist[:, indices]
+        fits = fit_var_orders(sub, [predictors[idx].order for idx in rows])
+        forecasts = {k: var_predict(fit, sub) for k, fit in fits.items()}
+        for idx in rows:
+            forecast = forecasts[predictors[idx].order]
+            if indices is None:
+                aims[idx] = forecast
+            else:
+                aims[idx] = hist[-1]
+                aims[idx, list(indices)] = forecast
+        aimed[rows] = True
+    return aims, aimed
 
 
 def prediction_regularity(thetas, theta_hats) -> float:

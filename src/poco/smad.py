@@ -10,12 +10,13 @@ is mixed in with mass beta (existing weights are scaled by (1 - beta)),
 with its iterate seeded at the previous aggregated output and its predictor
 fit on the full history observed so far.
 
-Experts are rows of arrays, not objects: each round the predictors fill an
-(N, m) array of aims row by row, and every expert then descends toward its
-own aim in one row-wise update (``gradient_x_rows`` and ``project_rows``
-per inner step), followed by one ``value_rows`` call for the losses.  The
-result equals running ``ogd_step`` once per expert, up to floating-point
-summation order.
+Experts are rows of arrays, not objects: each round one
+:func:`poco.predictors.step_aims` call gives the (N, m) array of aims, with
+one Yule-Walker fit shared by the AR experts that model the same
+coordinates, and every expert then descends toward its own aim in one
+row-wise update (``gradient_x_rows`` and ``project_rows`` per inner step),
+followed by one ``value_rows`` call for the losses.  The result equals
+running ``ogd_step`` once per expert, up to floating-point summation order.
 
 Weights are kept in log space; every exposed distribution is normalized.
 """
@@ -30,7 +31,7 @@ import numpy as np
 
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import ConstraintSet
-from poco.predictors import step_aim
+from poco.predictors import step_aims
 
 
 def suggested_gamma(d_range: float, horizon: int) -> float:
@@ -124,27 +125,20 @@ class ExpertPool:
         revealed this round.  Each expert aims where
         :func:`poco.predictors.step_aim` says: at its own prediction of
         theta_t, at the last observation while its predictor warms up, and
-        nowhere (it holds still) when there is no history at all.  The
-        aims are stacked into an (N, m) array and every expert that has an
-        aim takes its ``inner_steps`` projected gradient updates together,
-        one ``family.gradient_x_rows`` and one ``cset.project_rows`` call per
-        update.  The aggregate plays the projected weighted mean of the
+        nowhere (it holds still) when there is no history at all.  One
+        :func:`poco.predictors.step_aims` call gives the (N, m) array of
+        aims: the ready AR experts that model the same coordinates share a
+        single ``fit_var_orders`` call over their orders.  Every expert
+        that has an aim takes its ``inner_steps`` projected gradient updates
+        together, one ``family.gradient_x_rows`` and one ``cset.project_rows``
+        call per update.  The aggregate plays the projected weighted mean of the
         expert moves, and the realized losses, from one ``family.value_rows``
         call against theta_t, tilt the weights once.
         """
         if self.n_active == 0:
             raise RuntimeError("cannot step an empty expert pool")
         theta_t = np.asarray(theta_t, dtype=float)
-        hist = np.asarray(history, dtype=float)
-
-        aims = np.empty((self.n_active, theta_t.shape[0]))
-        aimed = np.zeros(self.n_active, dtype=bool)
-        for idx, predictor in enumerate(self.predictors):
-            aim = step_aim(predictor, hist)
-            if aim is not None:
-                aims[idx] = aim
-                aimed[idx] = True
-
+        aims, aimed = step_aims(self.predictors, history)
         moves = self.xs.copy()
         if aimed.any():
             rows = np.flatnonzero(aimed)

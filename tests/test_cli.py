@@ -598,6 +598,27 @@ class TestConfigReachesTheRun:
         assert code == EXIT_CONFIG
         assert "predictor.indices=[5]" in capsys.readouterr().err and not out.exists()
 
+    def test_check_bounds_on_a_renormalizing_simplex_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import poco.experiments as experiments
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a bound study ran")
+
+        monkeypatch.setattr(experiments, "run_predictive_bound_study", no_run)
+        monkeypatch.setattr(experiments, "run_expert_bound_study", no_run)
+        cfg = {
+            "domain": {"kind": "simplex", "projection_mode": "renormalize"},
+            "descent": {"x1": [0.5, 0.5]},
+        }
+        code, out = _run(tmp_path, "check-bounds", "renorm", cfg,
+                         "--runs", "1", "--expert-runs", "1")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: domain.projection_mode='renormalize'")
+        assert "not nonexpansive" in err and not out.exists()
+
     def test_check_bounds_fails_on_a_hedge_violation_alone(self, tmp_path, monkeypatch):
         import dataclasses
 

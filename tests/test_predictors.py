@@ -15,6 +15,8 @@ from poco.predictors import (
     fit_var_yule_walker,
     prediction_regularity,
     sample_autocovariances,
+    step_aim,
+    step_aims,
     var_predict,
 )
 
@@ -138,7 +140,7 @@ class TestYuleWalkerFit:
 
 
 class TestFitVarOrders:
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_each_order_equals_its_own_fit(self, dim):
         rng = np.random.default_rng(30 + dim)
         y = rng.normal(size=(40, dim)).cumsum(axis=0)
@@ -224,6 +226,95 @@ class TestVarPredictor:
         a = VarPredictor(order=2).predict(hist)
         b = VarPredictor(order=2).predict(hist)
         np.testing.assert_array_equal(a, b)
+
+
+# a roster entry: ("var", order, indices, extra min_history), or a
+# persistence or zero-noise oracle expert
+_EXPERT = st.one_of(
+    st.tuples(
+        st.just("var"),
+        st.integers(1, 6),
+        st.sampled_from([None, (0,), (0, 1)]),
+        st.integers(0, 4),
+    ),
+    st.just(("persistence",)),
+    st.just(("oracle",)),
+)
+
+
+def _roster(specs, dim, rng):
+    out = []
+    for spec in specs:
+        if spec[0] == "var":
+            _, order, indices, extra = spec
+            out.append(VarPredictor(order, min_history=2 * order + 1 + extra, indices=indices))
+        elif spec[0] == "persistence":
+            out.append(Persistence())
+        else:
+            # ready while fewer than 16 rows are observed
+            out.append(NoisyOracle(rng.normal(size=(16, dim)), 0.0))
+    return out
+
+
+def _aims_one_by_one(predictors, hist):
+    aims = np.full((len(predictors), hist.shape[1]), np.nan)
+    aimed = np.zeros(len(predictors), dtype=bool)
+    for idx, predictor in enumerate(predictors):
+        aim = step_aim(predictor, hist)
+        if aim is not None:
+            aims[idx], aimed[idx] = aim, True
+    return aims, aimed
+
+
+class TestStepAims:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        specs=st.lists(_EXPERT, min_size=1, max_size=8),
+        dim=st.integers(2, 3),
+        # up to 20 rows crosses every threshold: 2*6+1+4 = 17 for VAR(6),
+        # 16 for the oracle
+        n_obs=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_step_aim_bit_for_bit(self, specs, dim, n_obs, seed):
+        rng = np.random.default_rng(seed)
+        predictors = _roster(specs, dim, rng)
+        hist = rng.normal(size=(n_obs, dim)).cumsum(axis=0)
+        aims, aimed = step_aims(predictors, hist)
+        ref_aims, ref_aimed = _aims_one_by_one(predictors, hist)
+        assert np.array_equal(aimed, ref_aimed)
+        assert np.array_equal(aims[aimed], ref_aims[aimed])
+        assert np.isnan(aims[~aimed]).all()
+
+    def test_empty_history(self):
+        # only the oracle, which looks its value up, has an aim
+        truth = np.arange(6.0).reshape(3, 2)
+        predictors = [VarPredictor(1), Persistence(), NoisyOracle(truth)]
+        aims, aimed = step_aims(predictors, np.zeros((0, 2)))
+        assert aims.shape == (3, 2)
+        assert np.array_equal(aimed, [False, False, True])
+        assert np.isnan(aims[:2]).all() and np.array_equal(aims[2], truth[0])
+
+    def test_one_fit_per_coordinate_subset(self, monkeypatch):
+        import poco.predictors as predictors
+
+        calls = []
+        original = predictors.fit_var_orders
+
+        def counting(series, orders, *args, **kwargs):
+            calls.append((np.shape(series)[1], sorted(orders)))
+            return original(series, orders, *args, **kwargs)
+
+        monkeypatch.setattr(predictors, "fit_var_orders", counting)
+        roster = [
+            VarPredictor(1), VarPredictor(3, indices=[0]), VarPredictor(2),
+            VarPredictor(6), Persistence(), VarPredictor(2, indices=[0]),
+        ]
+        hist = np.random.default_rng(35).normal(size=(9, 2)).cumsum(axis=0)
+        _, aimed = step_aims(roster, hist)
+        # VAR(6) needs 13 rows and falls back to the last observation
+        assert aimed.all()
+        assert sorted(calls) == [(1, [2, 3]), (2, [1, 2])]
 
 
 class TestPersistence:

@@ -389,3 +389,40 @@ class TestBatchedStep:
         np.testing.assert_array_equal(traj.expert_xs[-1], pool.xs)
         np.testing.assert_array_equal(traj.expert_losses[-1], pool.last_losses)
         np.testing.assert_array_equal(traj.first_plays, traj.expert_xs[0])
+
+
+class TestSharedFit:
+    def test_run_exp2_fits_once_per_round(self, tmp_path, monkeypatch):
+        # once an AR expert is ready, each pool round makes one fit_var_orders
+        # call for all its experts and no VarPredictor.predict call
+        import poco.predictors as predictors
+        from poco.cli import EXIT_OK, main
+
+        fits, predicts, per_step = [], [], []
+        fit_var_orders = predictors.fit_var_orders
+        predict = predictors.VarPredictor.predict
+        step = ExpertPool.step
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return fit_var_orders(*args, **kwargs)
+
+        def counting_predict(self, history):
+            predicts.append(1)
+            return predict(self, history)
+
+        def counting_step(self, family, cset, theta_t, history):
+            before = len(fits)
+            out = step(self, family, cset, theta_t, history)
+            ready = any(p.ready(len(history)) for p in self.predictors)
+            per_step.append((ready, len(fits) - before))
+            return out
+
+        monkeypatch.setattr(predictors, "fit_var_orders", counting_fit)
+        monkeypatch.setattr(predictors.VarPredictor, "predict", counting_predict)
+        monkeypatch.setattr(ExpertPool, "step", counting_step)
+        argv = ["run-exp2", "--reps", "2", "--out", str(tmp_path), "--quiet"]
+        assert main(argv) == EXIT_OK
+        assert predicts == []
+        assert per_step and all(n == int(ready) for ready, n in per_step)
+        assert sum(n for _, n in per_step) == len(fits)

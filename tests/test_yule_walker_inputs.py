@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from poco.cli import EXIT_DATA, main
+from poco.domains import EuclideanBall
+from poco.objectives import QuadraticTracking
 from poco.predictors import VarPredictor, fit_var_orders, fit_var_yule_walker
+from poco.smad import ExpertPool
 
 NON_FINITE = r"NaN.*inf|inf.*NaN"
 
@@ -46,6 +49,14 @@ class TestNonFiniteSeries:
     def test_no_order_ready_means_no_check(self, bad):
         assert fit_var_orders(_series(bad)[:4], (2, 3)) == {}
 
+    def test_expert_pool_step(self, bad):
+        # the pool's shared fit checks the history as each expert's own did
+        pool = ExpertPool(beta=0.2, gamma=1.0, eta=0.5)
+        pool.activate([VarPredictor(order=1), VarPredictor(order=2)], np.zeros(2), t=1)
+        family = QuadraticTracking([1.0, 1.0])
+        with pytest.raises(ValueError, match=NON_FINITE):
+            pool.step(family, EuclideanBall(np.zeros(2), 10.0), np.zeros(2), _series(bad))
+
 
 def test_overflowing_autocovariances_are_rejected():
     with pytest.raises(ValueError, match=NON_FINITE):
@@ -73,3 +84,5 @@ def test_fit_ar_with_nan_cell_is_a_data_error(tmp_path, capsys):
 def test_constant_series_without_ridge_is_singular():
     with pytest.raises(ValueError, match="singular even with ridge"):
         fit_var_yule_walker(np.full((20, 2), 3.0), 2, ridge=0.0)
+    with pytest.raises(ValueError, match="singular even with ridge"):
+        fit_var_orders(np.full((20, 2), 3.0), (1, 2, 3), ridge=0.0)
