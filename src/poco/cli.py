@@ -114,13 +114,6 @@ def cmd_verify_bounds(args) -> int:
     cfg = _load_config(args, args.experiment or "exp1")
     runs = _at_least_one("--runs", args.runs, cfg["bounds"]["runs"])
     expert_runs = _at_least_one("--expert-runs", args.expert_runs, cfg["bounds"]["expert_runs"])
-    _, cset, _ = experiments.switching_setup(cfg)
-    if not cset.nonexpansive:
-        raise ConfigError(
-            f"domain.projection_mode={cfg['domain']['projection_mode']!r} is not "
-            "nonexpansive, so no regret bound applies and check-bounds has "
-            "nothing to check; use projection_mode 'exact'"
-        )
     studies = [
         experiments.run_predictive_bound_study(cfg, runs, inner_steps=k)
         for k in (1, 2, 3)

@@ -8,6 +8,11 @@ aims at the last observation; a ``Persistence`` predictor gives the same
 run.  ``inner_steps`` > 1 repeats the update map within a single round.
 Losses are always charged against the realized parameter: the step
 ordering per round is observe, charge, predict, step.
+
+An aim depends only on the parameters observed so far, never on the
+iterates, so a run computes every aim before its loop
+(:func:`poco.predictors.aim_path`): an AR predictor fits all prefixes of
+the observed sequence in one pass instead of refitting every round.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from poco.domains import ConstraintSet
-from poco.predictors import prediction_regularity, step_aim
+from poco.predictors import aim_path, prediction_regularity
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,9 @@ def run_predictive_ogd(
 ) -> Trajectory:
     """Run the online loop over a realized parameter sequence.
 
-    ``thetas`` is the full (T, m) scenario; the loop still only ever feeds
-    the predictor the prefix observed so far.  Each step aims where
+    ``thetas`` is the full (T, m) scenario; the aim after round t still
+    reads only the prefix observed by then, and the last parameter, which
+    no step follows, is never read.  Each step aims where
     :func:`poco.predictors.step_aim` says: at the freshly observed parameter
     until ``predictor.ready``, and always when ``predictor`` is None
     (standard descent).  That keeps a predictive run's early rounds
@@ -120,6 +126,7 @@ def run_predictive_ogd(
     losses = np.empty(horizon)
     theta_hats = np.empty_like(thetas)
     theta_hats[0] = thetas[0]
+    aim_path(predictor, thetas[:-1], out=theta_hats[1:])
 
     for t in range(1, horizon + 1):
         i = t - 1
@@ -127,7 +134,6 @@ def run_predictive_ogd(
         losses[i] = family.value(x, thetas[i])
         if t == horizon:
             break
-        theta_hats[t] = step_aim(predictor, thetas[:t])
         x = ogd_step(family, cset, x, theta_hats[t], config.eta, config.inner_steps)
 
     return Trajectory(

@@ -24,13 +24,7 @@ from poco.config import ConfigError
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import Markowitz, QuadraticTracking
-from poco.predictors import (
-    NoisyOracle,
-    Persistence,
-    VarPredictor,
-    fit_var_orders,
-    var_predict,
-)
+from poco.predictors import NoisyOracle, Persistence, VarPredictor, var_forecasts
 from poco.regret import build_ledger
 from poco.scenarios import (
     DataError,
@@ -285,36 +279,26 @@ class MomentCache:
 
 
 class RiskForecastCache:
-    """Per-run memo of AR risk forecasts, keyed by (order, months seen).
+    """A repetition's AR risk forecasts, one row per number of months seen.
 
-    Experts sharing an AR order see the same risk series, so their forecasts
-    coincide.  The first request in a month fits every order in ``orders``
-    from one set of autocovariances, so each month costs one autocovariance
-    pass however many orders the pool holds; ``get`` asks only for those
-    orders.  The cache must not outlive the repetition that owns the risk
-    path.
+    ``risk_path`` holds every risk level some month observes: the
+    observation months and all evaluation months but the last.  One
+    :func:`poco.predictors.var_forecasts` pass over it gives every order in
+    ``orders`` after every month, so experts sharing an AR order share its
+    forecasts and no month refits.  ``get`` reads a row.
     """
 
-    def __init__(self, orders: Sequence[int]):
-        self.orders = frozenset(int(k) for k in orders)
-        self._cache = {}
+    def __init__(self, orders: Sequence[int], risk_path):
+        self.forecasts = var_forecasts(risk_path, orders)
 
     def get(self, order: int, risk_series: np.ndarray) -> float:
+        """The order's forecast after the months of ``risk_series``, a prefix
+        of the risk path; orders still lacking 2k+1 observations repeat the
+        last one."""
         months_seen = risk_series.shape[0]
-        key = (int(order), months_seen)
-        hit = self._cache.get(key)
-        if hit is None:
-            fits = fit_var_orders(risk_series, self.orders)
-            for k in self.orders:
-                # orders still lacking 2k+1 observations repeat the last one
-                fit = fits.get(k)
-                self._cache[(k, months_seen)] = (
-                    float(var_predict(fit, risk_series)[0])
-                    if fit is not None
-                    else float(risk_series[-1])
-                )
-            hit = self._cache[key]
-        return hit
+        if months_seen < 2 * order + 1:
+            return float(risk_series[-1])
+        return float(self.forecasts[order][months_seen, 0])
 
 
 class MarkowitzModelPredictor:
@@ -322,9 +306,11 @@ class MarkowitzModelPredictor:
 
     The prediction for next month packs the model's own sample moments
     (computed from data available at decision time) with a Yule-Walker AR
-    forecast of the client's risk level read off the observed parameter
-    history.  Falls back to the last observed risk until the AR order has
-    2k+1 observations; negative risk forecasts are clamped to zero.
+    forecast of the client's risk level from the observed parameter
+    history, read from the repetition's :class:`RiskForecastCache` at the
+    history's length.  Falls back to the last observed risk until the AR
+    order has 2k+1 observations; negative risk forecasts are clamped to
+    zero.
     """
 
     def __init__(
@@ -422,7 +408,9 @@ def run_exp3(cfg: dict, data: Optional[MarketData] = None) -> ExperimentResult:
         return thetas_all[observe:], thetas_all[:observe]
 
     def expert_pool(eval_thetas, history):
-        forecasts = RiskForecastCache(ar_orders)
+        # the risk levels the pool's rounds observe, as run_smad's record holds them
+        risk_path = np.concatenate([history[:, -1], eval_thetas[:-1, -1]])
+        forecasts = RiskForecastCache(ar_orders, risk_path)
         roster = [
             (1, MarkowitzModelPredictor(family, moments, lb, k, forecasts=forecasts))
             for lb in lookbacks
@@ -488,14 +476,29 @@ class BoundStudyResult:
         return lines
 
 
+def _bound_setup(cfg: dict):
+    """``switching_setup`` for a bound study, which refuses a domain whose
+    projection is not nonexpansive with a ``ConfigError`` naming
+    ``domain.projection_mode``: no regret bound applies there."""
+    family, cset, proc = switching_setup(cfg)
+    if not cset.nonexpansive:
+        raise ConfigError(
+            f"domain.projection_mode={cfg['domain']['projection_mode']!r} is not "
+            "nonexpansive, so no regret bound applies and a bound study has "
+            "nothing to check; use projection_mode 'exact'"
+        )
+    return family, cset, proc
+
+
 def run_predictive_bound_study(
     cfg: dict, n_runs: int, inner_steps: int = 1
 ) -> BoundStudyResult:
     """Predictive descent on the switching process of a resolved config;
     per run, check measured dynamic regret against the closed-form bound
     with constants derived from the realized parameter box (observations
-    and predictions jointly)."""
-    family, cset, proc = switching_setup(cfg)
+    and predictions jointly).  A non-metric projection is refused before
+    any run (:func:`_bound_setup`)."""
+    family, cset, proc = _bound_setup(cfg)
     eta, x1 = cfg["descent"]["eta"], cfg["descent"]["x1"]
     seeds = np.random.SeedSequence((cfg["seed"], 31 + inner_steps)).spawn(n_runs)
     descent, predictor = DescentConfig(eta, inner_steps), make_predictor(cfg)
@@ -518,9 +521,10 @@ def run_expert_bound_study(cfg: dict, n_runs: int) -> BoundStudyResult:
     loss range D can be declared before the run; D only sizes the learning
     rate gamma = sqrt(8/(T D^2)), and the ledger charges the aggregation
     penalty at the measured spread of expert losses, which never exceeds D.
+    A non-metric projection is refused before any run (:func:`_bound_setup`).
     """
     cfg = {**cfg, "scenario": {**cfg["scenario"], "noise_clip": EXPERT_NOISE_CLIP}}
-    family, cset, proc = switching_setup(cfg)
+    family, cset, proc = _bound_setup(cfg)
     gamma = declared_gamma(cfg)[1]
     eta, x1 = cfg["descent"]["eta"], cfg["descent"]["x1"]
 

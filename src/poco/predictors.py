@@ -13,8 +13,13 @@ array) and emits theta_hat for time t+1.  Three kinds are provided:
 Predictors report readiness via ``ready(n_obs)``.  :func:`step_aim` is the
 one rule every descent step uses to pick its target: the forecast once the
 predictor is ready, else the last observation (plain descent).
-:func:`step_aims` applies it to a whole expert pool, with one shared fit
-for the VAR experts that model the same coordinates.
+
+A run never refits inside its loop.  The observed history is known before
+the run starts, so :func:`var_forecasts` gives every order's forecast
+after every prefix in one pass, and :func:`var_forecast_table` makes one
+such pass per group of VAR experts that model the same coordinates.
+:func:`aim_path` gives a descent run's aims from it, and :func:`step_aims`
+gives an expert pool's aims for one round.
 """
 
 from __future__ import annotations
@@ -72,19 +77,60 @@ class VarFit:
         return self.phis.shape[0]
 
 
+def _solve_yule_walker(gammas: np.ndarray, starts: dict, ridge: float) -> dict:
+    """Ridged Yule-Walker solutions for a stack of autocovariance sequences.
+
+    ``gammas`` is (P, K+1, d, d): row p holds Gamma(0..K) of one series.
+    The ridged block-Toeplitz system of order K is built once per row;
+    order k's system is its leading k*d x k*d block against the first k*d
+    rows of its right-hand side, since block (i, j) is Gamma(i - j)'
+    whatever the order.  ``starts`` maps each order k <= K to the first row
+    its system is solved for; each order is one batched solve over the rows
+    from there on.  Returns {k: (P - starts[k], k*d, d)} stacked
+    coefficients, Phi_h' in rows (h-1)*d..h*d.
+    """
+    if not np.isfinite(ridge):
+        raise ValueError(f"ridge must be finite, got {ridge}")
+    if not np.isfinite(gammas).all():
+        raise ValueError(
+            "series holds NaN or inf (or overflows its autocovariances); "
+            "the Yule-Walker fit needs finite values"
+        )
+    n_rows, top, d = gammas.shape[0], gammas.shape[1] - 1, gammas.shape[2]
+    big = np.empty((n_rows, top * d, top * d))
+    blocks = big.reshape(n_rows, top, d, top, d)
+    # block (i, j) is Gamma(i - j)', with Gamma(-h) = Gamma(h)'
+    for i in range(top):
+        for j in range(top):
+            lag = gammas[:, i - j].transpose(0, 2, 1) if i >= j else gammas[:, j - i]
+            blocks[:, i, :, j, :] = lag
+    diag = np.arange(top * d)
+    big[:, diag, diag] += ridge
+    rhs = gammas[:, 1 : top + 1].transpose(0, 1, 3, 2).reshape(n_rows, top * d, d)
+    sols = {}
+    for k, first in starts.items():
+        try:
+            sols[k] = np.linalg.solve(
+                big[first:, : k * d, : k * d], rhs[first:, : k * d]
+            )
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                f"Yule-Walker system singular even with ridge {ridge}"
+            ) from exc
+    return sols
+
+
 def fit_var_orders(
     series, orders: Sequence[int], ridge: float = DEFAULT_RIDGE
 ) -> dict[int, VarFit]:
     """Yule-Walker VAR fits of several orders on one (T, d) series.
 
     The autocovariances are computed once, up to the largest order K the
-    series can support, and so is the ridged block-Toeplitz system of order
-    K.  Order k's system is that system's leading k*d x k*d block against
-    the first k*d rows of its right-hand side: block (i, j) is
-    Gamma(i - j)' whatever the order, so every fit equals
-    ``fit_var_yule_walker(series, k)`` exactly.  Orders whose 2k+1 exceeds
-    the series length are left out of the result.  When some order is
-    fitted, a NaN or inf in the series raises ``ValueError``.
+    series can support, and every order is solved on the leading block of
+    the order-K system (:func:`_solve_yule_walker` with one row), so every
+    fit equals ``fit_var_yule_walker(series, k)`` exactly.  Orders whose
+    2k+1 exceeds the series length are left out of the result.  When some
+    order is fitted, a NaN or inf in the series raises ``ValueError``.
     """
     orders = sorted({int(k) for k in orders})
     if orders and orders[0] < 1:
@@ -96,36 +142,79 @@ def fit_var_orders(
     ready = [k for k in orders if t_len >= 2 * k + 1]
     if not ready:
         return {}
-    if not np.isfinite(ridge):
-        raise ValueError(f"ridge must be finite, got {ridge}")
-    top = ready[-1]
-    gammas, ybar = sample_autocovariances(y, top)
-    if not np.isfinite(gammas).all():
-        raise ValueError(
-            "series holds NaN or inf (or overflows its autocovariances); "
-            "the Yule-Walker fit needs finite values"
-        )
+    gammas, ybar = sample_autocovariances(y, ready[-1])
+    sols = _solve_yule_walker(gammas[None], dict.fromkeys(ready, 0), ridge)
     d = ybar.shape[0]
-    # block (i, j) is Gamma(i - j)', with Gamma(-h) = Gamma(h)'; lags[k]
-    # holds lag k - (top - 1)
-    lags = np.concatenate(
-        [gammas[top - 1 : 0 : -1], gammas[:top].transpose(0, 2, 1)]
-    )
-    steps = np.arange(top)
-    blocks = lags[steps[:, None] - steps[None, :] + top - 1]
-    big = blocks.transpose(0, 2, 1, 3).reshape(top * d, top * d)
-    big.flat[:: top * d + 1] += ridge
-    rhs = gammas[1 : top + 1].transpose(0, 2, 1).reshape(top * d, d)
-    fits = {}
-    for k in ready:
-        try:
-            sol = np.linalg.solve(big[: k * d, : k * d], rhs[: k * d])
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                f"Yule-Walker system singular even with ridge {ridge}"
-            ) from exc
-        fits[k] = VarFit(phis=sol.reshape(k, d, d).transpose(0, 2, 1), mean=ybar)
-    return fits
+    return {
+        k: VarFit(phis=sol[0].reshape(k, d, d).transpose(0, 2, 1), mean=ybar)
+        for k, sol in sols.items()
+    }
+
+
+def var_forecasts(
+    series, orders: Sequence[int], ridge: float = DEFAULT_RIDGE
+) -> dict[int, np.ndarray]:
+    """One-step Yule-Walker forecasts of every order after every prefix.
+
+    Returns {k: (T+1, d) array} for a (T, d) ``series``: row n is the
+    forecast of row n (theta_{n+1}) from a VAR(k) fit to the prefix
+    ``series[:n]``, and NaN where n < 2k+1.  Row n reads ``series[:n]``
+    and nothing after it, so a run may hand over every row its rounds
+    observe and read each round's forecast at the length of its history.
+
+    All prefixes come from one pass: prefix autocovariances from cumulative
+    lagged cross-product sums of the series shifted by its first row, one
+    ridged block-Toeplitz system per prefix, and one batched solve per
+    order on the leading blocks.  Each row agrees with
+    ``var_predict(fit_var_yule_walker(series[:n], k), series[:n])`` up to
+    floating-point rounding.  When some order is fitted, a NaN or inf in
+    the series raises ``ValueError``.
+    """
+    orders = sorted({int(k) for k in orders})
+    if orders and orders[0] < 1:
+        raise ValueError(f"order must be >= 1, got {orders[0]}")
+    y = np.asarray(series, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    t_len, d = y.shape
+    out = {k: np.full((t_len + 1, d), np.nan) for k in orders}
+    ready = [k for k in orders if t_len >= 2 * k + 1]
+    if not ready:
+        return out
+    top, first = ready[-1], 2 * ready[0] + 1
+    ns = np.arange(first, t_len + 1)  # the fitted prefix lengths
+    # shifting by the first row leaves the fits unchanged and keeps the
+    # cross-product sums from cancelling a large common level
+    with np.errstate(invalid="ignore", over="ignore"):
+        z = y - y[0]
+        sums = np.concatenate([np.zeros((1, d)), np.cumsum(z, axis=0)])
+        means = sums[ns] / ns[:, None]
+        gammas = np.zeros((ns.size, top + 1, d, d))
+        for h in range(top + 1):
+            # lag-h sums over t = h..n-1: C = sum z_t z_{t-h}', A = sum z_t,
+            # B = sum z_{t-h}; prefixes with n <= h keep zeros, which no
+            # ready order reads
+            live = ns > h
+            n, m = ns[live], means[live]
+            cross = np.cumsum(z[h:, :, None] * z[: t_len - h, None, :], axis=0)
+            lead = sums[n] - sums[h]
+            lagged = sums[n - h]
+            gammas[live, h] = (
+                cross[n - h - 1]
+                - lead[:, :, None] * m[:, None, :]
+                - m[:, :, None] * lagged[:, None, :]
+                + (n - h)[:, None, None] * m[:, :, None] * m[:, None, :]
+            ) / n[:, None, None]
+    sols = _solve_yule_walker(gammas, {k: 2 * k + 1 - first for k in ready}, ridge)
+    for k, sol in sols.items():
+        rows = slice(2 * k + 1 - first, None)
+        m = means[rows]
+        # (y_{n-1} - mean, ..., y_{n-k} - mean) against the stacked Phi_h'
+        past = z[ns[rows, None] - np.arange(1, k + 1)] - m[:, None, :]
+        out[k][2 * k + 1 :] = (
+            y[0] + m + np.einsum("pi,pij->pj", past.reshape(-1, k * d), sol)
+        )
+    return out
 
 
 def fit_var_yule_walker(
@@ -276,16 +365,59 @@ def step_aim(predictor, history):
     return None
 
 
-def step_aims(predictors, history):
+def var_forecast_table(predictors, observed) -> dict:
+    """The VAR forecasts a run's rounds read, from one :func:`var_forecasts`
+    pass per group of :class:`VarPredictor` that models the same
+    coordinates, over every order in the group.
+
+    ``observed`` holds every row some round observes (the initial history
+    and all but the last realized parameter); each round's history is a
+    prefix of it.  Returns {indices: {order: (L+1, d) forecasts}}, where
+    row n is the group's forecast after the first n rows; non-VAR
+    predictors need no entry.
+    """
+    obs = np.asarray(observed, dtype=float)
+    if obs.ndim == 1:
+        obs = obs[:, None]
+    groups: dict = {}
+    for predictor in predictors:
+        if isinstance(predictor, VarPredictor):
+            groups.setdefault(predictor.indices, set()).add(predictor.order)
+    return {
+        indices: var_forecasts(obs if indices is None else obs[:, indices], orders)
+        for indices, orders in groups.items()
+    }
+
+
+def _forecast_row(forecasts, predictor, n_obs):
+    """A ready VarPredictor's forecast after ``n_obs`` observations, read
+    from a run's :func:`var_forecast_table`."""
+    table = (forecasts or {}).get(predictor.indices, {}).get(predictor.order)
+    if table is None or n_obs >= table.shape[0]:
+        raise ValueError(
+            f"the forecast table holds no VAR({predictor.order}) forecast after "
+            f"{n_obs} observations; build it with var_forecast_table over every "
+            "row the run observes"
+        )
+    return table[n_obs]
+
+
+def _modeled(predictor):
+    return slice(None) if predictor.indices is None else list(predictor.indices)
+
+
+def step_aims(predictors, history, forecasts=None):
     """Every predictor's :func:`step_aim` after observing ``history``, as
     an (N, m) array of aims and an (N,) mask of the rows that have one
     (unaimed rows hold NaN).
 
-    Ready :class:`VarPredictor` rows that model the same coordinates share
-    one :func:`fit_var_orders` call over all their orders and one
-    :func:`var_predict` per order; every other row, a VAR expert still
-    warming up included, is ``step_aim(predictor, history)`` in roster
-    order.  Each row equals its ``step_aim`` bit for bit.
+    Ready :class:`VarPredictor` rows read their forecast after
+    ``len(history)`` observations from ``forecasts``, the run's
+    :func:`var_forecast_table`, of whose rows ``history`` is a prefix;
+    unmodeled coordinates repeat the last observation.  Every other row, a
+    VAR expert still warming up included, is ``step_aim(predictor,
+    history)`` in roster order, so the rows that are not VAR forecasts equal
+    their ``step_aim`` bit for bit.
     """
     hist = np.asarray(history, dtype=float)
     if hist.ndim == 1:
@@ -293,28 +425,37 @@ def step_aims(predictors, history):
     n_obs = hist.shape[0]
     aims = np.full((len(predictors), hist.shape[1]), np.nan)
     aimed = np.zeros(len(predictors), dtype=bool)
-    groups: dict = {}
     for idx, predictor in enumerate(predictors):
         if isinstance(predictor, VarPredictor) and predictor.ready(n_obs):
-            groups.setdefault(predictor.indices, []).append(idx)
+            aims[idx] = hist[-1]
+            aims[idx, _modeled(predictor)] = _forecast_row(forecasts, predictor, n_obs)
+            aimed[idx] = True
             continue
         aim = step_aim(predictor, hist)
         if aim is not None:
             aims[idx] = aim
             aimed[idx] = True
-    for indices, rows in groups.items():
-        sub = hist if indices is None else hist[:, indices]
-        fits = fit_var_orders(sub, [predictors[idx].order for idx in rows])
-        forecasts = {k: var_predict(fit, sub) for k, fit in fits.items()}
-        for idx in rows:
-            forecast = forecasts[predictors[idx].order]
-            if indices is None:
-                aims[idx] = forecast
-            else:
-                aims[idx] = hist[-1]
-                aims[idx, list(indices)] = forecast
-        aimed[rows] = True
     return aims, aimed
+
+
+def aim_path(predictor, observed, out) -> np.ndarray:
+    """Write ``step_aim(predictor, observed[:n])`` into ``out[n - 1]`` for
+    n = 1..L, where ``out`` is (L, m) like ``observed``, and return ``out``.
+
+    A :class:`VarPredictor` reads its forecasts from one
+    :func:`var_forecast_table` pass and aims at the last observation while
+    it warms up; any other predictor, or None, is asked once per prefix in
+    order.
+    """
+    if not isinstance(predictor, VarPredictor):
+        for n in range(1, len(observed) + 1):
+            out[n - 1] = step_aim(predictor, observed[:n])
+        return out
+    out[:] = observed
+    table = var_forecast_table([predictor], observed)[predictor.indices]
+    first = predictor.min_history
+    out[first - 1 :, _modeled(predictor)] = table[predictor.order][first:]
+    return out
 
 
 def prediction_regularity(thetas, theta_hats) -> float:

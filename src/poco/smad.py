@@ -8,15 +8,19 @@ rule w_i = p_i * l_i (applied once per round).  Experts join from a roster:
 those that find the pool empty share its mass uniformly; each later entrant
 is mixed in with mass beta (existing weights are scaled by (1 - beta)),
 with its iterate seeded at the previous aggregated output and its predictor
-fit on the full history observed so far.
+forecasting from the full history observed so far.
 
-Experts are rows of arrays, not objects: each round one
-:func:`poco.predictors.step_aims` call gives the (N, m) array of aims, with
-one Yule-Walker fit shared by the AR experts that model the same
-coordinates, and every expert then descends toward its own aim in one
-row-wise update (``gradient_x_rows`` and ``project_rows`` per inner step),
-followed by one ``value_rows`` call for the losses.  The result equals
-running ``ogd_step`` once per expert, up to floating-point summation order.
+Experts are rows of arrays, not objects.  The parameters a run observes are
+known before it starts, so :func:`run_smad` makes one
+:func:`poco.predictors.var_forecast_table` pass before its loop: the AR
+experts that model the same coordinates get every order's forecast after
+every prefix from one Yule-Walker pass, and no round refits.  Each round
+one :func:`poco.predictors.step_aims` call reads the (N, m) array of aims
+from that table (other experts are asked in roster order), and every
+expert then descends toward its own aim in one row-wise update
+(``gradient_x_rows`` and ``project_rows`` per inner step), followed by one
+``value_rows`` call for the losses.  The result equals running ``ogd_step``
+once per expert, up to floating-point summation order.
 
 Weights are kept in log space; every exposed distribution is normalized.
 """
@@ -31,7 +35,7 @@ import numpy as np
 
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import ConstraintSet
-from poco.predictors import step_aims
+from poco.predictors import step_aims, var_forecast_table
 
 
 def suggested_gamma(d_range: float, horizon: int) -> float:
@@ -118,7 +122,9 @@ class ExpertPool:
         self.played = np.append(self.played, np.zeros(len(predictors), dtype=bool))
         self.p_theta = np.append(self.p_theta, np.zeros(len(predictors)))
 
-    def step(self, family, cset: ConstraintSet, theta_t, history) -> np.ndarray:
+    def step(
+        self, family, cset: ConstraintSet, theta_t, history, forecasts=None
+    ) -> np.ndarray:
         """One round: expert descent steps, aggregation, Gibbs reweighting.
 
         ``history`` holds theta_1..theta_{t-1}; ``theta_t`` is the parameter
@@ -127,8 +133,9 @@ class ExpertPool:
         theta_t, at the last observation while its predictor warms up, and
         nowhere (it holds still) when there is no history at all.  One
         :func:`poco.predictors.step_aims` call gives the (N, m) array of
-        aims: the ready AR experts that model the same coordinates share a
-        single ``fit_var_orders`` call over their orders.  Every expert
+        aims: ready AR experts read their forecast from ``forecasts``, the
+        run's :func:`poco.predictors.var_forecast_table` (a pool without AR
+        experts needs none), and nothing is fitted here.  Every expert
         that has an aim takes its ``inner_steps`` projected gradient updates
         together, one ``family.gradient_x_rows`` and one ``cset.project_rows``
         call per update.  The aggregate plays the projected weighted mean of the
@@ -138,7 +145,7 @@ class ExpertPool:
         if self.n_active == 0:
             raise RuntimeError("cannot step an empty expert pool")
         theta_t = np.asarray(theta_t, dtype=float)
-        aims, aimed = step_aims(self.predictors, history)
+        aims, aimed = step_aims(self.predictors, history, forecasts)
         moves = self.xs.copy()
         if aimed.any():
             rows = np.flatnonzero(aimed)
@@ -277,7 +284,11 @@ def run_smad(
     ``inner_steps``, so a run whose first activation is late stays identical
     to the standard baseline until then.  Per-expert arrays hold the roster
     entries sorted by round.  ``initial_history`` seeds the observation
-    record (data available before round 1).
+    record (data available before round 1).  The record holds it and every
+    realized parameter but the last, which no round observes before its
+    step; the AR experts' forecasts come from one
+    :func:`poco.predictors.var_forecast_table` pass over it before the
+    loop, and round t sees a view of its first rows.
     """
     if pool.n_active:
         raise ValueError(
@@ -300,8 +311,10 @@ def run_smad(
             raise ValueError("initial_history must be a (k, m) array")
         seed_len = seed_rows.shape[0]
     # one shared buffer; rounds see growing views instead of growing copies
-    record = np.empty((seed_len + horizon, thetas.shape[1]))
+    record = np.empty((seed_len + horizon - 1, thetas.shape[1]))
     record[:seed_len] = seed_rows
+    record[seed_len:] = thetas[:-1]
+    forecasts = var_forecast_table([predictor for _, predictor in roster], record)
 
     pending = sorted(roster, key=lambda pair: pair[0])
     n_total = len(pending)
@@ -321,7 +334,6 @@ def run_smad(
         )
         xs[:n_plain] = plain.xs
         losses[:n_plain] = plain.losses
-        record[seed_len : seed_len + n_plain] = thetas[:n_plain]
 
     for t in range(n_plain + 1, horizon + 1):
         i = t - 1
@@ -331,13 +343,12 @@ def run_smad(
         if due:
             pool.activate(due, x_init=xs[i - 1] if i else x, t=t)
         theta_t = thetas[i]
-        xs[i] = pool.step(family, cset, theta_t, record[: seed_len + i])
+        xs[i] = pool.step(family, cset, theta_t, record[: seed_len + i], forecasts)
         losses[i] = family.value(xs[i], theta_t)
         m_act = pool.n_active
         expert_xs[i, :m_act] = pool.xs
         expert_losses[i, :m_act] = pool.last_losses
         p_hist[i, :m_act] = pool.distribution()
-        record[seed_len + i] = theta_t
 
     p_theta = np.full(n_total, np.nan)
     p_theta[: pool.n_active] = pool.p_theta

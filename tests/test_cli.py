@@ -604,10 +604,11 @@ class TestConfigReachesTheRun:
         import poco.experiments as experiments
 
         def no_run(*args, **kwargs):
-            raise AssertionError("a bound study ran")
+            raise AssertionError("a bound-study run was played")
 
-        monkeypatch.setattr(experiments, "run_predictive_bound_study", no_run)
-        monkeypatch.setattr(experiments, "run_expert_bound_study", no_run)
+        # the studies refuse the domain themselves, before any run
+        monkeypatch.setattr(experiments, "run_predictive_ogd", no_run)
+        monkeypatch.setattr(experiments, "run_smad", no_run)
         cfg = {
             "domain": {"kind": "simplex", "projection_mode": "renormalize"},
             "descent": {"x1": [0.5, 0.5]},

@@ -198,21 +198,29 @@ class TestExp3:
         )
         np.testing.assert_allclose(traj.xs[0], np.full(37, 1.0 / 37.0))
 
-    def test_risk_fits_share_one_autocovariance_pass_per_month(self, market, monkeypatch):
+    def test_risk_forecasts_take_one_pass_per_repetition(self, market, monkeypatch):
+        import poco.experiments as experiments
         import poco.predictors as predictors
 
-        passes = []
-        original = predictors.sample_autocovariances
+        passes, fits = [], []
+        var_forecasts = experiments.var_forecasts
+        fit_var_orders = predictors.fit_var_orders
 
-        def counting(series, max_lag):
-            passes.append(max_lag)
-            return original(series, max_lag)
+        def counting_pass(series, orders, *args, **kwargs):
+            passes.append((np.shape(series), sorted(orders)))
+            return var_forecasts(series, orders, *args, **kwargs)
 
-        monkeypatch.setattr(predictors, "sample_autocovariances", counting)
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return fit_var_orders(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "var_forecasts", counting_pass)
+        monkeypatch.setattr(predictors, "fit_var_orders", counting_fit)
         run_exp3(exp3_config(14, 2, eval_months=6, lookbacks=[15, 30]), data=market)
-        # one pass per (repetition, month), at the largest order ready by then:
-        # months 10, 11, 12 of history support orders up to 4, 5, 5
-        assert passes == [4, 5, 5, 6, 6, 6] * 2
+        # one pass per repetition, over the 10 observation months and the
+        # first 5 evaluation months: every risk level a month observes
+        assert passes == [((15,), [1, 2, 3, 4, 5, 6])] * 2
+        assert fits == []
 
     def test_determinism(self, market):
         cfg = exp3_config(12, 2, eval_months=20)
@@ -239,6 +247,26 @@ class TestExp3:
 
 
 class TestBoundStudies:
+    @pytest.mark.parametrize("study", [run_predictive_bound_study, run_expert_bound_study])
+    def test_non_metric_projection_is_refused(self, study, monkeypatch):
+        import poco.experiments as experiments
+        from poco.config import ConfigError
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a bound-study run was played")
+
+        monkeypatch.setattr(experiments, "run_predictive_ogd", no_run)
+        monkeypatch.setattr(experiments, "run_smad", no_run)
+        cfg = resolve_config(
+            {
+                "domain": {"kind": "simplex", "projection_mode": "renormalize"},
+                "descent": {"x1": [0.5, 0.5]},
+            },
+            "exp1",
+        )
+        with pytest.raises(ConfigError, match="domain.projection_mode='renormalize'"):
+            study(cfg, 1)
+
     def test_predictive_study_all_hold(self):
         st = run_predictive_bound_study(resolve_config({}, "exp1"), 6)
         assert st.all_hold and st.n_runs == 6

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poco.predictors import (
+    DEFAULT_RIDGE,
     NoisyOracle,
     Persistence,
     PredictorNotReady,
@@ -17,6 +18,8 @@ from poco.predictors import (
     sample_autocovariances,
     step_aim,
     step_aims,
+    var_forecast_table,
+    var_forecasts,
     var_predict,
 )
 
@@ -266,6 +269,11 @@ def _aims_one_by_one(predictors, hist):
     return aims, aimed
 
 
+# the gate of the all-prefix forecasts against per-prefix refits, relative
+# to the largest magnitude in the prefix
+FORECAST_RTOL = 1e-10
+
+
 class TestStepAims:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -277,14 +285,23 @@ class TestStepAims:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_step_aim_bit_for_bit(self, specs, dim, n_obs, seed):
+        # every row that is not a VAR forecast, and the mask, are bitwise
+        # step_aim; VAR forecasts come from the all-prefix table and match
+        # the per-history refit within the forecast tolerance
         rng = np.random.default_rng(seed)
         predictors = _roster(specs, dim, rng)
         hist = rng.normal(size=(n_obs, dim)).cumsum(axis=0)
-        aims, aimed = step_aims(predictors, hist)
+        aims, aimed = step_aims(predictors, hist, var_forecast_table(predictors, hist))
         ref_aims, ref_aimed = _aims_one_by_one(predictors, hist)
         assert np.array_equal(aimed, ref_aimed)
-        assert np.array_equal(aims[aimed], ref_aims[aimed])
         assert np.isnan(aims[~aimed]).all()
+        forecast = np.array(
+            [isinstance(p, VarPredictor) and p.ready(n_obs) for p in predictors], dtype=bool
+        )
+        assert np.array_equal(aims[aimed & ~forecast], ref_aims[aimed & ~forecast])
+        if forecast.any():
+            scale = np.abs(hist).max()
+            assert np.abs(aims[forecast] - ref_aims[forecast]).max() <= FORECAST_RTOL * scale
 
     def test_empty_history(self):
         # only the oracle, which looks its value up, has an aim
@@ -296,25 +313,135 @@ class TestStepAims:
         assert np.isnan(aims[:2]).all() and np.array_equal(aims[2], truth[0])
 
     def test_one_fit_per_coordinate_subset(self, monkeypatch):
+        # one all-prefix pass per run and coordinate subset, over every order
+        # the subset's experts hold; reading a round's aims fits nothing
         import poco.predictors as predictors
 
         calls = []
-        original = predictors.fit_var_orders
+        original = predictors.var_forecasts
 
         def counting(series, orders, *args, **kwargs):
             calls.append((np.shape(series)[1], sorted(orders)))
             return original(series, orders, *args, **kwargs)
 
-        monkeypatch.setattr(predictors, "fit_var_orders", counting)
+        monkeypatch.setattr(predictors, "var_forecasts", counting)
+        monkeypatch.setattr(predictors, "fit_var_orders", None)
         roster = [
             VarPredictor(1), VarPredictor(3, indices=[0]), VarPredictor(2),
             VarPredictor(6), Persistence(), VarPredictor(2, indices=[0]),
         ]
         hist = np.random.default_rng(35).normal(size=(9, 2)).cumsum(axis=0)
-        _, aimed = step_aims(roster, hist)
+        table = var_forecast_table(roster, hist)
+        assert sorted(calls) == [(1, [2, 3]), (2, [1, 2, 6])]
+        for n_obs in range(hist.shape[0] + 1):
+            step_aims(roster, hist[:n_obs], table)
+        _, aimed = step_aims(roster, hist, table)
         # VAR(6) needs 13 rows and falls back to the last observation
         assert aimed.all()
-        assert sorted(calls) == [(1, [2, 3]), (2, [1, 2])]
+        assert len(calls) == 2
+
+    def test_ready_var_expert_needs_the_table(self):
+        hist = np.random.default_rng(36).normal(size=(9, 2))
+        with pytest.raises(ValueError, match="var_forecast_table"):
+            step_aims([VarPredictor(1)], hist)
+        with pytest.raises(ValueError, match="var_forecast_table"):
+            step_aims([VarPredictor(1)], hist, var_forecast_table([VarPredictor(1)], hist[:5]))
+
+
+def _well_posed(n, k, d):
+    """Prefixes with more than two observations per coefficient of each
+    equation.  On shorter ones the (ridged) Yule-Walker system has a
+    condition number beyond 1e8 and any two roundings of it differ by more
+    than the gate, including two runs of the reference itself on
+    differently ordered sums."""
+    return n > 2 * k * d
+
+
+class TestVarForecasts:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        orders=st.sets(st.integers(1, 6), min_size=1, max_size=6),
+        length=st.integers(1, 40),
+        ridge=st.sampled_from([0.0, DEFAULT_RIDGE]),
+        level=st.sampled_from([0.0, 50.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_prefix_fits(self, dim, orders, length, ridge, level, seed):
+        # a random walk around a common level, so the shifted cross-product
+        # sums are tested where the raw ones would cancel
+        rng = np.random.default_rng(seed)
+        y = level + rng.normal(size=(length, dim)).cumsum(axis=0)
+        try:
+            got = var_forecasts(y, orders, ridge)
+        except ValueError as exc:
+            # without a ridge, the first prefixes of a 3-d series are singular
+            assert ridge == 0.0 and "singular" in str(exc)
+            assume(False)
+        assert sorted(got) == sorted(orders)
+        for k in orders:
+            assert got[k].shape == (length + 1, dim)
+            assert np.isnan(got[k][: 2 * k + 1]).all()
+            assert np.isfinite(got[k][2 * k + 1 :]).all()
+            for n in range(2 * k + 1, length + 1):
+                if not _well_posed(n, k, dim):
+                    continue
+                want = var_predict(fit_var_yule_walker(y[:n], k, ridge), y[:n])
+                scale = np.abs(y[:n]).max()
+                assert np.abs(got[k][n] - want).max() <= FORECAST_RTOL * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        specs=st.lists(_EXPERT, min_size=1, max_size=6),
+        length=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_table_matches_var_predictor(self, specs, length, seed):
+        # every VAR expert's table row is its VarPredictor.predict forecast
+        # on that prefix, over its coordinate subset
+        rng = np.random.default_rng(seed)
+        predictors = _roster(specs, 3, rng)
+        hist = rng.normal(size=(length, 3)).cumsum(axis=0)
+        table = var_forecast_table(predictors, hist)
+        for p in predictors:
+            if not isinstance(p, VarPredictor):
+                continue
+            cols = slice(None) if p.indices is None else list(p.indices)
+            for n in range(p.min_history, length + 1):
+                if not _well_posed(n, p.order, hist[:, cols].shape[1]):
+                    continue
+                want = p.predict(hist[:n])[cols]
+                got = table[p.indices][p.order][n]
+                assert np.abs(got - want).max() <= FORECAST_RTOL * np.abs(hist[:n]).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        length=st.integers(2, 30),
+        cut=st.integers(0, 29),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_no_look_ahead(self, dim, length, cut, seed):
+        # rows >= n never reach the forecast after n rows, bit for bit
+        n = min(cut, length - 1)
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(length, dim)).cumsum(axis=0)
+        other = y.copy()
+        other[n:] = rng.normal(size=(length - n, dim)) * 1e3
+        a, b = var_forecasts(y, range(1, 7)), var_forecasts(other, range(1, 7))
+        for k in range(1, 7):
+            assert np.array_equal(a[k][: n + 1], b[k][: n + 1], equal_nan=True)
+
+    def test_one_dimensional_series(self):
+        y = np.random.default_rng(37).normal(size=20).cumsum()
+        got = var_forecasts(y, [2])[2]
+        assert got.shape == (21, 1)
+        want = var_predict(fit_var_yule_walker(y, 2), y)
+        assert np.abs(got[20] - want).max() <= FORECAST_RTOL * np.abs(y).max()
+
+    def test_order_must_be_positive(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            var_forecasts(np.zeros((10, 1)), [0, 1])
 
 
 class TestPersistence:

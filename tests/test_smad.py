@@ -392,16 +392,24 @@ class TestBatchedStep:
 
 
 class TestSharedFit:
-    def test_run_exp2_fits_once_per_round(self, tmp_path, monkeypatch):
-        # once an AR expert is ready, each pool round makes one fit_var_orders
-        # call for all its experts and no VarPredictor.predict call
+    def test_run_exp2_fits_once_per_run(self, tmp_path, monkeypatch):
+        # each pool run makes one var_forecasts pass for its AR experts, all
+        # modelling the same coordinates, before its loop; no pool round
+        # fits or calls VarPredictor.predict
+        import poco.experiments as experiments
         import poco.predictors as predictors
         from poco.cli import EXIT_OK, main
 
-        fits, predicts, per_step = [], [], []
+        passes, fits, predicts, in_step, runs = [], [], [], [], []
+        var_forecasts = predictors.var_forecasts
         fit_var_orders = predictors.fit_var_orders
         predict = predictors.VarPredictor.predict
         step = ExpertPool.step
+        run = experiments.run_smad
+
+        def counting_pass(series, orders, *args, **kwargs):
+            passes.append(sorted(orders))
+            return var_forecasts(series, orders, *args, **kwargs)
 
         def counting_fit(*args, **kwargs):
             fits.append(1)
@@ -411,18 +419,26 @@ class TestSharedFit:
             predicts.append(1)
             return predict(self, history)
 
-        def counting_step(self, family, cset, theta_t, history):
-            before = len(fits)
-            out = step(self, family, cset, theta_t, history)
-            ready = any(p.ready(len(history)) for p in self.predictors)
-            per_step.append((ready, len(fits) - before))
+        def counting_step(self, *args, **kwargs):
+            before = len(passes) + len(fits) + len(predicts)
+            out = step(self, *args, **kwargs)
+            in_step.append(len(passes) + len(fits) + len(predicts) - before)
             return out
 
+        def counting_run(*args, **kwargs):
+            before = len(passes)
+            out = run(*args, **kwargs)
+            runs.append(len(passes) - before)
+            return out
+
+        monkeypatch.setattr(predictors, "var_forecasts", counting_pass)
         monkeypatch.setattr(predictors, "fit_var_orders", counting_fit)
         monkeypatch.setattr(predictors.VarPredictor, "predict", counting_predict)
         monkeypatch.setattr(ExpertPool, "step", counting_step)
+        monkeypatch.setattr(experiments, "run_smad", counting_run)
         argv = ["run-exp2", "--reps", "2", "--out", str(tmp_path), "--quiet"]
         assert main(argv) == EXIT_OK
-        assert predicts == []
-        assert per_step and all(n == int(ready) for ready, n in per_step)
-        assert sum(n for _, n in per_step) == len(fits)
+        assert runs == [1, 1]
+        assert passes == [[1, 2, 3, 4, 5]] * 2
+        assert fits == [] and predicts == []
+        assert in_step and not any(in_step)
