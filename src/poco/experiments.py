@@ -6,7 +6,11 @@ the identical scenario realization, so the reported curve
 cumulative_loss(method) - cumulative_loss(baseline) equals the difference in
 dynamic regret (the per-round optimal values cancel) and is exactly zero
 wherever the two arms are algorithmically identical.  ``compare_to_ogd``
-runs that comparison for every study.
+runs that comparison for every study.  Study 3 reads its moments from one
+table per run (:class:`MomentCache`), so its parameters are (slot, risk)
+rows and its pools' prediction regularity and aim range are in slot
+coordinates; nothing reads them, as its renormalizing projection gets no
+regret ledger.
 
 Per-repetition seeds are derived from the master seed with
 ``numpy.random.SeedSequence(master_seed).spawn(repetitions)``; repetition r
@@ -23,7 +27,7 @@ import numpy as np
 from poco.config import ConfigError
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
-from poco.objectives import Markowitz, QuadraticTracking
+from poco.objectives import MarkowitzTable, QuadraticTracking
 from poco.predictors import NoisyOracle, Persistence, VarPredictor, var_forecasts
 from poco.regret import build_ledger
 from poco.scenarios import (
@@ -260,22 +264,37 @@ def run_exp2(cfg: dict) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 class MomentCache:
-    """Memoized per-(month, lookback) return moments of a fixed dataset."""
+    """One run's return moments, as a table built eagerly: slot ``(month - 1)
+    * J + j`` holds :func:`poco.scenarios.estimate_moments` over the
+    ``lookbacks[j]`` days (fewer early on) up to the end of ``month``, for
+    months 1..``months``.  A slot with non-finite moments or an asymmetric
+    covariance raises ``DataError`` naming its month and lookback.
+    """
 
-    def __init__(self, data: MarketData, month_days: int):
-        self.data = data
-        self.month_days = int(month_days)
-        self._cache = {}
+    def __init__(self, data: MarketData, month_days: int, months: int, lookbacks):
+        self.months, self.lookbacks = int(months), [int(lb) for lb in lookbacks]
+        slots, n = self.months * len(self.lookbacks), data.n_assets
+        self.mu, self.sigma = np.empty((slots, n)), np.empty((slots, n, n))
+        for month in range(1, self.months + 1):
+            end_day = int(month_days) * month
+            for lb in self.lookbacks:
+                mu, sigma = estimate_moments(data, end_day, min(lb, end_day))
+                finite = np.isfinite(mu).all() and np.isfinite(sigma).all()
+                if not (finite and np.array_equal(sigma, sigma.T)):
+                    raise DataError(
+                        f"month {month}, lookback {lb}: non-finite or asymmetric moments"
+                    )
+                slot = self.slot(month, lb)
+                self.mu[slot], self.sigma[slot] = mu, sigma
+
+    def slot(self, month: int, lookback: int) -> int:
+        if not 1 <= month <= self.months:
+            raise ValueError(f"month {month} is outside the table's months 1..{self.months}")
+        return (int(month) - 1) * len(self.lookbacks) + self.lookbacks.index(int(lookback))
 
     def get(self, month: int, lookback: int):
-        key = (int(month), int(lookback))
-        hit = self._cache.get(key)
-        if hit is None:
-            end_day = self.month_days * key[0]
-            lb = min(key[1], end_day)
-            hit = estimate_moments(self.data, end_day, lb)
-            self._cache[key] = hit
-        return hit
+        slot = self.slot(month, lookback)
+        return self.mu[slot], self.sigma[slot]
 
 
 class RiskForecastCache:
@@ -304,24 +323,18 @@ class RiskForecastCache:
 class MarkowitzModelPredictor:
     """One manager model: a moment lookback paired with an AR view of risk.
 
-    The prediction for next month packs the model's own sample moments
-    (computed from data available at decision time) with a Yule-Walker AR
-    forecast of the client's risk level from the observed parameter
-    history, read from the repetition's :class:`RiskForecastCache` at the
-    history's length.  Falls back to the last observed risk until the AR
-    order has 2k+1 observations; negative risk forecasts are clamped to
-    zero.
+    The prediction for next month is a (slot, risk) parameter of the run's
+    :class:`poco.objectives.MarkowitzTable`: the slot of the model's own
+    moments after the months of the history, and the client's risk level
+    forecast by the repetition's :class:`RiskForecastCache` at the history's
+    length.  Falls back to the last observed risk until the AR order has
+    2k+1 observations; a negative forecast is clamped to zero, a NaN one is
+    left for the pool's finite-gradient check to report.
     """
 
     def __init__(
-        self,
-        family: Markowitz,
-        moments: MomentCache,
-        lookback: int,
-        ar_order: int,
-        forecasts: RiskForecastCache,
+        self, moments: MomentCache, lookback: int, ar_order: int, forecasts: RiskForecastCache
     ):
-        self.family = family
         self.moments = moments
         self.lookback = int(lookback)
         self.ar_order = int(ar_order)
@@ -332,10 +345,8 @@ class MarkowitzModelPredictor:
 
     def predict(self, history) -> np.ndarray:
         hist = np.asarray(history, dtype=float)
-        months_seen = hist.shape[0]
-        mu, sigma = self.moments.get(months_seen, self.lookback)
         risk_hat = self.forecasts.get(self.ar_order, hist[:, -1])
-        return self.family.pack(mu, sigma, max(risk_hat, 0.0))
+        return np.array([self.moments.slot(hist.shape[0], self.lookback), max(risk_hat, 0.0)])
 
 
 def _total_months(sec: dict) -> int:
@@ -365,16 +376,11 @@ def load_exp3_market(cfg: dict) -> MarketData:
     return data
 
 
-def _client_thetas(
-    sec: dict, family: Markowitz, moments: MomentCache, risk_obs: np.ndarray
-) -> np.ndarray:
+def _client_thetas(sec: dict, moments: MomentCache, risk_obs: np.ndarray) -> np.ndarray:
     """Client objective parameters for months 1..total of an ``exp3``
-    section, one row per month."""
-    rows = np.empty((_total_months(sec), family.m))
-    for g in range(1, rows.shape[0] + 1):
-        mu, sigma = moments.get(g, sec["client_lookback"])
-        rows[g - 1] = family.pack(mu, sigma, risk_obs[g - 1])
-    return rows
+    section, one (slot, risk) row per month."""
+    slots = [moments.slot(g, sec["client_lookback"]) for g in range(1, _total_months(sec) + 1)]
+    return np.column_stack([slots, risk_obs])
 
 
 def run_exp3(cfg: dict, data: Optional[MarketData] = None) -> ExperimentResult:
@@ -396,15 +402,15 @@ def run_exp3(cfg: dict, data: Optional[MarketData] = None) -> ExperimentResult:
     )
     lookbacks, ar_orders = sec["lookbacks"], sec["ar_orders"]
     eta, gamma, observe = sec["eta"], sec["gamma"], sec["observe_months"]
-    family = Markowitz(data.n_assets)
+    months = _total_months(sec)
+    moments = MomentCache(data, sec["month_days"], months, [*lookbacks, sec["client_lookback"]])
+    family = MarkowitzTable(moments.mu, moments.sigma)
     cset = UnitSimplex(data.n_assets, mode="renormalize")
     x1 = cset.interior_point()
-    moments = MomentCache(data, sec["month_days"])
-    needed_days = sec["month_days"] * _total_months(sec)
 
     def scenario(child):
-        risk_obs = gen_risk_path(risk, needed_days, child)
-        thetas_all = _client_thetas(sec, family, moments, risk_obs)
+        risk_obs = gen_risk_path(risk, sec["month_days"] * months, child)
+        thetas_all = _client_thetas(sec, moments, risk_obs)
         return thetas_all[observe:], thetas_all[:observe]
 
     def expert_pool(eval_thetas, history):
@@ -412,7 +418,7 @@ def run_exp3(cfg: dict, data: Optional[MarketData] = None) -> ExperimentResult:
         risk_path = np.concatenate([history[:, -1], eval_thetas[:-1, -1]])
         forecasts = RiskForecastCache(ar_orders, risk_path)
         roster = [
-            (1, MarkowitzModelPredictor(family, moments, lb, k, forecasts=forecasts))
+            (1, MarkowitzModelPredictor(moments, lb, k, forecasts=forecasts))
             for lb in lookbacks
             for k in ar_orders
         ]

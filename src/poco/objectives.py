@@ -361,4 +361,35 @@ class Markowitz:
         )
 
 
+class MarkowitzTable(Markowitz):
+    """:class:`Markowitz` on a moments table ``mu`` (S, n), ``sigma`` (S, n, n):
+    theta is (slot, lam_risk), m = 2, and only the lookup differs, so values
+    and gradients equal the packed family's on ``pack(mu[slot], sigma[slot],
+    lam_risk)`` bit for bit.  A lookup checks that each slot is an integer in
+    [0, S).  Slots span no parameter box: no ``pack``, no ``derive_constants``."""
+
+    def __init__(self, mu: np.ndarray, sigma: np.ndarray):
+        self.mu, self.sigma = mu, sigma
+        self.n, self.m = mu.shape[1], 2
+
+    def _unpack_rows(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != 2:
+            raise ValueError(f"theta rows must be (slot, lam_risk), got shape {thetas.shape}")
+        slots = thetas[:, 0]
+        bad = np.flatnonzero(~((slots >= 0) & (slots < len(self.mu)) & (np.floor(slots) == slots)))
+        if bad.size:
+            raise ValueError(
+                f"row {bad[0]}: slot {slots[bad[0]]!r} is not an integer in [0, {len(self.mu)})"
+            )
+        slots = slots.astype(np.intp)
+        return self.mu[slots], self.sigma[slots], thetas[:, 1]
+
+    def unpack(self, theta) -> tuple[np.ndarray, np.ndarray, float]:
+        mu, sigma, lam_risk = self._unpack_rows(np.asarray(theta, dtype=float)[None])
+        return mu[0], sigma[0], float(lam_risk[0])
+
+    pack = derive_constants = None
+
+
 ObjectiveFamily = Union[QuadraticTracking, FunctionalTimeSeries, Markowitz]

@@ -263,7 +263,9 @@ class VarPredictor:
     order:
         Autoregressive order (lags).
     min_history:
-        Observations required before the first fit; defaults to 2*order + 1.
+        Observations required before the first fit; defaults to 2*order + 1
+        whatever the dimension d, though a d-dimensional system needs well
+        over order*d: for d = 3 the first forecasts are ridge artefacts.
     indices:
         Optional coordinate subset to model.  Unmodeled coordinates are
         carried forward from the last observation (useful when only part of

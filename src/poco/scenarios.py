@@ -336,8 +336,9 @@ def estimate_moments(
         )
     window = data.relatives[end_day - lookback_days : end_day] - 1.0
     mu = window.mean(axis=0)
-    sigma = np.cov(window, rowvar=False, ddof=1)
-    sigma = np.atleast_2d(sigma)
+    # np.cov(window, rowvar=False, ddof=1) bit for bit, without its overhead
+    c = (window - mu).T
+    sigma = np.dot(c, c.T) * (1.0 / (lookback_days - 1))
     sigma = (sigma + sigma.T) / 2.0
-    sigma[np.diag_indices_from(sigma)] += MOMENT_RIDGE
+    sigma.flat[:: sigma.shape[0] + 1] += MOMENT_RIDGE  # the diagonal
     return mu, sigma

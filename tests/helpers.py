@@ -97,3 +97,13 @@ def simplex_mesh_projection(v, step):
         return np.einsum("ij,ij->i", d, d)
 
     return simplex_mesh_argmin(dist2, v.size, step)
+
+
+def cov_moments(relatives, end_day, lookback, ridge=1e-6):
+    """Mean and ridged covariance of the returns in the ``lookback`` rows
+    ending at 1-based ``end_day``, through ``np.cov``."""
+    window = np.asarray(relatives, dtype=float)[end_day - lookback : end_day] - 1.0
+    sigma = np.atleast_2d(np.cov(window, rowvar=False, ddof=1))
+    sigma = (sigma + sigma.T) / 2.0
+    sigma[np.diag_indices_from(sigma)] += ridge
+    return window.mean(axis=0), sigma

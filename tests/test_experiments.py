@@ -22,6 +22,8 @@ from poco.experiments import (
     run_predictive_bound_study,
 )
 
+from helpers import cov_moments
+
 
 def unchecked(experiment, **overrides):
     """The resolved config of ``experiment`` with ``overrides`` merged in
@@ -179,18 +181,21 @@ class TestExp3:
     def test_ogd_arm_first_play_is_uniform(self, market):
         from poco.descent import DescentConfig, run_predictive_ogd
         from poco.domains import UnitSimplex
-        from poco.objectives import Markowitz
+        from poco.objectives import MarkowitzTable
         from poco.experiments import MomentCache, _client_thetas
         from poco.scenarios import gen_risk_path
 
         sec = exp3_config(11, 1, eval_months=5)["exp3"]
-        family = Markowitz(market.n_assets)
-        moments = MomentCache(market, sec["month_days"])
+        moments = MomentCache(
+            market, sec["month_days"], sec["observe_months"] + sec["eval_months"],
+            [sec["client_lookback"]],
+        )
+        family = MarkowitzTable(moments.mu, moments.sigma)
         child = np.random.SeedSequence(11).spawn(1)[0]
         months = sec["observe_months"] + sec["eval_months"]
         # the exp3 risk defaults are RiskProcessSpec's own
         risk = gen_risk_path(RiskProcessSpec(), sec["month_days"] * months, child)
-        thetas = _client_thetas(sec, family, moments, risk)
+        thetas = _client_thetas(sec, moments, risk)
         cset = UnitSimplex(market.n_assets, mode="renormalize")
         traj = run_predictive_ogd(
             family, cset, thetas[sec["observe_months"] :],
@@ -222,6 +227,46 @@ class TestExp3:
         assert passes == [((15,), [1, 2, 3, 4, 5, 6])] * 2
         assert fits == []
 
+    def test_table_is_built_once_before_the_first_step(self, market, monkeypatch):
+        # the hot loop passes (slot, risk) rows: no pool round packs,
+        # unpacks or estimates moments
+        import poco.experiments as experiments
+        from poco.objectives import Markowitz
+
+        events, in_step = [], []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        step = ExpertPool.step
+
+        def recording_step(self, *args, **kwargs):
+            before = len(events)
+            out = step(self, *args, **kwargs)
+            in_step.append(events[before:])
+            events.append("step")
+            return out
+
+        table = experiments.MomentCache.__init__
+        monkeypatch.setattr(experiments.MomentCache, "__init__", recording("table", table))
+        monkeypatch.setattr(
+            experiments, "estimate_moments", recording("estimate", experiments.estimate_moments)
+        )
+        for name in ("pack", "unpack", "_unpack_rows"):
+            monkeypatch.setattr(Markowitz, name, recording(name, getattr(Markowitz, name)))
+        monkeypatch.setattr(ExpertPool, "step", recording_step)
+        run_exp3(exp3_config(14, 2, eval_months=6, lookbacks=[15, 30]), data=market)
+        first_step = events.index("step")
+        assert events.count("table") == 1 and events.index("table") < first_step
+        # 16 months x (2 expert lookbacks + the client's)
+        assert events[:first_step] == ["table"] + ["estimate"] * 48
+        assert set(events[first_step:]) == {"step"}
+        assert len(in_step) == 2 * 6 and not any(in_step)
+
     def test_determinism(self, market):
         cfg = exp3_config(12, 2, eval_months=20)
         a = run_exp3(cfg, data=market)
@@ -244,6 +289,76 @@ class TestExp3:
         cfg = exp3_config(1729, 1, csv_path=str(path), eval_months=150)
         with pytest.raises(Exception, match="4800 days"):
             load_exp3_market(cfg)
+
+
+class TestMomentCache:
+    def test_slots_equal_the_np_cov_formula_with_clamped_early_windows(self):
+        from poco.experiments import MomentCache
+        from poco.scenarios import synthetic_market
+
+        for n_assets in (1, 3):
+            data = synthetic_market(n_assets=n_assets, n_days=200, seed=n_assets)
+            # lookbacks of 45 and 100 days are clamped in the first months
+            table = MomentCache(data, 20, 10, [2, 45, 100])
+            for month in range(1, 11):
+                for lb in (2, 45, 100):
+                    mu, sigma = table.get(month, lb)
+                    end_day = 20 * month
+                    ref_mu, ref_sigma = cov_moments(data.relatives, end_day, min(lb, end_day))
+                    assert mu.tobytes() == ref_mu.tobytes()
+                    assert sigma.tobytes() == ref_sigma.tobytes()
+            assert table.slot(3, 45) == 2 * 3 + 1
+            for month in (0, 11):
+                with pytest.raises(ValueError, match=f"month {month} is outside"):
+                    table.get(month, 45)
+
+    def test_a_nan_risk_forecast_reaches_the_finite_gradient_check(self):
+        from poco.domains import UnitSimplex
+        from poco.experiments import MarkowitzModelPredictor, MomentCache
+        from poco.objectives import MarkowitzTable
+        from poco.scenarios import synthetic_market
+
+        class Forecasts:
+            risk = -2.0
+
+            def get(self, order, risk_series):
+                return self.risk
+
+        table = MomentCache(synthetic_market(n_assets=3, n_days=120, seed=6), 30, 4, [20, 45])
+        family, cset = MarkowitzTable(table.mu, table.sigma), UnitSimplex(3, mode="renormalize")
+        history = np.array([[table.slot(1, 45), 4.0], [table.slot(2, 45), 5.0]])
+        forecasts = Forecasts()
+        predictor = MarkowitzModelPredictor(table, 20, 1, forecasts=forecasts)
+        np.testing.assert_array_equal(predictor.predict(history), [table.slot(2, 20), 0.0])
+        forecasts.risk = np.nan
+        assert np.isnan(predictor.predict(history)[1])
+        pool = ExpertPool(beta=0.5, gamma=1.0, eta=0.1)
+        pool.activate([predictor], x_init=cset.interior_point(), t=1)
+        with pytest.raises(FloatingPointError, match="non-finite gradient for expert 0"):
+            pool.step(family, cset, history[-1], history)
+
+    @pytest.mark.parametrize("fault", ["nan mean", "inf covariance", "asymmetric covariance"])
+    def test_a_bad_slot_is_refused_by_month_and_lookback(self, fault, monkeypatch):
+        import poco.experiments as experiments
+        from poco.scenarios import DataError, synthetic_market
+
+        estimate = experiments.estimate_moments
+
+        def corrupting(data, end_day, lookback):
+            mu, sigma = estimate(data, end_day, lookback)
+            if (end_day, lookback) == (60, 45):  # month 2, lookback 45
+                if fault == "nan mean":
+                    mu[0] = np.nan
+                elif fault == "inf covariance":
+                    sigma[1, 1] = np.inf
+                else:
+                    sigma[0, 1] += 1e-12
+            return mu, sigma
+
+        monkeypatch.setattr(experiments, "estimate_moments", corrupting)
+        data = synthetic_market(n_assets=2, n_days=120, seed=5)
+        with pytest.raises(DataError, match="month 2, lookback 45"):
+            experiments.MomentCache(data, 30, 4, [20, 45])
 
 
 class TestBoundStudies:

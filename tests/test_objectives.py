@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import (
     FunctionalTimeSeries,
     Markowitz,
+    MarkowitzTable,
     ObjectiveConstants,
     QuadraticTracking,
     contraction_factor,
@@ -269,6 +272,65 @@ class TestMarkowitz:
         np.testing.assert_array_equal(mu, mu2)
         np.testing.assert_array_equal(sigma, sigma2)
         assert lam2 == 2.5
+
+
+def _moments_table(rng, n_slots, n):
+    a = rng.normal(size=(n_slots, n, n))
+    sigma = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(n)
+    sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
+    return rng.normal(scale=0.5, size=(n_slots, n)), sigma
+
+
+class TestMarkowitzTable:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        n_slots=st.integers(1, 8),
+        k=st.integers(1, 10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_packed_family_bit_for_bit(self, seed, n, n_slots, k):
+        rng = np.random.default_rng(seed)
+        mu, sigma = _moments_table(rng, n_slots, n)
+        table, packed = MarkowitzTable(mu, sigma), Markowitz(n)
+        slots = rng.integers(0, n_slots, size=k)
+        lam = np.where(rng.random(k) < 0.2, 0.0, rng.uniform(0.0, 20.0, size=k))
+        rows = np.column_stack([slots, lam])
+        packed_rows = np.stack([packed.pack(mu[s], sigma[s], r) for s, r in zip(slots, lam)])
+        xs = rng.normal(size=(k, n))
+        for method in ("value_rows", "gradient_x_rows"):
+            got, want = getattr(table, method), getattr(packed, method)
+            np.testing.assert_array_equal(got(xs, rows), want(xs, packed_rows))
+            # one (1, 2) row shared by every point
+            np.testing.assert_array_equal(got(xs, rows[:1]), want(xs, packed_rows[:1]))
+        for x, row, packed_row in zip(xs, rows, packed_rows):
+            assert table.value(x, row) == packed.value(x, packed_row)
+            np.testing.assert_array_equal(
+                table.gradient_x(x, row), packed.gradient_x(x, packed_row)
+            )
+
+    @pytest.mark.parametrize("slot", [1.5, -1.0, 3.0, np.nan, np.inf])
+    def test_a_bad_slot_names_its_row(self, slot):
+        table = MarkowitzTable(*_moments_table(np.random.default_rng(3), 3, 2))
+        rows = np.array([[0.0, 1.0], [2.0, 1.0], [slot, 1.0]])
+        xs = np.full((3, 2), 0.5)
+        for rows_method in (table.value_rows, table.gradient_x_rows):
+            with pytest.raises(ValueError, match="row 2: slot"):
+                rows_method(xs, rows)
+        for method in (table.value, table.gradient_x):
+            with pytest.raises(ValueError, match="row 0: slot"):
+                method(xs[0], rows[2])
+
+    def test_wrong_width_rows_are_refused(self):
+        table = MarkowitzTable(*_moments_table(np.random.default_rng(4), 3, 2))
+        xs = np.full((2, 2), 0.5)
+        for rows in (np.zeros((2, 3)), np.zeros((2, 1)), np.zeros(2)):
+            with pytest.raises(ValueError, match=r"theta rows must be \(slot, lam_risk\)"):
+                table.value_rows(xs, rows)
+            with pytest.raises(ValueError, match=r"theta rows must be \(slot, lam_risk\)"):
+                table.gradient_x_rows(xs, rows)
+        with pytest.raises(ValueError, match=r"theta rows must be \(slot, lam_risk\)"):
+            table.value(xs[0], np.zeros(3))
 
 
 class TestSharedProperties:

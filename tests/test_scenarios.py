@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from poco.scenarios import (
     DataError,
+    MOMENT_RIDGE,
     MarketData,
     RISK_FREE_DAILY_RELATIVE,
     RiskProcessSpec,
@@ -19,6 +22,8 @@ from poco.scenarios import (
     switching_declared_box,
     synthetic_market,
 )
+
+from helpers import cov_moments
 
 STATE_A = np.array([-100.0, 0.0, 30.0])
 STATE_B = np.array([100.0, 20.0, -50.0])
@@ -198,6 +203,23 @@ class TestMoments:
         _, sigma = estimate_moments(data, end_day=200, lookback_days=90)
         np.testing.assert_array_equal(sigma, sigma.T)
         assert np.linalg.eigvalsh(sigma)[0] >= 0.99e-6
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_assets=st.integers(1, 6),
+        lookback=st.integers(2, 60),
+        before=st.integers(0, 30),
+    )
+    @example(seed=0, n_assets=1, lookback=2, before=0)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_np_cov_formula_bit_for_bit(self, seed, n_assets, lookback, before):
+        data = synthetic_market(n_assets=n_assets, n_days=lookback + before + 3, seed=seed)
+        end_day = lookback + before
+        mu, sigma = estimate_moments(data, end_day, lookback)
+        ref_mu, ref_sigma = cov_moments(data.relatives, end_day, lookback, MOMENT_RIDGE)
+        assert sigma.shape == (n_assets, n_assets)
+        assert mu.tobytes() == ref_mu.tobytes()
+        assert sigma.tobytes() == ref_sigma.tobytes()
 
     def test_window_bounds_checked(self):
         data = MarketData(relatives=np.ones((30, 2)))
