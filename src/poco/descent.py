@@ -10,9 +10,14 @@ Losses are always charged against the realized parameter: the step
 ordering per round is observe, charge, predict, step.
 
 An aim depends only on the parameters observed so far, never on the
-iterates, so a run computes every aim before its loop
-(:func:`poco.predictors.aim_path`): an AR predictor fits all prefixes of
-the observed sequence in one pass instead of refitting every round.
+iterates, so a run reads every aim from one
+:func:`poco.predictors.aim_table` built before its loop: an AR predictor
+fits all prefixes of the observed sequence in one pass instead of refitting
+every round.  A stack of R parameter sequences advances in lockstep, its
+runs as rows: each inner step is one :func:`ogd_step_rows` call and each
+round charges the R losses with one ``value_rows`` call.  The row kernels
+compute a row the same way whatever the row count, so run r of a stack
+equals the run of its sequence alone bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from poco.domains import ConstraintSet
-from poco.predictors import aim_path, prediction_regularity
+from poco.predictors import aim_table, prediction_regularity
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,29 @@ def ogd_step(family, cset: ConstraintSet, x, theta_ref, eta: float, inner_steps:
                 "region where the objective is well behaved"
             )
         z = cset.project(z - eta * g)
+    return z
+
+
+def ogd_step_rows(
+    family, cset: ConstraintSet, xs, aims, eta: float, inner_steps: int, owner: str, ids
+) -> np.ndarray:
+    """``inner_steps`` projected gradient updates of every row of ``xs``
+    toward the same row of ``aims``, one ``family.gradient_x_rows`` and one
+    ``cset.project_rows`` call per update; row i matches ``ogd_step`` on it
+    up to floating-point rounding.  The one row update of descent runs and
+    expert pools.  A non-finite gradient raises ``FloatingPointError``
+    naming the ``owner`` and ``ids`` entry of the first bad row."""
+    z = xs
+    for _ in range(inner_steps):
+        g = family.gradient_x_rows(z, aims)
+        finite = np.isfinite(g).all(axis=1)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            raise FloatingPointError(
+                f"non-finite gradient for {owner} {ids[bad]} at x={z[bad]!r}; "
+                "the iterate left the region where the objective is well behaved"
+            )
+        z = cset.project_rows(z - eta * g)
     return z
 
 
@@ -101,46 +129,52 @@ def run_predictive_ogd(
     config: DescentConfig,
     x1,
     predictor=None,
-) -> Trajectory:
-    """Run the online loop over a realized parameter sequence.
+) -> Trajectory | list[Trajectory]:
+    """Run the online loop over a realized parameter sequence, or over a
+    stack of them in lockstep.
 
-    ``thetas`` is the full (T, m) scenario; the aim after round t still
+    ``thetas`` is one full (T, m) scenario, which gives a
+    :class:`Trajectory`, or an (R, T, m) stack of R scenarios, which gives
+    a list of R; every run starts from ``x1``.  The aim after round t still
     reads only the prefix observed by then, and the last parameter, which
     no step follows, is never read.  Each step aims where
     :func:`poco.predictors.step_aim` says: at the freshly observed parameter
     until ``predictor.ready``, and always when ``predictor`` is None
     (standard descent).  That keeps a predictive run's early rounds
     identical to standard descent, which is also what makes paired
-    difference curves start at exactly zero.
+    difference curves start at exactly zero.  Each run's aims come from one
+    :func:`poco.predictors.aim_table` built before the loop; the runs then
+    advance as rows of one array.
     """
     thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[0] < 1:
-        raise ValueError("thetas must be a nonempty (T, m) array")
-    horizon = thetas.shape[0]
+    runs = thetas if thetas.ndim == 3 else thetas[None]
+    if runs.ndim != 3 or 0 in runs.shape[:2]:
+        raise ValueError("thetas must be a nonempty (T, m) array or an (R, T, m) stack of them")
+    n_runs, horizon, _ = runs.shape
     x = np.asarray(x1, dtype=float)
     if not cset.contains(x, tol=1e-9):
         raise ValueError("initial point x1 must lie in the constraint set")
 
-    n = x.shape[0]
-    xs = np.empty((horizon, n))
-    losses = np.empty(horizon)
-    theta_hats = np.empty_like(thetas)
-    theta_hats[0] = thetas[0]
-    aim_path(predictor, thetas[:-1], out=theta_hats[1:])
+    xs = np.empty((n_runs, horizon, x.shape[0]))
+    losses = np.empty((n_runs, horizon))
+    # entry 0 of each run is a copy of its first parameter, never scored
+    theta_hats = runs.copy()
+    for r in range(n_runs):
+        theta_hats[r, 1:] = aim_table([predictor], runs[r, :-1], starts=[1])[0][1:, 0]
 
-    for t in range(1, horizon + 1):
-        i = t - 1
-        xs[i] = x
-        losses[i] = family.value(x, thetas[i])
-        if t == horizon:
-            break
-        x = ogd_step(family, cset, x, theta_hats[t], config.eta, config.inner_steps)
+    ids = np.arange(n_runs)
+    z = np.tile(x, (n_runs, 1))
+    for i in range(horizon):
+        xs[:, i] = z
+        losses[:, i] = family.value_rows(z, runs[:, i])
+        if i + 1 < horizon:
+            z = ogd_step_rows(
+                family, cset, z, theta_hats[:, i + 1], config.eta, config.inner_steps,
+                "repetition", ids,
+            )
 
-    return Trajectory(
-        xs=xs,
-        thetas=thetas,
-        theta_hats=theta_hats,
-        losses=losses,
-        eta=config.eta,
-        inner_steps=config.inner_steps,
-    )
+    trajectories = [
+        Trajectory(xs[r], runs[r], theta_hats[r], losses[r], config.eta, config.inner_steps)
+        for r in range(n_runs)
+    ]
+    return trajectories if thetas.ndim == 3 else trajectories[0]

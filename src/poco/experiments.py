@@ -6,7 +6,8 @@ the identical scenario realization, so the reported curve
 cumulative_loss(method) - cumulative_loss(baseline) equals the difference in
 dynamic regret (the per-round optimal values cancel) and is exactly zero
 wherever the two arms are algorithmically identical.  ``compare_to_ogd``
-runs that comparison for every study.  Study 3 reads its moments from one
+runs that comparison for every study, with the baseline runs of all
+repetitions advancing in lockstep.  Study 3 reads its moments from one
 table per run (:class:`MomentCache`), so its parameters are (slot, risk)
 rows and its pools' prediction regularity and aim range are in slot
 coordinates; nothing reads them, as its renormalizing projection gets no
@@ -29,7 +30,7 @@ from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import MarkowitzTable, QuadraticTracking
 from poco.predictors import NoisyOracle, Persistence, VarPredictor, var_forecasts
-from poco.regret import build_ledger
+from poco.regret import build_ledgers
 from poco.scenarios import (
     DataError,
     MarketData,
@@ -98,23 +99,24 @@ def compare_to_ogd(seeds, scenario, method, family, cset, x1, eta, inner_steps=1
 
     ``scenario(child)`` draws a repetition's ``(thetas, history)``, where
     ``history`` holds parameters observed before round 1 (or None), and
-    ``method(thetas, history)`` plays the method arm on that same draw.  The
-    baseline descends from ``x1`` toward the last observation with ``eta``
-    and ``inner_steps``.  Returns the difference curve and repetition 1's
+    ``method(thetas, history)`` plays the method arm on that same draw, one
+    repetition per call.  Every scenario is drawn first, in seed order; the
+    baseline then descends from ``x1`` toward the last observation with
+    ``eta`` and ``inner_steps``, all repetitions in one lockstep
+    ``run_predictive_ogd`` call, whose run r equals a run on its draw alone
+    bit for bit.  Returns the difference curve and repetition 1's
     ``(baseline, method)`` trajectories.
     """
     if not seeds:
         raise ValueError("repetitions must be >= 1")
-    config = DescentConfig(eta, inner_steps)
-    diffs, first = [], None
-    for child in seeds:
-        thetas, history = scenario(child)
-        baseline = run_predictive_ogd(family, cset, thetas, config, x1)
-        arm = method(thetas, history)
-        diffs.append(np.cumsum(arm.losses - baseline.losses))
-        if first is None:
-            first = (baseline, arm)
-    return _summarize_diffs(np.array(diffs)), first
+    draws = [scenario(child) for child in seeds]
+    baselines = run_predictive_ogd(
+        family, cset, np.stack([thetas for thetas, _ in draws]),
+        DescentConfig(eta, inner_steps), x1,
+    )
+    arms = [method(thetas, history) for thetas, history in draws]
+    diffs = np.array([np.cumsum(arm.losses - base.losses) for base, arm in zip(baselines, arms)])
+    return _summarize_diffs(diffs), (baselines[0], arms[0])
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +195,14 @@ def run_exp1(cfg: dict) -> ExperimentResult:
     )
     checked = cfg["bounds"]["check"]
     ledgers = {}
+    if checked:
+        ledgers = dict(zip(("ogd", "predictive"), build_ledgers(family, cset, first)))
     notes = [
         f"repetitions={cfg['repetitions']} horizon={cfg['horizon']} "
         f"eta={eta} seed={cfg['seed']}",
         "curve = cumulative regret (predictive) - cumulative regret (ogd)"
         + (LEDGER_NOTE if checked else ""),
     ]
-    if checked:
-        for arm, traj in zip(("ogd", "predictive"), first):
-            ledgers[arm] = build_ledger(family, cset, traj)
     return ExperimentResult(curve=curve, ledgers=ledgers, notes=notes)
 
 
@@ -239,7 +240,7 @@ def run_exp2(cfg: dict) -> ExperimentResult:
         pool = ExpertPool(beta=beta, gamma=gamma, eta=eta, inner_steps=inner_steps)
         return run_smad(family, cset, thetas, pool, x1, roster=roster)
 
-    curve, (ogd, smad_traj) = compare_to_ogd(
+    curve, first = compare_to_ogd(
         np.random.SeedSequence(cfg["seed"]).spawn(cfg["repetitions"]),
         lambda child: (gen_switching(proc, child), None),
         expert_pool,
@@ -247,15 +248,14 @@ def run_exp2(cfg: dict) -> ExperimentResult:
     )
     checked = cfg["bounds"]["check"]
     ledgers = {}
+    if checked:
+        ledgers = dict(zip(("ogd", "smad"), build_ledgers(family, cset, first)))
     notes = [
         f"repetitions={cfg['repetitions']} horizon={cfg['horizon']} eta={eta} "
         f"beta={beta} gamma={gamma} seed={cfg['seed']}",
         "curve = cumulative regret (expert pool) - cumulative regret (ogd)"
         + (LEDGER_NOTE if checked else ""),
     ]
-    if checked:
-        ledgers["ogd"] = build_ledger(family, cset, ogd)
-        ledgers["smad"] = build_ledger(family, cset, smad_traj)
     return ExperimentResult(curve=curve, ledgers=ledgers, notes=notes)
 
 
@@ -287,10 +287,15 @@ class MomentCache:
                 slot = self.slot(month, lb)
                 self.mu[slot], self.sigma[slot] = mu, sigma
 
-    def slot(self, month: int, lookback: int) -> int:
-        if not 1 <= month <= self.months:
-            raise ValueError(f"month {month} is outside the table's months 1..{self.months}")
-        return (int(month) - 1) * len(self.lookbacks) + self.lookbacks.index(int(lookback))
+    def slot(self, month, lookback: int):
+        """The row of ``lookback`` at ``month``, a number or an integer array."""
+        months = np.asarray(month)
+        outside = (months < 1) | (months > self.months)
+        if outside.any():
+            raise ValueError(
+                f"month {months[outside].flat[0]} is outside the table's months 1..{self.months}"
+            )
+        return (months - 1) * len(self.lookbacks) + self.lookbacks.index(int(lookback))
 
     def get(self, month: int, lookback: int):
         slot = self.slot(month, lookback)
@@ -304,11 +309,18 @@ class RiskForecastCache:
     observation months and all evaluation months but the last.  One
     :func:`poco.predictors.var_forecasts` pass over it gives every order in
     ``orders`` after every month, so experts sharing an AR order share its
-    forecasts and no month refits.  ``get`` reads a row.
+    forecasts and no month refits.  ``get`` reads a row, ``column`` every
+    row a risk series' prefixes read.
     """
 
     def __init__(self, orders: Sequence[int], risk_path):
         self.forecasts = var_forecasts(risk_path, orders)
+
+    def column(self, order: int, risk_series: np.ndarray) -> np.ndarray:
+        """``get(order, risk_series[:n])`` for n = 1..len(risk_series)."""
+        months_seen = np.arange(1, risk_series.shape[0] + 1)
+        table = self.forecasts[order][1 : risk_series.shape[0] + 1, 0]
+        return np.where(months_seen < 2 * order + 1, risk_series, table)
 
     def get(self, order: int, risk_series: np.ndarray) -> float:
         """The order's forecast after the months of ``risk_series``, a prefix
@@ -329,7 +341,9 @@ class MarkowitzModelPredictor:
     forecast by the repetition's :class:`RiskForecastCache` at the history's
     length.  Falls back to the last observed risk until the AR order has
     2k+1 observations; a negative forecast is clamped to zero, a NaN one is
-    left for the pool's finite-gradient check to report.
+    left for the pool's finite-gradient check to report.  ``aim_rows``
+    gives a run's aim table column at once: the slot column plus the
+    clamped forecasts.
     """
 
     def __init__(
@@ -347,6 +361,13 @@ class MarkowitzModelPredictor:
         hist = np.asarray(history, dtype=float)
         risk_hat = self.forecasts.get(self.ar_order, hist[:, -1])
         return np.array([self.moments.slot(hist.shape[0], self.lookback), max(risk_hat, 0.0)])
+
+    def aim_rows(self, observed: np.ndarray, ns: np.ndarray) -> np.ndarray:
+        """``predict(observed[:n])`` for every n in ``ns`` (all >= 1)."""
+        risk = self.forecasts.column(self.ar_order, observed[:, -1])[ns - 1]
+        # as max(risk, 0.0) does, a NaN or -0.0 stays
+        clamped = np.where(risk < 0.0, 0.0, risk)
+        return np.column_stack([self.moments.slot(ns, self.lookback), clamped])
 
 
 def _total_months(sec: dict) -> int:
@@ -379,7 +400,7 @@ def load_exp3_market(cfg: dict) -> MarketData:
 def _client_thetas(sec: dict, moments: MomentCache, risk_obs: np.ndarray) -> np.ndarray:
     """Client objective parameters for months 1..total of an ``exp3``
     section, one (slot, risk) row per month."""
-    slots = [moments.slot(g, sec["client_lookback"]) for g in range(1, _total_months(sec) + 1)]
+    slots = moments.slot(np.arange(1, _total_months(sec) + 1), sec["client_lookback"])
     return np.column_stack([slots, risk_obs])
 
 
@@ -482,10 +503,13 @@ class BoundStudyResult:
         return lines
 
 
-def _bound_setup(cfg: dict):
-    """``switching_setup`` for a bound study, which refuses a domain whose
-    projection is not nonexpansive with a ``ConfigError`` naming
-    ``domain.projection_mode``: no regret bound applies there."""
+def _bound_setup(cfg: dict, n_runs: int):
+    """``switching_setup`` for a bound study of ``n_runs`` runs (at least
+    one), which refuses a domain whose projection is not nonexpansive with
+    a ``ConfigError`` naming ``domain.projection_mode``: no regret bound
+    applies there."""
+    if n_runs < 1:
+        raise ValueError(f"a bound study needs at least one run, got {n_runs}")
     family, cset, proc = switching_setup(cfg)
     if not cset.nonexpansive:
         raise ConfigError(
@@ -504,17 +528,15 @@ def run_predictive_bound_study(
     with constants derived from the realized parameter box (observations
     and predictions jointly).  A non-metric projection is refused before
     any run (:func:`_bound_setup`)."""
-    family, cset, proc = _bound_setup(cfg)
+    family, cset, proc = _bound_setup(cfg, n_runs)
     eta, x1 = cfg["descent"]["eta"], cfg["descent"]["x1"]
     seeds = np.random.SeedSequence((cfg["seed"], 31 + inner_steps)).spawn(n_runs)
-    descent, predictor = DescentConfig(eta, inner_steps), make_predictor(cfg)
-    records = []
-    for child in seeds:
-        thetas = gen_switching(proc, child)
-        traj = run_predictive_ogd(family, cset, thetas, descent, x1, predictor=predictor)
-        records.append(build_ledger(family, cset, traj))
+    thetas = np.array([gen_switching(proc, child) for child in seeds])
+    runs = run_predictive_ogd(
+        family, cset, thetas, DescentConfig(eta, inner_steps), x1, predictor=make_predictor(cfg)
+    )
     label = f"predictive descent bound (k={inner_steps})"
-    return BoundStudyResult(records=records, label=label)
+    return BoundStudyResult(records=build_ledgers(family, cset, runs), label=label)
 
 
 def run_expert_bound_study(cfg: dict, n_runs: int) -> BoundStudyResult:
@@ -530,12 +552,12 @@ def run_expert_bound_study(cfg: dict, n_runs: int) -> BoundStudyResult:
     A non-metric projection is refused before any run (:func:`_bound_setup`).
     """
     cfg = {**cfg, "scenario": {**cfg["scenario"], "noise_clip": EXPERT_NOISE_CLIP}}
-    family, cset, proc = _bound_setup(cfg)
+    family, cset, proc = _bound_setup(cfg, n_runs)
     gamma = declared_gamma(cfg)[1]
     eta, x1 = cfg["descent"]["eta"], cfg["descent"]["x1"]
 
     seeds = np.random.SeedSequence((cfg["seed"], 97)).spawn(n_runs)
-    records = []
+    runs = []
     for child in seeds:
         scen_seed, oracle_seed = child.spawn(2)
         thetas = gen_switching(proc, scen_seed)
@@ -548,8 +570,6 @@ def run_expert_bound_study(cfg: dict, n_runs: int) -> BoundStudyResult:
             VarPredictor(order=2, indices=cfg["predictor"]["indices"]),
         ]
         pool = ExpertPool(beta=0.2, gamma=gamma, eta=eta)
-        traj = run_smad(
-            family, cset, thetas, pool, x1, roster=[(1, p) for p in predictors]
-        )
-        records.append(build_ledger(family, cset, traj))
+        runs.append(run_smad(family, cset, thetas, pool, x1, roster=[(1, p) for p in predictors]))
+    records = build_ledgers(family, cset, runs)
     return BoundStudyResult(records=records, label="expert-pool regret bound")

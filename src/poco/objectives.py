@@ -9,7 +9,10 @@ are allowed to be conservative: a larger G or D only loosens a bound.
 
 ``value_rows`` and ``gradient_x_rows`` evaluate a (k, n) stack of points
 against a (k, m) stack of parameters, or against one (1, m) parameter row
-shared by every point.
+shared by every point.  Every ``*_rows`` method computes row i the same way
+whatever k is (elementwise products and row sums, no matrix products across
+rows, whose BLAS kernels round differently for different row counts), so a
+run's results do not depend on how many runs advance with it.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ class QuadraticTracking:
 
     def value_rows(self, xs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         d = xs - thetas[:, : self.n]
-        return (d * d) @ self.weights + thetas[:, self.n]
+        return np.sum(d * d * self.weights, axis=1) + thetas[:, self.n]
 
     def gradient_x_rows(self, xs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         return 2.0 * self.weights * (xs - thetas[:, : self.n])
@@ -206,8 +209,8 @@ class FunctionalTimeSeries:
         return num / den
 
     def unconstrained_minimizer_rows(self, thetas: np.ndarray) -> np.ndarray:
-        den = thetas @ self.a
-        num = thetas @ (self.a * self.v)
+        den = np.sum(thetas[:, :, None] * self.a, axis=1)
+        num = np.sum(thetas[:, :, None] * (self.a * self.v), axis=1)
         return num / den
 
     def curvature(self, theta=None) -> tuple[float, float]:
@@ -218,7 +221,7 @@ class FunctionalTimeSeries:
         return 2.0 * float(diag.min()), 2.0 * float(diag.max())
 
     def curvature_rows(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        diag = thetas @ self.a
+        diag = np.sum(thetas[:, :, None] * self.a, axis=1)
         return 2.0 * diag.min(axis=1), 2.0 * diag.max(axis=1)
 
     def derive_constants(self, cset: ConstraintSet, theta_box=None) -> ObjectiveConstants:

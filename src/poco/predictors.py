@@ -14,12 +14,13 @@ Predictors report readiness via ``ready(n_obs)``.  :func:`step_aim` is the
 one rule every descent step uses to pick its target: the forecast once the
 predictor is ready, else the last observation (plain descent).
 
-A run never refits inside its loop.  The observed history is known before
-the run starts, so :func:`var_forecasts` gives every order's forecast
-after every prefix in one pass, and :func:`var_forecast_table` makes one
-such pass per group of VAR experts that model the same coordinates.
-:func:`aim_path` gives a descent run's aims from it, and :func:`step_aims`
-gives an expert pool's aims for one round.
+A run never asks a predictor inside its loop.  An aim depends only on the
+parameters observed so far, never on the iterates, and those are known
+before the run starts, so :func:`aim_table` gives every expert's aim after
+every prefix in one pass per predictor kind: :func:`var_forecasts` gives
+every order's forecast after every prefix, and :func:`var_forecast_table`
+makes one such pass per group of VAR experts that model the same
+coordinates.  Descent runs and expert pools read their rounds' rows.
 """
 
 from __future__ import annotations
@@ -321,6 +322,10 @@ class Persistence:
             raise PredictorNotReady(needed=1, have=0)
         return hist[-1].copy()
 
+    def aim_rows(self, observed: np.ndarray, ns: np.ndarray) -> np.ndarray:
+        """``step_aim(self, observed[:n])`` for every n in ``ns`` (all >= 1)."""
+        return observed[ns - 1]
+
 
 class NoisyOracle:
     """True next parameter plus Gaussian noise of a chosen scale.
@@ -351,6 +356,18 @@ class NoisyOracle:
         if self.noise_std == 0.0:
             return base
         return base + self.noise_std * self.rng.standard_normal(base.shape)
+
+    def aim_rows(self, observed: np.ndarray, ns: np.ndarray) -> np.ndarray:
+        """``step_aim(self, observed[:n])`` for every n in the increasing
+        ``ns``, with the same noise: one (rows, m) draw gives a
+        ``numpy.random.Generator`` the numbers of one (m,) draw per row."""
+        ready = int(np.searchsorted(ns, self.truth.shape[0]))  # a prefix of ns
+        rows = np.empty((ns.size, self.truth.shape[1]))
+        rows[:ready] = self.truth[ns[:ready]]
+        if self.noise_std != 0.0:
+            rows[:ready] += self.noise_std * self.rng.standard_normal((ready, rows.shape[1]))
+        rows[ready:] = observed[ns[ready:] - 1]
+        return rows
 
 
 def step_aim(predictor, history):
@@ -391,73 +408,61 @@ def var_forecast_table(predictors, observed) -> dict:
     }
 
 
-def _forecast_row(forecasts, predictor, n_obs):
-    """A ready VarPredictor's forecast after ``n_obs`` observations, read
-    from a run's :func:`var_forecast_table`."""
-    table = (forecasts or {}).get(predictor.indices, {}).get(predictor.order)
-    if table is None or n_obs >= table.shape[0]:
-        raise ValueError(
-            f"the forecast table holds no VAR({predictor.order}) forecast after "
-            f"{n_obs} observations; build it with var_forecast_table over every "
-            "row the run observes"
-        )
-    return table[n_obs]
+def _var_rows(predictor: VarPredictor, observed, ns, forecasts) -> np.ndarray:
+    """A VarPredictor's aims after every prefix length in ``ns``: the last
+    observation, with the modeled coordinates replaced by the run's
+    :func:`var_forecast_table` row once the predictor is ready."""
+    rows = observed[ns - 1]
+    ready = ns[ns >= predictor.min_history]  # a suffix of ns
+    modeled = slice(None) if predictor.indices is None else list(predictor.indices)
+    rows[ns.size - ready.size :, modeled] = forecasts[predictor.indices][predictor.order][ready]
+    return rows
 
 
-def _modeled(predictor):
-    return slice(None) if predictor.indices is None else list(predictor.indices)
+def aim_table(predictors, observed, starts=None) -> tuple[np.ndarray, np.ndarray]:
+    """Every predictor's :func:`step_aim` after every prefix of an (L, m)
+    ``observed``: an (L+1, N, m) array whose entry [n, i] is
+    ``step_aim(predictors[i], observed[:n])``, and the (L+1, N) mask of
+    the entries that have an aim (unaimed entries hold NaN).
 
+    Column i starts at row ``starts[i]`` (0 by default), the number of
+    observations its expert has in its first round: earlier rows stay
+    unaimed and the predictor is not asked there, so a late entrant draws
+    no noise before it joins.  Each kind fills its column in one pass:
 
-def step_aims(predictors, history, forecasts=None):
-    """Every predictor's :func:`step_aim` after observing ``history``, as
-    an (N, m) array of aims and an (N,) mask of the rows that have one
-    (unaimed rows hold NaN).
-
-    Ready :class:`VarPredictor` rows read their forecast after
-    ``len(history)`` observations from ``forecasts``, the run's
-    :func:`var_forecast_table`, of whose rows ``history`` is a prefix;
-    unmodeled coordinates repeat the last observation.  Every other row, a
-    VAR expert still warming up included, is ``step_aim(predictor,
-    history)`` in roster order, so the rows that are not VAR forecasts equal
-    their ``step_aim`` bit for bit.
+    * :class:`VarPredictor` reads its forecasts from one
+      :func:`var_forecast_table` pass per coordinate group, over all of
+      ``observed``, and repeats the last observation while it warms up;
+    * a predictor with an ``aim_rows(observed, ns)`` method
+      (:class:`Persistence`, :class:`NoisyOracle`, study 3's
+      :class:`poco.experiments.MarkowitzModelPredictor`) gives the rows
+      after the prefix lengths ``ns`` at once;
+    * any other object is asked once per prefix through :func:`step_aim`;
+    * None, standard descent, aims as :class:`Persistence` does.
     """
-    hist = np.asarray(history, dtype=float)
-    if hist.ndim == 1:
-        hist = hist[:, None]
-    n_obs = hist.shape[0]
-    aims = np.full((len(predictors), hist.shape[1]), np.nan)
-    aimed = np.zeros(len(predictors), dtype=bool)
-    for idx, predictor in enumerate(predictors):
-        if isinstance(predictor, VarPredictor) and predictor.ready(n_obs):
-            aims[idx] = hist[-1]
-            aims[idx, _modeled(predictor)] = _forecast_row(forecasts, predictor, n_obs)
-            aimed[idx] = True
+    obs = np.asarray(observed, dtype=float)
+    if obs.ndim == 1:
+        obs = obs[:, None]
+    n_obs, width = obs.shape
+    starts = [0] * len(predictors) if starts is None else starts
+    aims = np.full((n_obs + 1, len(predictors), width), np.nan)
+    aimed = np.zeros((n_obs + 1, len(predictors)), dtype=bool)
+    forecasts = var_forecast_table(predictors, obs)
+    for col, (predictor, first) in enumerate(zip(predictors, starts)):
+        if predictor is None:
+            predictor = Persistence()
+        # with nothing observed, only a predictor ready already has an aim
+        ns = np.arange(first if first > 0 or predictor.ready(0) else 1, n_obs + 1)
+        if not ns.size:
             continue
-        aim = step_aim(predictor, hist)
-        if aim is not None:
-            aims[idx] = aim
-            aimed[idx] = True
+        if isinstance(predictor, VarPredictor):
+            aims[ns, col] = _var_rows(predictor, obs, ns, forecasts)
+        elif hasattr(predictor, "aim_rows"):
+            aims[ns, col] = predictor.aim_rows(obs, ns)
+        else:
+            aims[ns, col] = [step_aim(predictor, obs[:n]) for n in ns]
+        aimed[ns, col] = True
     return aims, aimed
-
-
-def aim_path(predictor, observed, out) -> np.ndarray:
-    """Write ``step_aim(predictor, observed[:n])`` into ``out[n - 1]`` for
-    n = 1..L, where ``out`` is (L, m) like ``observed``, and return ``out``.
-
-    A :class:`VarPredictor` reads its forecasts from one
-    :func:`var_forecast_table` pass and aims at the last observation while
-    it warms up; any other predictor, or None, is asked once per prefix in
-    order.
-    """
-    if not isinstance(predictor, VarPredictor):
-        for n in range(1, len(observed) + 1):
-            out[n - 1] = step_aim(predictor, observed[:n])
-        return out
-    out[:] = observed
-    table = var_forecast_table([predictor], observed)[predictor.indices]
-    first = predictor.min_history
-    out[first - 1 :, _modeled(predictor)] = table[predictor.order][first:]
-    return out
 
 
 def prediction_regularity(thetas, theta_hats) -> float:

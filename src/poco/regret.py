@@ -285,30 +285,50 @@ class RegretLedger:
 BOUND_SLACK = 1e-6
 
 
-def build_ledger(
+def build_ledgers(
     family,
     cset: ConstraintSet,
-    trajectory,
-) -> RegretLedger:
-    """Assemble the regret accounting for a finished run.
+    trajectories,
+) -> list[RegretLedger]:
+    """Assemble the regret accounting for finished runs, one ledger each.
 
-    ``trajectory`` is a descent ``Trajectory`` or a pool ``SmadTrajectory``;
-    the ledger reads its ``thetas``, ``losses``, ``xs[0]``, prediction
-    regularity ``p_theta``, aim range ``aim_lo``/``aim_hi``, the ``eta``
-    and ``inner_steps`` it descended with and its ``bound_skipped_reason``.
-    Constants come from ``derive_constants`` over the bounding box of the
-    realized parameters and the aims actually descended toward (the
-    parameters alone when nothing was aimed at).  A bound is evaluated only
-    when the run gives no skip reason and the projection is nonexpansive;
-    heuristic runs get a logged notice instead.  A descent run gets the
-    predictive-descent bound.  A day-one pool gets it at the farthest expert
-    first play from x*_1, plus ``hedge_gap_bound`` at the pool's ``gamma``
-    and the run's largest per-round spread of expert losses, and its
-    ``hedge_gap()`` is checked against that penalty.
+    The exact minimizers of every round of every run come from one
+    :func:`minimizers_batch` call over all their parameters; the row
+    kernels compute each row the same way whatever the row count, so a
+    run's ledger does not depend on the runs judged with it.
+
+    A ``trajectory`` is a descent ``Trajectory`` or a pool
+    ``SmadTrajectory``; its ledger reads its ``thetas``, ``losses``,
+    ``xs[0]``, prediction regularity ``p_theta``, aim range
+    ``aim_lo``/``aim_hi``, the ``eta`` and ``inner_steps`` it descended
+    with and its ``bound_skipped_reason``.  Constants come from
+    ``derive_constants`` over the bounding box of the realized parameters
+    and the aims actually descended toward (the parameters alone when
+    nothing was aimed at).  A bound is evaluated only when the run gives no
+    skip reason and the projection is nonexpansive; heuristic runs get a
+    logged notice instead.  A descent run gets the predictive-descent
+    bound.  A day-one pool gets it at the farthest expert first play from
+    x*_1, plus ``hedge_gap_bound`` at the pool's ``gamma`` and the run's
+    largest per-round spread of expert losses, and its ``hedge_gap()`` is
+    checked against that penalty.
     """
+    thetas = np.concatenate([traj.thetas for traj in trajectories])
+    xstars = minimizers_batch(family, cset, thetas)
+    opt_losses = family.value_rows(xstars, thetas)
+    cuts = np.cumsum([traj.thetas.shape[0] for traj in trajectories])[:-1]
+    return [
+        _ledger(family, cset, traj, xs, opt)
+        for traj, xs, opt in zip(trajectories, np.split(xstars, cuts), np.split(opt_losses, cuts))
+    ]
+
+
+def build_ledger(family, cset: ConstraintSet, trajectory) -> RegretLedger:
+    """The regret accounting for one finished run (:func:`build_ledgers`)."""
+    return build_ledgers(family, cset, [trajectory])[0]
+
+
+def _ledger(family, cset, trajectory, xstars, opt_losses) -> RegretLedger:
     eta, inner_steps = trajectory.eta, trajectory.inner_steps
-    xstars = minimizers_batch(family, cset, trajectory.thetas)
-    opt_losses = family.value_rows(xstars, trajectory.thetas)
     reg_d = dynamic_regret(trajectory.losses, opt_losses)
     p_star = path_length(xstars)
     p_theta = trajectory.p_theta

@@ -10,17 +10,16 @@ is mixed in with mass beta (existing weights are scaled by (1 - beta)),
 with its iterate seeded at the previous aggregated output and its predictor
 forecasting from the full history observed so far.
 
-Experts are rows of arrays, not objects.  The parameters a run observes are
-known before it starts, so :func:`run_smad` makes one
-:func:`poco.predictors.var_forecast_table` pass before its loop: the AR
-experts that model the same coordinates get every order's forecast after
-every prefix from one Yule-Walker pass, and no round refits.  Each round
-one :func:`poco.predictors.step_aims` call reads the (N, m) array of aims
-from that table (other experts are asked in roster order), and every
-expert then descends toward its own aim in one row-wise update
-(``gradient_x_rows`` and ``project_rows`` per inner step), followed by one
-``value_rows`` call for the losses.  The result equals running ``ogd_step``
-once per expert, up to floating-point summation order.
+Experts are rows of arrays, not objects.  An aim depends only on the
+parameters observed so far, and a run knows those before it starts, so
+:func:`run_smad` builds one :func:`poco.predictors.aim_table` before its
+loop: every expert's aim after every prefix, each predictor kind filled in
+one pass (the AR experts that model the same coordinates share one
+Yule-Walker pass), and no round asks a predictor.  Each round reads its
+row of aims, every expert descends toward its own aim in one row-wise
+update (:func:`poco.descent.ogd_step_rows`, the update descent runs use
+too), and one ``value_rows`` call charges the losses.  The result equals
+running ``ogd_step`` once per expert, up to floating-point summation order.
 
 Weights are kept in log space; every exposed distribution is normalized.
 """
@@ -33,9 +32,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from poco.descent import DescentConfig, run_predictive_ogd
+from poco.descent import DescentConfig, ogd_step_rows, run_predictive_ogd
 from poco.domains import ConstraintSet
-from poco.predictors import step_aims, var_forecast_table
+from poco.predictors import aim_table
 
 
 def suggested_gamma(d_range: float, horizon: int) -> float:
@@ -122,47 +121,33 @@ class ExpertPool:
         self.played = np.append(self.played, np.zeros(len(predictors), dtype=bool))
         self.p_theta = np.append(self.p_theta, np.zeros(len(predictors)))
 
-    def step(
-        self, family, cset: ConstraintSet, theta_t, history, forecasts=None
-    ) -> np.ndarray:
+    def step(self, family, cset: ConstraintSet, theta_t, aims, aimed) -> np.ndarray:
         """One round: expert descent steps, aggregation, Gibbs reweighting.
 
-        ``history`` holds theta_1..theta_{t-1}; ``theta_t`` is the parameter
-        revealed this round.  Each expert aims where
-        :func:`poco.predictors.step_aim` says: at its own prediction of
-        theta_t, at the last observation while its predictor warms up, and
-        nowhere (it holds still) when there is no history at all.  One
-        :func:`poco.predictors.step_aims` call gives the (N, m) array of
-        aims: ready AR experts read their forecast from ``forecasts``, the
-        run's :func:`poco.predictors.var_forecast_table` (a pool without AR
-        experts needs none), and nothing is fitted here.  Every expert
-        that has an aim takes its ``inner_steps`` projected gradient updates
-        together, one ``family.gradient_x_rows`` and one ``cset.project_rows``
-        call per update.  The aggregate plays the projected weighted mean of the
-        expert moves, and the realized losses, from one ``family.value_rows``
-        call against theta_t, tilt the weights once.
+        ``theta_t`` is the parameter revealed this round.  ``aims`` (N, m)
+        and ``aimed`` (N,) are the round's row of the run's
+        :func:`poco.predictors.aim_table` for the N active experts: each
+        expert's :func:`poco.predictors.step_aim` (its own prediction of
+        theta_t, or the last observation while its predictor warms up), and
+        no aim when there is no history at all, in which case the expert
+        holds still.  No predictor is asked here.  Every expert that has
+        an aim takes its ``inner_steps`` projected gradient updates
+        together (:func:`poco.descent.ogd_step_rows`).  The aggregate plays
+        the projected weighted mean of the expert moves, and the realized
+        losses, from one ``family.value_rows`` call against theta_t, tilt
+        the weights once.
         """
         if self.n_active == 0:
             raise RuntimeError("cannot step an empty expert pool")
         theta_t = np.asarray(theta_t, dtype=float)
-        aims, aimed = step_aims(self.predictors, history, forecasts)
         moves = self.xs.copy()
         if aimed.any():
             rows = np.flatnonzero(aimed)
             active_aims = aims[rows]
-            z = moves[rows]
-            for _ in range(self.inner_steps):
-                g = family.gradient_x_rows(z, active_aims)
-                finite = np.isfinite(g).all(axis=1)
-                if not finite.all():
-                    bad = int(np.flatnonzero(~finite)[0])
-                    raise FloatingPointError(
-                        f"non-finite gradient for expert {rows[bad]} at "
-                        f"x={z[bad]!r}; the iterate left the region where "
-                        "the objective is well behaved"
-                    )
-                z = cset.project_rows(z - self.eta * g)
-            moves[rows] = z
+            moves[rows] = ogd_step_rows(
+                family, cset, moves[rows], active_aims, self.eta, self.inner_steps,
+                "expert", rows,
+            )
             # scored from the expert's second active round on; the first
             # round's error is absorbed by the starting-gap term
             scored = aimed & self.played
@@ -286,9 +271,11 @@ def run_smad(
     entries sorted by round.  ``initial_history`` seeds the observation
     record (data available before round 1).  The record holds it and every
     realized parameter but the last, which no round observes before its
-    step; the AR experts' forecasts come from one
-    :func:`poco.predictors.var_forecast_table` pass over it before the
-    loop, and round t sees a view of its first rows.
+    step.  Every expert's aims come from one
+    :func:`poco.predictors.aim_table` over the record, built before the
+    loop, whose column for an expert joining in round t starts at the
+    record length that round observes; round t passes the table's row for
+    that length to :meth:`ExpertPool.step`.
     """
     if pool.n_active:
         raise ValueError(
@@ -310,13 +297,18 @@ def run_smad(
         if seed_rows.ndim != 2 or (seed_rows.size and seed_rows.shape[1] != thetas.shape[1]):
             raise ValueError("initial_history must be a (k, m) array")
         seed_len = seed_rows.shape[0]
-    # one shared buffer; rounds see growing views instead of growing copies
+    # every row some round observes: round t sees the first seed_len + t - 1
     record = np.empty((seed_len + horizon - 1, thetas.shape[1]))
     record[:seed_len] = seed_rows
     record[seed_len:] = thetas[:-1]
-    forecasts = var_forecast_table([predictor for _, predictor in roster], record)
 
     pending = sorted(roster, key=lambda pair: pair[0])
+    # an expert joining in round t (round 1 at the earliest) first aims
+    # after the seed and t - 1 realized parameters
+    aims, aimed = aim_table(
+        [predictor for _, predictor in pending], record,
+        starts=[seed_len + max(when, 1) - 1 for when, _ in pending],
+    )
     n_total = len(pending)
     n = x.shape[0]
     xs = np.empty((horizon, n))
@@ -343,9 +335,10 @@ def run_smad(
         if due:
             pool.activate(due, x_init=xs[i - 1] if i else x, t=t)
         theta_t = thetas[i]
-        xs[i] = pool.step(family, cset, theta_t, record[: seed_len + i], forecasts)
-        losses[i] = family.value(xs[i], theta_t)
         m_act = pool.n_active
+        row = seed_len + i
+        xs[i] = pool.step(family, cset, theta_t, aims[row, :m_act], aimed[row, :m_act])
+        losses[i] = family.value(xs[i], theta_t)
         expert_xs[i, :m_act] = pool.xs
         expert_losses[i, :m_act] = pool.last_losses
         p_hist[i, :m_act] = pool.distribution()

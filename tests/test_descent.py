@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poco.descent import DescentConfig, Trajectory, ogd_step, run_predictive_ogd
-from poco.domains import EuclideanBall
+from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import ObjectiveConstants, QuadraticTracking, contraction_factor
 from poco.predictors import NoisyOracle, VarPredictor
 from poco.regret import dynamic_regret, minimizer_oracle, minimizers_batch
@@ -206,3 +206,44 @@ class TestRunLoop:
         )
         assert traj.inner_steps == 3
         assert isinstance(traj, Trajectory)
+
+
+class TestLockstep:
+    """A stack of R sequences advances as rows; run r equals its single run."""
+
+    @staticmethod
+    def _problem(domain, n_runs):
+        if domain == "ball":
+            family, cset = tracking_setup()
+            proc = SwitchingProcessSpec(horizon=60)
+            thetas = np.stack([gen_switching(proc, 40 + r) for r in range(n_runs)])
+            return family, cset, thetas, (0.0, 40.0), VarPredictor(order=2, indices=(0, 1))
+        # a tracking target that wanders around the exact simplex, where
+        # most steps leave it and get projected back
+        family = QuadraticTracking((3.0, 1.0, 0.5))
+        rng = np.random.default_rng(n_runs)
+        targets = 0.3 + rng.normal(scale=0.2, size=(n_runs, 60, 3)).cumsum(axis=1)
+        thetas = np.concatenate([targets, rng.normal(size=(n_runs, 60, 1))], axis=2)
+        return family, UnitSimplex(3), thetas, np.full(3, 1.0 / 3.0), None
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("domain", ["ball", "simplex"])
+    @pytest.mark.parametrize("n_runs", [1, 2, 5, 7])
+    def test_stack_equals_single_runs_bit_for_bit(self, n_runs, domain, k):
+        family, cset, thetas, x1, predictor = self._problem(domain, n_runs)
+        config = DescentConfig(0.05 if domain == "simplex" else ETA, k)
+        runs = run_predictive_ogd(family, cset, thetas, config, x1, predictor=predictor)
+        assert isinstance(runs, list) and len(runs) == n_runs
+        for r, run in enumerate(runs):
+            alone = run_predictive_ogd(family, cset, thetas[r], config, x1, predictor=predictor)
+            assert isinstance(alone, Trajectory)
+            for field in ("xs", "losses", "theta_hats", "thetas"):
+                assert getattr(run, field).tobytes() == getattr(alone, field).tobytes()
+
+    def test_non_finite_gradient_names_the_repetition(self):
+        family, cset = tracking_setup()
+        thetas = np.stack([gen_switching(SwitchingProcessSpec(horizon=5), r) for r in range(3)])
+        thetas[1, 0, 0] = 1e308  # repetition 1 aims there from its first step
+        named = r"non-finite gradient for repetition 1 at x=array\(\[ 0\., 40\.\]\)"
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=named):
+            run_predictive_ogd(family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0))

@@ -1,12 +1,19 @@
-"""The README's examples stay runnable as the code changes."""
+"""The README's examples stay runnable as the code changes, and the
+docstrings' cross-references name things that exist."""
 
+import ast
+import importlib
 import json
 import re
 from pathlib import Path
 
+import pytest
+
 from poco.config import resolve_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "poco").glob("*.py"))
+XREF = re.compile(r":(func|class|meth|mod):`~?([\w.]+)`")
 
 
 def test_config_files_example_resolves():
@@ -21,3 +28,47 @@ def test_config_files_example_resolves():
             assert {k: cfg[name][k] for k in value} == value
         else:
             assert cfg[name] == value
+
+
+def _lookup(obj, dotted: str) -> bool:
+    for attr in filter(None, dotted.split(".")):
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def _resolves(module, target: str) -> bool:
+    """A target relative to ``module``, a dotted path from a package
+    (``poco.smad.ExpertPool.step``), or a method of a class of ``module``."""
+    if _lookup(module, target):
+        return True
+    parts = target.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            top = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        return _lookup(top, ".".join(parts[cut:]))
+    return any(
+        isinstance(obj, type) and obj.__module__ == module.__name__ and hasattr(obj, target)
+        for obj in vars(module).values()
+    )
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_docstring_cross_references_resolve(source):
+    # a deleted or renamed function must leave no reference behind
+    module = importlib.import_module(f"poco.{source.stem}".removesuffix(".__init__"))
+    nodes = [ast.parse(source.read_text())]
+    nodes += [
+        node for node in ast.walk(nodes[0])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    stale = [
+        f"{kind}:{target}"
+        for node in nodes
+        for kind, target in XREF.findall(ast.get_docstring(node) or "")
+        if not _resolves(module, target)
+    ]
+    assert stale == []

@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poco.config import resolve_config
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall
 from poco.objectives import QuadraticTracking
-from poco.predictors import NoisyOracle
+from poco.predictors import NoisyOracle, aim_table
 from poco.regret import hedge_gap_bound
 from poco.scenarios import RiskProcessSpec, SwitchingProcessSpec, gen_switching
 from poco.smad import ExpertPool, run_smad
@@ -324,6 +326,9 @@ class TestMomentCache:
             def get(self, order, risk_series):
                 return self.risk
 
+            def column(self, order, risk_series):
+                return np.full(risk_series.shape, self.risk)
+
         table = MomentCache(synthetic_market(n_assets=3, n_days=120, seed=6), 30, 4, [20, 45])
         family, cset = MarkowitzTable(table.mu, table.sigma), UnitSimplex(3, mode="renormalize")
         history = np.array([[table.slot(1, 45), 4.0], [table.slot(2, 45), 5.0]])
@@ -334,8 +339,9 @@ class TestMomentCache:
         assert np.isnan(predictor.predict(history)[1])
         pool = ExpertPool(beta=0.5, gamma=1.0, eta=0.1)
         pool.activate([predictor], x_init=cset.interior_point(), t=1)
+        aims, aimed = aim_table(pool.predictors, history)
         with pytest.raises(FloatingPointError, match="non-finite gradient for expert 0"):
-            pool.step(family, cset, history[-1], history)
+            pool.step(family, cset, history[-1], aims[-1], aimed[-1])
 
     @pytest.mark.parametrize("fault", ["nan mean", "inf covariance", "asymmetric covariance"])
     def test_a_bad_slot_is_refused_by_month_and_lookback(self, fault, monkeypatch):
@@ -361,6 +367,41 @@ class TestMomentCache:
             experiments.MomentCache(data, 30, 4, [20, 45])
 
 
+class TestModelAims:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        experts=st.lists(
+            st.tuples(st.sampled_from([20, 45]), st.integers(1, 4), st.integers(0, 14)),
+            min_size=1, max_size=6,
+        ),
+        n_obs=st.integers(0, 12),
+        nan_rows=st.sets(st.integers(0, 12), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_aim_table_equals_predict_bit_for_bit(self, experts, n_obs, nan_rows, seed):
+        # risk levels around zero give negative forecasts and fallbacks,
+        # which are clamped; a NaN forecast stays NaN
+        from poco.experiments import MarkowitzModelPredictor, MomentCache, RiskForecastCache
+        from poco.predictors import step_aim
+        from poco.scenarios import synthetic_market
+
+        moments = MomentCache(synthetic_market(n_assets=3, n_days=260, seed=8), 20, 13, [20, 45])
+        risk = np.random.default_rng(seed).normal(size=n_obs)
+        forecasts = RiskForecastCache(sorted({k for _, k, _ in experts}), risk)
+        for table in forecasts.forecasts.values():
+            table[[n for n in nan_rows if n <= n_obs]] = np.nan
+        observed = np.column_stack([moments.slot(np.arange(1, n_obs + 1), 45), risk])
+        roster = [MarkowitzModelPredictor(moments, lb, k, forecasts) for lb, k, _ in experts]
+        starts = [first for _, _, first in experts]
+        aims, aimed = aim_table(roster, observed, starts)
+        for i, (predictor, first) in enumerate(zip(roster, starts)):
+            for n in range(n_obs + 1):
+                want = None if n < first else step_aim(predictor, observed[:n])
+                assert aimed[n, i] == (want is not None)
+                if want is not None:
+                    assert aims[n, i].tobytes() == want.tobytes()
+
+
 class TestBoundStudies:
     @pytest.mark.parametrize("study", [run_predictive_bound_study, run_expert_bound_study])
     def test_non_metric_projection_is_refused(self, study, monkeypatch):
@@ -381,6 +422,11 @@ class TestBoundStudies:
         )
         with pytest.raises(ConfigError, match="domain.projection_mode='renormalize'"):
             study(cfg, 1)
+
+    @pytest.mark.parametrize("study", [run_predictive_bound_study, run_expert_bound_study])
+    def test_a_study_without_runs_is_refused(self, study):
+        with pytest.raises(ValueError, match="at least one run, got 0"):
+            study(resolve_config({}, "exp1"), 0)
 
     def test_predictive_study_all_hold(self):
         st = run_predictive_bound_study(resolve_config({}, "exp1"), 6)

@@ -16,8 +16,8 @@ from poco.predictors import (
     fit_var_yule_walker,
     prediction_regularity,
     sample_autocovariances,
+    aim_table,
     step_aim,
-    step_aims,
     var_forecast_table,
     var_forecasts,
     var_predict,
@@ -231,8 +231,9 @@ class TestVarPredictor:
         np.testing.assert_array_equal(a, b)
 
 
-# a roster entry: ("var", order, indices, extra min_history), or a
-# persistence or zero-noise oracle expert
+# a roster entry: ("var", order, indices, extra min_history), a persistence
+# expert, a noisy oracle with its noise scale, or a protocol-only double
+# with its warm-up
 _EXPERT = st.one_of(
     st.tuples(
         st.just("var"),
@@ -241,8 +242,23 @@ _EXPERT = st.one_of(
         st.integers(0, 4),
     ),
     st.just(("persistence",)),
-    st.just(("oracle",)),
+    st.tuples(st.just("oracle"), st.sampled_from([0.0, 1.5])),
+    st.tuples(st.just("double"), st.integers(0, 4)),
 )
+
+
+class _Scripted:
+    """Test double with only ``ready`` and ``predict``: it aims at the sum
+    of the history it is handed plus its length, so a wrong prefix shows."""
+
+    def __init__(self, warmup):
+        self.warmup = warmup
+
+    def ready(self, n_obs):
+        return n_obs >= self.warmup
+
+    def predict(self, history):
+        return history.sum(axis=0) + len(history)
 
 
 def _roster(specs, dim, rng):
@@ -253,20 +269,13 @@ def _roster(specs, dim, rng):
             out.append(VarPredictor(order, min_history=2 * order + 1 + extra, indices=indices))
         elif spec[0] == "persistence":
             out.append(Persistence())
-        else:
+        elif spec[0] == "oracle":
             # ready while fewer than 16 rows are observed
-            out.append(NoisyOracle(rng.normal(size=(16, dim)), 0.0))
+            truth = rng.normal(size=(16, dim))
+            out.append(NoisyOracle(truth, spec[1], rng=np.random.default_rng(rng.integers(2**32))))
+        else:
+            out.append(_Scripted(spec[1]))
     return out
-
-
-def _aims_one_by_one(predictors, hist):
-    aims = np.full((len(predictors), hist.shape[1]), np.nan)
-    aimed = np.zeros(len(predictors), dtype=bool)
-    for idx, predictor in enumerate(predictors):
-        aim = step_aim(predictor, hist)
-        if aim is not None:
-            aims[idx], aimed[idx] = aim, True
-    return aims, aimed
 
 
 # the gate of the all-prefix forecasts against per-prefix refits, relative
@@ -275,46 +284,60 @@ FORECAST_RTOL = 1e-10
 
 
 class TestStepAims:
+    """The aims of every pool step and descent step, from one aim table."""
+
     @settings(max_examples=150, deadline=None)
     @given(
-        specs=st.lists(_EXPERT, min_size=1, max_size=8),
+        entries=st.lists(st.tuples(_EXPERT, st.integers(0, 22)), min_size=1, max_size=8),
         dim=st.integers(2, 3),
         # up to 20 rows crosses every threshold: 2*6+1+4 = 17 for VAR(6),
         # 16 for the oracle
         n_obs=st.integers(0, 20),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_step_aim_bit_for_bit(self, specs, dim, n_obs, seed):
-        # every row that is not a VAR forecast, and the mask, are bitwise
-        # step_aim; VAR forecasts come from the all-prefix table and match
-        # the per-history refit within the forecast tolerance
-        rng = np.random.default_rng(seed)
-        predictors = _roster(specs, dim, rng)
-        hist = rng.normal(size=(n_obs, dim)).cumsum(axis=0)
-        aims, aimed = step_aims(predictors, hist, var_forecast_table(predictors, hist))
-        ref_aims, ref_aimed = _aims_one_by_one(predictors, hist)
-        assert np.array_equal(aimed, ref_aimed)
-        assert np.isnan(aims[~aimed]).all()
-        forecast = np.array(
-            [isinstance(p, VarPredictor) and p.ready(n_obs) for p in predictors], dtype=bool
-        )
-        assert np.array_equal(aims[aimed & ~forecast], ref_aims[aimed & ~forecast])
-        if forecast.any():
-            scale = np.abs(hist).max()
-            assert np.abs(aims[forecast] - ref_aims[forecast]).max() <= FORECAST_RTOL * scale
+    def test_equals_step_aim_bit_for_bit(self, entries, dim, n_obs, seed):
+        # column i holds step_aim(predictor, observed[:n]) from its start row
+        # on, asked in round order, so a noisy oracle draws the same noise
+        # and draws nothing before its expert joins.  A ready VAR expert's
+        # entry is the run's forecast-table row, read per round as before,
+        # bit for bit, and the per-history refit within the forecast
+        # tolerance
+        specs, starts = zip(*entries)
+        hist = np.random.default_rng(seed).normal(size=(n_obs, dim)).cumsum(axis=0)
+        aims, aimed = aim_table(_roster(specs, dim, np.random.default_rng(seed)), hist, starts)
+        twins = _roster(specs, dim, np.random.default_rng(seed))
+        forecasts = var_forecast_table(twins, hist)
+        assert aims.shape == (n_obs + 1, len(specs), dim)
+        for i, (twin, first) in enumerate(zip(twins, starts)):
+            for n in range(n_obs + 1):
+                want = None if n < first else step_aim(twin, hist[:n])
+                assert aimed[n, i] == (want is not None)
+                if want is None:
+                    assert np.isnan(aims[n, i]).all()
+                    continue
+                if isinstance(twin, VarPredictor) and twin.ready(n):
+                    cols = slice(None) if twin.indices is None else list(twin.indices)
+                    read = hist[n - 1].copy()
+                    read[cols] = forecasts[twin.indices][twin.order][n]
+                    assert aims[n, i].tobytes() == read.tobytes()
+                    if _well_posed(n, twin.order, read[cols].size):
+                        scale = np.abs(hist[:n]).max()
+                        assert np.abs(aims[n, i] - want).max() <= FORECAST_RTOL * scale
+                    continue
+                assert aims[n, i].tobytes() == np.asarray(want, dtype=float).tobytes()
 
     def test_empty_history(self):
         # only the oracle, which looks its value up, has an aim
         truth = np.arange(6.0).reshape(3, 2)
         predictors = [VarPredictor(1), Persistence(), NoisyOracle(truth)]
-        aims, aimed = step_aims(predictors, np.zeros((0, 2)))
-        assert aims.shape == (3, 2)
-        assert np.array_equal(aimed, [False, False, True])
-        assert np.isnan(aims[:2]).all() and np.array_equal(aims[2], truth[0])
+        aims, aimed = aim_table(predictors, np.zeros((0, 2)))
+        assert aims.shape == (1, 3, 2)
+        assert np.array_equal(aimed[0], [False, False, True])
+        assert np.isnan(aims[0, :2]).all() and np.array_equal(aims[0, 2], truth[0])
 
     def test_one_fit_per_coordinate_subset(self, monkeypatch):
-        # one all-prefix pass per run and coordinate subset, over every order
-        # the subset's experts hold; reading a round's aims fits nothing
+        # one all-prefix pass per table and coordinate subset, over every
+        # order the subset's experts hold; nothing refits per prefix
         import poco.predictors as predictors
 
         calls = []
@@ -331,21 +354,11 @@ class TestStepAims:
             VarPredictor(6), Persistence(), VarPredictor(2, indices=[0]),
         ]
         hist = np.random.default_rng(35).normal(size=(9, 2)).cumsum(axis=0)
-        table = var_forecast_table(roster, hist)
+        aims, aimed = aim_table(roster, hist)
         assert sorted(calls) == [(1, [2, 3]), (2, [1, 2, 6])]
-        for n_obs in range(hist.shape[0] + 1):
-            step_aims(roster, hist[:n_obs], table)
-        _, aimed = step_aims(roster, hist, table)
-        # VAR(6) needs 13 rows and falls back to the last observation
-        assert aimed.all()
-        assert len(calls) == 2
-
-    def test_ready_var_expert_needs_the_table(self):
-        hist = np.random.default_rng(36).normal(size=(9, 2))
-        with pytest.raises(ValueError, match="var_forecast_table"):
-            step_aims([VarPredictor(1)], hist)
-        with pytest.raises(ValueError, match="var_forecast_table"):
-            step_aims([VarPredictor(1)], hist, var_forecast_table([VarPredictor(1)], hist[:5]))
+        # VAR(6) needs 13 rows and aims at the last observation throughout
+        assert aimed[1:].all() and not aimed[0].any()
+        np.testing.assert_array_equal(aims[1:, 3], hist)
 
 
 def _well_posed(n, k, d):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from poco.descent import DescentConfig, ogd_step, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import Markowitz, QuadraticTracking
-from poco.predictors import NoisyOracle, Persistence
+from poco.predictors import NoisyOracle, Persistence, aim_table
 from poco.regret import hedge_gap_bound
 from poco.scenarios import SwitchingProcessSpec, gen_switching
 from poco.smad import ExpertPool, run_smad, suggested_gamma
@@ -44,6 +44,12 @@ class LateAim(FixedAim):
 
     def ready(self, n_obs):
         return n_obs >= self.warmup
+
+
+def step_after(pool, family, cset, theta_t, hist):
+    """One pool round, aiming where the run's aim table would after ``hist``."""
+    aims, aimed = aim_table(pool.predictors, hist)
+    return pool.step(family, cset, theta_t, aims[-1], aimed[-1])
 
 
 def reference_step(pool, family, cset, theta_t, hist):
@@ -151,7 +157,7 @@ class TestGibbsUpdate:
         off = FixedAim([3.0 + math.sqrt(0.5), 4.0 + math.sqrt(0.5), 0.0])
         pool.activate([good, off], x_init=[3.0, 4.0], t=1)
         theta_t = np.array([3.0, 4.0, 0.0])
-        pool.step(family, cset, theta_t, np.zeros((1, 3)))
+        step_after(pool, family, cset, theta_t, np.zeros((1, 3)))
         z = 1.0 + math.exp(-1.0)
         np.testing.assert_allclose(pool.distribution(), [1.0 / z, math.exp(-1.0) / z], atol=1e-12)
         np.testing.assert_allclose(pool.distribution()[0], 0.7311, atol=1e-4)
@@ -209,7 +215,7 @@ class TestGibbsUpdate:
         family, cset = tracking_setup()
         pool = ExpertPool(beta=0.2, gamma=1.0, eta=ETA)
         with pytest.raises(RuntimeError, match="empty"):
-            pool.step(family, cset, np.zeros(3), np.zeros((0, 3)))
+            step_after(pool, family, cset, np.zeros(3), np.zeros((0, 3)))
 
 
 class TestRunSmad:
@@ -338,14 +344,14 @@ class TestBatchedStep:
         )
         thetas = np.stack([sample() for _ in range(rounds_before + 1)])
         for t in range(rounds_before):
-            pool.step(family, cset, thetas[t], thetas[:t])
+            step_after(pool, family, cset, thetas[t], thetas[:t])
         if late_entrant:
             # an entrant that has never played next to incumbents that have
             pool.activate([LateAim(sample(), warmups[-1])], x_init=x1, t=rounds_before + 1)
         hist, theta_t = thetas[:rounds_before], thetas[rounds_before]
 
         want = reference_step(pool, family, cset, theta_t, hist)
-        x_t = pool.step(family, cset, theta_t, hist)
+        x_t = step_after(pool, family, cset, theta_t, hist)
 
         tol = dict(rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(x_t, want["x_t"], **tol)
@@ -368,7 +374,7 @@ class TestBatchedStep:
             x_init=[0.0, 0.0], t=1,
         )
         with pytest.raises(FloatingPointError, match="non-finite gradient for expert 1"):
-            pool.step(family, cset, np.zeros(3), np.zeros((1, 3)))
+            step_after(pool, family, cset, np.zeros(3), np.zeros((1, 3)))
 
     def test_asymmetric_aim_rejected(self):
         family = Markowitz(2)
@@ -378,7 +384,7 @@ class TestBatchedStep:
         pool = ExpertPool(beta=0.2, gamma=1.0, eta=0.1)
         pool.activate([FixedAim(good), FixedAim(bad)], x_init=[0.5, 0.5], t=1)
         with pytest.raises(ValueError, match="row 1 is not symmetric"):
-            pool.step(family, cset, good, good[None, :])
+            step_after(pool, family, cset, good, good[None, :])
 
     def test_public_round_outputs_feed_the_trajectory(self):
         family, cset = tracking_setup()
@@ -441,4 +447,53 @@ class TestSharedFit:
         assert runs == [1, 1]
         assert passes == [[1, 2, 3, 4, 5]] * 2
         assert fits == [] and predicts == []
+        assert in_step and not any(in_step)
+
+
+class TestAimTableRuns:
+    @pytest.mark.parametrize("study", ["tracking", "portfolio"])
+    def test_no_predictor_is_asked_inside_a_step(self, study, monkeypatch):
+        # every aim comes from the table built before the loop; only the
+        # protocol-only double is asked, once per prefix from its join on,
+        # and outside the steps
+        from poco.config import resolve_config
+        from poco.experiments import MarkowitzModelPredictor, run_exp3
+        from poco.predictors import VarPredictor
+        from poco.scenarios import synthetic_market
+
+        asked, in_step = [], []
+        for cls in (VarPredictor, Persistence, NoisyOracle, MarkowitzModelPredictor, FixedAim):
+            def counting(self, history, _predict=cls.predict):
+                asked.append(type(self).__name__)
+                return _predict(self, history)
+
+            monkeypatch.setattr(cls, "predict", counting)
+        step = ExpertPool.step
+
+        def counting_step(self, *args, **kwargs):
+            before = len(asked)
+            out = step(self, *args, **kwargs)
+            in_step.append(len(asked) - before)
+            return out
+
+        monkeypatch.setattr(ExpertPool, "step", counting_step)
+        if study == "tracking":
+            family, cset = tracking_setup()
+            thetas = gen_switching(SwitchingProcessSpec(horizon=30), 13)
+            roster = [
+                (1, VarPredictor(order=2, indices=(0, 1))),
+                (1, Persistence()),
+                (4, NoisyOracle(thetas, 1.0, rng=np.random.default_rng(2))),
+                (6, FixedAim([1.0, 2.0, 0.0])),
+            ]
+            pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
+            run_smad(family, cset, thetas, pool, [0.0, 40.0], roster=roster)
+            # the double joins in round 6, after 5 observations
+            assert asked == ["FixedAim"] * (30 - 5)
+        else:
+            cfg = resolve_config(
+                {"repetitions": 2, "exp3": {"eval_months": 6, "lookbacks": [15, 30]}}, "exp3"
+            )
+            run_exp3(cfg, data=synthetic_market(n_assets=3, n_days=16 * 30, seed=3))
+            assert asked == []
         assert in_step and not any(in_step)

@@ -19,6 +19,7 @@ from poco.domains import EuclideanBall
 from poco.objectives import QuadraticTracking
 from poco.predictors import (
     VarPredictor,
+    aim_table,
     fit_var_orders,
     fit_var_yule_walker,
     var_forecast_table,
@@ -63,16 +64,16 @@ class TestNonFiniteSeries:
             var_forecasts(_series(bad), (1, 2, 3))
 
     def test_expert_pool_step(self, bad):
-        # the run's forecast table checks the history as each expert's own
-        # fit did
+        # the run's aim table checks the history as each expert's own fit
+        # did
         pool = ExpertPool(beta=0.2, gamma=1.0, eta=0.5)
         pool.activate([VarPredictor(order=1), VarPredictor(order=2)], np.zeros(2), t=1)
         family = QuadraticTracking([1.0, 1.0])
         series = _series(bad)
         with pytest.raises(ValueError, match=NON_FINITE):
+            aims, aimed = aim_table(pool.predictors, series)
             pool.step(
-                family, EuclideanBall(np.zeros(2), 10.0), np.zeros(2), series,
-                var_forecast_table(pool.predictors, series),
+                family, EuclideanBall(np.zeros(2), 10.0), np.zeros(2), aims[-1], aimed[-1]
             )
 
     def test_pool_run(self, bad):
