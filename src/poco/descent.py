@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from poco.domains import ConstraintSet
+from poco.objectives import one_row
 from poco.predictors import aim_table, prediction_regularity
 
 
@@ -45,17 +46,10 @@ class DescentConfig:
 
 
 def ogd_step(family, cset: ConstraintSet, x, theta_ref, eta: float, inner_steps: int = 1):
-    """Apply ``inner_steps`` projected gradient updates toward theta_ref."""
-    z = np.asarray(x, dtype=float)
-    for _ in range(inner_steps):
-        g = family.gradient_x(z, theta_ref)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"non-finite gradient at x={z!r}; the iterate left the "
-                "region where the objective is well behaved"
-            )
-        z = cset.project(z - eta * g)
-    return z
+    """Apply ``inner_steps`` projected gradient updates toward theta_ref: a
+    one-row :func:`ogd_step_rows` call after a check of both lengths."""
+    xs, aims = one_row(x, family.n, "x"), one_row(theta_ref, family.m, "theta_ref")
+    return ogd_step_rows(family, cset, xs, aims, eta, inner_steps, "row", [0])[0]
 
 
 def ogd_step_rows(
@@ -63,10 +57,10 @@ def ogd_step_rows(
 ) -> np.ndarray:
     """``inner_steps`` projected gradient updates of every row of ``xs``
     toward the same row of ``aims``, one ``family.gradient_x_rows`` and one
-    ``cset.project_rows`` call per update; row i matches ``ogd_step`` on it
-    up to floating-point rounding.  The one row update of descent runs and
-    expert pools.  A non-finite gradient raises ``FloatingPointError``
-    naming the ``owner`` and ``ids`` entry of the first bad row."""
+    ``cset.project_rows`` call per update; row i equals ``ogd_step`` on it
+    bit for bit.  The one row update of descent runs and expert pools.  A
+    non-finite gradient raises ``FloatingPointError`` naming the ``owner``
+    and ``ids`` entry of the first bad row."""
     z = xs
     for _ in range(inner_steps):
         g = family.gradient_x_rows(z, aims)

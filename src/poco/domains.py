@@ -10,12 +10,15 @@ projection modes:
   sum to one.  Cheap and common in portfolio practice, but not a metric
   projection, so bound checks refuse to run on it.
 
-All projections are pure functions of their inputs and can be called from
-any number of workers.
+``project_rows`` projects each row of a (k, dim) array; ``project`` checks
+its vector and projects it as one row, so it equals row i of any row call
+bit for bit.  All projections are pure functions of their inputs and can be
+called from any number of workers.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -38,9 +41,18 @@ def _check_vector(v, dim: int, name: str = "v") -> np.ndarray:
         raise ValueError(
             f"{name} must be a length-{dim} vector, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` that makes a warning emitted by this function's
+    caller point at the innermost frame outside this module."""
+    level = 1
+    while sys._getframe(level).f_globals is globals():
+        level += 1
+    return level
 
 
 def _check_rows(vs, dim: int) -> np.ndarray:
@@ -78,22 +90,15 @@ class EuclideanBall:
         return True
 
     def project(self, v) -> np.ndarray:
-        v = _check_vector(v, self.dim)
-        d = v - self.center
-        norm = float(np.linalg.norm(d))
-        if norm <= self.radius:
-            return v.copy()
-        return self.center + d * (self.radius / norm)
+        return self.project_rows(_check_vector(v, self.dim)[None])[0]
 
     def project_rows(self, vs: np.ndarray) -> np.ndarray:
         """Project each row of ``vs``; a non-finite row raises ValueError."""
         vs = _check_rows(vs, self.dim)
         d = vs - self.center
-        norms = np.linalg.norm(d, axis=1)
-        scale = np.ones_like(norms)
-        outside = norms > self.radius
-        scale[outside] = self.radius / norms[outside]
-        return self.center + d * scale[:, None]
+        norms = np.sqrt(np.sum(d * d, axis=1))
+        # scale 1 inside the ball, radius / norm outside
+        return self.center + d * (self.radius / np.maximum(norms, self.radius))[:, None]
 
     def contains(self, v, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
         v = _check_vector(v, self.dim)
@@ -111,23 +116,11 @@ class EuclideanBall:
         return self.center.copy()
 
 
-def project_simplex_sorted(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex by sort and threshold.
-
-    Sorts the coordinates descending, finds the largest support size rho for
-    which the shifted entries stay positive, and clips.  O(n log n).
-    """
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    cond = u + (1.0 - css) / ks > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    tau = (1.0 - css[rho]) / (rho + 1)
-    return np.maximum(v + tau, 0.0)
-
-
 def project_simplex_sorted_rows(vs: np.ndarray) -> np.ndarray:
-    """Row-wise sort-and-threshold simplex projection."""
+    """Euclidean projection of each row onto the unit simplex by sort and
+    threshold: sort the coordinates descending, find the largest support
+    size rho for which the shifted entries stay positive, and clip.
+    O(n log n) per row."""
     vs = np.asarray(vs, dtype=float)
     n = vs.shape[1]
     u = -np.sort(-vs, axis=1)
@@ -164,10 +157,7 @@ class UnitSimplex:
         return self.mode == SIMPLEX_EXACT
 
     def project(self, v) -> np.ndarray:
-        v = _check_vector(v, self.dim)
-        if self.mode == SIMPLEX_EXACT:
-            return project_simplex_sorted(v)
-        return self._renormalize_rows(v[None, :])[0]
+        return self.project_rows(_check_vector(v, self.dim)[None])[0]
 
     def project_rows(self, vs: np.ndarray) -> np.ndarray:
         """Project each row of ``vs``; a non-finite row raises ValueError."""
@@ -180,13 +170,14 @@ class UnitSimplex:
         clipped = np.maximum(vs, 0.0)
         totals = clipped.sum(axis=1)
         degenerate = totals <= 0.0
-        # one warning per degenerate row, as row-by-row projection would emit
+        # one warning per degenerate row, as row-by-row projection would
+        # emit, attributed to the first caller outside this module
         for _ in range(int(np.count_nonzero(degenerate))):
             warnings.warn(
                 "renormalizing projection got a vector with no positive "
                 "component; falling back to the uniform point",
                 DegenerateProjectionWarning,
-                stacklevel=3,
+                stacklevel=_outside_stacklevel(),
             )
         out = clipped / np.where(degenerate, 1.0, totals)[:, None]
         out[degenerate] = 1.0 / self.dim

@@ -1,25 +1,28 @@
 """Parametric objective families f(x, theta) and their regularity constants.
 
-Every family exposes the same surface: ``value``, ``gradient_x``, a
-per-parameter ``curvature`` (strong convexity and smoothness of f(., theta)),
-an ``unconstrained_minimizer`` fast path, and ``derive_constants``, which
-turns a constraint set plus a parameter bounding box into the constants
-(G, L, lambda, C_theta, D) that the regret bounds consume.  Derived constants
-are allowed to be conservative: a larger G or D only loosens a bound.
+Every family computes in row kernels: ``value_rows``, ``gradient_x_rows``,
+``unconstrained_minimizer_rows`` and a per-parameter ``curvature_rows``
+(strong convexity and smoothness of f(., theta)) evaluate a (k, n) stack of
+points against a (k, m) stack of parameters, or against one (1, m)
+parameter row shared by every point.  The scalar ``value``, ``gradient_x``,
+``unconstrained_minimizer`` and ``curvature`` check their inputs and make a
+one-row call.  ``derive_constants`` turns a constraint set plus a parameter
+bounding box into the constants (G, L, lambda, C_theta, D) that the regret
+bounds consume.  Derived constants are allowed to be conservative: a larger
+G or D only loosens a bound.
 
-``value_rows`` and ``gradient_x_rows`` evaluate a (k, n) stack of points
-against a (k, m) stack of parameters, or against one (1, m) parameter row
-shared by every point.  Every ``*_rows`` method computes row i the same way
-whatever k is (elementwise products and row sums, no matrix products across
-rows, whose BLAS kernels round differently for different row counts), so a
-run's results do not depend on how many runs advance with it.
+Every ``*_rows`` method computes row i the same way whatever k is
+(elementwise products and row sums, no matrix products across rows, whose
+BLAS kernels round differently for different row counts), so a run's
+results do not depend on how many runs advance with it, and a scalar method
+equals row i of any row call bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -85,7 +88,41 @@ def _interval_gap(x_lo, x_hi, a_lo, a_hi) -> np.ndarray:
     return np.maximum(x_hi - a_lo, a_hi - x_lo)
 
 
-class QuadraticTracking:
+def one_row(v, length: int, name: str) -> np.ndarray:
+    """``v`` as a (1, length) row; ValueError naming ``name`` unless ``v``
+    is a length-``length`` vector."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (length,):
+        raise ValueError(f"{name} must have length {length}, got shape {v.shape}")
+    return v[None]
+
+
+class _OneRowFront:
+    """The scalar methods of a family with n-vectors x and m-vector
+    parameters: each checks its inputs' lengths, then calls its row kernel
+    on one row.  A family whose ``value`` and ``gradient_x`` the benchmark
+    traces binds them in its own body as well: ``benchmark/spans.py``
+    patches them through the class's own namespace."""
+
+    def _theta_row(self, theta) -> np.ndarray:
+        return one_row(theta, self.m, "theta")
+
+    def value(self, x, theta) -> float:
+        return float(self.value_rows(one_row(x, self.n, "x"), self._theta_row(theta))[0])
+
+    def gradient_x(self, x, theta) -> np.ndarray:
+        return self.gradient_x_rows(one_row(x, self.n, "x"), self._theta_row(theta))[0]
+
+    def unconstrained_minimizer(self, theta) -> np.ndarray:
+        return self.unconstrained_minimizer_rows(self._theta_row(theta))[0]
+
+    def curvature(self, theta) -> tuple[float, float]:
+        """(lam, L) of f(., theta)."""
+        lam, big_l = self.curvature_rows(self._theta_row(theta))
+        return float(lam[0]), float(big_l[0])
+
+
+class QuadraticTracking(_OneRowFront):
     """Weighted quadratic tracker: f(x, theta) = sum_i w_i (x_i - theta_i)^2 + theta_n.
 
     theta stacks the moving target (first n entries) and an additive offset
@@ -101,26 +138,7 @@ class QuadraticTracking:
         self.n = w.size
         self.m = w.size + 1
 
-    def _split(self, theta) -> tuple[np.ndarray, float]:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.m,):
-            raise ValueError(f"theta must have length {self.m}, got shape {theta.shape}")
-        return theta[: self.n], float(theta[self.n])
-
-    def value(self, x, theta) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"x must have length {self.n}, got shape {x.shape}")
-        target, offset = self._split(theta)
-        d = x - target
-        return float(self.weights @ (d * d) + offset)
-
-    def gradient_x(self, x, theta) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"x must have length {self.n}, got shape {x.shape}")
-        target, _ = self._split(theta)
-        return 2.0 * self.weights * (x - target)
+    value, gradient_x = _OneRowFront.value, _OneRowFront.gradient_x  # traced here
 
     def value_rows(self, xs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         d = xs - thetas[:, : self.n]
@@ -129,21 +147,17 @@ class QuadraticTracking:
     def gradient_x_rows(self, xs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         return 2.0 * self.weights * (xs - thetas[:, : self.n])
 
-    def unconstrained_minimizer(self, theta) -> np.ndarray:
-        target, _ = self._split(theta)
-        return target.copy()
-
     def unconstrained_minimizer_rows(self, thetas: np.ndarray) -> np.ndarray:
         return np.array(thetas[:, : self.n], dtype=float)
 
     def curvature(self, theta=None) -> tuple[float, float]:
-        """(lam, L) of f(., theta); independent of theta for this family."""
+        """(lam, L) of f(., theta); independent of theta for this family,
+        so also the box-wide pair."""
         return 2.0 * float(self.weights.min()), 2.0 * float(self.weights.max())
 
     def curvature_rows(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lam, L = self.curvature()
-        n = len(thetas)
-        return np.full(n, lam), np.full(n, L)
+        lam, big_l = self.curvature()
+        return np.full(len(thetas), lam), np.full(len(thetas), big_l)
 
     def derive_constants(self, cset: ConstraintSet, theta_box) -> ObjectiveConstants:
         lo, hi = _box_arrays(theta_box, self.m)
@@ -158,7 +172,7 @@ class QuadraticTracking:
         return ObjectiveConstants(G=G, L=L, lam=lam, C_theta=C_theta, D=max(D, 1e-300))
 
 
-class FunctionalTimeSeries:
+class FunctionalTimeSeries(_OneRowFront):
     """Simplex-weighted mix of diagonal quadratics: f(x, theta) = sum_i theta_i q_i(x)
     with q_i(x) = (x - v_i)' diag(a_i) (x - v_i) and theta on the unit simplex."""
 
@@ -173,26 +187,6 @@ class FunctionalTimeSeries:
         self.v = v
         self.m, self.n = a.shape
 
-    def _check(self, x, theta) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"x must have length {self.n}, got shape {x.shape}")
-        if theta.shape != (self.m,):
-            raise ValueError(f"theta must have length {self.m}, got shape {theta.shape}")
-        return x, theta
-
-    def value(self, x, theta) -> float:
-        x, theta = self._check(x, theta)
-        r = x - self.v
-        q = np.sum(self.a * r * r, axis=1)
-        return float(theta @ q)
-
-    def gradient_x(self, x, theta) -> np.ndarray:
-        x, theta = self._check(x, theta)
-        r = x - self.v
-        return 2.0 * (theta @ (self.a * r))
-
     def value_rows(self, xs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         r = xs[:, None, :] - self.v[None, :, :]
         q = np.sum(self.a[None] * r * r, axis=2)
@@ -202,23 +196,17 @@ class FunctionalTimeSeries:
         r = xs[:, None, :] - self.v[None, :, :]
         return 2.0 * np.einsum("ti,tin->tn", thetas, self.a[None] * r)
 
-    def unconstrained_minimizer(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        den = theta @ self.a
-        num = theta @ (self.a * self.v)
-        return num / den
-
     def unconstrained_minimizer_rows(self, thetas: np.ndarray) -> np.ndarray:
         den = np.sum(thetas[:, :, None] * self.a, axis=1)
         num = np.sum(thetas[:, :, None] * (self.a * self.v), axis=1)
         return num / den
 
     def curvature(self, theta=None) -> tuple[float, float]:
-        if theta is None:
-            return 2.0 * float(self.a.min(axis=0).min()), 2.0 * float(self.a.max())
-        theta = np.asarray(theta, dtype=float)
-        diag = theta @ self.a
-        return 2.0 * float(diag.min()), 2.0 * float(diag.max())
+        """(lam, L) of f(., theta); without theta, the pair valid for every
+        theta on the simplex."""
+        if theta is not None:
+            return super().curvature(theta)
+        return 2.0 * float(self.a.min(axis=0).min()), 2.0 * float(self.a.max())
 
     def curvature_rows(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diag = np.sum(thetas[:, :, None] * self.a, axis=1)
@@ -238,7 +226,7 @@ class FunctionalTimeSeries:
         return ObjectiveConstants(G=G, L=L, lam=lam, C_theta=C_theta, D=max(D, 1e-300))
 
 
-class Markowitz:
+class Markowitz(_OneRowFront):
     """Mean-variance portfolio objective f(x, theta) = x' Sigma x - lam_risk x' mu.
 
     theta column-stacks [mu, vec(Sigma), lam_risk], so the parameter has
@@ -260,19 +248,15 @@ class Markowitz:
         return np.concatenate([mu, sigma.ravel(), [float(lam_risk)]])
 
     def unpack(self, theta) -> tuple[np.ndarray, np.ndarray, float]:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.m,):
-            raise ValueError(f"theta must have length {self.m}, got shape {theta.shape}")
-        mu = theta[: self.n]
-        sigma = theta[self.n : self.n + self.n * self.n].reshape(self.n, self.n)
-        lam_risk = float(theta[-1])
-        if np.max(np.abs(sigma - sigma.T)) > _SYMMETRY_TOL:
-            raise ValueError("covariance block is not symmetric (beyond 1e-9)")
-        return mu, sigma, lam_risk
+        """(mu, Sigma, lam_risk) of one parameter: a one-row
+        :meth:`_unpack_rows` call."""
+        mu, sigma, lam_risk = self._unpack_rows(self._theta_row(theta))
+        return mu[0], sigma[0], float(lam_risk[0])
 
     def _unpack_rows(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row-wise :meth:`unpack` of a (k, m) parameter array into mu (k, n),
-        Sigma (k, n, n) and lam_risk (k,), with the same symmetry check."""
+        """Read a (k, m) parameter array into mu (k, n), Sigma (k, n, n) and
+        lam_risk (k,); a covariance block that is not symmetric to 1e-9
+        raises ValueError naming its row."""
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.m:
             raise ValueError(f"thetas must be (k, {self.m}) rows, got shape {thetas.shape}")
@@ -301,33 +285,28 @@ class Markowitz:
         _, sx, mu, lam_risk = self._sigma_x_rows(xs, thetas)
         return 2.0 * sx - lam_risk[:, None] * mu
 
-    def _check_x(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"x must have length {self.n}, got shape {x.shape}")
-        return x
+    value, gradient_x = _OneRowFront.value, _OneRowFront.gradient_x  # traced here
 
-    def value(self, x, theta) -> float:
-        x = self._check_x(x)
-        mu, sigma, lam_risk = self.unpack(theta)
-        return float(x @ sigma @ x - lam_risk * (x @ mu))
-
-    def gradient_x(self, x, theta) -> np.ndarray:
-        x = self._check_x(x)
-        mu, sigma, lam_risk = self.unpack(theta)
-        return 2.0 * (sigma @ x) - lam_risk * mu
-
-    def unconstrained_minimizer(self, theta) -> Optional[np.ndarray]:
-        mu, sigma, lam_risk = self.unpack(theta)
+    def unconstrained_minimizer_rows(self, thetas) -> np.ndarray:
+        """Solutions of 2 Sigma x = lam_risk mu; a NaN row where Sigma is
+        singular."""
+        mu, sigma, lam_risk = self._unpack_rows(thetas)
+        lhs, rhs = 2.0 * sigma, (lam_risk[:, None] * mu)[:, :, None]
         try:
-            return np.linalg.solve(2.0 * sigma, lam_risk * mu)
+            return np.linalg.solve(lhs, rhs)[:, :, 0]
         except np.linalg.LinAlgError:
-            return None
+            out = np.full(mu.shape, np.nan)
+            for i in range(len(out)):
+                try:
+                    out[i] = np.linalg.solve(lhs[i], rhs[i])[:, 0]
+                except np.linalg.LinAlgError:
+                    pass
+            return out
 
-    def curvature(self, theta) -> tuple[float, float]:
-        _, sigma, _ = self.unpack(theta)
-        eigs = np.linalg.eigvalsh((sigma + sigma.T) / 2.0)
-        return 2.0 * float(eigs[0]), 2.0 * float(eigs[-1])
+    def curvature_rows(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        _, sigma, _ = self._unpack_rows(thetas)
+        eigs = np.linalg.eigvalsh((sigma + sigma.transpose(0, 2, 1)) / 2.0)
+        return 2.0 * eigs[:, 0], 2.0 * eigs[:, -1]
 
     def derive_constants(
         self, cset: ConstraintSet, theta_box, sigma_min: float = 1e-6
@@ -388,9 +367,9 @@ class MarkowitzTable(Markowitz):
         slots = slots.astype(np.intp)
         return self.mu[slots], self.sigma[slots], thetas[:, 1]
 
-    def unpack(self, theta) -> tuple[np.ndarray, np.ndarray, float]:
-        mu, sigma, lam_risk = self._unpack_rows(np.asarray(theta, dtype=float)[None])
-        return mu[0], sigma[0], float(lam_risk[0])
+    def _theta_row(self, theta) -> np.ndarray:
+        # the width is checked with the slots, by _unpack_rows
+        return np.asarray(theta, dtype=float)[None]
 
     pack = derive_constants = None
 

@@ -46,92 +46,56 @@ def _exact_twin(cset: ConstraintSet) -> ConstraintSet:
     return cset
 
 
-def minimizer_oracle(
-    family,
-    cset: ConstraintSet,
-    theta,
-    max_iter: int = MINIMIZER_MAX_ITER,
-) -> np.ndarray:
-    """Constrained minimizer of f(., theta) to high accuracy.
-
-    If the unconstrained stationary point is feasible it is returned
-    directly; otherwise projected gradient descent with the exact parameter
-    is iterated until the step displacement falls below
-    ``MINIMIZER_STEP_TOL``, which the contraction property turns into a
-    guarantee on ||x - x*||.
-    """
-    cset = _exact_twin(cset)
-    xu = family.unconstrained_minimizer(theta)
-    if xu is not None and np.all(np.isfinite(xu)):
-        if cset.contains(xu, tol=1e-12):
-            return cset.project(xu)
-        z = cset.project(xu)
-    else:
-        z = cset.interior_point()
-    _, big_l = family.curvature(theta)
-    if not (np.isfinite(big_l) and big_l > 0):
-        raise ValueError("objective is not smooth at this parameter")
-    eta = 1.0 / big_l
-    for _ in range(max_iter):
-        z_new = cset.project(z - eta * family.gradient_x(z, theta))
-        if float(np.linalg.norm(z_new - z)) < MINIMIZER_STEP_TOL:
-            return z_new
-        z = z_new
-    raise RuntimeError(
-        f"minimizer iteration cap {max_iter} reached without convergence"
-    )
+def minimizer_oracle(family, cset: ConstraintSet, theta) -> np.ndarray:
+    """Constrained minimizer of f(., theta) to high accuracy: a one-row
+    :func:`minimizers_batch` call."""
+    return minimizers_batch(family, cset, np.asarray(theta, dtype=float)[None])[0]
 
 
 def minimizers_batch(
-    family,
-    cset: ConstraintSet,
-    thetas,
+    family, cset: ConstraintSet, thetas, max_iter: int = MINIMIZER_MAX_ITER
 ) -> np.ndarray:
-    """Row-wise minimizer_oracle, vectorized when the family supports it."""
+    """Constrained minimizer of f(., theta), to high accuracy, for each row
+    of the (k, m) ``thetas``.
+
+    A row whose unconstrained stationary point is feasible gets that point.
+    Every other row starts from its projection, or from
+    ``cset.interior_point()`` when it is not finite (a singular covariance),
+    and runs projected gradient descent with the exact parameter and step
+    1/L until a step moves less than ``MINIMIZER_STEP_TOL``, which the
+    contraction property turns into a guarantee on ||x - x*||.  A row still
+    moving after ``max_iter`` steps raises ``RuntimeError``.
+    """
     cset = _exact_twin(cset)
     thetas = np.asarray(thetas, dtype=float)
-    if not (
-        hasattr(family, "gradient_x_rows")
-        and hasattr(family, "unconstrained_minimizer_rows")
-        and hasattr(family, "curvature_rows")
-        and hasattr(cset, "project_rows")
-    ):
-        return np.stack(
-            [minimizer_oracle(family, cset, row) for row in thetas]
-        )
-
+    if thetas.ndim != 2 or thetas.shape[1] != family.m:
+        raise ValueError(f"thetas must be (k, {family.m}) rows, got shape {thetas.shape}")
     xu = family.unconstrained_minimizer_rows(thetas)
-    z = cset.project_rows(xu)
-    feasible_direct = np.linalg.norm(z - xu, axis=1) <= 1e-12
-    _, big_l = family.curvature_rows(thetas)
-    etas = (1.0 / big_l)[:, None]
+    finite = np.isfinite(xu).all(axis=1)
+    out = np.tile(cset.interior_point(), (len(thetas), 1))
+    out[finite] = cset.project_rows(xu[finite])
+    direct = np.linalg.norm(out - xu, axis=1) <= 1e-12  # False on a non-finite row
 
-    active = ~feasible_direct
-    out = z.copy()
-    idx = np.nonzero(active)[0]
-    z_act = z[idx]
-    th_act = thetas[idx]
-    eta_act = etas[idx]
-    for _ in range(MINIMIZER_MAX_ITER):
-        if len(idx) == 0:
+    idx = np.flatnonzero(~direct)
+    z_act, th_act = out[idx], thetas[idx]
+    _, big_l = family.curvature_rows(th_act)
+    rough = ~(np.isfinite(big_l) & (big_l > 0))
+    if rough.any():
+        raise ValueError(f"objective is not smooth at the parameter of row {idx[rough][0]}")
+    eta_act = (1.0 / big_l)[:, None]
+    for _ in range(max_iter):
+        if not idx.size:
             break
         g = family.gradient_x_rows(z_act, th_act)
         z_new = cset.project_rows(z_act - eta_act * g)
-        disp = np.linalg.norm(z_new - z_act, axis=1)
-        done = disp < MINIMIZER_STEP_TOL
-        if np.any(done):
+        done = np.linalg.norm(z_new - z_act, axis=1) < MINIMIZER_STEP_TOL
+        if done.any():
             out[idx[done]] = z_new[done]
             keep = ~done
-            idx = idx[keep]
-            z_act = z_new[keep]
-            th_act = th_act[keep]
-            eta_act = eta_act[keep]
-        else:
-            z_act = z_new
-    else:
-        raise RuntimeError(
-            f"minimizer iteration cap {MINIMIZER_MAX_ITER} reached without convergence"
-        )
+            idx, z_new, th_act, eta_act = idx[keep], z_new[keep], th_act[keep], eta_act[keep]
+        z_act = z_new
+    if idx.size:
+        raise RuntimeError(f"minimizer iteration cap {max_iter} reached without convergence")
     return out
 
 

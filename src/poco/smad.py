@@ -18,8 +18,10 @@ one pass (the AR experts that model the same coordinates share one
 Yule-Walker pass), and no round asks a predictor.  Each round reads its
 row of aims, every expert descends toward its own aim in one row-wise
 update (:func:`poco.descent.ogd_step_rows`, the update descent runs use
-too), and one ``value_rows`` call charges the losses.  The result equals
-running ``ogd_step`` once per expert, up to floating-point summation order.
+too), and one ``value_rows`` call charges the losses.  The row kernels
+compute each row the same way whatever the row count, so the result equals
+running ``ogd_step`` once per expert bit for bit.  The aggregate plays of
+all rounds are charged by one ``value_rows`` call after the loop.
 
 Weights are kept in log space; every exposed distribution is normalized.
 """
@@ -312,7 +314,6 @@ def run_smad(
     n_total = len(pending)
     n = x.shape[0]
     xs = np.empty((horizon, n))
-    losses = np.empty(horizon)
     expert_xs = np.full((horizon, n_total, n), np.nan)
     expert_losses = np.full((horizon, n_total), np.nan)
     p_hist = np.full((horizon, n_total), np.nan)
@@ -325,7 +326,6 @@ def run_smad(
             DescentConfig(pool.eta, pool.inner_steps), x,
         )
         xs[:n_plain] = plain.xs
-        losses[:n_plain] = plain.losses
 
     for t in range(n_plain + 1, horizon + 1):
         i = t - 1
@@ -338,7 +338,6 @@ def run_smad(
         m_act = pool.n_active
         row = seed_len + i
         xs[i] = pool.step(family, cset, theta_t, aims[row, :m_act], aimed[row, :m_act])
-        losses[i] = family.value(xs[i], theta_t)
         expert_xs[i, :m_act] = pool.xs
         expert_losses[i, :m_act] = pool.last_losses
         p_hist[i, :m_act] = pool.distribution()
@@ -349,7 +348,7 @@ def run_smad(
     return SmadTrajectory(
         xs=xs,
         thetas=thetas,
-        losses=losses,
+        losses=family.value_rows(xs, thetas),
         expert_xs=expert_xs,
         expert_losses=expert_losses,
         p=p_hist,

@@ -2,12 +2,17 @@
 
 Everything here recomputes quantities by a route different from the library
 code it checks: brute-force meshes, bisection on optimality conditions,
-central finite differences, plain re-accumulation loops.
+central finite differences, plain re-accumulation loops, and the scalar
+formulas of objectives, projections and descent steps, one vector at a time,
+that the library's row kernels replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from poco.domains import SIMPLEX_EXACT, EuclideanBall
+from poco.objectives import Markowitz, QuadraticTracking
 
 
 def finite_diff_gradient(fun, x, h=1e-6):
@@ -107,3 +112,76 @@ def cov_moments(relatives, end_day, lookback, ridge=1e-6):
     sigma = (sigma + sigma.T) / 2.0
     sigma[np.diag_indices_from(sigma)] += ridge
     return window.mean(axis=0), sigma
+
+
+def _markowitz_blocks(family, theta):
+    assert type(family) is Markowitz
+    n = family.n
+    return theta[:n], theta[n : n + n * n].reshape(n, n), float(theta[-1])
+
+
+def scalar_value(family, x, theta):
+    """f(x, theta) of a ``QuadraticTracking`` or packed ``Markowitz``
+    family, by its vector formula."""
+    x = np.asarray(x, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if isinstance(family, QuadraticTracking):
+        d = x - theta[: family.n]
+        return float(family.weights @ (d * d) + theta[family.n])
+    mu, sigma, lam_risk = _markowitz_blocks(family, theta)
+    return float(x @ sigma @ x - lam_risk * (x @ mu))
+
+
+def scalar_gradient_x(family, x, theta):
+    """grad_x f(x, theta), as :func:`scalar_value`."""
+    x = np.asarray(x, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if isinstance(family, QuadraticTracking):
+        return 2.0 * family.weights * (x - theta[: family.n])
+    mu, sigma, lam_risk = _markowitz_blocks(family, theta)
+    return 2.0 * (sigma @ x) - lam_risk * mu
+
+
+def scalar_project(cset, v):
+    """Projection of one vector: radial scaling onto a ball, sort and
+    threshold onto the exact simplex, clip and rescale for the
+    renormalizing rule (uniform when no entry is positive)."""
+    v = np.asarray(v, dtype=float)
+    if isinstance(cset, EuclideanBall):
+        d = v - cset.center
+        norm = float(np.linalg.norm(d))
+        if norm <= cset.radius:
+            return v.copy()
+        return cset.center + d * (cset.radius / norm)
+    if cset.mode == SIMPLEX_EXACT:
+        u = np.sort(v)[::-1]
+        css = np.cumsum(u)
+        cond = u + (1.0 - css) / np.arange(1, v.size + 1) > 0
+        rho = int(np.nonzero(cond)[0][-1])
+        return np.maximum(v + (1.0 - css[rho]) / (rho + 1), 0.0)
+    clipped = np.maximum(v, 0.0)
+    total = clipped.sum()
+    return np.full(v.size, 1.0 / v.size) if total <= 0.0 else clipped / total
+
+
+def scalar_ogd_step(family, cset, x, theta_ref, eta, inner_steps=1):
+    """``inner_steps`` projected gradient updates of one point."""
+    z = np.asarray(x, dtype=float)
+    for _ in range(inner_steps):
+        z = scalar_project(cset, z - eta * scalar_gradient_x(family, z, theta_ref))
+    return z
+
+
+def scalar_tracking_minimizer(family, cset, theta, tol=1e-12, max_iter=10**6):
+    """Constrained minimizer of a ``QuadraticTracking`` objective: projected
+    gradient descent with step 1/L from the projected target, one parameter
+    at a time, until a step moves less than ``tol``."""
+    theta = np.asarray(theta, dtype=float)
+    z = scalar_project(cset, theta[: family.n])
+    eta = 1.0 / (2.0 * float(family.weights.max()))
+    for _ in range(max_iter):
+        z_new = scalar_ogd_step(family, cset, z, theta, eta)
+        if np.linalg.norm(z_new - z) < tol:
+            return z_new
+        z = z_new
+    raise RuntimeError("reference minimizer did not converge")

@@ -13,7 +13,7 @@ from poco.domains import (
     project_simplex_sorted_rows,
 )
 
-from helpers import simplex_mesh_projection
+from helpers import scalar_project, simplex_mesh_projection
 
 moderate_floats = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 
@@ -59,7 +59,7 @@ class TestEuclideanBall:
         vs = rng.normal(scale=4.0, size=(40, 3))
         rows = ball.project_rows(vs)
         for v, row in zip(vs, rows):
-            np.testing.assert_allclose(row, ball.project(v), atol=1e-14)
+            np.testing.assert_allclose(row, scalar_project(ball, v), atol=1e-14)
 
     def test_nonexpansive_thousand_pairs(self):
         rng = np.random.default_rng(11)
@@ -127,7 +127,7 @@ class TestUnitSimplexExact:
         vs = rng.normal(scale=3.0, size=(60, 5))
         rows = s.project_rows(vs)
         for v, row in zip(vs, rows):
-            np.testing.assert_allclose(row, s.project(v), atol=1e-14)
+            np.testing.assert_allclose(row, scalar_project(s, v), atol=1e-14)
         alt = project_simplex_sorted_rows(vs)
         np.testing.assert_allclose(alt, rows, atol=0)
 
@@ -183,7 +183,7 @@ class TestUnitSimplexRenormalize:
             warnings.simplefilter("ignore", DegenerateProjectionWarning)
             rows = s.project_rows(vs)
             for v, row in zip(vs, rows):
-                np.testing.assert_array_equal(row, s.project(v))
+                np.testing.assert_array_equal(row, scalar_project(s, v))
 
     def test_project_rows_warns_once_per_degenerate_row(self):
         s = UnitSimplex(3, mode="renormalize")
@@ -195,6 +195,15 @@ class TestUnitSimplexRenormalize:
         assert len(hits) == 2
         np.testing.assert_array_equal(rows[[0, 2]], np.full((2, 3), 1.0 / 3.0))
         np.testing.assert_allclose(rows[1], [0.2, 0.3, 0.5], atol=1e-15)
+
+    def test_warning_points_at_the_caller(self):
+        s = UnitSimplex(3, mode="renormalize")
+        v = np.array([-1.0, -2.0, 0.0])
+        for project in (lambda: s.project(v), lambda: s.project_rows(v[None])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", DegenerateProjectionWarning)
+                project()
+            assert [w.filename for w in caught] == [__file__]
 
     def test_project_rows_rejects_nonfinite_row(self):
         s = UnitSimplex(3, mode="renormalize")

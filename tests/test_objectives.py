@@ -15,7 +15,7 @@ from poco.objectives import (
     contraction_factor,
 )
 
-from helpers import finite_diff_gradient
+from helpers import finite_diff_gradient, scalar_gradient_x, scalar_value
 
 
 def default_families():
@@ -120,11 +120,11 @@ class TestQuadraticTracking:
         xs = rng.normal(size=(20, 2))
         ths = rng.normal(size=(20, 3))
         np.testing.assert_allclose(
-            f.value_rows(xs, ths), [f.value(x, t) for x, t in zip(xs, ths)]
+            f.value_rows(xs, ths), [scalar_value(f, x, t) for x, t in zip(xs, ths)]
         )
         np.testing.assert_allclose(
             f.gradient_x_rows(xs, ths),
-            np.stack([f.gradient_x(x, t) for x, t in zip(xs, ths)]),
+            np.stack([scalar_gradient_x(f, x, t) for x, t in zip(xs, ths)]),
         )
 
     def test_derived_curvature(self):
@@ -231,15 +231,17 @@ class TestMarkowitz:
         ths = np.stack([sample_theta(f, rng) for _ in range(12)])
         np.testing.assert_allclose(
             f.value_rows(xs, ths),
-            [f.value(x, t) for x, t in zip(xs, ths)], rtol=1e-13, atol=1e-13,
+            [scalar_value(f, x, t) for x, t in zip(xs, ths)], rtol=1e-13, atol=1e-13,
         )
         np.testing.assert_allclose(
             f.gradient_x_rows(xs, ths),
-            np.stack([f.gradient_x(x, t) for x, t in zip(xs, ths)]), rtol=1e-13, atol=1e-13,
+            np.stack([scalar_gradient_x(f, x, t) for x, t in zip(xs, ths)]),
+            rtol=1e-13, atol=1e-13,
         )
         # one parameter row is shared by every point
         np.testing.assert_allclose(
-            f.value_rows(xs, ths[:1]), [f.value(x, ths[0]) for x in xs], rtol=1e-13, atol=1e-13,
+            f.value_rows(xs, ths[:1]), [scalar_value(f, x, ths[0]) for x in xs],
+            rtol=1e-13, atol=1e-13,
         )
 
     def test_rows_reject_asymmetric_sigma(self):

@@ -9,6 +9,7 @@ from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import (
     FunctionalTimeSeries,
     Markowitz,
+    MarkowitzTable,
     ObjectiveConstants,
     QuadraticTracking,
     contraction_factor,
@@ -28,7 +29,7 @@ from poco.regret import (
 from poco.scenarios import SwitchingProcessSpec, gen_switching
 from poco.smad import ExpertPool, run_smad, suggested_gamma
 
-from helpers import secular_ball_minimizer, simplex_mesh_argmin
+from helpers import scalar_tracking_minimizer, secular_ball_minimizer, simplex_mesh_argmin
 
 
 def tracking_setup():
@@ -87,6 +88,29 @@ class TestMinimizerOracle:
         ref = simplex_mesh_argmin(vals, 3, step=1e-3)
         assert np.linalg.norm(xstar - ref) <= 5e-3
 
+    @pytest.mark.parametrize("table", [False, True], ids=["packed", "table"])
+    def test_singular_covariance_matches_grid_search(self, table):
+        # a riskless third asset: 2 Sigma x = lam mu has no solution, so the
+        # search starts from the simplex centre; a regular row rides along
+        singular = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+        sigmas = np.stack([np.eye(3), singular])
+        mu = np.array([0.3, 0.1, 0.05])
+        cases = [(0, 1.0), (1, 1.0), (1, 0.2)]
+        if table:
+            family = MarkowitzTable(np.stack([mu, mu]), sigmas)
+            thetas = np.array(cases, dtype=float)
+        else:
+            family = Markowitz(3)
+            thetas = np.stack([family.pack(mu, sigmas[s], lam) for s, lam in cases])
+        xstars = minimizers_batch(family, UnitSimplex(3), thetas)
+        for (s, lam), xstar in zip(cases, xstars):
+
+            def vals(pts):
+                return np.einsum("ij,jk,ik->i", pts, sigmas[s], pts) - lam * pts @ mu
+
+            ref = simplex_mesh_argmin(vals, 3, step=1e-3)
+            assert np.linalg.norm(xstar - ref) <= 5e-3
+
     def test_functional_series_interior(self):
         rng = np.random.default_rng(16)
         family = FunctionalTimeSeries(
@@ -103,7 +127,7 @@ class TestMinimizerOracle:
     def test_iteration_cap(self):
         family, cset = tracking_setup()
         with pytest.raises(RuntimeError, match="cap"):
-            minimizer_oracle(family, cset, [100.0, 20.0, 0.0], max_iter=3)
+            minimizers_batch(family, cset, [[100.0, 20.0, 0.0]], max_iter=3)
 
     def test_batch_matches_scalar(self):
         family, cset = tracking_setup()
@@ -113,7 +137,7 @@ class TestMinimizerOracle:
         )
         batch = minimizers_batch(family, cset, thetas)
         for theta, row in zip(thetas, batch):
-            assert np.linalg.norm(row - minimizer_oracle(family, cset, theta)) <= 1e-9
+            assert np.linalg.norm(row - scalar_tracking_minimizer(family, cset, theta)) <= 1e-9
 
 
 class TestAccounting:

@@ -56,6 +56,13 @@ def _parts(out):
     return out if isinstance(out, tuple) else (out,)
 
 
+def _same_bytes(scalar, one_row):
+    """A scalar method's result equals row 0 of its row method's one-row
+    call, byte for byte."""
+    for got, want in zip(_parts(scalar), _parts(one_row), strict=True):
+        assert np.asarray(got, dtype=float).tobytes() == want[0].tobytes()
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     kind=st.sampled_from(["quadratic", "functional", "markowitz", "table"]),
@@ -78,11 +85,17 @@ def test_family_rows_do_not_depend_on_the_row_count(kind, k, seed):
             [_parts(method(xs[i : i + 1], thetas[:1])) for i in range(k)],
         )
     for name in ("unconstrained_minimizer_rows", "curvature_rows"):
-        method = getattr(family, name, None)
-        if method is not None:
-            _same_rows(
-                _parts(method(thetas)), [_parts(method(thetas[i : i + 1])) for i in range(k)]
-            )
+        method = getattr(family, name)
+        _same_rows(_parts(method(thetas)), [_parts(method(thetas[i : i + 1])) for i in range(k)])
+    # each scalar method is its row method's one-row call
+    for i in range(k):
+        x, theta = xs[i : i + 1], thetas[i : i + 1]
+        _same_bytes(family.value(xs[i], thetas[i]), family.value_rows(x, theta))
+        _same_bytes(family.gradient_x(xs[i], thetas[i]), family.gradient_x_rows(x, theta))
+        _same_bytes(
+            family.unconstrained_minimizer(thetas[i]), family.unconstrained_minimizer_rows(theta)
+        )
+        _same_bytes(family.curvature(thetas[i]), family.curvature_rows(theta))
 
 
 @settings(max_examples=120, deadline=None)
@@ -103,3 +116,5 @@ def test_projection_rows_do_not_depend_on_the_row_count(kind, dim, k, seed):
     vs = rng.normal(scale=rng.choice([0.1, 1.0, 30.0], size=(k, 1)), size=(k, dim))
     vs[:, 0] = np.abs(vs[:, 0]) + 1e-3
     _same_rows((cset.project_rows(vs),), [(cset.project_rows(vs[i : i + 1]),) for i in range(k)])
+    for i in range(k):
+        _same_bytes(cset.project(vs[i]), cset.project_rows(vs[i : i + 1]))

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poco.descent import DescentConfig, ogd_step, run_predictive_ogd
+from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import Markowitz, QuadraticTracking
 from poco.predictors import NoisyOracle, Persistence, aim_table
 from poco.regret import hedge_gap_bound
 from poco.scenarios import SwitchingProcessSpec, gen_switching
 from poco.smad import ExpertPool, run_smad, suggested_gamma
+
+from helpers import scalar_ogd_step, scalar_project, scalar_value
 
 ETA = 1.0 / 200.0
 
@@ -54,7 +56,8 @@ def step_after(pool, family, cset, theta_t, hist):
 
 def reference_step(pool, family, cset, theta_t, hist):
     """The per-expert loop the batched step replaced, run on copies of the
-    pool's state: one ``ogd_step`` and one scalar ``value`` per expert."""
+    pool's state with the scalar formulas of ``helpers``: one descent step
+    and one loss per expert."""
     n_obs = hist.shape[0]
     moves = pool.xs.copy()
     p_theta = pool.p_theta.copy()
@@ -67,13 +70,13 @@ def reference_step(pool, family, cset, theta_t, hist):
             aim = hist[-1]
         else:
             continue
-        moves[idx] = ogd_step(family, cset, pool.xs[idx], aim, pool.eta, pool.inner_steps)
+        moves[idx] = scalar_ogd_step(family, cset, pool.xs[idx], aim, pool.eta, pool.inner_steps)
         if pool.played[idx]:
             p_theta[idx] += np.linalg.norm(theta_t - aim)
         lo = aim.copy() if lo is None else np.minimum(lo, aim)
         hi = aim.copy() if hi is None else np.maximum(hi, aim)
-    x_t = cset.project(pool.distribution() @ moves)
-    losses = np.array([family.value(v, theta_t) for v in moves])
+    x_t = scalar_project(cset, pool.distribution() @ moves)
+    losses = np.array([scalar_value(family, v, theta_t) for v in moves])
     log_w = pool.log_p - pool.gamma * losses
     top = log_w.max()
     log_p = log_w - (top + math.log(np.exp(log_w - top).sum()))

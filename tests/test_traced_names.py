@@ -1,11 +1,11 @@
 """Every function the benchmark traces must exist under the name it traces.
 
 ``benchmark/spans.py`` wraps the functions named in ``LAYERS`` by
-``module:qualname``; a rename in the library would otherwise surface only
-as a crash of the traced benchmark run.
+``module:qualname``, and a method through its class's own ``__dict__``; a
+rename in the library, or a method its class only inherits, would otherwise
+surface only as a crash of the traced benchmark run.
 """
 
-import importlib
 import importlib.util
 from pathlib import Path
 
@@ -14,20 +14,20 @@ import pytest
 SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
 
 
-def _layers() -> dict:
+def _spans():
     spec = importlib.util.spec_from_file_location("_bench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
-TARGETS = [target for targets in _layers().values() for target in targets]
+SPANS_MODULE = _spans()
+TARGETS = [target for targets in SPANS_MODULE.LAYERS.values() for target in targets]
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_traced_name_resolves(target):
-    module_name, _, qualname = target.partition(":")
-    obj = importlib.import_module(module_name)
-    for attr in qualname.split("."):
-        obj = getattr(obj, attr)
+    # resolved as Patches.replace resolves it
+    module, owner, attr = SPANS_MODULE._resolve(target)
+    obj = getattr(module, attr) if owner is None else owner.__dict__[attr]
     assert callable(obj)
