@@ -14,7 +14,8 @@ iterates, so a run reads every aim from one
 :func:`poco.predictors.aim_table` built before its loop: an AR predictor
 fits all prefixes of the observed sequence in one pass instead of refitting
 every round.  A stack of R parameter sequences advances in lockstep, its
-runs as rows: each inner step is one :func:`ogd_step_rows` call and each
+runs as rows: one aim table call covers all R runs, with one AR pass over
+the stack, each inner step is one :func:`ogd_step_rows` call and each
 round charges the R losses with one ``value_rows`` call.  The row kernels
 compute a row the same way whatever the row count, so run r of a stack
 equals the run of its sequence alone bit for bit.
@@ -136,9 +137,9 @@ def run_predictive_ogd(
     until ``predictor.ready``, and always when ``predictor`` is None
     (standard descent).  That keeps a predictive run's early rounds
     identical to standard descent, which is also what makes paired
-    difference curves start at exactly zero.  Each run's aims come from one
-    :func:`poco.predictors.aim_table` built before the loop; the runs then
-    advance as rows of one array.
+    difference curves start at exactly zero.  The aims of all runs come from
+    one :func:`poco.predictors.aim_table` call over the stack, built before
+    the loop; the runs then advance as rows of one array.
     """
     thetas = np.asarray(thetas, dtype=float)
     runs = thetas if thetas.ndim == 3 else thetas[None]
@@ -153,8 +154,7 @@ def run_predictive_ogd(
     losses = np.empty((n_runs, horizon))
     # entry 0 of each run is a copy of its first parameter, never scored
     theta_hats = runs.copy()
-    for r in range(n_runs):
-        theta_hats[r, 1:] = aim_table([predictor], runs[r, :-1], starts=[1])[0][1:, 0]
+    theta_hats[:, 1:] = aim_table([predictor], runs[:, :-1], starts=[1])[0][:, 1:, 0]
 
     ids = np.arange(n_runs)
     z = np.tile(x, (n_runs, 1))

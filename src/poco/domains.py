@@ -10,10 +10,11 @@ projection modes:
   sum to one.  Cheap and common in portfolio practice, but not a metric
   projection, so bound checks refuse to run on it.
 
-``project_rows`` projects each row of a (k, dim) array; ``project`` checks
-its vector and projects it as one row, so it equals row i of any row call
-bit for bit.  All projections are pure functions of their inputs and can be
-called from any number of workers.
+``project_rows`` projects each row of a (k, dim) array and rejects a
+non-finite row; ``project`` checks its vector's shape and projects it as
+one row, so it equals row i of any row call bit for bit.  All projections
+are pure functions of their inputs and can be called from any number of
+workers.
 """
 
 from __future__ import annotations
@@ -35,12 +36,17 @@ class DegenerateProjectionWarning(UserWarning):
     """Renormalizing projection received a vector with no positive mass."""
 
 
-def _check_vector(v, dim: int, name: str = "v") -> np.ndarray:
+def _check_shape(v, dim: int, name: str = "v") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.shape[0] != dim:
         raise ValueError(
             f"{name} must be a length-{dim} vector, got shape {arr.shape}"
         )
+    return arr
+
+
+def _check_vector(v, dim: int, name: str = "v") -> np.ndarray:
+    arr = _check_shape(v, dim, name)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
@@ -90,7 +96,7 @@ class EuclideanBall:
         return True
 
     def project(self, v) -> np.ndarray:
-        return self.project_rows(_check_vector(v, self.dim)[None])[0]
+        return self.project_rows(_check_shape(v, self.dim)[None])[0]
 
     def project_rows(self, vs: np.ndarray) -> np.ndarray:
         """Project each row of ``vs``; a non-finite row raises ValueError."""
@@ -157,7 +163,7 @@ class UnitSimplex:
         return self.mode == SIMPLEX_EXACT
 
     def project(self, v) -> np.ndarray:
-        return self.project_rows(_check_vector(v, self.dim)[None])[0]
+        return self.project_rows(_check_shape(v, self.dim)[None])[0]
 
     def project_rows(self, vs: np.ndarray) -> np.ndarray:
         """Project each row of ``vs``; a non-finite row raises ValueError."""

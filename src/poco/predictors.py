@@ -17,10 +17,14 @@ predictor is ready, else the last observation (plain descent).
 A run never asks a predictor inside its loop.  An aim depends only on the
 parameters observed so far, never on the iterates, and those are known
 before the run starts, so :func:`aim_table` gives every expert's aim after
-every prefix in one pass per predictor kind: :func:`var_forecasts` gives
-every order's forecast after every prefix, and :func:`var_forecast_table`
-makes one such pass per group of VAR experts that model the same
-coordinates.  Descent runs and expert pools read their rounds' rows.
+every prefix, for one run or a stack of them, in one pass per predictor
+kind.  Every Yule-Walker number comes from one kernel that fits every order
+after every prefix in one pass of cumulative sums: :func:`var_forecasts`
+reads its forecasts, :func:`var_forecast_table` makes one such pass per
+group of VAR experts that model the same coordinates, and
+:func:`fit_var_yule_walker` reads its full-length fit.  A
+:meth:`VarPredictor.predict` forecast is its aim table entry, bit for bit.
+Descent runs and expert pools read their rounds' rows.
 """
 
 from __future__ import annotations
@@ -44,28 +48,6 @@ class PredictorNotReady(RuntimeError):
         self.have = have
 
 
-def sample_autocovariances(series: np.ndarray, max_lag: int):
-    """Lag-h autocovariance matrices of a (T, d) series.
-
-    Gamma(h) = (1/T) * sum_t (y_{t+h} - ybar)(y_t - ybar)', h = 0..max_lag,
-    using the 1/T normalization that keeps the stacked system positive
-    semidefinite.  Returns (gammas, ybar) with gammas of shape
-    (max_lag + 1, d, d).
-    """
-    y = np.asarray(series, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    t_len = y.shape[0]
-    if t_len <= max_lag:
-        raise ValueError(f"series of length {t_len} too short for lag {max_lag}")
-    ybar = y.mean(axis=0)
-    z = y - ybar
-    gammas = np.stack(
-        [z[h:].T @ z[: t_len - h] / t_len for h in range(max_lag + 1)]
-    )
-    return gammas, ybar
-
-
 @dataclass(frozen=True)
 class VarFit:
     """Immutable result of a Yule-Walker fit: lag matrices and series mean."""
@@ -78,78 +60,88 @@ class VarFit:
         return self.phis.shape[0]
 
 
-def _solve_yule_walker(gammas: np.ndarray, starts: dict, ridge: float) -> dict:
-    """Ridged Yule-Walker solutions for a stack of autocovariance sequences.
+def _yule_walker(y: np.ndarray, orders: Sequence[int], ridge: float, first: int) -> dict:
+    """The one Yule-Walker computation: ridged VAR fits of every order in the
+    increasing ``orders`` after every prefix of at least ``first`` rows of
+    each series of an (R, T, d) stack ``y``, and their one-step forecasts.
 
-    ``gammas`` is (P, K+1, d, d): row p holds Gamma(0..K) of one series.
-    The ridged block-Toeplitz system of order K is built once per row;
-    order k's system is its leading k*d x k*d block against the first k*d
-    rows of its right-hand side, since block (i, j) is Gamma(i - j)'
-    whatever the order.  ``starts`` maps each order k <= K to the first row
-    its system is solved for; each order is one batched solve over the rows
-    from there on.  Returns {k: (P - starts[k], k*d, d)} stacked
-    coefficients, Phi_h' in rows (h-1)*d..h*d.
+    The series are shifted by their first row, which leaves the fits
+    unchanged and keeps the cross-product sums from cancelling a large
+    common level.  Gamma(h) of the n-row prefix, (1/n) sum_{t=h}^{n-1}
+    (z_t - zbar)(z_{t-h} - zbar)', comes from cumulative sums of z_t
+    z_{t-h}', z_t and z_{t-h}, so all prefixes take one pass.  The ridged
+    block-Toeplitz system of the largest order K, block (i, j)
+    Gamma(i - j)', is built once per prefix; order k's system is its
+    leading k*d block, one batched solve over the prefixes of at least
+    2k+1 rows.  The forecast mean + sum_h Phi_h (y_{n-h} - mean) adds its
+    k*d lag terms in a fixed order.  Cumulative sums run sequentially and
+    each system is solved on its own, so a prefix's fit and forecast do not
+    depend on T, ``first`` or R, bit for bit.
+
+    Returns {k: (means, coefs, forecasts)} over the prefixes n = max(first,
+    2k+1)..T: ``means`` and ``forecasts`` are (R, P, d), ``coefs`` is
+    (R, P, k*d, d) with Phi_h' in rows (h-1)*d..h*d.  A NaN or inf in a
+    fitted prefix raises ``ValueError``.
     """
     if not np.isfinite(ridge):
         raise ValueError(f"ridge must be finite, got {ridge}")
+    n_runs, t_len, d = y.shape
+    top = orders[-1]
+    ns = np.arange(first, t_len + 1)  # the fitted prefix lengths
+    with np.errstate(invalid="ignore", over="ignore"):
+        z = y - y[:, :1]
+        sums = np.concatenate([np.zeros((n_runs, 1, d)), np.cumsum(z, axis=1)], axis=1)
+        means = sums[:, ns] / ns[:, None]
+        gammas = np.zeros((n_runs, ns.size, top + 1, d, d))
+        for h in range(top + 1):
+            # lag-h sums over t = h..n-1: C = sum z_t z_{t-h}', A = sum z_t,
+            # B = sum z_{t-h}; prefixes with n <= h keep zeros, which no
+            # fitted order reads
+            live = ns > h
+            n, m = ns[live], means[:, live]
+            cross = np.cumsum(z[:, h:, :, None] * z[:, : t_len - h, None, :], axis=1)
+            lead = sums[:, n] - sums[:, h : h + 1]
+            lagged = sums[:, n - h]
+            gammas[:, live, h] = (
+                cross[:, n - h - 1]
+                - lead[..., :, None] * m[..., None, :]
+                - m[..., :, None] * lagged[..., None, :]
+                + (n - h)[:, None, None] * m[..., :, None] * m[..., None, :]
+            ) / n[:, None, None]
     if not np.isfinite(gammas).all():
         raise ValueError(
             "series holds NaN or inf (or overflows its autocovariances); "
             "the Yule-Walker fit needs finite values"
         )
-    n_rows, top, d = gammas.shape[0], gammas.shape[1] - 1, gammas.shape[2]
-    big = np.empty((n_rows, top * d, top * d))
-    blocks = big.reshape(n_rows, top, d, top, d)
+    big = np.empty((n_runs, ns.size, top * d, top * d))
+    blocks = big.reshape(n_runs, ns.size, top, d, top, d)
     # block (i, j) is Gamma(i - j)', with Gamma(-h) = Gamma(h)'
     for i in range(top):
         for j in range(top):
-            lag = gammas[:, i - j].transpose(0, 2, 1) if i >= j else gammas[:, j - i]
-            blocks[:, i, :, j, :] = lag
+            lag = gammas[:, :, i - j].swapaxes(-1, -2) if i >= j else gammas[:, :, j - i]
+            blocks[:, :, i, :, j, :] = lag
     diag = np.arange(top * d)
-    big[:, diag, diag] += ridge
-    rhs = gammas[:, 1 : top + 1].transpose(0, 1, 3, 2).reshape(n_rows, top * d, d)
-    sols = {}
-    for k, first in starts.items():
+    big[..., diag, diag] += ridge
+    rhs = gammas[:, :, 1:].swapaxes(-1, -2).reshape(n_runs, ns.size, top * d, d)
+    fits = {}
+    for k in orders:
+        rows = slice(max(2 * k + 1 - first, 0), None)
         try:
-            sols[k] = np.linalg.solve(
-                big[first:, : k * d, : k * d], rhs[first:, : k * d]
-            )
+            coefs = np.linalg.solve(big[:, rows, : k * d, : k * d], rhs[:, rows, : k * d])
         except np.linalg.LinAlgError as exc:
             raise ValueError(
                 f"Yule-Walker system singular even with ridge {ridge}"
             ) from exc
-    return sols
-
-
-def fit_var_orders(
-    series, orders: Sequence[int], ridge: float = DEFAULT_RIDGE
-) -> dict[int, VarFit]:
-    """Yule-Walker VAR fits of several orders on one (T, d) series.
-
-    The autocovariances are computed once, up to the largest order K the
-    series can support, and every order is solved on the leading block of
-    the order-K system (:func:`_solve_yule_walker` with one row), so every
-    fit equals ``fit_var_yule_walker(series, k)`` exactly.  Orders whose
-    2k+1 exceeds the series length are left out of the result.  When some
-    order is fitted, a NaN or inf in the series raises ``ValueError``.
-    """
-    orders = sorted({int(k) for k in orders})
-    if orders and orders[0] < 1:
-        raise ValueError(f"order must be >= 1, got {orders[0]}")
-    y = np.asarray(series, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    t_len = y.shape[0]
-    ready = [k for k in orders if t_len >= 2 * k + 1]
-    if not ready:
-        return {}
-    gammas, ybar = sample_autocovariances(y, ready[-1])
-    sols = _solve_yule_walker(gammas[None], dict.fromkeys(ready, 0), ridge)
-    d = ybar.shape[0]
-    return {
-        k: VarFit(phis=sol[0].reshape(k, d, d).transpose(0, 2, 1), mean=ybar)
-        for k, sol in sols.items()
-    }
+        m = means[:, rows]
+        # (y_{n-1} - mean, ..., y_{n-k} - mean) against the stacked Phi_h'
+        past = z[:, ns[rows, None] - np.arange(1, k + 1)] - m[:, :, None, :]
+        past = past.reshape(*m.shape[:2], k * d)
+        step = past[..., 0, None] * coefs[..., 0, :]
+        for j in range(1, k * d):
+            step = step + past[..., j, None] * coefs[..., j, :]
+        level = y[:, :1] + m
+        fits[k] = (level, coefs, level + step)
+    return fits
 
 
 def var_forecasts(
@@ -162,14 +154,13 @@ def var_forecasts(
     ``series[:n]``, and NaN where n < 2k+1.  Row n reads ``series[:n]``
     and nothing after it, so a run may hand over every row its rounds
     observe and read each round's forecast at the length of its history.
+    An (R, T, d) stack of series gives {k: (R, T+1, d)}, whose row r
+    equals the call on series r alone.
 
-    All prefixes come from one pass: prefix autocovariances from cumulative
-    lagged cross-product sums of the series shifted by its first row, one
-    ridged block-Toeplitz system per prefix, and one batched solve per
-    order on the leading blocks.  Each row agrees with
-    ``var_predict(fit_var_yule_walker(series[:n], k), series[:n])`` up to
-    floating-point rounding.  When some order is fitted, a NaN or inf in
-    the series raises ``ValueError``.
+    All prefixes come from one :func:`_yule_walker` pass, whose prefix n
+    gives ``fit_var_yule_walker(series[:n], k)`` and the forecast row n,
+    which equals ``VarPredictor(k).predict(series[:n])`` bit for bit.  When
+    some order is fitted, a NaN or inf in the series raises ``ValueError``.
     """
     orders = sorted({int(k) for k in orders})
     if orders and orders[0] < 1:
@@ -177,45 +168,14 @@ def var_forecasts(
     y = np.asarray(series, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    t_len, d = y.shape
-    out = {k: np.full((t_len + 1, d), np.nan) for k in orders}
+    runs = y if y.ndim == 3 else y[None]
+    t_len = runs.shape[1]
+    out = {k: np.full((runs.shape[0], t_len + 1, runs.shape[2]), np.nan) for k in orders}
     ready = [k for k in orders if t_len >= 2 * k + 1]
-    if not ready:
-        return out
-    top, first = ready[-1], 2 * ready[0] + 1
-    ns = np.arange(first, t_len + 1)  # the fitted prefix lengths
-    # shifting by the first row leaves the fits unchanged and keeps the
-    # cross-product sums from cancelling a large common level
-    with np.errstate(invalid="ignore", over="ignore"):
-        z = y - y[0]
-        sums = np.concatenate([np.zeros((1, d)), np.cumsum(z, axis=0)])
-        means = sums[ns] / ns[:, None]
-        gammas = np.zeros((ns.size, top + 1, d, d))
-        for h in range(top + 1):
-            # lag-h sums over t = h..n-1: C = sum z_t z_{t-h}', A = sum z_t,
-            # B = sum z_{t-h}; prefixes with n <= h keep zeros, which no
-            # ready order reads
-            live = ns > h
-            n, m = ns[live], means[live]
-            cross = np.cumsum(z[h:, :, None] * z[: t_len - h, None, :], axis=0)
-            lead = sums[n] - sums[h]
-            lagged = sums[n - h]
-            gammas[live, h] = (
-                cross[n - h - 1]
-                - lead[:, :, None] * m[:, None, :]
-                - m[:, :, None] * lagged[:, None, :]
-                + (n - h)[:, None, None] * m[:, :, None] * m[:, None, :]
-            ) / n[:, None, None]
-    sols = _solve_yule_walker(gammas, {k: 2 * k + 1 - first for k in ready}, ridge)
-    for k, sol in sols.items():
-        rows = slice(2 * k + 1 - first, None)
-        m = means[rows]
-        # (y_{n-1} - mean, ..., y_{n-k} - mean) against the stacked Phi_h'
-        past = z[ns[rows, None] - np.arange(1, k + 1)] - m[:, None, :]
-        out[k][2 * k + 1 :] = (
-            y[0] + m + np.einsum("pi,pij->pj", past.reshape(-1, k * d), sol)
-        )
-    return out
+    if ready:
+        for k, (_, _, forecasts) in _yule_walker(runs, ready, ridge, 2 * ready[0] + 1).items():
+            out[k][:, 2 * k + 1 :] = forecasts
+    return out if y.ndim == 3 else {k: rows[0] for k, rows in out.items()}
 
 
 def fit_var_yule_walker(
@@ -228,28 +188,18 @@ def fit_var_yule_walker(
     the stacked coefficient matrices, with ``ridge`` added to the diagonal
     so constant or otherwise degenerate windows stay solvable.  Prediction
     adds the mean back: theta_hat = mean + sum_h Phi_h (theta_{t+1-h} - mean).
-    This is the one-order case of :func:`fit_var_orders`.
+    This is the full-length prefix of :func:`_yule_walker`.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    t_len = np.shape(series)[0]
-    if t_len < 2 * order + 1:
-        raise PredictorNotReady(needed=2 * order + 1, have=t_len)
-    return fit_var_orders(series, (order,), ridge)[order]
-
-
-def var_predict(fit: VarFit, series) -> np.ndarray:
-    """One-step-ahead prediction from a fitted VAR and the history tail."""
     y = np.asarray(series, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    k = fit.order
-    if y.shape[0] < k:
-        raise PredictorNotReady(needed=k, have=y.shape[0])
-    pred = fit.mean.copy()
-    for h in range(1, k + 1):
-        pred = pred + fit.phis[h - 1] @ (y[-h] - fit.mean)
-    return pred
+    t_len, d = y.shape
+    if t_len < 2 * order + 1:
+        raise PredictorNotReady(needed=2 * order + 1, have=t_len)
+    means, coefs, _ = _yule_walker(y[None], [order], ridge, t_len)[order]
+    return VarFit(phis=coefs[0, 0].reshape(order, d, d).transpose(0, 2, 1), mean=means[0, 0])
 
 
 class VarPredictor:
@@ -257,7 +207,8 @@ class VarPredictor:
 
     ``predict`` is a pure function of the history it is handed: each call
     fits the VAR to that history and forecasts from it, so one predictor
-    can serve any number of runs.
+    can serve any number of runs.  The forecast is the predictor's
+    :func:`aim_table` entry after the whole history.
 
     Parameters
     ----------
@@ -293,19 +244,10 @@ class VarPredictor:
         return n_obs >= self.min_history
 
     def predict(self, history) -> np.ndarray:
-        hist = np.asarray(history, dtype=float)
-        if hist.ndim == 1:
-            hist = hist[:, None]
-        n_obs = hist.shape[0]
+        n_obs = len(history)
         if not self.ready(n_obs):
             raise PredictorNotReady(needed=self.min_history, have=n_obs)
-        sub = hist if self.indices is None else hist[:, self.indices]
-        sub_hat = var_predict(fit_var_yule_walker(sub, self.order), sub)
-        if self.indices is None:
-            return sub_hat
-        out = hist[-1].copy()
-        out[list(self.indices)] = sub_hat
-        return out
+        return aim_table([self], history)[0][-1, 0]
 
 
 class Persistence:
@@ -393,7 +335,8 @@ def var_forecast_table(predictors, observed) -> dict:
     and all but the last realized parameter); each round's history is a
     prefix of it.  Returns {indices: {order: (L+1, d) forecasts}}, where
     row n is the group's forecast after the first n rows; non-VAR
-    predictors need no entry.
+    predictors need no entry.  An (R, L, m) stack of R runs' records gives
+    (R, L+1, d) forecasts from the same passes.
     """
     obs = np.asarray(observed, dtype=float)
     if obs.ndim == 1:
@@ -403,19 +346,22 @@ def var_forecast_table(predictors, observed) -> dict:
         if isinstance(predictor, VarPredictor):
             groups.setdefault(predictor.indices, set()).add(predictor.order)
     return {
-        indices: var_forecasts(obs if indices is None else obs[:, indices], orders)
+        indices: var_forecasts(obs if indices is None else obs[..., list(indices)], orders)
         for indices, orders in groups.items()
     }
 
 
-def _var_rows(predictor: VarPredictor, observed, ns, forecasts) -> np.ndarray:
-    """A VarPredictor's aims after every prefix length in ``ns``: the last
-    observation, with the modeled coordinates replaced by the run's
-    :func:`var_forecast_table` row once the predictor is ready."""
-    rows = observed[ns - 1]
+def _var_rows(predictor: VarPredictor, runs, ns, forecasts) -> np.ndarray:
+    """A VarPredictor's aims after every prefix length in ``ns``, for each
+    run of an (R, L, m) stack: the last observation, with the modeled
+    coordinates replaced by the :func:`var_forecast_table` row once the
+    predictor is ready."""
+    rows = runs[:, ns - 1]
     ready = ns[ns >= predictor.min_history]  # a suffix of ns
     modeled = slice(None) if predictor.indices is None else list(predictor.indices)
-    rows[ns.size - ready.size :, modeled] = forecasts[predictor.indices][predictor.order][ready]
+    rows[:, ns.size - ready.size :, modeled] = (
+        forecasts[predictor.indices][predictor.order][:, ready]
+    )
     return rows
 
 
@@ -423,7 +369,10 @@ def aim_table(predictors, observed, starts=None) -> tuple[np.ndarray, np.ndarray
     """Every predictor's :func:`step_aim` after every prefix of an (L, m)
     ``observed``: an (L+1, N, m) array whose entry [n, i] is
     ``step_aim(predictors[i], observed[:n])``, and the (L+1, N) mask of
-    the entries that have an aim (unaimed entries hold NaN).
+    the entries that have an aim (unaimed entries hold NaN).  An (R, L, m)
+    stack of R runs' records gives (R, L+1, N, m) aims, whose run r equals
+    the call on its record alone bit for bit, and the same mask, which
+    does not depend on the values observed.
 
     Column i starts at row ``starts[i]`` (0 by default), the number of
     observations its expert has in its first round: earlier rows stay
@@ -432,22 +381,25 @@ def aim_table(predictors, observed, starts=None) -> tuple[np.ndarray, np.ndarray
 
     * :class:`VarPredictor` reads its forecasts from one
       :func:`var_forecast_table` pass per coordinate group, over all of
-      ``observed``, and repeats the last observation while it warms up;
+      ``observed`` and every run, and repeats the last observation while it
+      warms up;
     * a predictor with an ``aim_rows(observed, ns)`` method
       (:class:`Persistence`, :class:`NoisyOracle`, study 3's
-      :class:`poco.experiments.MarkowitzModelPredictor`) gives the rows
-      after the prefix lengths ``ns`` at once;
-    * any other object is asked once per prefix through :func:`step_aim`;
+      :class:`poco.experiments.MarkowitzModelPredictor`) gives one run's
+      rows after the prefix lengths ``ns`` at once, run by run;
+    * any other object is asked once per run and prefix through
+      :func:`step_aim`;
     * None, standard descent, aims as :class:`Persistence` does.
     """
     obs = np.asarray(observed, dtype=float)
     if obs.ndim == 1:
         obs = obs[:, None]
-    n_obs, width = obs.shape
+    runs = obs if obs.ndim == 3 else obs[None]
+    n_runs, n_obs, width = runs.shape
     starts = [0] * len(predictors) if starts is None else starts
-    aims = np.full((n_obs + 1, len(predictors), width), np.nan)
+    aims = np.full((n_runs, n_obs + 1, len(predictors), width), np.nan)
     aimed = np.zeros((n_obs + 1, len(predictors)), dtype=bool)
-    forecasts = var_forecast_table(predictors, obs)
+    forecasts = var_forecast_table(predictors, runs)
     for col, (predictor, first) in enumerate(zip(predictors, starts)):
         if predictor is None:
             predictor = Persistence()
@@ -456,13 +408,13 @@ def aim_table(predictors, observed, starts=None) -> tuple[np.ndarray, np.ndarray
         if not ns.size:
             continue
         if isinstance(predictor, VarPredictor):
-            aims[ns, col] = _var_rows(predictor, obs, ns, forecasts)
+            aims[:, ns, col] = _var_rows(predictor, runs, ns, forecasts)
         elif hasattr(predictor, "aim_rows"):
-            aims[ns, col] = predictor.aim_rows(obs, ns)
+            aims[:, ns, col] = [predictor.aim_rows(run, ns) for run in runs]
         else:
-            aims[ns, col] = [step_aim(predictor, obs[:n]) for n in ns]
+            aims[:, ns, col] = [[step_aim(predictor, run[:n]) for n in ns] for run in runs]
         aimed[ns, col] = True
-    return aims, aimed
+    return (aims if obs.ndim == 3 else aims[0]), aimed
 
 
 def prediction_regularity(thetas, theta_hats) -> float:

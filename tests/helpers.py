@@ -2,9 +2,10 @@
 
 Everything here recomputes quantities by a route different from the library
 code it checks: brute-force meshes, bisection on optimality conditions,
-central finite differences, plain re-accumulation loops, and the scalar
+central finite differences, plain re-accumulation loops, the scalar
 formulas of objectives, projections and descent steps, one vector at a time,
-that the library's row kernels replaced.
+that the library's row kernels replaced, and the two-pass Yule-Walker fit
+that the library's all-prefix cumulative sums replaced.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 from poco.domains import SIMPLEX_EXACT, EuclideanBall
 from poco.objectives import Markowitz, QuadraticTracking
+from poco.predictors import DEFAULT_RIDGE, PredictorNotReady, VarFit
 
 
 def finite_diff_gradient(fun, x, h=1e-6):
@@ -185,3 +187,53 @@ def scalar_tracking_minimizer(family, cset, theta, tol=1e-12, max_iter=10**6):
             return z_new
         z = z_new
     raise RuntimeError("reference minimizer did not converge")
+
+
+def sample_autocovariances(series, max_lag):
+    """Lag-h autocovariance matrices of a (T, d) series, in two passes.
+
+    Gamma(h) = (1/T) * sum_t (y_{t+h} - ybar)(y_t - ybar)', h = 0..max_lag,
+    using the 1/T normalization that keeps the stacked system positive
+    semidefinite.  Returns (gammas, ybar) with gammas of shape
+    (max_lag + 1, d, d).
+    """
+    y = np.asarray(series, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    t_len = y.shape[0]
+    if t_len <= max_lag:
+        raise ValueError(f"series of length {t_len} too short for lag {max_lag}")
+    ybar = y.mean(axis=0)
+    z = y - ybar
+    gammas = np.stack([z[h:].T @ z[: t_len - h] / t_len for h in range(max_lag + 1)])
+    return gammas, ybar
+
+
+def yule_walker_reference(series, order, ridge=DEFAULT_RIDGE):
+    """VAR(order) fit of one series from :func:`sample_autocovariances`: the
+    ridged block-Toeplitz system, block (i, j) Gamma(i - j)', solved for
+    the stacked Phi_h'."""
+    gammas, ybar = sample_autocovariances(series, order)
+    d = ybar.shape[0]
+    big = np.block([
+        [gammas[i - j].T if i >= j else gammas[j - i] for j in range(order)]
+        for i in range(order)
+    ])
+    big += ridge * np.eye(order * d)
+    rhs = np.concatenate([gammas[h].T for h in range(1, order + 1)])
+    sol = np.linalg.solve(big, rhs)
+    return VarFit(phis=sol.reshape(order, d, d).transpose(0, 2, 1), mean=ybar)
+
+
+def var_predict(fit, series):
+    """One-step-ahead prediction from a fitted VAR and the history tail."""
+    y = np.asarray(series, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    k = fit.order
+    if y.shape[0] < k:
+        raise PredictorNotReady(needed=k, have=y.shape[0])
+    pred = fit.mean.copy()
+    for h in range(1, k + 1):
+        pred = pred + fit.phis[h - 1] @ (y[-h] - fit.mean)
+    return pred

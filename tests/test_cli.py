@@ -15,6 +15,8 @@ from poco.config import (
     resolve_config,
 )
 
+from helpers import yule_walker_reference
+
 
 class TestConfigResolution:
     def test_minimal_config_gets_defaults(self, tmp_path):
@@ -273,6 +275,23 @@ class TestCommands:
         assert main(["fit-ar", "--csv", str(path), "--order", "2"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "phi[1]:" in out and "phi[2]:" in out and "mean:" in out
+
+    def test_fit_ar_output_matches_two_pass_reference(self, tmp_path, capsys):
+        # the printed fit is the one-pass kernel's; it agrees with the
+        # two-pass autocovariance fit to within 1e-12 of the largest entry
+        rng = np.random.default_rng(21)
+        series = 20.0 + rng.normal(size=(80, 2)).cumsum(axis=0)
+        path = tmp_path / "series.csv"
+        path.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in series))
+        assert main(["fit-ar", "--csv", str(path), "--order", "2"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "series: 80 observations, dimension 2"
+        rows = [line.split(": ") for line in lines[1:]]
+        assert [key for key, _ in rows] == ["mean", "phi[1]", "phi[1]", "phi[2]", "phi[2]"]
+        values = np.array([[float(v) for v in text.split(",")] for _, text in rows])
+        want = yule_walker_reference(series, 2)
+        for got, ref in ((values[0], want.mean), (values[1:].reshape(2, 2, 2), want.phis)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = self.fast_cfg(tmp_path)

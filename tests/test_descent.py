@@ -240,6 +240,19 @@ class TestLockstep:
             for field in ("xs", "losses", "theta_hats", "thetas"):
                 assert getattr(run, field).tobytes() == getattr(alone, field).tobytes()
 
+    @pytest.mark.parametrize("indices", [(0,), (0, 1), None])
+    def test_var_stack_equals_single_runs_bit_for_bit(self, indices):
+        # one aim table over the stack: its AR forecasts of d = 1, 2 and 3
+        # coordinates equal each run's own, so the runs do too
+        family, cset, thetas, x1, _ = self._problem("ball", 4)
+        predictor = VarPredictor(order=3, indices=indices)
+        config = DescentConfig(ETA, 1)
+        runs = run_predictive_ogd(family, cset, thetas, config, x1, predictor=predictor)
+        for r, run in enumerate(runs):
+            alone = run_predictive_ogd(family, cset, thetas[r], config, x1, predictor=predictor)
+            for field in ("xs", "losses", "theta_hats"):
+                assert getattr(run, field).tobytes() == getattr(alone, field).tobytes()
+
     def test_non_finite_gradient_names_the_repetition(self):
         family, cset = tracking_setup()
         thetas = np.stack([gen_switching(SwitchingProcessSpec(horizon=5), r) for r in range(3)])

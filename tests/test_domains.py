@@ -46,7 +46,8 @@ class TestEuclideanBall:
 
     def test_nonfinite_rejected(self):
         ball = EuclideanBall(center=np.zeros(2), radius=1.0)
-        with pytest.raises(ValueError, match="finite"):
+        # the row call's one finiteness scan names the cause
+        with pytest.raises(ValueError, match="row 0 must be finite"):
             ball.project([np.nan, 0.0])
 
     def test_bad_radius(self):
@@ -210,6 +211,8 @@ class TestUnitSimplexRenormalize:
         vs = np.array([[0.2, 0.3, 0.5], [0.1, np.nan, 0.2]])
         with pytest.raises(ValueError, match="row 1 must be finite"):
             s.project_rows(vs)
+        with pytest.raises(ValueError, match="row 0 must be finite"):
+            s.project(vs[1])
         with pytest.raises(ValueError, match="rows must be"):
             s.project_rows(np.zeros((2, 4)))
 

@@ -211,23 +211,23 @@ class TestExp3:
 
         passes, fits = [], []
         var_forecasts = experiments.var_forecasts
-        fit_var_orders = predictors.fit_var_orders
+        kernel = predictors._yule_walker
 
         def counting_pass(series, orders, *args, **kwargs):
             passes.append((np.shape(series), sorted(orders)))
             return var_forecasts(series, orders, *args, **kwargs)
 
-        def counting_fit(*args, **kwargs):
-            fits.append(1)
-            return fit_var_orders(*args, **kwargs)
+        def counting_fit(y, orders, ridge, first):
+            fits.append((y.shape, list(orders)))
+            return kernel(y, orders, ridge, first)
 
         monkeypatch.setattr(experiments, "var_forecasts", counting_pass)
-        monkeypatch.setattr(predictors, "fit_var_orders", counting_fit)
+        monkeypatch.setattr(predictors, "_yule_walker", counting_fit)
         run_exp3(exp3_config(14, 2, eval_months=6, lookbacks=[15, 30]), data=market)
         # one pass per repetition, over the 10 observation months and the
         # first 5 evaluation months: every risk level a month observes
         assert passes == [((15,), [1, 2, 3, 4, 5, 6])] * 2
-        assert fits == []
+        assert fits == [((1, 15, 1), [1, 2, 3, 4, 5, 6])] * 2
 
     def test_table_is_built_once_before_the_first_step(self, market, monkeypatch):
         # the hot loop passes (slot, risk) rows: no pool round packs,

@@ -12,16 +12,15 @@ from poco.predictors import (
     PredictorNotReady,
     VarFit,
     VarPredictor,
-    fit_var_orders,
     fit_var_yule_walker,
     prediction_regularity,
-    sample_autocovariances,
     aim_table,
     step_aim,
     var_forecast_table,
     var_forecasts,
-    var_predict,
 )
+
+from helpers import sample_autocovariances, var_predict, yule_walker_reference
 
 
 def autocov_oracle(y, h):
@@ -36,6 +35,8 @@ def autocov_oracle(y, h):
 
 
 class TestAutocovariances:
+    """The two-pass reference the all-prefix fits are checked against."""
+
     def test_matches_reaccumulation(self):
         rng = np.random.default_rng(0)
         y = rng.normal(size=(30, 2)).cumsum(axis=0)
@@ -143,47 +144,55 @@ class TestYuleWalkerFit:
 
 
 class TestFitVarOrders:
+    """Several orders fit in one kernel pass, each as it fits alone."""
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_each_order_equals_its_own_fit(self, dim):
         rng = np.random.default_rng(30 + dim)
         y = rng.normal(size=(40, dim)).cumsum(axis=0)
         if dim == 1:
             y = y[:, 0]
-        fits = fit_var_orders(y, range(1, 7))
-        assert sorted(fits) == [1, 2, 3, 4, 5, 6]
-        for k, fit in fits.items():
-            single = fit_var_yule_walker(y, k)
-            np.testing.assert_allclose(fit.phis, single.phis, rtol=0, atol=0)
-            np.testing.assert_allclose(fit.mean, single.mean, rtol=0, atol=0)
+        table = var_forecasts(y, range(1, 7))
+        assert sorted(table) == [1, 2, 3, 4, 5, 6]
+        for k, rows in table.items():
+            assert rows.tobytes() == var_forecasts(y, [k])[k].tobytes()
+            assert rows[40].tobytes() == VarPredictor(k).predict(y).tobytes()
+            fit, want = fit_var_yule_walker(y, k), yule_walker_reference(y, k)
+            np.testing.assert_allclose(fit.phis, want.phis, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(fit.mean, want.mean, rtol=1e-12)
 
     def test_orders_too_long_for_the_series_are_skipped(self):
         y = np.random.default_rng(33).normal(size=9)
-        fits = fit_var_orders(y, (1, 2, 3, 4, 5, 6))
-        assert sorted(fits) == [1, 2, 3, 4]  # 2k+1 <= 9
-        assert fit_var_orders(y[:2], (1, 2)) == {}
+        table = var_forecasts(y, (1, 2, 3, 4, 5, 6))
+        fitted = [k for k, rows in table.items() if np.isfinite(rows[9]).all()]
+        assert fitted == [1, 2, 3, 4]  # 2k+1 <= 9
+        assert np.isnan(table[5]).all() and np.isnan(table[6]).all()
+        assert all(np.isnan(rows).all() for rows in var_forecasts(y[:2], (1, 2)).values())
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError, match="order"):
-            fit_var_orders(np.zeros(10), (0, 1))
+            var_forecasts(np.zeros(10), (0, 1))
+        with pytest.raises(ValueError, match="order"):
+            fit_var_yule_walker(np.zeros(10), 0)
 
     def test_one_autocovariance_pass_for_all_orders(self, monkeypatch):
         import poco.predictors as predictors
 
         passes = []
-        original = predictors.sample_autocovariances
+        original = predictors._yule_walker
 
-        def counting(series, max_lag):
-            passes.append(max_lag)
-            return original(series, max_lag)
+        def counting(y, orders, ridge, first):
+            passes.append(list(orders))
+            return original(y, orders, ridge, first)
 
-        monkeypatch.setattr(predictors, "sample_autocovariances", counting)
+        monkeypatch.setattr(predictors, "_yule_walker", counting)
         y = np.random.default_rng(34).normal(size=20)
-        fit_var_orders(y, range(1, 7))
-        assert passes == [6]
+        var_forecasts(y, range(1, 7))
+        assert passes == [[1, 2, 3, 4, 5, 6]]
         passes.clear()
         for k in range(1, 7):
             fit_var_yule_walker(y, k)
-        assert passes == [1, 2, 3, 4, 5, 6]
+        assert passes == [[1], [2], [3], [4], [5], [6]]
 
 
 class TestVarPredictor:
@@ -211,6 +220,17 @@ class TestVarPredictor:
         full = VarPredictor(order=1)
         sub = full.predict(hist[:, :2])
         np.testing.assert_allclose(out[:2], sub)
+
+    def test_predict_is_the_full_prefix_of_the_all_prefix_pass(self):
+        # VarPredictor.predict and fit_var_yule_walker read the kernel at the
+        # history's length: the forecast equals the var_forecasts row bit for
+        # bit, and the fit's prediction within rounding
+        rng = np.random.default_rng(14)
+        hist = 50.0 + rng.normal(size=(25, 2)).cumsum(axis=0)
+        got = VarPredictor(order=3).predict(hist)
+        assert got.tobytes() == var_forecasts(hist, [3])[3][25].tobytes()
+        want = var_predict(fit_var_yule_walker(hist, 3), hist)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_predict_depends_only_on_the_history(self):
         # one predictor serves many runs: a forecast never reuses the fit of
@@ -297,11 +317,10 @@ class TestStepAims:
     )
     def test_equals_step_aim_bit_for_bit(self, entries, dim, n_obs, seed):
         # column i holds step_aim(predictor, observed[:n]) from its start row
-        # on, asked in round order, so a noisy oracle draws the same noise
-        # and draws nothing before its expert joins.  A ready VAR expert's
-        # entry is the run's forecast-table row, read per round as before,
-        # bit for bit, and the per-history refit within the forecast
-        # tolerance
+        # on, bit for bit, asked in round order, so a noisy oracle draws the
+        # same noise and draws nothing before its expert joins.  A ready VAR
+        # expert's entry is also the run's forecast-table row, and within
+        # the forecast tolerance of the two-pass reference fit
         specs, starts = zip(*entries)
         hist = np.random.default_rng(seed).normal(size=(n_obs, dim)).cumsum(axis=0)
         aims, aimed = aim_table(_roster(specs, dim, np.random.default_rng(seed)), hist, starts)
@@ -315,16 +334,17 @@ class TestStepAims:
                 if want is None:
                     assert np.isnan(aims[n, i]).all()
                     continue
+                assert aims[n, i].tobytes() == np.asarray(want, dtype=float).tobytes()
                 if isinstance(twin, VarPredictor) and twin.ready(n):
                     cols = slice(None) if twin.indices is None else list(twin.indices)
                     read = hist[n - 1].copy()
                     read[cols] = forecasts[twin.indices][twin.order][n]
                     assert aims[n, i].tobytes() == read.tobytes()
                     if _well_posed(n, twin.order, read[cols].size):
+                        sub = hist[:n, cols]
+                        ref = var_predict(yule_walker_reference(sub, twin.order), sub)
                         scale = np.abs(hist[:n]).max()
-                        assert np.abs(aims[n, i] - want).max() <= FORECAST_RTOL * scale
-                    continue
-                assert aims[n, i].tobytes() == np.asarray(want, dtype=float).tobytes()
+                        assert np.abs(aims[n, i, cols] - ref).max() <= FORECAST_RTOL * scale
 
     def test_empty_history(self):
         # only the oracle, which looks its value up, has an aim
@@ -340,15 +360,20 @@ class TestStepAims:
         # order the subset's experts hold; nothing refits per prefix
         import poco.predictors as predictors
 
-        calls = []
+        calls, passes = [], []
         original = predictors.var_forecasts
+        kernel = predictors._yule_walker
 
         def counting(series, orders, *args, **kwargs):
-            calls.append((np.shape(series)[1], sorted(orders)))
+            calls.append((np.shape(series)[-1], sorted(orders)))
             return original(series, orders, *args, **kwargs)
 
+        def counting_pass(y, orders, ridge, first):
+            passes.append((y.shape[-1], list(orders)))
+            return kernel(y, orders, ridge, first)
+
         monkeypatch.setattr(predictors, "var_forecasts", counting)
-        monkeypatch.setattr(predictors, "fit_var_orders", None)
+        monkeypatch.setattr(predictors, "_yule_walker", counting_pass)
         roster = [
             VarPredictor(1), VarPredictor(3, indices=[0]), VarPredictor(2),
             VarPredictor(6), Persistence(), VarPredictor(2, indices=[0]),
@@ -356,6 +381,8 @@ class TestStepAims:
         hist = np.random.default_rng(35).normal(size=(9, 2)).cumsum(axis=0)
         aims, aimed = aim_table(roster, hist)
         assert sorted(calls) == [(1, [2, 3]), (2, [1, 2, 6])]
+        # VAR(6) is not ready within 9 rows, so its group fits orders 1 and 2
+        assert sorted(passes) == [(1, [2, 3]), (2, [1, 2])]
         # VAR(6) needs 13 rows and aims at the last observation throughout
         assert aimed[1:].all() and not aimed[0].any()
         np.testing.assert_array_equal(aims[1:, 3], hist)
@@ -399,7 +426,7 @@ class TestVarForecasts:
             for n in range(2 * k + 1, length + 1):
                 if not _well_posed(n, k, dim):
                     continue
-                want = var_predict(fit_var_yule_walker(y[:n], k, ridge), y[:n])
+                want = var_predict(yule_walker_reference(y[:n], k, ridge), y[:n])
                 scale = np.abs(y[:n]).max()
                 assert np.abs(got[k][n] - want).max() <= FORECAST_RTOL * scale
 
@@ -411,7 +438,7 @@ class TestVarForecasts:
     )
     def test_table_matches_var_predictor(self, specs, length, seed):
         # every VAR expert's table row is its VarPredictor.predict forecast
-        # on that prefix, over its coordinate subset
+        # on that prefix, over its coordinate subset, bit for bit
         rng = np.random.default_rng(seed)
         predictors = _roster(specs, 3, rng)
         hist = rng.normal(size=(length, 3)).cumsum(axis=0)
@@ -421,11 +448,8 @@ class TestVarForecasts:
                 continue
             cols = slice(None) if p.indices is None else list(p.indices)
             for n in range(p.min_history, length + 1):
-                if not _well_posed(n, p.order, hist[:, cols].shape[1]):
-                    continue
                 want = p.predict(hist[:n])[cols]
-                got = table[p.indices][p.order][n]
-                assert np.abs(got - want).max() <= FORECAST_RTOL * np.abs(hist[:n]).max()
+                assert table[p.indices][p.order][n].tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -445,12 +469,50 @@ class TestVarForecasts:
         for k in range(1, 7):
             assert np.array_equal(a[k][: n + 1], b[k][: n + 1], equal_nan=True)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        n_runs=st.integers(1, 5),
+        length=st.integers(1, 30),
+        cut=st.integers(0, 30),
+        specs=st.lists(st.tuples(_EXPERT, st.integers(0, 22)), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_rows_equal_single_series(self, dim, n_runs, length, cut, specs, seed):
+        # row r of a stacked var_forecasts and aim_table equals the call on
+        # series r alone, and the rows of a prefix equal the call on the
+        # prefix, bit for bit; each noisy oracle draws its runs in order
+        rng = np.random.default_rng(seed)
+        stack = 50.0 + rng.normal(size=(n_runs, length, dim)).cumsum(axis=1)
+        table = var_forecasts(stack, range(1, 7))
+        n = min(cut, length)
+        for r in range(n_runs):
+            alone = var_forecasts(stack[r], range(1, 7))
+            short = var_forecasts(stack[r, :n], range(1, 7))
+            for k in range(1, 7):
+                assert table[k][r].tobytes() == alone[k].tobytes()
+                assert table[k][r, : n + 1].tobytes() == short[k].tobytes()
+        experts, starts = zip(*specs)
+        # a VAR expert models the coordinates the series has
+        experts = [
+            (e[0], e[1], None, e[3]) if e[0] == "var" and e[2] and max(e[2]) >= dim else e
+            for e in experts
+        ]
+        aims, aimed = aim_table(_roster(experts, dim, np.random.default_rng(seed)), stack, starts)
+        assert aims.shape == (n_runs, length + 1, len(experts), dim)
+        twins = _roster(experts, dim, np.random.default_rng(seed))
+        for r in range(n_runs):
+            want, want_aimed = aim_table(twins, stack[r], starts)
+            assert aims[r].tobytes() == want.tobytes()
+            assert np.array_equal(aimed, want_aimed)
+
     def test_one_dimensional_series(self):
         y = np.random.default_rng(37).normal(size=20).cumsum()
         got = var_forecasts(y, [2])[2]
         assert got.shape == (21, 1)
-        want = var_predict(fit_var_yule_walker(y, 2), y)
+        want = var_predict(yule_walker_reference(y, 2), y)
         assert np.abs(got[20] - want).max() <= FORECAST_RTOL * np.abs(y).max()
+        assert got[20].tobytes() == VarPredictor(2).predict(y).tobytes()
 
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError, match="order must be >= 1"):

@@ -402,16 +402,16 @@ class TestBatchedStep:
 
 class TestSharedFit:
     def test_run_exp2_fits_once_per_run(self, tmp_path, monkeypatch):
-        # each pool run makes one var_forecasts pass for its AR experts, all
-        # modelling the same coordinates, before its loop; no pool round
-        # fits or calls VarPredictor.predict
+        # each pool run makes one var_forecasts pass, one kernel pass, for
+        # its AR experts, all modelling the same coordinates, before its
+        # loop; no pool round fits or calls VarPredictor.predict
         import poco.experiments as experiments
         import poco.predictors as predictors
         from poco.cli import EXIT_OK, main
 
         passes, fits, predicts, in_step, runs = [], [], [], [], []
         var_forecasts = predictors.var_forecasts
-        fit_var_orders = predictors.fit_var_orders
+        kernel = predictors._yule_walker
         predict = predictors.VarPredictor.predict
         step = ExpertPool.step
         run = experiments.run_smad
@@ -420,9 +420,9 @@ class TestSharedFit:
             passes.append(sorted(orders))
             return var_forecasts(series, orders, *args, **kwargs)
 
-        def counting_fit(*args, **kwargs):
-            fits.append(1)
-            return fit_var_orders(*args, **kwargs)
+        def counting_fit(y, orders, ridge, first):
+            fits.append(list(orders))
+            return kernel(y, orders, ridge, first)
 
         def counting_predict(self, history):
             predicts.append(1)
@@ -441,7 +441,7 @@ class TestSharedFit:
             return out
 
         monkeypatch.setattr(predictors, "var_forecasts", counting_pass)
-        monkeypatch.setattr(predictors, "fit_var_orders", counting_fit)
+        monkeypatch.setattr(predictors, "_yule_walker", counting_fit)
         monkeypatch.setattr(predictors.VarPredictor, "predict", counting_predict)
         monkeypatch.setattr(ExpertPool, "step", counting_step)
         monkeypatch.setattr(experiments, "run_smad", counting_run)
@@ -449,7 +449,7 @@ class TestSharedFit:
         assert main(argv) == EXIT_OK
         assert runs == [1, 1]
         assert passes == [[1, 2, 3, 4, 5]] * 2
-        assert fits == [] and predicts == []
+        assert fits == [[1, 2, 3, 4, 5]] * 2 and predicts == []
         assert in_step and not any(in_step)
 
 

@@ -20,7 +20,6 @@ from poco.objectives import QuadraticTracking
 from poco.predictors import (
     VarPredictor,
     aim_table,
-    fit_var_orders,
     fit_var_yule_walker,
     var_forecast_table,
     var_forecasts,
@@ -40,9 +39,10 @@ def _series(bad, row=7, col=0, dim=2):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 class TestNonFiniteSeries:
-    def test_fit_var_orders(self, bad):
+    def test_stacked_var_forecasts(self, bad):
+        # one bad series stops the pass over the whole stack
         with pytest.raises(ValueError, match=NON_FINITE):
-            fit_var_orders(_series(bad), (1, 2, 3))
+            var_forecasts(np.stack([_series(1.0), _series(bad)]), (1, 2, 3))
 
     def test_fit_var_yule_walker(self, bad):
         with pytest.raises(ValueError, match=NON_FINITE):
@@ -57,7 +57,9 @@ class TestNonFiniteSeries:
         assert np.isfinite(pred[1])
 
     def test_no_order_ready_means_no_check(self, bad):
-        assert fit_var_orders(_series(bad)[:4], (2, 3)) == {}
+        table = var_forecasts(_series(bad)[:4], (2, 3))
+        assert sorted(table) == [2, 3]
+        assert all(np.isnan(rows).all() for rows in table.values())
 
     def test_var_forecasts(self, bad):
         with pytest.raises(ValueError, match=NON_FINITE):
@@ -121,7 +123,7 @@ def _pool_run(thetas):
 
 def test_overflowing_autocovariances_are_rejected():
     with pytest.raises(ValueError, match=NON_FINITE):
-        fit_var_orders(_series(1.0) * 1e160, (1, 2))
+        var_forecasts(_series(1.0) * 1e160, (1, 2))
 
 
 @pytest.mark.parametrize("ridge", [np.nan, np.inf])
@@ -146,7 +148,7 @@ def test_constant_series_without_ridge_is_singular():
     with pytest.raises(ValueError, match="singular even with ridge"):
         fit_var_yule_walker(np.full((20, 2), 3.0), 2, ridge=0.0)
     with pytest.raises(ValueError, match="singular even with ridge"):
-        fit_var_orders(np.full((20, 2), 3.0), (1, 2, 3), ridge=0.0)
+        var_forecasts(np.full((2, 20, 2), 3.0), (1, 2, 3), ridge=0.0)
     with pytest.raises(ValueError, match="singular even with ridge"):
         var_forecasts(np.full((20, 2), 3.0), (1, 2, 3), ridge=0.0)
 
