@@ -14,8 +14,8 @@ iterates, so a run reads every aim from one
 :func:`poco.predictors.aim_table` built before its loop: an AR predictor
 fits all prefixes of the observed sequence in one pass instead of refitting
 every round.  A stack of R parameter sequences advances in lockstep, its
-runs as rows: one aim table call covers all R runs, with one AR pass over
-the stack, each inner step is one :func:`ogd_step_rows` call and each
+runs as rows: one aim table call covers all R runs, with one AR pass per
+block of runs of the stack, each inner step is one :func:`ogd_step_rows` call and each
 round charges the R losses with one ``value_rows`` call.  The row kernels
 compute a row the same way whatever the row count, so run r of a stack
 equals the run of its sequence alone bit for bit.
@@ -65,9 +65,8 @@ def ogd_step_rows(
     z = xs
     for _ in range(inner_steps):
         g = family.gradient_x_rows(z, aims)
-        finite = np.isfinite(g).all(axis=1)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite)[0])
+        if not np.isfinite(g).all():
+            bad = int(np.flatnonzero(~np.isfinite(g).all(axis=1))[0])
             raise FloatingPointError(
                 f"non-finite gradient for {owner} {ids[bad]} at x={z[bad]!r}; "
                 "the iterate left the region where the objective is well behaved"

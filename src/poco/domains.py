@@ -102,7 +102,7 @@ class EuclideanBall:
         """Project each row of ``vs``; a non-finite row raises ValueError."""
         vs = _check_rows(vs, self.dim)
         d = vs - self.center
-        norms = np.sqrt(np.sum(d * d, axis=1))
+        norms = np.sqrt((d * d).sum(axis=1))
         # scale 1 inside the ball, radius / norm outside
         return self.center + d * (self.radius / np.maximum(norms, self.radius))[:, None]
 

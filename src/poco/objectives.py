@@ -142,7 +142,7 @@ class QuadraticTracking(_OneRowFront):
 
     def value_rows(self, xs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         d = xs - thetas[:, : self.n]
-        return np.sum(d * d * self.weights, axis=1) + thetas[:, self.n]
+        return (d * d * self.weights).sum(axis=1) + thetas[:, self.n]
 
     def gradient_x_rows(self, xs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         return 2.0 * self.weights * (xs - thetas[:, : self.n])

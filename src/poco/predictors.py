@@ -35,6 +35,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 DEFAULT_RIDGE = 1e-8
+# runs per Yule-Walker pass over a stack: bounds the (runs, prefixes, kd, kd)
+# systems held at once
+RUN_BLOCK = 8
 
 
 class PredictorNotReady(RuntimeError):
@@ -157,10 +160,11 @@ def var_forecasts(
     An (R, T, d) stack of series gives {k: (R, T+1, d)}, whose row r
     equals the call on series r alone.
 
-    All prefixes come from one :func:`_yule_walker` pass, whose prefix n
-    gives ``fit_var_yule_walker(series[:n], k)`` and the forecast row n,
-    which equals ``VarPredictor(k).predict(series[:n])`` bit for bit.  When
-    some order is fitted, a NaN or inf in the series raises ``ValueError``.
+    All prefixes come from one :func:`_yule_walker` pass per block of
+    ``RUN_BLOCK`` series, whose prefix n gives
+    ``fit_var_yule_walker(series[:n], k)`` and the forecast row n, which
+    equals ``VarPredictor(k).predict(series[:n])`` bit for bit.  When some
+    order is fitted, a NaN or inf in the series raises ``ValueError``.
     """
     orders = sorted({int(k) for k in orders})
     if orders and orders[0] < 1:
@@ -172,9 +176,10 @@ def var_forecasts(
     t_len = runs.shape[1]
     out = {k: np.full((runs.shape[0], t_len + 1, runs.shape[2]), np.nan) for k in orders}
     ready = [k for k in orders if t_len >= 2 * k + 1]
-    if ready:
-        for k, (_, _, forecasts) in _yule_walker(runs, ready, ridge, 2 * ready[0] + 1).items():
-            out[k][:, 2 * k + 1 :] = forecasts
+    for lo in range(0, runs.shape[0] if ready else 0, RUN_BLOCK):
+        block = _yule_walker(runs[lo : lo + RUN_BLOCK], ready, ridge, 2 * ready[0] + 1)
+        for k, (_, _, forecasts) in block.items():
+            out[k][lo : lo + RUN_BLOCK, 2 * k + 1 :] = forecasts
     return out if y.ndim == 3 else {k: rows[0] for k, rows in out.items()}
 
 

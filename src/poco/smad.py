@@ -18,10 +18,13 @@ one pass (the AR experts that model the same coordinates share one
 Yule-Walker pass), and no round asks a predictor.  Each round reads its
 row of aims, every expert descends toward its own aim in one row-wise
 update (:func:`poco.descent.ogd_step_rows`, the update descent runs use
-too), and one ``value_rows`` call charges the losses.  The row kernels
-compute each row the same way whatever the row count, so the result equals
-running ``ogd_step`` once per expert bit for bit.  The aggregate plays of
-all rounds are charged by one ``value_rows`` call after the loop.
+too), and one ``value_rows`` call charges the expert moves and the
+aggregate play together.  The row kernels compute each row the same way
+whatever the row count, so the result equals running ``ogd_step`` once per
+expert bit for bit.  A round thus only descends, aggregates, charges and
+reweights: it reads no predictor and keeps no aim state.  What a regret
+ledger needs of the aims, each expert's prediction regularity and the
+range of every aim, is read off the run's aim table once, after the loop.
 
 Weights are kept in log space; every exposed distribution is normalized.
 """
@@ -54,10 +57,12 @@ class ExpertPool:
 
     Experts join through :meth:`activate`; their state is kept as arrays
     with one row per expert, in activation order: iterates ``xs`` (N, n),
-    ``played`` (N,; False until the expert's first round), prediction
-    regularity ``p_theta`` (N,) and activation rounds ``activated_at``.
-    After each :meth:`step`, ``xs`` holds every expert's move of that round
-    and ``last_losses`` (N,) its loss against the realized parameter.
+    log-weights ``log_p`` (N,) and activation rounds ``activated_at``.
+    After each :meth:`step`, ``xs`` holds every expert's move of that round,
+    ``last_losses`` (N,) its loss against the realized parameter and
+    ``last_play_loss`` the aggregate play's.  The pool keeps no aim state:
+    :func:`run_smad` reads the prediction regularity and the aim range off
+    the run's aim table.
     """
 
     def __init__(
@@ -78,16 +83,9 @@ class ExpertPool:
         self.predictors: list = []
         self.activated_at: list[int] = []
         self.xs: Optional[np.ndarray] = None
-        self.played = np.zeros(0, dtype=bool)
-        # running sum of ||theta_t - aim_t|| from each expert's second round
-        self.p_theta = np.zeros(0)
         self.log_p = np.zeros(0)
         self.last_losses: Optional[np.ndarray] = None
-        # componentwise range of every parameter an expert descended toward;
-        # bound checks need constants valid at the predictions, not just the
-        # observations
-        self.aim_lo: Optional[np.ndarray] = None
-        self.aim_hi: Optional[np.ndarray] = None
+        self.last_play_loss = math.nan
 
     @property
     def n_active(self) -> int:
@@ -120,11 +118,10 @@ class ExpertPool:
                 self.log_p -= _logsumexp(self.log_p)
         self.predictors += predictors
         self.activated_at += [t] * len(predictors)
-        self.played = np.append(self.played, np.zeros(len(predictors), dtype=bool))
-        self.p_theta = np.append(self.p_theta, np.zeros(len(predictors)))
 
     def step(self, family, cset: ConstraintSet, theta_t, aims, aimed) -> np.ndarray:
-        """One round: expert descent steps, aggregation, Gibbs reweighting.
+        """One round: expert descent steps, aggregation, charging, Gibbs
+        reweighting.
 
         ``theta_t`` is the parameter revealed this round.  ``aims`` (N, m)
         and ``aimed`` (N,) are the round's row of the run's
@@ -135,55 +132,76 @@ class ExpertPool:
         holds still.  No predictor is asked here.  Every expert that has
         an aim takes its ``inner_steps`` projected gradient updates
         together (:func:`poco.descent.ogd_step_rows`).  The aggregate plays
-        the projected weighted mean of the expert moves, and the realized
-        losses, from one ``family.value_rows`` call against theta_t, tilt
-        the weights once.
+        the projected weighted mean of the expert moves; one
+        ``family.value_rows`` call charges the moves and the aggregate play
+        against theta_t, and the expert losses tilt the weights once.
         """
         if self.n_active == 0:
             raise RuntimeError("cannot step an empty expert pool")
         theta_t = np.asarray(theta_t, dtype=float)
-        moves = self.xs.copy()
-        if aimed.any():
-            rows = np.flatnonzero(aimed)
-            active_aims = aims[rows]
-            moves[rows] = ogd_step_rows(
-                family, cset, moves[rows], active_aims, self.eta, self.inner_steps,
-                "expert", rows,
+        if aimed.all():
+            moves = ogd_step_rows(
+                family, cset, self.xs, aims, self.eta, self.inner_steps,
+                "expert", range(self.n_active),
             )
-            # scored from the expert's second active round on; the first
-            # round's error is absorbed by the starting-gap term
-            scored = aimed & self.played
-            self.p_theta[scored] += np.linalg.norm(theta_t - aims[scored], axis=1)
-            lo, hi = active_aims.min(axis=0), active_aims.max(axis=0)
-            if self.aim_lo is None:
-                self.aim_lo, self.aim_hi = lo, hi
-            else:
-                np.minimum(self.aim_lo, lo, out=self.aim_lo)
-                np.maximum(self.aim_hi, hi, out=self.aim_hi)
+        else:
+            moves = self.xs.copy()
+            if aimed.any():
+                rows = np.flatnonzero(aimed)
+                moves[rows] = ogd_step_rows(
+                    family, cset, moves[rows], aims[rows], self.eta, self.inner_steps,
+                    "expert", rows,
+                )
 
-        x_t = cset.project(self.distribution() @ moves)
-        losses = family.value_rows(moves, theta_t[None, :])
+        x_t = cset.project_rows((self.distribution() @ moves)[None])
+        values = family.value_rows(np.concatenate([moves, x_t]), theta_t[None, :])
+        losses = values[:-1]
 
-        self.played[:] = True
         self.xs = moves
-
         log_w = self.log_p - self.gamma * losses
         norm = _logsumexp(log_w)
-        if not np.isfinite(norm):
+        if not math.isfinite(norm):
             raise ArithmeticError(
                 "all expert weights vanished during the Gibbs update; "
                 f"gamma={self.gamma} is too large for these loss magnitudes"
             )
         self.log_p = log_w - norm
-        self.last_losses = losses
-        return x_t
+        self.last_losses, self.last_play_loss = losses, values[-1]
+        return x_t[0]
 
 
 def _logsumexp(v: np.ndarray) -> float:
-    hi = np.max(v)
-    if not np.isfinite(hi):
+    hi = v.max()
+    if not math.isfinite(hi):
         return float(hi)
-    return float(hi + np.log(np.sum(np.exp(v - hi))))
+    return float(hi + np.log(np.exp(v - hi).sum()))
+
+
+def _aim_record(thetas, aims, aimed, activation_times):
+    """Each joined expert's prediction regularity (NaN for roster entries
+    that never joined) and the componentwise range of every aim, from a
+    run's (T, N, m) aim rows and (T, N) mask, one row per round.
+
+    An expert is scored in every round after its activation round in which
+    it aims; its first round's error is absorbed by the starting-gap term.
+    The errors add up in round order, as a running sum would.  The range
+    covers every aimed entry: an expert's column is aimed only from its
+    activation round on.  It is (None, None) when no expert ever aimed.
+    """
+    horizon, n_total = aimed.shape
+    joined = len(activation_times)
+    scored = aimed[:, :joined] & (
+        np.arange(1, horizon + 1)[:, None] > np.asarray(activation_times, dtype=int)
+    )
+    errors = np.zeros((horizon, joined))
+    rounds = np.nonzero(scored)[0]
+    errors[scored] = np.linalg.norm(thetas[rounds] - aims[:, :joined][scored], axis=1)
+    p_theta = np.full(n_total, np.nan)
+    p_theta[:joined] = np.cumsum(errors, axis=0)[-1]
+    if not aimed.any():
+        return p_theta, None, None
+    hit = aims[aimed]
+    return p_theta, hit.min(axis=0), hit.max(axis=0)
 
 
 @dataclass
@@ -192,8 +210,12 @@ class SmadTrajectory:
 
     Expert arrays are padded with NaN before activation.  ``p`` holds the
     post-update distribution of each round, aligned to the full roster.
-    ``aim_lo``/``aim_hi`` copy the pool's aim range (None when no expert
-    ever aimed), ``p_theta`` is the best expert's prediction regularity and
+    ``p_theta_by_expert`` and the aim range ``aim_lo``/``aim_hi`` (None
+    when no expert ever aimed) are read off the run's aim table once, after
+    the loop, as a descent ``Trajectory`` reads them off its
+    ``theta_hats``: an expert is scored in every round after its activation
+    round in which it aims, and the range covers every aim.  ``p_theta`` is
+    the best expert's prediction regularity and
     ``eta``/``inner_steps``/``gamma`` are the pool's; a regret ledger reads
     them as it reads a descent ``Trajectory``.  ``bound_skipped_reason`` is
     None for a day-one pool, which the fixed-pool bound covers, and says
@@ -277,7 +299,8 @@ def run_smad(
     :func:`poco.predictors.aim_table` over the record, built before the
     loop, whose column for an expert joining in round t starts at the
     record length that round observes; round t passes the table's row for
-    that length to :meth:`ExpertPool.step`.
+    that length to :meth:`ExpertPool.step`.  The same table gives the
+    trajectory's prediction regularities and aim range after the loop.
     """
     if pool.n_active:
         raise ValueError(
@@ -314,9 +337,10 @@ def run_smad(
     n_total = len(pending)
     n = x.shape[0]
     xs = np.empty((horizon, n))
+    losses = np.empty(horizon)
     expert_xs = np.full((horizon, n_total, n), np.nan)
     expert_losses = np.full((horizon, n_total), np.nan)
-    p_hist = np.full((horizon, n_total), np.nan)
+    log_p = np.full((horizon, n_total), np.nan)
 
     first = pending[0][0] if pending else horizon + 1
     n_plain = min(max(first - 1, 0), horizon)
@@ -325,7 +349,7 @@ def run_smad(
             family, cset, thetas[:n_plain],
             DescentConfig(pool.eta, pool.inner_steps), x,
         )
-        xs[:n_plain] = plain.xs
+        xs[:n_plain], losses[:n_plain] = plain.xs, plain.losses
 
     for t in range(n_plain + 1, horizon + 1):
         i = t - 1
@@ -334,28 +358,29 @@ def run_smad(
             due.append(pending.pop(0)[1])
         if due:
             pool.activate(due, x_init=xs[i - 1] if i else x, t=t)
-        theta_t = thetas[i]
         m_act = pool.n_active
         row = seed_len + i
-        xs[i] = pool.step(family, cset, theta_t, aims[row, :m_act], aimed[row, :m_act])
+        xs[i] = pool.step(family, cset, thetas[i], aims[row, :m_act], aimed[row, :m_act])
+        losses[i] = pool.last_play_loss
         expert_xs[i, :m_act] = pool.xs
         expert_losses[i, :m_act] = pool.last_losses
-        p_hist[i, :m_act] = pool.distribution()
+        log_p[i, :m_act] = pool.log_p
 
-    p_theta = np.full(n_total, np.nan)
-    p_theta[: pool.n_active] = pool.p_theta
-
+    # table rows seed_len.. are the aims of rounds 1..T
+    p_theta, aim_lo, aim_hi = _aim_record(
+        thetas, aims[seed_len:], aimed[seed_len:], pool.activated_at
+    )
     return SmadTrajectory(
         xs=xs,
         thetas=thetas,
-        losses=family.value_rows(xs, thetas),
+        losses=losses,
         expert_xs=expert_xs,
         expert_losses=expert_losses,
-        p=p_hist,
+        p=np.exp(log_p),
         activation_times=tuple(pool.activated_at),
         p_theta_by_expert=p_theta,
-        aim_lo=None if pool.aim_lo is None else pool.aim_lo.copy(),
-        aim_hi=None if pool.aim_hi is None else pool.aim_hi.copy(),
+        aim_lo=aim_lo,
+        aim_hi=aim_hi,
         eta=pool.eta,
         inner_steps=pool.inner_steps,
         gamma=pool.gamma,

@@ -4,17 +4,23 @@ Everything here recomputes quantities by a route different from the library
 code it checks: brute-force meshes, bisection on optimality conditions,
 central finite differences, plain re-accumulation loops, the scalar
 formulas of objectives, projections and descent steps, one vector at a time,
-that the library's row kernels replaced, and the two-pass Yule-Walker fit
-that the library's all-prefix cumulative sums replaced.
+that the library's row kernels replaced, the two-pass Yule-Walker fit
+that the library's all-prefix cumulative sums replaced, and the expert-pool
+round that kept its prediction regularity and aim range round by round,
+which the library now reads off a run's aim table after the loop.
 """
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 
+from poco.descent import DescentConfig, ogd_step_rows, run_predictive_ogd
 from poco.domains import SIMPLEX_EXACT, EuclideanBall
 from poco.objectives import Markowitz, QuadraticTracking
-from poco.predictors import DEFAULT_RIDGE, PredictorNotReady, VarFit
+from poco.predictors import DEFAULT_RIDGE, PredictorNotReady, VarFit, aim_table
 
 
 def finite_diff_gradient(fun, x, h=1e-6):
@@ -237,3 +243,116 @@ def var_predict(fit, series):
     for h in range(1, k + 1):
         pred = pred + fit.phis[h - 1] @ (y[-h] - fit.mean)
     return pred
+
+
+def _reference_logsumexp(v):
+    hi = np.max(v)
+    if not np.isfinite(hi):
+        return float(hi)
+    return float(hi + np.log(np.sum(np.exp(v - hi))))
+
+
+def reference_pool_step(pool, family, cset, theta_t, aims, aimed):
+    """One expert-pool round that also keeps the aim bookkeeping round by
+    round: ``pool`` holds ``xs``, ``log_p``, ``played`` (False until an
+    expert's first round), the running prediction regularity ``p_theta``
+    (scored from an expert's second round on) and the aim range
+    ``aim_lo``/``aim_hi`` (None until some expert aims).  Updates ``pool``
+    and returns the aggregate play; the expert losses go to
+    ``pool.last_losses``."""
+    theta_t = np.asarray(theta_t, dtype=float)
+    moves = pool.xs.copy()
+    if aimed.any():
+        rows = np.flatnonzero(aimed)
+        active_aims = aims[rows]
+        moves[rows] = ogd_step_rows(
+            family, cset, moves[rows], active_aims, pool.eta, pool.inner_steps,
+            "expert", rows,
+        )
+        scored = aimed & pool.played
+        pool.p_theta[scored] += np.linalg.norm(theta_t - aims[scored], axis=1)
+        lo, hi = active_aims.min(axis=0), active_aims.max(axis=0)
+        if pool.aim_lo is None:
+            pool.aim_lo, pool.aim_hi = lo, hi
+        else:
+            np.minimum(pool.aim_lo, lo, out=pool.aim_lo)
+            np.maximum(pool.aim_hi, hi, out=pool.aim_hi)
+
+    x_t = cset.project(np.exp(pool.log_p) @ moves)
+    losses = family.value_rows(moves, theta_t[None, :])
+    pool.played[:] = True
+    pool.xs = moves
+    log_w = pool.log_p - pool.gamma * losses
+    norm = _reference_logsumexp(log_w)
+    if not np.isfinite(norm):
+        raise ArithmeticError("all expert weights vanished during the Gibbs update")
+    pool.log_p = log_w - norm
+    pool.last_losses = losses
+    return x_t
+
+
+def reference_smad(family, cset, thetas, beta, gamma, eta, inner_steps, x1, roster,
+                   initial_history=None):
+    """An expert-pool run over :func:`reference_pool_step`: the same roster
+    admission, aim table and plain-descent lead-in as ``run_smad``, the
+    distribution copied every round and the aggregate plays charged after
+    the loop.  Returns the trajectory's arrays by field name."""
+    thetas = np.asarray(thetas, dtype=float)
+    horizon, width = thetas.shape
+    x = np.asarray(x1, dtype=float)
+    seed = np.empty((0, width)) if initial_history is None else np.asarray(initial_history, float)
+    record = np.concatenate([seed, thetas[:-1]])
+    pending = sorted(roster, key=lambda pair: pair[0])
+    aims, aimed = aim_table(
+        [predictor for _, predictor in pending], record,
+        starts=[len(seed) + max(when, 1) - 1 for when, _ in pending],
+    )
+    n_total, n = len(pending), x.shape[0]
+    pool = SimpleNamespace(
+        xs=np.zeros((0, n)), log_p=np.zeros(0), played=np.zeros(0, dtype=bool),
+        p_theta=np.zeros(0), aim_lo=None, aim_hi=None,
+        eta=eta, inner_steps=inner_steps, gamma=gamma,
+    )
+    xs = np.empty((horizon, n))
+    expert_xs = np.full((horizon, n_total, n), np.nan)
+    expert_losses = np.full((horizon, n_total), np.nan)
+    p = np.full((horizon, n_total), np.nan)
+    first = pending[0][0] if pending else horizon + 1
+    n_plain = min(max(first - 1, 0), horizon)
+    if n_plain:
+        plain = run_predictive_ogd(
+            family, cset, thetas[:n_plain], DescentConfig(eta, inner_steps), x
+        )
+        xs[:n_plain] = plain.xs
+    for i in range(n_plain, horizon):
+        due = []
+        while pending and pending[0][0] <= i + 1:
+            due.append(pending.pop(0))
+        if due:
+            # entrants into an empty pool share its mass; each later one
+            # scales the incumbents by 1 - beta and takes beta
+            if len(pool.log_p) == 0:
+                pool.log_p = np.full(len(due), -math.log(len(due)))
+            else:
+                for _ in due:
+                    pool.log_p = np.append(pool.log_p + math.log1p(-beta), math.log(beta))
+                    pool.log_p -= _reference_logsumexp(pool.log_p)
+            start = xs[i - 1] if i else x
+            pool.xs = np.vstack([pool.xs, np.tile(start, (len(due), 1))])
+            pool.played = np.append(pool.played, np.zeros(len(due), dtype=bool))
+            pool.p_theta = np.append(pool.p_theta, np.zeros(len(due)))
+        m_act = len(pool.xs)
+        row = len(seed) + i
+        xs[i] = reference_pool_step(
+            pool, family, cset, thetas[i], aims[row, :m_act], aimed[row, :m_act]
+        )
+        expert_xs[i, :m_act] = pool.xs
+        expert_losses[i, :m_act] = pool.last_losses
+        p[i, :m_act] = np.exp(pool.log_p)
+    p_theta = np.full(n_total, np.nan)
+    p_theta[: len(pool.p_theta)] = pool.p_theta
+    return dict(
+        xs=xs, losses=family.value_rows(xs, thetas), expert_xs=expert_xs,
+        expert_losses=expert_losses, p=p, p_theta_by_expert=p_theta,
+        aim_lo=pool.aim_lo, aim_hi=pool.aim_hi,
+    )

@@ -9,6 +9,7 @@ from poco.predictors import (
     DEFAULT_RIDGE,
     NoisyOracle,
     Persistence,
+    RUN_BLOCK,
     PredictorNotReady,
     VarFit,
     VarPredictor,
@@ -472,7 +473,8 @@ class TestVarForecasts:
     @settings(max_examples=60, deadline=None)
     @given(
         dim=st.integers(1, 3),
-        n_runs=st.integers(1, 5),
+        # up to two full blocks of runs and one more: every block boundary
+        n_runs=st.one_of(st.integers(1, 5), st.sampled_from([RUN_BLOCK + 1, 2 * RUN_BLOCK + 1])),
         length=st.integers(1, 30),
         cut=st.integers(0, 30),
         specs=st.lists(st.tuples(_EXPERT, st.integers(0, 22)), min_size=1, max_size=6),
@@ -481,7 +483,8 @@ class TestVarForecasts:
     def test_stack_rows_equal_single_series(self, dim, n_runs, length, cut, specs, seed):
         # row r of a stacked var_forecasts and aim_table equals the call on
         # series r alone, and the rows of a prefix equal the call on the
-        # prefix, bit for bit; each noisy oracle draws its runs in order
+        # prefix, bit for bit, whichever block of runs r falls in; each
+        # noisy oracle draws its runs in order
         rng = np.random.default_rng(seed)
         stack = 50.0 + rng.normal(size=(n_runs, length, dim)).cumsum(axis=1)
         table = var_forecasts(stack, range(1, 7))
@@ -505,6 +508,23 @@ class TestVarForecasts:
             want, want_aimed = aim_table(twins, stack[r], starts)
             assert aims[r].tobytes() == want.tobytes()
             assert np.array_equal(aimed, want_aimed)
+
+    def test_stack_passes_hold_one_block_of_runs(self, monkeypatch):
+        # a stack is fitted in passes over at most RUN_BLOCK runs, in order,
+        # so the systems held at once do not grow with the stack
+        import poco.predictors as predictors
+
+        blocks = []
+        kernel = predictors._yule_walker
+
+        def counting_pass(y, orders, ridge, first):
+            blocks.append(y.shape[0])
+            return kernel(y, orders, ridge, first)
+
+        monkeypatch.setattr(predictors, "_yule_walker", counting_pass)
+        stack = np.random.default_rng(38).normal(size=(2 * RUN_BLOCK + 1, 12, 2)).cumsum(axis=1)
+        var_forecasts(stack, [1, 2])
+        assert blocks == [RUN_BLOCK, RUN_BLOCK, 1]
 
     def test_one_dimensional_series(self):
         y = np.random.default_rng(37).normal(size=20).cumsum()
