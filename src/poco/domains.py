@@ -176,9 +176,13 @@ class UnitSimplex:
         clipped = np.maximum(vs, 0.0)
         totals = clipped.sum(axis=1)
         degenerate = totals <= 0.0
+        n_degenerate = int(np.count_nonzero(degenerate))
+        if not n_degenerate:
+            clipped /= totals[:, None]
+            return clipped
         # one warning per degenerate row, as row-by-row projection would
         # emit, attributed to the first caller outside this module
-        for _ in range(int(np.count_nonzero(degenerate))):
+        for _ in range(n_degenerate):
             warnings.warn(
                 "renormalizing projection got a vector with no positive "
                 "component; falling back to the uniform point",

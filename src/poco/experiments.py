@@ -7,8 +7,10 @@ cumulative_loss(method) - cumulative_loss(baseline) equals the difference in
 dynamic regret (the per-round optimal values cancel) and is exactly zero
 wherever the two arms are algorithmically identical.  ``compare_to_ogd``
 runs that comparison for every study, with the baseline runs of all
-repetitions advancing in lockstep.  Study 3 reads its moments from one
-table per run (:class:`MomentCache`), so its parameters are (slot, risk)
+repetitions advancing in lockstep, and keeps only the losses of every
+repetition but the first.  Study 3 reads its moments from one table per run
+(:class:`MomentCache`), filled by one stacked moments call per lookback
+and block of ``MONTH_BLOCK`` months, so its parameters are (slot, risk)
 rows and its pools' prediction regularity and aim range are in slot
 coordinates; nothing reads them, as its renormalizing projection gets no
 regret ledger.
@@ -104,8 +106,9 @@ def compare_to_ogd(seeds, scenario, method, family, cset, x1, eta, inner_steps=1
     baseline then descends from ``x1`` toward the last observation with
     ``eta`` and ``inner_steps``, all repetitions in one lockstep
     ``run_predictive_ogd`` call, whose run r equals a run on its draw alone
-    bit for bit.  Returns the difference curve and repetition 1's
-    ``(baseline, method)`` trajectories.
+    bit for bit.  Only each method run's losses outlive its repetition,
+    except repetition 1's whole run.  Returns the difference curve and
+    repetition 1's ``(baseline, method)`` trajectories.
     """
     if not seeds:
         raise ValueError("repetitions must be >= 1")
@@ -114,9 +117,10 @@ def compare_to_ogd(seeds, scenario, method, family, cset, x1, eta, inner_steps=1
         family, cset, np.stack([thetas for thetas, _ in draws]),
         DescentConfig(eta, inner_steps), x1,
     )
-    arms = [method(thetas, history) for thetas, history in draws]
-    diffs = np.array([np.cumsum(arm.losses - base.losses) for base, arm in zip(baselines, arms)])
-    return _summarize_diffs(diffs), (baselines[0], arms[0])
+    first = method(*draws[0])
+    losses = [first.losses] + [method(*draw).losses for draw in draws[1:]]
+    diffs = np.array([np.cumsum(arm - base.losses) for arm, base in zip(losses, baselines)])
+    return _summarize_diffs(diffs), (baselines[0], first)
 
 
 # ---------------------------------------------------------------------------
@@ -263,29 +267,60 @@ def run_exp2(cfg: dict) -> ExperimentResult:
 # study 3: expert learning on market data with a hidden risk process
 # ---------------------------------------------------------------------------
 
+# months per stacked estimate_moments call while a moments table is built:
+# bounds the (months, lookback, assets) window stack held at once
+MONTH_BLOCK = 16
+
+
 class MomentCache:
     """One run's return moments, as a table built eagerly: slot ``(month - 1)
     * J + j`` holds :func:`poco.scenarios.estimate_moments` over the
     ``lookbacks[j]`` days (fewer early on) up to the end of ``month``, for
-    months 1..``months``.  A slot with non-finite moments or an asymmetric
-    covariance raises ``DataError`` naming its month and lookback.
+    months 1..``months``.
+
+    The table is filled by blocks of ``MONTH_BLOCK`` months: one stacked
+    ``estimate_moments`` call per lookback and block, plus a one-row call
+    for each early month whose window is clamped to the days so far.  Each
+    block's slots are then checked at once; a slot with non-finite moments
+    or an asymmetric covariance raises ``DataError`` naming its month and
+    lookback, the first such slot in slot order.
     """
 
     def __init__(self, data: MarketData, month_days: int, months: int, lookbacks):
         self.months, self.lookbacks = int(months), [int(lb) for lb in lookbacks]
-        slots, n = self.months * len(self.lookbacks), data.n_assets
+        n_lookbacks, n = len(self.lookbacks), data.n_assets
+        slots = self.months * n_lookbacks
         self.mu, self.sigma = np.empty((slots, n)), np.empty((slots, n, n))
-        for month in range(1, self.months + 1):
-            end_day = int(month_days) * month
-            for lb in self.lookbacks:
-                mu, sigma = estimate_moments(data, end_day, min(lb, end_day))
-                finite = np.isfinite(mu).all() and np.isfinite(sigma).all()
-                if not (finite and np.array_equal(sigma, sigma.T)):
-                    raise DataError(
-                        f"month {month}, lookback {lb}: non-finite or asymmetric moments"
-                    )
-                slot = self.slot(month, lb)
-                self.mu[slot], self.sigma[slot] = mu, sigma
+        end_days = int(month_days) * np.arange(1, self.months + 1)
+        for first in range(0, self.months, MONTH_BLOCK):
+            ends = end_days[first : first + MONTH_BLOCK]
+            rows = slice(first * n_lookbacks, (first + len(ends)) * n_lookbacks)
+            for j, lb in enumerate(self.lookbacks):
+                mu, sigma = self.mu[rows][j::n_lookbacks], self.sigma[rows][j::n_lookbacks]
+                clamped = int(np.searchsorted(ends, lb))
+                for i in range(clamped):
+                    mu[i], sigma[i] = estimate_moments(data, ends[i], ends[i])
+                if clamped < len(ends):
+                    mu[clamped:], sigma[clamped:] = estimate_moments(data, ends[clamped:], lb)
+            self._check(self.mu[rows], self.sigma[rows], first)
+
+    def _check(self, mu: np.ndarray, sigma: np.ndarray, first: int) -> None:
+        """Raise ``DataError`` for the first slot, in slot order, of the
+        block that starts at month ``first + 1`` whose moments are
+        non-finite or whose covariance is asymmetric."""
+        flipped = sigma.transpose(0, 2, 1)
+        if np.isfinite(mu).all() and np.isfinite(sigma).all() and np.array_equal(sigma, flipped):
+            return
+        good = (
+            np.isfinite(mu).all(axis=1)
+            & np.isfinite(sigma).all(axis=(1, 2))
+            & (sigma == flipped).all(axis=(1, 2))
+        )
+        offset, j = divmod(int(np.argmin(good)), len(self.lookbacks))
+        raise DataError(
+            f"month {first + offset + 1}, lookback {self.lookbacks[j]}: "
+            "non-finite or asymmetric moments"
+        )
 
     def slot(self, month, lookback: int):
         """The row of ``lookback`` at ``month``, a number or an integer array."""

@@ -279,7 +279,7 @@ class Markowitz(_OneRowFront):
 
     def value_rows(self, xs, thetas) -> np.ndarray:
         xs, sx, mu, lam_risk = self._sigma_x_rows(xs, thetas)
-        return np.sum(xs * sx, axis=1) - lam_risk * np.sum(xs * mu, axis=1)
+        return (xs * sx).sum(axis=1) - lam_risk * (xs * mu).sum(axis=1)
 
     def gradient_x_rows(self, xs, thetas) -> np.ndarray:
         _, sx, mu, lam_risk = self._sigma_x_rows(xs, thetas)
@@ -359,8 +359,9 @@ class MarkowitzTable(Markowitz):
         if thetas.ndim != 2 or thetas.shape[1] != 2:
             raise ValueError(f"theta rows must be (slot, lam_risk), got shape {thetas.shape}")
         slots = thetas[:, 0]
-        bad = np.flatnonzero(~((slots >= 0) & (slots < len(self.mu)) & (np.floor(slots) == slots)))
-        if bad.size:
+        good = (slots >= 0) & (slots < len(self.mu)) & (np.floor(slots) == slots)
+        if not good.all():
+            bad = np.flatnonzero(~good)
             raise ValueError(
                 f"row {bad[0]}: slot {slots[bad[0]]!r} is not an integer in [0, {len(self.mu)})"
             )

@@ -313,32 +313,51 @@ MOMENT_RIDGE = 1e-6
 
 
 def estimate_moments(
-    data: MarketData, end_day: int, lookback_days: int
+    data: MarketData, end_day, lookback_days: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and ridged sample covariance of daily returns.
+    """Sample mean and ridged sample covariance of daily returns, over one
+    window or a stack of windows sharing a lookback.
 
     Returns are relatives minus one over the window of ``lookback_days``
-    rows ending at ``end_day`` (1-based, inclusive).  The covariance gets a
-    1e-6 ridge so downstream solvers always see a positive definite matrix.
+    rows ending at ``end_day`` (1-based, inclusive).  One end day gives mu
+    (n,) and Sigma (n, n); an array of k end days, in any order, gives
+    (k, n) and (k, n, n), whose row i equals the call at ``end_day[i]``
+    alone bit for bit, and both equal ``np.cov(window, rowvar=False)``
+    symmetrized.  The k windows are gathered into one (k, lookback, n)
+    stack, averaged over its middle axis and multiplied by their own
+    transposes in one ``matmul``.  The covariance gets a 1e-6 ridge so
+    downstream solvers always see a positive definite matrix.  A window
+    that leaves the data raises ``DataError`` naming the first offending
+    end day.
     """
-    end_day = int(end_day)
+    ends = np.asarray(end_day, dtype=np.intp)
+    days = ends.reshape(-1)
     lookback_days = int(lookback_days)
     if lookback_days < 2:
         raise DataError("lookback_days must be >= 2 for a covariance")
-    if end_day - lookback_days < 0:
+    early = days < lookback_days
+    if early.any():
         raise DataError(
-            f"window of {lookback_days} days ending at day {end_day} "
+            f"window of {lookback_days} days ending at day {days[early][0]} "
             "starts before the data"
         )
-    if end_day > data.n_days:
+    late = days > data.n_days
+    if late.any():
         raise DataError(
-            f"end_day {end_day} exceeds the {data.n_days} available days"
+            f"end_day {days[late][0]} exceeds the {data.n_days} available days"
         )
-    window = data.relatives[end_day - lookback_days : end_day] - 1.0
-    mu = window.mean(axis=0)
+    windows = data.relatives[days[:, None] - lookback_days + np.arange(lookback_days)]
+    windows -= 1.0
+    mu = windows.mean(axis=1)
     # np.cov(window, rowvar=False, ddof=1) bit for bit, without its overhead
-    c = (window - mu).T
-    sigma = np.dot(c, c.T) * (1.0 / (lookback_days - 1))
-    sigma = (sigma + sigma.T) / 2.0
-    sigma.flat[:: sigma.shape[0] + 1] += MOMENT_RIDGE  # the diagonal
-    return mu, sigma
+    windows -= mu[:, None, :]
+    sigma = np.matmul(windows.transpose(0, 2, 1), windows)
+    sigma *= 1.0 / (lookback_days - 1)
+    flipped = sigma.transpose(0, 2, 1)
+    # the product of a window with itself is usually symmetric bit for bit
+    # already, and then averaging with the transpose changes no bit
+    if not np.array_equal(sigma.view(np.uint64), flipped.view(np.uint64)):
+        sigma = (sigma + flipped) / 2.0
+    n = sigma.shape[1]
+    sigma.reshape(days.shape[0], n * n)[:, :: n + 1] += MOMENT_RIDGE  # the diagonals
+    return (mu[0], sigma[0]) if ends.ndim == 0 else (mu, sigma)

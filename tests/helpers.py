@@ -7,7 +7,9 @@ formulas of objectives, projections and descent steps, one vector at a time,
 that the library's row kernels replaced, the two-pass Yule-Walker fit
 that the library's all-prefix cumulative sums replaced, and the expert-pool
 round that kept its prediction regularity and aim range round by round,
-which the library now reads off a run's aim table after the loop.
+which the library now reads off a run's aim table after the loop, and the
+study-3 moments table filled slot by slot that the library now fills by
+stacked windows.
 """
 
 from __future__ import annotations
@@ -120,6 +122,22 @@ def cov_moments(relatives, end_day, lookback, ridge=1e-6):
     sigma = (sigma + sigma.T) / 2.0
     sigma[np.diag_indices_from(sigma)] += ridge
     return window.mean(axis=0), sigma
+
+
+def reference_moment_table(data, month_days, months, lookbacks):
+    """A moments table built slot by slot through :func:`cov_moments`:
+    slot ``(month - 1) * J + j`` holds the moments of the ``lookbacks[j]``
+    days, or all days so far if fewer, up to day ``month_days * month``.
+    Returns ``(mu, sigma)`` of shapes (months * J, n) and (months * J, n, n)."""
+    n_lookbacks, n = len(lookbacks), data.n_assets
+    mu = np.empty((months * n_lookbacks, n))
+    sigma = np.empty((months * n_lookbacks, n, n))
+    for month in range(1, months + 1):
+        end_day = month_days * month
+        for j, lb in enumerate(lookbacks):
+            slot = (month - 1) * n_lookbacks + j
+            mu[slot], sigma[slot] = cov_moments(data.relatives, end_day, min(lb, end_day))
+    return mu, sigma
 
 
 def _markowitz_blocks(family, theta):

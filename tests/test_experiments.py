@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from poco.experiments import (
     run_predictive_bound_study,
 )
 
-from helpers import cov_moments
+from helpers import cov_moments, reference_moment_table
 
 
 def unchecked(experiment, **overrides):
@@ -49,6 +51,32 @@ class TestSeedSplitting:
 
 
 class TestPairedHarness:
+    def test_only_the_first_method_run_outlives_its_repetition(self):
+        from poco.experiments import compare_to_ogd
+
+        class Run:
+            def __init__(self, losses):
+                self.losses = losses
+
+        runs, alive = [], []
+
+        def method(thetas, history):
+            alive.extend(run() is not None for run in runs[1:])
+            run = Run(np.arange(thetas.shape[0], dtype=float))
+            runs.append(weakref.ref(run))
+            return run
+
+        def scenario(child):
+            return np.random.default_rng(child).normal(size=(6, 3)), None
+
+        family, cset = QuadraticTracking([1.0, 2.0]), EuclideanBall(center=[0.0, 0.0], radius=1.0)
+        seeds = np.random.SeedSequence(5).spawn(4)
+        curve, (_, first) = compare_to_ogd(seeds, scenario, method, family, cset, [0.0, 0.0], 0.1)
+        assert curve.n_reps == 4 and len(runs) == 4
+        assert first is runs[0]()
+        # repetitions 2..R were dropped as soon as their losses were read
+        assert not any(alive) and all(run() is None for run in runs[1:])
+
     def test_zero_repetitions_rejected(self, market):
         for run in (
             lambda: run_exp1(dict(resolve_config({}, "exp1"), repetitions=0)),
@@ -264,8 +292,10 @@ class TestExp3:
         run_exp3(exp3_config(14, 2, eval_months=6, lookbacks=[15, 30]), data=market)
         first_step = events.index("step")
         assert events.count("table") == 1 and events.index("table") < first_step
-        # 16 months x (2 expert lookbacks + the client's)
-        assert events[:first_step] == ["table"] + ["estimate"] * 48
+        # 16 months fill one block: one stacked call per lookback (2 experts'
+        # and the client's), plus a one-row call for the client's 50-day
+        # window clamped to month 1's 30 days
+        assert events[:first_step] == ["table"] + ["estimate"] * 4
         assert set(events[first_step:]) == {"step"}
         assert len(in_step) == 2 * 6 and not any(in_step)
 
@@ -314,6 +344,44 @@ class TestMomentCache:
                 with pytest.raises(ValueError, match=f"month {month} is outside"):
                     table.get(month, 45)
 
+    @pytest.mark.parametrize(
+        "n_assets, month_days, months, lookbacks",
+        [
+            (3, 30, 21, [15, 45, 100]),  # one whole block of 16 months and 5 more
+            (1, 7, 37, [2, 150, 45]),  # 150 days are clamped over 21 months, past a block
+            (2, 45, 16, [200, 50]),  # exactly one block, 4 clamped months
+            (37, 30, 160, [15, 30, 45, 60, 75, 90, 50]),  # study 3's default shape
+        ],
+    )
+    def test_table_equals_the_slot_by_slot_reference(self, n_assets, month_days, months, lookbacks):
+        from poco.experiments import MomentCache
+        from poco.scenarios import synthetic_market
+
+        data = synthetic_market(n_assets=n_assets, n_days=month_days * months, seed=n_assets)
+        table = MomentCache(data, month_days, months, lookbacks)
+        ref_mu, ref_sigma = reference_moment_table(data, month_days, months, lookbacks)
+        assert table.mu.tobytes() == ref_mu.tobytes()
+        assert table.sigma.tobytes() == ref_sigma.tobytes()
+
+    def test_building_a_table_holds_at_most_one_block_of_windows(self):
+        # study 3's default shape: 160 months x 7 lookbacks x 37 assets.
+        # Beyond the table itself, a build may hold one block's window stack
+        # (16 months x 90 days x 37 assets, 0.43 MB) and its products, never
+        # a whole lookback's windows or a second table.
+        from poco.experiments import MomentCache
+        from poco.scenarios import synthetic_market
+
+        data = synthetic_market(n_assets=37, n_days=4800, seed=3)
+        shape = (data, 30, 160, [15, 30, 45, 60, 75, 90, 50])
+        MomentCache(*shape)  # first calls allocate numpy's caches
+        tracemalloc.start()
+        try:
+            table = MomentCache(*shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - (table.mu.nbytes + table.sigma.nbytes) < 1_000_000
+
     def test_a_nan_risk_forecast_reaches_the_finite_gradient_check(self):
         from poco.domains import UnitSimplex
         from poco.experiments import MarkowitzModelPredictor, MomentCache
@@ -350,15 +418,16 @@ class TestMomentCache:
 
         estimate = experiments.estimate_moments
 
-        def corrupting(data, end_day, lookback):
-            mu, sigma = estimate(data, end_day, lookback)
-            if (end_day, lookback) == (60, 45):  # month 2, lookback 45
+        def corrupting(data, end_days, lookback):
+            mu, sigma = estimate(data, end_days, lookback)
+            if lookback == 45 and np.ndim(end_days) == 1 and 60 in end_days:
+                row = list(end_days).index(60)  # month 2, lookback 45
                 if fault == "nan mean":
-                    mu[0] = np.nan
+                    mu[row, 0] = np.nan
                 elif fault == "inf covariance":
-                    sigma[1, 1] = np.inf
+                    sigma[row, 1, 1] = np.inf
                 else:
-                    sigma[0, 1] += 1e-12
+                    sigma[row, 0, 1] += 1e-12
             return mu, sigma
 
         monkeypatch.setattr(experiments, "estimate_moments", corrupting)

@@ -229,3 +229,37 @@ class TestMoments:
             estimate_moments(data, end_day=40, lookback_days=10)
         with pytest.raises(DataError, match=">= 2"):
             estimate_moments(data, end_day=10, lookback_days=1)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_assets=st.integers(1, 6),
+        lookback=st.integers(2, 60),
+        offsets=st.lists(st.integers(0, 40), min_size=1, max_size=12),
+    )
+    @example(seed=0, n_assets=1, lookback=2, offsets=[0])
+    @example(seed=1, n_assets=6, lookback=60, offsets=[40, 0, 40, 7])
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_rows_equal_one_row_calls_bit_for_bit(self, seed, n_assets, lookback, offsets):
+        # end days unsorted and repeated
+        data = synthetic_market(n_assets=n_assets, n_days=lookback + 40, seed=seed)
+        end_days = lookback + np.array(offsets)
+        mu, sigma = estimate_moments(data, end_days, lookback)
+        assert mu.shape == (len(end_days), n_assets)
+        assert sigma.shape == (len(end_days), n_assets, n_assets)
+        for i, end_day in enumerate(end_days):
+            one_mu, one_sigma = estimate_moments(data, int(end_day), lookback)
+            ref_mu, ref_sigma = cov_moments(data.relatives, end_day, lookback, MOMENT_RIDGE)
+            assert mu[i].tobytes() == one_mu.tobytes() == ref_mu.tobytes()
+            assert sigma[i].tobytes() == one_sigma.tobytes() == ref_sigma.tobytes()
+
+    def test_stacked_window_bounds_name_the_offending_end_day(self):
+        data = MarketData(relatives=np.ones((30, 2)))
+        with pytest.raises(DataError, match="window of 20 days ending at day 12 starts before"):
+            estimate_moments(data, end_day=[25, 12, 30, 5], lookback_days=20)
+        with pytest.raises(DataError, match="end_day 31 exceeds the 30 available days"):
+            estimate_moments(data, end_day=[10, 31, 30, 40], lookback_days=10)
+        with pytest.raises(DataError, match="lookback_days must be >= 2"):
+            estimate_moments(data, end_day=[10, 20], lookback_days=1)
+        # a window ending on the last day is whole
+        mu, sigma = estimate_moments(data, end_day=[20, 30], lookback_days=20)
+        assert mu.shape == (2, 2) and sigma.shape == (2, 2, 2)
