@@ -177,9 +177,7 @@ class UnitSimplex:
         totals = clipped.sum(axis=1)
         degenerate = totals <= 0.0
         n_degenerate = int(np.count_nonzero(degenerate))
-        if not n_degenerate:
-            clipped /= totals[:, None]
-            return clipped
+        clipped /= np.where(degenerate, 1.0, totals)[:, None]
         # one warning per degenerate row, as row-by-row projection would
         # emit, attributed to the first caller outside this module
         for _ in range(n_degenerate):
@@ -189,9 +187,9 @@ class UnitSimplex:
                 DegenerateProjectionWarning,
                 stacklevel=_outside_stacklevel(),
             )
-        out = clipped / np.where(degenerate, 1.0, totals)[:, None]
-        out[degenerate] = 1.0 / self.dim
-        return out
+        if n_degenerate:
+            clipped[degenerate] = 1.0 / self.dim
+        return clipped
 
     def contains(self, v, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
         v = _check_vector(v, self.dim)

@@ -353,11 +353,7 @@ def estimate_moments(
     windows -= mu[:, None, :]
     sigma = np.matmul(windows.transpose(0, 2, 1), windows)
     sigma *= 1.0 / (lookback_days - 1)
-    flipped = sigma.transpose(0, 2, 1)
-    # the product of a window with itself is usually symmetric bit for bit
-    # already, and then averaging with the transpose changes no bit
-    if not np.array_equal(sigma.view(np.uint64), flipped.view(np.uint64)):
-        sigma = (sigma + flipped) / 2.0
+    sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
     n = sigma.shape[1]
     sigma.reshape(days.shape[0], n * n)[:, :: n + 1] += MOMENT_RIDGE  # the diagonals
     return (mu[0], sigma[0]) if ends.ndim == 0 else (mu, sigma)
