@@ -101,12 +101,10 @@ def _v_choice(*choices):
     return check
 
 
-def _v_num_list(length=None):
+def _v_num_list():
     def check(section, key, val):
         if not isinstance(val, list) or not all(_is_number(x) for x in val):
             raise _type_error(section, key, "a list of finite numbers", val)
-        if length is not None and len(val) != length:
-            raise _type_error(section, key, f"a list of {length} numbers", val)
         return [float(x) for x in val]
 
     return check

@@ -31,7 +31,7 @@ from poco.config import ConfigError
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import MarkowitzTable, QuadraticTracking
-from poco.predictors import NoisyOracle, Persistence, VarPredictor, var_forecasts
+from poco.predictors import NoisyOracle, Persistence, VarPredictor, aim_table, var_forecasts
 from poco.regret import build_ledgers
 from poco.scenarios import (
     DataError,
@@ -344,8 +344,8 @@ class RiskForecastCache:
     observation months and all evaluation months but the last.  One
     :func:`poco.predictors.var_forecasts` pass over it gives every order in
     ``orders`` after every month, so experts sharing an AR order share its
-    forecasts and no month refits.  ``get`` reads a row, ``column`` every
-    row a risk series' prefixes read.
+    forecasts and no month refits.  ``column`` gives every row a risk
+    series' prefixes read, and ``get`` its last entry.
     """
 
     def __init__(self, orders: Sequence[int], risk_path):
@@ -359,12 +359,8 @@ class RiskForecastCache:
 
     def get(self, order: int, risk_series: np.ndarray) -> float:
         """The order's forecast after the months of ``risk_series``, a prefix
-        of the risk path; orders still lacking 2k+1 observations repeat the
-        last one."""
-        months_seen = risk_series.shape[0]
-        if months_seen < 2 * order + 1:
-            return float(risk_series[-1])
-        return float(self.forecasts[order][months_seen, 0])
+        of the risk path: the last entry of its ``column``."""
+        return float(self.column(order, risk_series)[-1])
 
 
 class MarkowitzModelPredictor:
@@ -376,9 +372,10 @@ class MarkowitzModelPredictor:
     forecast by the repetition's :class:`RiskForecastCache` at the history's
     length.  Falls back to the last observed risk until the AR order has
     2k+1 observations; a negative forecast is clamped to zero, a NaN one is
-    left for the pool's finite-gradient check to report.  ``aim_rows``
-    gives a run's aim table column at once: the slot column plus the
-    clamped forecasts.
+    left for the pool's finite-gradient check to report.  ``aim_rows`` is
+    the one aim rule: a run's aim table column at once, the slot column
+    plus the clamped forecast column.  ``predict`` is its row at the
+    history's length.
     """
 
     def __init__(
@@ -393,14 +390,12 @@ class MarkowitzModelPredictor:
         return n_obs >= 1
 
     def predict(self, history) -> np.ndarray:
-        hist = np.asarray(history, dtype=float)
-        risk_hat = self.forecasts.get(self.ar_order, hist[:, -1])
-        return np.array([self.moments.slot(hist.shape[0], self.lookback), max(risk_hat, 0.0)])
+        return aim_table([self], history, starts=[len(history)])[0][-1, 0]
 
     def aim_rows(self, observed: np.ndarray, ns: np.ndarray) -> np.ndarray:
-        """``predict(observed[:n])`` for every n in ``ns`` (all >= 1)."""
+        """``predict(observed[:n])`` for every n in ``ns`` (all >= 1): a NaN
+        forecast or a -0.0 stays as it is."""
         risk = self.forecasts.column(self.ar_order, observed[:, -1])[ns - 1]
-        # as max(risk, 0.0) does, a NaN or -0.0 stays
         clamped = np.where(risk < 0.0, 0.0, risk)
         return np.column_stack([self.moments.slot(ns, self.lookback), clamped])
 

@@ -22,9 +22,10 @@ kind.  Every Yule-Walker number comes from one kernel that fits every order
 after every prefix in one pass of cumulative sums: :func:`var_forecasts`
 reads its forecasts, :func:`var_forecast_table` makes one such pass per
 group of VAR experts that model the same coordinates, and
-:func:`fit_var_yule_walker` reads its full-length fit.  A
-:meth:`VarPredictor.predict` forecast is its aim table entry, bit for bit.
-Descent runs and expert pools read their rounds' rows.
+:func:`fit_var_yule_walker` reads its full-length fit.  Each predictor
+kind has one aim rule, its column of the table: every ``predict`` checks
+readiness and returns its own :func:`aim_table` entry after the whole
+history.  Descent runs and expert pools read their rounds' rows.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ class VarPredictor:
         n_obs = len(history)
         if not self.ready(n_obs):
             raise PredictorNotReady(needed=self.min_history, have=n_obs)
-        return aim_table([self], history)[0][-1, 0]
+        return aim_table([self], history, starts=[n_obs])[0][-1, 0]
 
 
 class Persistence:
@@ -262,12 +263,9 @@ class Persistence:
         return n_obs >= 1
 
     def predict(self, history) -> np.ndarray:
-        hist = np.asarray(history, dtype=float)
-        if hist.ndim == 1:
-            hist = hist[:, None]
-        if hist.shape[0] < 1:
+        if not self.ready(len(history)):
             raise PredictorNotReady(needed=1, have=0)
-        return hist[-1].copy()
+        return aim_table([self], history, starts=[len(history)])[0][-1, 0]
 
     def aim_rows(self, observed: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """``step_aim(self, observed[:n])`` for every n in ``ns`` (all >= 1)."""
@@ -277,9 +275,9 @@ class Persistence:
 class NoisyOracle:
     """True next parameter plus Gaussian noise of a chosen scale.
 
-    Holds the full scenario; ``predict`` indexes it at ``len(history)``,
-    i.e. the value immediately after the observed prefix.  noise_std = 0
-    gives perfect prediction.
+    Holds the full scenario; the aim after a history is its row at
+    ``len(history)``, i.e. the value immediately after the observed prefix.
+    noise_std = 0 gives perfect prediction.
     """
 
     def __init__(self, truth, noise_std: float = 0.0, rng=None):
@@ -299,10 +297,7 @@ class NoisyOracle:
         t_next = len(history)
         if t_next >= self.truth.shape[0]:
             raise PredictorNotReady(needed=t_next + 1, have=self.truth.shape[0])
-        base = self.truth[t_next].copy()
-        if self.noise_std == 0.0:
-            return base
-        return base + self.noise_std * self.rng.standard_normal(base.shape)
+        return aim_table([self], history, starts=[t_next])[0][-1, 0]
 
     def aim_rows(self, observed: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """``step_aim(self, observed[:n])`` for every n in the increasing

@@ -134,7 +134,9 @@ class ExpertPool:
         together (:func:`poco.descent.ogd_step_rows`).  The aggregate plays
         the projected weighted mean of the expert moves; one
         ``family.value_rows`` call charges the moves and the aggregate play
-        against theta_t, and the expert losses tilt the weights once.
+        against theta_t, and the expert losses tilt the weights once.  A NaN
+        loss raises ``FloatingPointError``; weights that all vanish otherwise
+        raise ``ArithmeticError`` naming gamma.
         """
         if self.n_active == 0:
             raise RuntimeError("cannot step an empty expert pool")
@@ -161,6 +163,11 @@ class ExpertPool:
         log_w = self.log_p - self.gamma * losses
         norm = _logsumexp(log_w)
         if not math.isfinite(norm):
+            if np.isnan(losses).any():
+                raise FloatingPointError(
+                    "an expert loss is NaN in the Gibbs update; "
+                    "the revealed parameter is not finite"
+                )
             raise ArithmeticError(
                 "all expert weights vanished during the Gibbs update; "
                 f"gamma={self.gamma} is too large for these loss magnitudes"

@@ -7,9 +7,10 @@ formulas of objectives, projections and descent steps, one vector at a time,
 that the library's row kernels replaced, the two-pass Yule-Walker fit
 that the library's all-prefix cumulative sums replaced, and the expert-pool
 round that kept its prediction regularity and aim range round by round,
-which the library now reads off a run's aim table after the loop, and the
+which the library now reads off a run's aim table after the loop, the
 study-3 moments table filled slot by slot that the library now fills by
-stacked windows.
+stacked windows, and the scalar aim rules of one history at a time that
+the library's ``predict`` methods replaced with their aim-table rows.
 """
 
 from __future__ import annotations
@@ -261,6 +262,47 @@ def var_predict(fit, series):
     for h in range(1, k + 1):
         pred = pred + fit.phis[h - 1] @ (y[-h] - fit.mean)
     return pred
+
+
+def persistence_predict(history):
+    """A persistence forecast: a copy of the last observation."""
+    hist = np.asarray(history, dtype=float)
+    if hist.ndim == 1:
+        hist = hist[:, None]
+    if hist.shape[0] < 1:
+        raise PredictorNotReady(needed=1, have=0)
+    return hist[-1].copy()
+
+
+def oracle_predict(oracle, history):
+    """A noisy oracle's forecast after ``history``: its truth row at
+    ``len(history)`` plus one (m,) draw of its noise, none at noise 0."""
+    t_next = len(history)
+    if t_next >= oracle.truth.shape[0]:
+        raise PredictorNotReady(needed=t_next + 1, have=oracle.truth.shape[0])
+    base = oracle.truth[t_next].copy()
+    if oracle.noise_std == 0.0:
+        return base
+    return base + oracle.noise_std * oracle.rng.standard_normal(base.shape)
+
+
+def risk_forecast_get(cache, order, risk_series):
+    """A study-3 risk forecast after the months of ``risk_series``: the
+    cache's forecast row at its length, or the last observed risk while the
+    order lacks 2k+1 observations."""
+    months_seen = risk_series.shape[0]
+    if months_seen < 2 * order + 1:
+        return float(risk_series[-1])
+    return float(cache.forecasts[order][months_seen, 0])
+
+
+def model_predict(model, history):
+    """A study-3 manager model's (slot, risk) forecast after ``history``,
+    through :func:`risk_forecast_get`; ``max`` keeps a NaN or -0.0
+    forecast as it is."""
+    hist = np.asarray(history, dtype=float)
+    risk_hat = risk_forecast_get(model.forecasts, model.ar_order, hist[:, -1])
+    return np.array([model.moments.slot(hist.shape[0], model.lookback), max(risk_hat, 0.0)])
 
 
 def _reference_logsumexp(v):

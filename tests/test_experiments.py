@@ -26,7 +26,7 @@ from poco.experiments import (
     run_predictive_bound_study,
 )
 
-from helpers import cov_moments, reference_moment_table
+from helpers import cov_moments, model_predict, reference_moment_table, risk_forecast_get
 
 
 def unchecked(experiment, **overrides):
@@ -445,11 +445,15 @@ class TestModelAims:
         ),
         n_obs=st.integers(0, 12),
         nan_rows=st.sets(st.integers(0, 12), max_size=4),
+        zero_rows=st.sets(st.integers(0, 12), max_size=4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_aim_table_equals_predict_bit_for_bit(self, experts, n_obs, nan_rows, seed):
+    def test_aim_table_equals_predict_bit_for_bit(
+        self, experts, n_obs, nan_rows, zero_rows, seed
+    ):
         # risk levels around zero give negative forecasts and fallbacks,
-        # which are clamped; a NaN forecast stays NaN
+        # which are clamped; a NaN or -0.0 forecast stays as it is.  Every
+        # aimed entry and every risk forecast also equals the scalar rule's
         from poco.experiments import MarkowitzModelPredictor, MomentCache, RiskForecastCache
         from poco.predictors import step_aim
         from poco.scenarios import synthetic_market
@@ -458,6 +462,7 @@ class TestModelAims:
         risk = np.random.default_rng(seed).normal(size=n_obs)
         forecasts = RiskForecastCache(sorted({k for _, k, _ in experts}), risk)
         for table in forecasts.forecasts.values():
+            table[[n for n in zero_rows if n <= n_obs]] = -0.0
             table[[n for n in nan_rows if n <= n_obs]] = np.nan
         observed = np.column_stack([moments.slot(np.arange(1, n_obs + 1), 45), risk])
         roster = [MarkowitzModelPredictor(moments, lb, k, forecasts) for lb, k, _ in experts]
@@ -469,6 +474,13 @@ class TestModelAims:
                 assert aimed[n, i] == (want is not None)
                 if want is not None:
                     assert aims[n, i].tobytes() == want.tobytes()
+                    assert want.tobytes() == model_predict(predictor, observed[:n]).tobytes()
+        for k in forecasts.forecasts:
+            for n in range(1, n_obs + 1):
+                got = forecasts.get(k, risk[:n])
+                assert np.float64(got).tobytes() == np.float64(
+                    risk_forecast_get(forecasts, k, risk[:n])
+                ).tobytes()
 
 
 class TestBoundStudies:

@@ -21,7 +21,13 @@ from poco.predictors import (
     var_forecasts,
 )
 
-from helpers import sample_autocovariances, var_predict, yule_walker_reference
+from helpers import (
+    oracle_predict,
+    persistence_predict,
+    sample_autocovariances,
+    var_predict,
+    yule_walker_reference,
+)
 
 
 def autocov_oracle(y, h):
@@ -321,14 +327,18 @@ class TestStepAims:
         # on, bit for bit, asked in round order, so a noisy oracle draws the
         # same noise and draws nothing before its expert joins.  A ready VAR
         # expert's entry is also the run's forecast-table row, and within
-        # the forecast tolerance of the two-pass reference fit
+        # the forecast tolerance of the two-pass reference fit.  A ready
+        # persistence or oracle expert's entry is also the scalar aim rule's,
+        # asked of a third roster in the same order, so the oracle's noise
+        # stream is checked against an independent draw
         specs, starts = zip(*entries)
         hist = np.random.default_rng(seed).normal(size=(n_obs, dim)).cumsum(axis=0)
         aims, aimed = aim_table(_roster(specs, dim, np.random.default_rng(seed)), hist, starts)
         twins = _roster(specs, dim, np.random.default_rng(seed))
+        refs = _roster(specs, dim, np.random.default_rng(seed))
         forecasts = var_forecast_table(twins, hist)
         assert aims.shape == (n_obs + 1, len(specs), dim)
-        for i, (twin, first) in enumerate(zip(twins, starts)):
+        for i, (twin, ref, first) in enumerate(zip(twins, refs, starts)):
             for n in range(n_obs + 1):
                 want = None if n < first else step_aim(twin, hist[:n])
                 assert aimed[n, i] == (want is not None)
@@ -336,6 +346,10 @@ class TestStepAims:
                     assert np.isnan(aims[n, i]).all()
                     continue
                 assert aims[n, i].tobytes() == np.asarray(want, dtype=float).tobytes()
+                if isinstance(ref, Persistence) and ref.ready(n):
+                    assert aims[n, i].tobytes() == persistence_predict(hist[:n]).tobytes()
+                if isinstance(ref, NoisyOracle) and ref.ready(n):
+                    assert aims[n, i].tobytes() == oracle_predict(ref, hist[:n]).tobytes()
                 if isinstance(twin, VarPredictor) and twin.ready(n):
                     cols = slice(None) if twin.indices is None else list(twin.indices)
                     read = hist[n - 1].copy()
@@ -537,6 +551,51 @@ class TestVarForecasts:
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError, match="order must be >= 1"):
             var_forecasts(np.zeros((10, 1)), [0, 1])
+
+
+class TestOneAimRule:
+    """Every built-in predictor's ``predict`` is its own aim-table row: one
+    ``aim_table`` call for itself alone, at the history's length only, so
+    no second copy of an aim rule answers in its place."""
+
+    @staticmethod
+    def _cases():
+        from poco.experiments import MarkowitzModelPredictor, MomentCache, RiskForecastCache
+        from poco.scenarios import synthetic_market
+
+        hist = np.random.default_rng(36).normal(size=(9, 2)).cumsum(axis=0)
+        moments = MomentCache(synthetic_market(n_assets=3, n_days=200, seed=8), 20, 10, [20])
+        risk = np.random.default_rng(37).normal(size=9)
+        model = MarkowitzModelPredictor(moments, 20, 2, RiskForecastCache([2], risk))
+        return [
+            (VarPredictor(2), hist),
+            (VarPredictor(1, indices=[1]), hist),
+            (Persistence(), hist),
+            (NoisyOracle(np.ones((12, 2)), 1.5, rng=3), hist),
+            (model, np.column_stack([moments.slot(np.arange(1, 10), 20), risk])),
+        ]
+
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_predict_makes_one_aim_table_call(self, monkeypatch, n):
+        import poco.experiments as experiments
+        import poco.predictors as predictors
+
+        calls = []
+
+        def recording(roster, observed, starts=None):
+            out = aim_table(roster, observed, starts)
+            calls.append((list(roster), len(observed), starts, out))
+            return out
+
+        monkeypatch.setattr(predictors, "aim_table", recording)
+        monkeypatch.setattr(experiments, "aim_table", recording)
+        for predictor, observed in self._cases():
+            calls.clear()
+            got = predictor.predict(observed[:n])
+            assert len(calls) == 1, type(predictor).__name__
+            roster, length, starts, (aims, aimed) = calls[0]
+            assert roster == [predictor] and length == n and list(starts) == [n]
+            assert aimed[-1, 0] and got.tobytes() == aims[-1, 0].tobytes()
 
 
 class TestPersistence:

@@ -207,6 +207,18 @@ class TestGibbsUpdate:
         with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="gamma"):
             run_smad(family, cset, thetas, pool, [0.0, 0.0], roster=roster)
 
+    def test_nan_loss_names_the_parameter_not_gamma(self):
+        # a NaN in a revealed parameter makes every loss NaN, which no gamma
+        # causes; a loss that overflows to inf still names gamma (above)
+        thetas = np.zeros((5, 3))
+        thetas[2, 0] = np.nan
+        pool = ExpertPool(beta=0.2, gamma=1e-3, eta=1 / 200)
+        with pytest.raises(FloatingPointError, match="revealed parameter is not finite"):
+            run_smad(
+                QuadraticTracking(), EuclideanBall(np.zeros(2), 50.0), thetas, pool,
+                [0.0, 40.0], roster=[(1, Persistence())],
+            )
+
     def test_step_empty_pool_rejected(self):
         family, cset = tracking_setup()
         pool = ExpertPool(beta=0.2, gamma=1.0, eta=ETA)
