@@ -8,22 +8,24 @@ run-exp1 / run-exp2 / run-exp3 / run-custom
     its arms labelled baseline and method; run-exp1 is its exp1 preset.
 check-bounds
     Batch-verify the regret bounds (single-step, multi-step, expert pool)
-    and the aggregation inequality; nonzero exit when any run violates one.
+    and the aggregation inequality on an exp1 or exp2 config, writing
+    summary.txt and manifest.json; nonzero exit when any run violates one.
 project
     Project a vector onto a ball or simplex and print the result.
 fit-ar
     Fit an autoregression to a CSV series by the Yule-Walker equations and
     print the coefficients.
 
-Exit codes: 0 success, 1 a requested check failed, 2 config error,
-3 data error, 4 runtime error.  The output directory defaults to --out,
-then $POCO_OUT, then ./poco_out.
+Run flags (--seed, --reps, --runs, --expert-runs) are merged into their config
+keys, so the manifest records them and --config manifest.json alone replays a
+run.  Exit codes: 0 success, 1 a requested check failed, 2 config error,
+3 data error, 4 runtime error.  The output directory defaults to --out, then
+$POCO_OUT, then ./poco_out.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 
 import numpy as np
@@ -71,64 +73,58 @@ STUDIES = {
     "custom": run_custom,
 }
 
+BOUND_EXPERIMENTS = ("exp1", "exp2")  # the configs check-bounds takes as its base
+
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def _load_config(args, experiment) -> dict:
-    """Resolve the config file (or the defaults) with the --seed and --reps
-    overrides merged in first, so the schema validates them too."""
+    """Resolve the config file (or the defaults) with every run flag merged
+    into its key first, so the schema validates it and the manifest records it."""
     user = read_config(args.config) if args.config else {}
     for key, value in (("seed", args.seed), ("repetitions", args.reps)):
         if value is not None:
             user[key] = value
+    # check-bounds' flags; a bounds value that is not an object is left to the schema
+    for key in ("runs", "expert_runs"):
+        value = getattr(args, key, None)
+        if value is not None and isinstance(user.setdefault("bounds", {}), dict):
+            user["bounds"][key] = value
     return resolve_config(user, experiment=experiment)
 
 
-def _emit_and_report(result: ExperimentResult, cfg: dict, args) -> int:
-    out_dir = default_out_dir(args.out)
-    lines = result.summary_lines()
-    paths = emit_results(result.curve, lines, out_dir, cfg, __version__)
+def _emit_and_report(curve, lines: list, cfg: dict, args) -> None:
+    paths = emit_results(curve, lines, default_out_dir(args.out), cfg, __version__)
     if not args.quiet:
         for line in lines:
             print(line)
-        print(f"wrote {paths['curve']}, {paths['summary']}, {paths['manifest']}")
-    return EXIT_OK
+        print("wrote " + ", ".join(paths.values()))
 
 
 def cmd_run_study(args) -> int:
     cfg = _load_config(args, args.experiment)
-    return _emit_and_report(STUDIES[args.experiment](cfg), cfg, args)
-
-
-def _at_least_one(flag: str, value, default=None) -> int:
-    if value is None:
-        return default
-    if value < 1:
-        raise ConfigError(f"{flag} expects an integer >= 1, got {value}")
-    return value
+    result = STUDIES[args.experiment](cfg)
+    _emit_and_report(result.curve, result.summary_lines(), cfg, args)
+    return EXIT_OK
 
 
 def cmd_verify_bounds(args) -> int:
-    cfg = _load_config(args, args.experiment or "exp1")
-    runs = _at_least_one("--runs", args.runs, cfg["bounds"]["runs"])
-    expert_runs = _at_least_one("--expert-runs", args.expert_runs, cfg["bounds"]["expert_runs"])
+    cfg = _load_config(args, args.experiment)
+    if cfg["experiment"] not in BOUND_EXPERIMENTS:
+        raise ConfigError(f"check-bounds takes an exp1 or exp2 config, not {cfg['experiment']!r}")
     studies = [
-        experiments.run_predictive_bound_study(cfg, runs, inner_steps=k)
+        experiments.run_predictive_bound_study(cfg, cfg["bounds"]["runs"], inner_steps=k)
         for k in (1, 2, 3)
     ]
-    studies.append(experiments.run_expert_bound_study(cfg, expert_runs))
+    studies.append(experiments.run_expert_bound_study(cfg, cfg["bounds"]["expert_runs"]))
     lines = [f"bound verification (seed={cfg['seed']}, horizon={cfg['horizon']})"]
     for study in studies:
         lines.extend(study.summary_lines())
     all_ok = all(study.all_hold for study in studies)
     lines.append("RESULT: " + ("all bounds hold" if all_ok else "BOUND VIOLATION"))
-    out_dir = default_out_dir(args.out)
-    emit_results(None, lines, out_dir, cfg, __version__)
-    if not args.quiet:
-        for line in lines:
-            print(line)
+    _emit_and_report(None, lines, cfg, args)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -157,13 +153,14 @@ def cmd_project(args) -> int:
 
 
 def cmd_fit_ar(args) -> int:
-    order = _at_least_one("--order", args.order)
+    if args.order < 1:
+        raise ConfigError(f"--order expects an integer >= 1, got {args.order}")
     series, _, _ = read_numeric_csv(args.csv)
     try:
-        fit = fit_var_yule_walker(series, order)
+        fit = fit_var_yule_walker(series, args.order)
     except PredictorNotReady as exc:
         raise DataError(
-            f"{args.csv}: an order-{order} fit needs at least {exc.needed} "
+            f"{args.csv}: an order-{args.order} fit needs at least {exc.needed} "
             f"observations, have {exc.have}"
         ) from exc
     print(f"series: {series.shape[0]} observations, dimension {series.shape[1]}")
@@ -205,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--runs", type=int, help="descent-bound runs per k (default 100)")
     sub.add_argument("--expert-runs", dest="expert_runs", type=int,
                      help="expert-pool bound runs (default 50)")
-    sub.add_argument("--experiment", choices=("exp1", "exp2"), help="base config")
+    sub.add_argument("--experiment", choices=BOUND_EXPERIMENTS,
+                     help="base config (default: the config's experiment, else exp1)")
     sub.set_defaults(func=cmd_verify_bounds)
 
     sub = subs.add_parser("project", help="project a vector onto a constraint set")
@@ -227,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not getattr(args, "quiet", False):
-        logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
         return args.func(args)
     except ConfigError as exc:

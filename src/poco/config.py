@@ -7,8 +7,8 @@ just ``{"experiment": "exp1"}`` (or even ``{}`` when the CLI command names
 the experiment).  Unknown keys are rejected with a suggestion.
 ``emit_results`` writes three files per run: ``curve.csv`` (t, mean_diff,
 std_diff), ``summary.txt`` (human-readable accounting and bound checks) and
-``manifest.json`` (the fully resolved config plus its hash and the seed, so
-a run can be replayed byte for byte by pointing --config at the manifest).
+``manifest.json`` (the fully resolved config, the CLI's run flags merged in,
+plus its hash and the seed, so --config manifest.json replays a run byte for byte).
 """
 
 from __future__ import annotations

@@ -31,7 +31,9 @@ from poco.config import ConfigError
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import MarkowitzTable, QuadraticTracking
-from poco.predictors import NoisyOracle, Persistence, VarPredictor, aim_table, var_forecasts
+from poco.predictors import (
+    NoisyOracle, Persistence, PredictorNotReady, VarPredictor, aim_table, var_forecasts
+)
 from poco.regret import build_ledgers
 from poco.scenarios import (
     DataError,
@@ -390,6 +392,8 @@ class MarkowitzModelPredictor:
         return n_obs >= 1
 
     def predict(self, history) -> np.ndarray:
+        if not self.ready(len(history)):
+            raise PredictorNotReady(needed=1, have=0)
         return aim_table([self], history, starts=[len(history)])[0][-1, 0]
 
     def aim_rows(self, observed: np.ndarray, ns: np.ndarray) -> np.ndarray:

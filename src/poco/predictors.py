@@ -294,6 +294,8 @@ class NoisyOracle:
         return n_obs < self.truth.shape[0]
 
     def predict(self, history) -> np.ndarray:
+        # rows of the truth's width, so an empty list is no rows rather than one column
+        history = np.asarray(history, dtype=float).reshape(len(history), self.truth.shape[1])
         t_next = len(history)
         if t_next >= self.truth.shape[0]:
             raise PredictorNotReady(needed=t_next + 1, have=self.truth.shape[0])

@@ -21,7 +21,6 @@ the bounds does not survive that substitution.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,8 +29,6 @@ import numpy as np
 
 from poco.domains import ConstraintSet, SIMPLEX_EXACT, UnitSimplex
 from poco.objectives import ObjectiveConstants, contraction_factor
-
-logger = logging.getLogger(__name__)
 
 MINIMIZER_STEP_TOL = 1e-12
 MINIMIZER_MAX_ITER = 10**6
@@ -269,8 +266,8 @@ def build_ledgers(
     ``derive_constants`` over the bounding box of the realized parameters
     and the aims actually descended toward (the parameters alone when
     nothing was aimed at).  A bound is evaluated only when the run gives no
-    skip reason and the projection is nonexpansive; heuristic runs get a
-    logged notice instead.  A descent run gets the predictive-descent
+    skip reason and the projection is nonexpansive; otherwise the ledger's
+    ``bound_skipped_reason`` says why.  A descent run gets the predictive-descent
     bound.  A day-one pool gets it at the farthest expert first play from
     x*_1, plus ``hedge_gap_bound`` at the pool's ``gamma`` and the run's
     largest per-round spread of expert losses, and its ``hedge_gap()`` is
@@ -311,7 +308,6 @@ def _ledger(family, cset, trajectory, xstars, opt_losses) -> RegretLedger:
             "projection mode is not nonexpansive; the contraction "
             "argument behind the bound does not apply"
         )
-        logger.info("bound check skipped: %s", skipped)
     hedge_gap = hedge_bound = hedge_holds = None
     if skipped is None:
         contraction = contraction_factor(constants, eta)

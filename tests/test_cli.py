@@ -157,18 +157,34 @@ class TestCommands:
         path.write_text(json.dumps(cfg))
         return str(path)
 
-    def test_exp1_writes_outputs_and_replays(self, tmp_path, capsys):
-        cfg = self.fast_cfg(tmp_path)
-        out1 = str(tmp_path / "a")
-        out2 = str(tmp_path / "b")
-        assert main(["run-exp1", "--config", cfg, "--out", out1, "--quiet"]) == EXIT_OK
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            pytest.param(["run-exp1"], {}, id="run-exp1"),
+            pytest.param(["run-exp2"], {"horizon": 60}, id="run-exp2"),
+            pytest.param(["run-exp3"], {"exp3": {"eval_months": 12}}, id="run-exp3"),
+            pytest.param(["run-custom"], {}, id="run-custom"),
+            pytest.param(
+                ["check-bounds", "--experiment", "exp2", "--runs", "2", "--expert-runs", "1"],
+                {}, id="check-bounds",
+            ),
+        ],
+    )
+    def test_writes_outputs_and_replays(self, tmp_path, argv, extra):
+        """The manifest, passed back alone to the same command, reproduces
+        every file the run wrote byte for byte."""
+        cfg = self.fast_cfg(tmp_path, extra)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main([*argv, "--config", cfg, "--out", str(out1), "--quiet"]) == EXIT_OK
         assert main([
-            "run-exp1", "--config", os.path.join(out1, "manifest.json"),
-            "--out", out2, "--quiet",
+            argv[0], "--config", str(out1 / "manifest.json"), "--out", str(out2), "--quiet",
         ]) == EXIT_OK
-        a = open(os.path.join(out1, "curve.csv"), "rb").read()
-        b = open(os.path.join(out2, "curve.csv"), "rb").read()
-        assert a == b
+        written = sorted(path.name for path in out1.iterdir())
+        assert written == sorted(path.name for path in out2.iterdir())
+        curve = [] if argv[0] == "check-bounds" else ["curve.csv"]
+        assert written == sorted(["summary.txt", "manifest.json", *curve])
+        for name in written:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_exp2_runs(self, tmp_path):
         cfg = self.fast_cfg(tmp_path, {"horizon": 60})
@@ -224,6 +240,32 @@ class TestCommands:
         text = open(os.path.join(out, "summary.txt")).read()
         assert "all bounds hold" in text
         assert "2/2" in text
+
+    def test_check_bounds_reports_the_files_it_wrote(self, tmp_path, capsys):
+        out = tmp_path / "cb"
+        argv = ["check-bounds", "--runs", "1", "--expert-runs", "1", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == (
+            f"wrote {out / 'summary.txt'}, {out / 'manifest.json'}"
+        )
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "cfg, flags, message",
+        [
+            ({"experiment": "exp3"}, [], "check-bounds takes an exp1 or exp2 config"),
+            ({"experiment": "custom"}, [], "check-bounds takes an exp1 or exp2 config"),
+            ({"experiment": "exp1"}, ["--experiment", "exp2"], "config names experiment 'exp1'"),
+        ],
+        ids=["exp3", "custom", "conflict"],
+    )
+    def test_check_bounds_refuses_another_experiment(self, tmp_path, capsys, cfg, flags, message):
+        code, out = _run(
+            tmp_path, "check-bounds", "other", cfg, "--runs", "1", "--expert-runs", "1", *flags
+        )
+        assert code == EXIT_CONFIG and not out.exists()
+        assert message in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -343,6 +385,18 @@ class TestOverridesValidated:
         assert code == EXIT_OK
         manifest = json.load(open(out / "manifest.json"))
         assert manifest["seed"] == 3 and manifest["config"]["repetitions"] == 2
+        # check-bounds' flags override the config file's bounds section, key by key
+        cfg = {"horizon": 20, "bounds": {"runs": 7, "expert_runs": 1}}
+        code, out = _run(tmp_path, "check-bounds", "cb", cfg, "--runs", "2", "--seed", "3")
+        assert code == EXIT_OK
+        manifest = json.load(open(out / "manifest.json"))
+        assert manifest["seed"] == 3
+        assert manifest["config"]["bounds"] == {"check": True, "runs": 2, "expert_runs": 1}
+
+    def test_bounds_section_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys):
+        code, out = _run(tmp_path, "check-bounds", "o", {"bounds": 5}, "--runs", "2")
+        assert code == EXIT_CONFIG and not out.exists()
+        assert "config section 'bounds' must be an object" in capsys.readouterr().err
 
 
 MOVED_STATES = {"state_a": [-60.0, 5.0, 30.0], "state_b": [60.0, 25.0, -50.0]}

@@ -1,5 +1,5 @@
-"""numpy is poco's only runtime dependency, and the config layer loads no
-study code.
+"""numpy is poco's only runtime dependency, importing the package loads
+neither scipy nor logging, and the config layer loads no study code.
 
 Guards: a static scan of every import statement under ``src/poco``, and
 fresh interpreters that import part of the package and then list what got
@@ -55,6 +55,11 @@ def _loaded_after(statement: str, modules: tuple) -> str:
 
 def test_importing_poco_loads_no_scipy():
     assert _loaded_after("import poco, poco.cli", ("scipy",)) == "[]"
+
+
+def test_importing_poco_loads_no_logging():
+    # the CLI's import time is a benchmark metric; logging costs milliseconds of it
+    assert _loaded_after("import poco, poco.cli", ("logging",)) == "[]"
 
 
 def test_config_imports_no_study_code():

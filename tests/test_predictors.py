@@ -597,6 +597,17 @@ class TestOneAimRule:
             assert roster == [predictor] and length == n and list(starts) == [n]
             assert aimed[-1, 0] and got.tobytes() == aims[-1, 0].tobytes()
 
+    def test_model_predictor_is_not_ready_before_an_observation(self):
+        model = self._cases()[-1][0]
+        with pytest.raises(PredictorNotReady) as info:
+            model.predict(np.empty((0, 2)))
+        assert (info.value.needed, info.value.have) == (1, 0)
+
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 2))], ids=["list", "array"])
+    def test_oracle_reads_an_empty_history_as_rows_of_the_truth(self, empty):
+        oracle = NoisyOracle(np.arange(10.0).reshape(5, 2))
+        np.testing.assert_array_equal(oracle.predict(empty), [0.0, 1.0])
+
 
 class TestPersistence:
     def test_repeats_last(self):

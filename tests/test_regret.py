@@ -292,7 +292,7 @@ class TestLedger:
         assert with_term - without == pytest.approx(2.0 * eta * 3.0 / (1 - c))
         assert predictive_regret_bound(constants, eta, 0.0, 0.0, 0.0) == 0.0
 
-    def test_heuristic_projection_skips_bound(self, caplog):
+    def test_heuristic_projection_skips_bound(self):
         family = Markowitz(3)
         cset = UnitSimplex(3, mode="renormalize")
         rng = np.random.default_rng(21)
