@@ -16,11 +16,11 @@ fit-ar
     Fit an autoregression to a CSV series by the Yule-Walker equations and
     print the coefficients.
 
-Run flags (--seed, --reps, --runs, --expert-runs) are merged into their config
-keys, so the manifest records them and --config manifest.json alone replays a
-run.  Exit codes: 0 success, 1 a requested check failed, 2 config error,
-3 data error, 4 runtime error.  The output directory defaults to --out, then
-$POCO_OUT, then ./poco_out.
+Run flags (--seed; --reps for the run-* commands; --runs and --expert-runs for
+check-bounds) are merged into their config keys, so the manifest records them
+and --config manifest.json alone replays a run.  Exit codes: 0 success, 1 a
+requested check failed, 2 config error, 3 data error, 4 runtime error.  The
+output directory defaults to --out, then $POCO_OUT, then ./poco_out.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _load_config(args, experiment) -> dict:
     """Resolve the config file (or the defaults) with every run flag merged
     into its key first, so the schema validates it and the manifest records it."""
     user = read_config(args.config) if args.config else {}
-    for key, value in (("seed", args.seed), ("repetitions", args.reps)):
+    for key, value in (("seed", args.seed), ("repetitions", getattr(args, "reps", None))):
         if value is not None:
             user[key] = value
     # check-bounds' flags; a bounds value that is not an object is left to the schema
@@ -130,6 +130,8 @@ def cmd_verify_bounds(args) -> int:
 
 def _parse_vector(text: str) -> np.ndarray:
     parts = [p for chunk in text.split(",") for p in chunk.split()]
+    if not parts:
+        raise ConfigError(f"vector {text!r} has no coordinates")
     try:
         return np.array([float(p) for p in parts])
     except ValueError as exc:
@@ -143,8 +145,7 @@ def cmd_project(args) -> int:
             center = _parse_vector(args.center) if args.center else np.zeros(v.shape[0])
             cset = EuclideanBall(center=center, radius=args.radius)
         else:
-            dim = v.shape[0] if args.dimension is None else args.dimension
-            cset = UnitSimplex(dim, mode=args.mode)
+            cset = UnitSimplex(v.shape[0], mode=args.mode)
         projected = cset.project(v)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -179,7 +180,6 @@ def _add_run_flags(sub):
     sub.add_argument("--config", help="path to a JSON config (or a manifest)")
     sub.add_argument("--out", help="output directory (default $POCO_OUT or ./poco_out)")
     sub.add_argument("--seed", type=int, help="master seed override")
-    sub.add_argument("--reps", type=int, help="repetition count override")
     sub.add_argument("--quiet", action="store_true", help="suppress stdout report")
 
 
@@ -195,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         name = f"run-{experiment}"
         sub = subs.add_parser(name, help=f"{name.replace('-', ' ')}")
         _add_run_flags(sub)
+        sub.add_argument("--reps", type=int, help="repetition count override")
         sub.set_defaults(func=cmd_run_study, experiment=experiment)
 
     sub = subs.add_parser("check-bounds", help="verify the regret bounds empirically")
@@ -211,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--vector", required=True, help="comma-separated coordinates")
     sub.add_argument("--center", help="ball center (defaults to the origin)")
     sub.add_argument("--radius", type=float, default=1.0)
-    sub.add_argument("--dimension", type=int)
     sub.add_argument("--mode", choices=("exact", "renormalize"), default="exact")
     sub.set_defaults(func=cmd_project)
 

@@ -199,15 +199,12 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "csv_path": Key(_v_opt(_v_str), None),
         "risk_free": Key(_v_bool, True),
         "synth_assets": Key(_v_int(1), 36),
-        "synth_days": Key(_v_int(1), 5000),
         "lookbacks": Key(_v_int_list(2), [15, 30, 45, 60, 75, 90]),
         "ar_orders": Key(_v_int_list(1), [1, 2, 3, 4, 5, 6]),
         "client_lookback": Key(_v_int(2), 50),
         "eta": Key(_v_num(0.0, strict=True), 0.1),
         "gamma": Key(_v_num(0.0, strict=True), 50.0),
-        "beta": Key(_v_fraction(strict=True), 0.2),
         "observe_months": Key(_v_int(1), 10),
-        "eval_months": Key(_v_int(1), 150),
         "month_days": Key(_v_int(2), 30),
         "risk_base": Key(_v_num(0.0), 4.0),
         "risk_warmup_days": Key(_v_int(0), 240),
@@ -228,7 +225,7 @@ PRESETS = {
     "exp2": {"scenario": {"dwell": [4, 6]}},
     "exp3": {
         "repetitions": 200,
-        "horizon": SCHEMA["exp3"]["eval_months"].default,
+        "horizon": 150,  # study 3's evaluation months
         "bounds": {"check": False},
     },
 }

@@ -53,6 +53,7 @@ from poco.smad import ExpertPool, run_smad, suggested_gamma
 # appended to a study's curve note when it reports repetition 1's ledgers
 LEDGER_NOTE = "; regret decomposition below is for repetition 1"
 EXPERT_NOISE_CLIP = 6.0  # standard deviations, so the expert study can declare D
+DAY_ONE_BETA = 0.2  # entrant share, unread by a pool whose experts all join in round 1
 
 
 @dataclass
@@ -404,22 +405,22 @@ class MarkowitzModelPredictor:
         return np.column_stack([self.moments.slot(ns, self.lookback), clamped])
 
 
-def _total_months(sec: dict) -> int:
-    return sec["observe_months"] + sec["eval_months"]
+def _total_months(cfg: dict) -> int:
+    return cfg["exp3"]["observe_months"] + cfg["horizon"]
 
 
 def load_exp3_market(cfg: dict) -> MarketData:
     """Historical CSV when ``exp3.csv_path`` is set, else the synthetic
-    stand-in seeded by the top-level ``seed``."""
+    stand-in seeded by the top-level ``seed``, as long as the run reads."""
     sec = cfg["exp3"]
-    months = _total_months(sec)
+    months = _total_months(cfg)
     needed = sec["month_days"] * months
     if sec["csv_path"]:
         data = load_market_csv(sec["csv_path"], risk_free=sec["risk_free"])
     else:
         data = synthetic_market(
             n_assets=sec["synth_assets"],
-            n_days=max(sec["synth_days"], needed),
+            n_days=needed,
             seed=np.random.SeedSequence((cfg["seed"], 0xDA7A)),
         )
         if sec["risk_free"]:
@@ -432,17 +433,17 @@ def load_exp3_market(cfg: dict) -> MarketData:
 
 
 def _client_thetas(sec: dict, moments: MomentCache, risk_obs: np.ndarray) -> np.ndarray:
-    """Client objective parameters for months 1..total of an ``exp3``
-    section, one (slot, risk) row per month."""
-    slots = moments.slot(np.arange(1, _total_months(sec) + 1), sec["client_lookback"])
+    """Client objective parameters of an ``exp3`` section, one (slot, risk)
+    row per month of the risk path ``risk_obs``."""
+    slots = moments.slot(np.arange(1, risk_obs.shape[0] + 1), sec["client_lookback"])
     return np.column_stack([slots, risk_obs])
 
 
 def run_exp3(cfg: dict, data: Optional[MarketData] = None) -> ExperimentResult:
     """Portfolio study: a pool of (lookback, AR order) manager models scored
-    monthly by a client objective with hidden, jumpy risk tolerance.  Reads
-    the ``exp3`` section and the top-level ``repetitions`` and ``seed``;
-    ``data`` replaces the market that section describes."""
+    monthly by a client objective with hidden, jumpy risk tolerance for
+    ``horizon`` months.  Reads the ``exp3`` section and the top-level
+    ``repetitions``, ``seed`` and ``horizon``; ``data`` replaces the section's market."""
     sec = cfg["exp3"]
     if data is None:
         data = load_exp3_market(cfg)
@@ -457,7 +458,7 @@ def run_exp3(cfg: dict, data: Optional[MarketData] = None) -> ExperimentResult:
     )
     lookbacks, ar_orders = sec["lookbacks"], sec["ar_orders"]
     eta, gamma, observe = sec["eta"], sec["gamma"], sec["observe_months"]
-    months = _total_months(sec)
+    months = _total_months(cfg)
     moments = MomentCache(data, sec["month_days"], months, [*lookbacks, sec["client_lookback"]])
     family = MarkowitzTable(moments.mu, moments.sigma)
     cset = UnitSimplex(data.n_assets, mode="renormalize")
@@ -477,7 +478,7 @@ def run_exp3(cfg: dict, data: Optional[MarketData] = None) -> ExperimentResult:
             for lb in lookbacks
             for k in ar_orders
         ]
-        pool = ExpertPool(beta=sec["beta"], gamma=gamma, eta=eta)
+        pool = ExpertPool(beta=DAY_ONE_BETA, gamma=gamma, eta=eta)
         return run_smad(
             family, cset, eval_thetas, pool, x1, roster=roster, initial_history=history
         )
@@ -487,7 +488,7 @@ def run_exp3(cfg: dict, data: Optional[MarketData] = None) -> ExperimentResult:
         scenario, expert_pool, family, cset, x1, eta,
     )
     notes = [
-        f"repetitions={cfg['repetitions']} eval_months={sec['eval_months']} "
+        f"repetitions={cfg['repetitions']} eval_months={cfg['horizon']} "
         f"eta={eta} gamma={gamma} seed={cfg['seed']}",
         f"assets={data.n_assets} ({'historical csv' if sec['csv_path'] else 'synthetic stand-in'})",
         f"experts={len(lookbacks)} lookbacks x {len(ar_orders)} AR orders "
@@ -603,7 +604,7 @@ def run_expert_bound_study(cfg: dict, n_runs: int) -> BoundStudyResult:
             Persistence(),
             VarPredictor(order=2, indices=cfg["predictor"]["indices"]),
         ]
-        pool = ExpertPool(beta=0.2, gamma=gamma, eta=eta)
+        pool = ExpertPool(beta=DAY_ONE_BETA, gamma=gamma, eta=eta)
         runs.append(run_smad(family, cset, thetas, pool, x1, roster=[(1, p) for p in predictors]))
     records = build_ledgers(family, cset, runs)
     return BoundStudyResult(records=records, label="expert-pool regret bound")

@@ -74,9 +74,11 @@ def switching_base(spec: SwitchingProcessSpec, t: int) -> np.ndarray:
 
 
 def gen_switching(spec: SwitchingProcessSpec, seed) -> np.ndarray:
-    """Full (T, dim) realization of the switching process for one seed."""
+    """Full (T, dim) realization for one seed: every round's :func:`switching_base`, plus noise."""
     rng = np.random.default_rng(seed)
-    base = np.stack([switching_base(spec, t) for t in range(1, spec.horizon + 1)])
+    d_a, d_b = int(spec.dwell[0]), int(spec.dwell[1])
+    in_b = np.arange(spec.horizon) % (d_a + d_b) >= d_a
+    base = np.array([spec.state_a, spec.state_b], dtype=float)[in_b.astype(int)]
     if spec.noise_scale == 0.0:
         return base
     noise = rng.standard_normal(base.shape)

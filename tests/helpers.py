@@ -9,8 +9,10 @@ that the library's all-prefix cumulative sums replaced, and the expert-pool
 round that kept its prediction regularity and aim range round by round,
 which the library now reads off a run's aim table after the loop, the
 study-3 moments table filled slot by slot that the library now fills by
-stacked windows, and the scalar aim rules of one history at a time that
-the library's ``predict`` methods replaced with their aim-table rows.
+stacked windows, the scalar aim rules of one history at a time that
+the library's ``predict`` methods replaced with their aim-table rows, and
+the switching path stacked round by round that the library now builds with
+one array rule.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from poco.descent import DescentConfig, ogd_step_rows, run_predictive_ogd
 from poco.domains import SIMPLEX_EXACT, EuclideanBall
 from poco.objectives import Markowitz, QuadraticTracking
 from poco.predictors import DEFAULT_RIDGE, PredictorNotReady, VarFit, aim_table
+from poco.scenarios import switching_base
 
 
 def finite_diff_gradient(fun, x, h=1e-6):
@@ -416,3 +419,16 @@ def reference_smad(family, cset, thetas, beta, gamma, eta, inner_steps, x1, rost
         expert_losses=expert_losses, p=p, p_theta_by_expert=p_theta,
         aim_lo=pool.aim_lo, aim_hi=pool.aim_hi,
     )
+
+
+def stacked_switching(spec, seed):
+    """The switching path of ``spec`` for one seed, its noise-free base
+    stacked from one :func:`poco.scenarios.switching_base` call per round."""
+    rng = np.random.default_rng(seed)
+    base = np.stack([switching_base(spec, t) for t in range(1, spec.horizon + 1)])
+    if spec.noise_scale == 0.0:
+        return base
+    noise = rng.standard_normal(base.shape)
+    if spec.noise_clip is not None:
+        noise = np.clip(noise, -spec.noise_clip, spec.noise_clip)
+    return base + np.sqrt(spec.noise_scale) * noise

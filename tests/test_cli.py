@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from poco.config import (
     emit_results,
     parse_config,
     resolve_config,
+    SCHEMA,
 )
+from poco.scenarios import synthetic_market
 
 from helpers import yule_walker_reference
 
@@ -162,7 +165,7 @@ class TestCommands:
         [
             pytest.param(["run-exp1"], {}, id="run-exp1"),
             pytest.param(["run-exp2"], {"horizon": 60}, id="run-exp2"),
-            pytest.param(["run-exp3"], {"exp3": {"eval_months": 12}}, id="run-exp3"),
+            pytest.param(["run-exp3"], {"horizon": 12}, id="run-exp3"),
             pytest.param(["run-custom"], {}, id="run-custom"),
             pytest.param(
                 ["check-bounds", "--experiment", "exp2", "--runs", "2", "--expert-runs", "1"],
@@ -193,11 +196,14 @@ class TestCommands:
         assert os.path.exists(os.path.join(out, "summary.txt"))
 
     def test_exp3_runs_small(self, tmp_path):
-        cfg = self.fast_cfg(tmp_path, {"exp3": {"eval_months": 12}})
+        # the horizon is study 3's number of evaluation months
+        cfg = self.fast_cfg(tmp_path, {"horizon": 12})
         out = str(tmp_path / "o3")
         assert main(["run-exp3", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
         lines = open(os.path.join(out, "summary.txt")).read()
-        assert "synthetic stand-in" in lines
+        assert "synthetic stand-in" in lines and " eval_months=12 " in lines
+        assert len(open(os.path.join(out, "curve.csv")).read().splitlines()) == 1 + 12
+        assert json.load(open(os.path.join(out, "manifest.json")))["config"]["horizon"] == 12
 
     def test_run_custom(self, tmp_path):
         cfg = self.fast_cfg(tmp_path, {"predictor": {"kind": "persistence"}})
@@ -299,15 +305,33 @@ class TestCommands:
         "argv",
         [
             ["project", "--kind", "ball", "--radius", "-1", "--vector", "1,2"],
-            ["project", "--kind", "simplex", "--dimension", "0", "--vector", "1,2"],
+            # an empty vector gives the simplex no dimension and the ball no center
+            ["project", "--kind", "simplex", "--vector="],
+            ["project", "--kind", "ball", "--vector="],
             ["fit-ar", "--csv", "unread.csv", "--order", "0"],
         ],
-        ids=["ball-radius", "simplex-dimension", "fit-ar-order"],
+        ids=["ball-radius", "simplex-dimension", "ball-empty-vector", "fit-ar-order"],
     )
     def test_bad_utility_argument_is_a_config_error(self, capsys, argv):
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-bounds", "--reps", "2"],
+            ["project", "--kind", "simplex", "--dimension", "2", "--vector", "1,2"],
+        ],
+        ids=["check-bounds-reps", "project-dimension"],
+    )
+    def test_removed_flag_is_a_usage_error(self, capsys, argv):
+        # check-bounds counts its runs with --runs and --expert-runs, and the
+        # simplex takes its dimension from the vector
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2  # argparse's usage error
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_fit_ar_output(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -400,43 +424,138 @@ class TestOverridesValidated:
 
 
 MOVED_STATES = {"state_a": [-60.0, 5.0, 30.0], "state_b": [60.0, 25.0, -50.0]}
-SIMPLEX_START = {"descent": {"x1": [0.5, 0.5]}}
-SHORT_EXP3 = {"eval_months": 6}
+STUDY_COMMANDS = ("run-exp1", "run-exp2", "run-exp3")
+SWITCHING = ("run-exp1", "run-exp2")
+SIMPLEX_START = {"descent.x1": [0.5, 0.5]}
+MARKET_CSV = "<market.csv>"  # a short historical market, written once per module
 
-# (command, config change, the config it is compared with)
-DROPPED_KEY_CASES = [
-    pytest.param("run-exp1", {"scenario": MOVED_STATES}, {}, id="exp1-states"),
-    pytest.param("run-exp1", {"scenario": {"noise_clip": 0.5}}, {}, id="exp1-noise_clip"),
-    pytest.param("run-exp1", {"domain": {"center": [0.0, 5.0]}}, {}, id="exp1-center"),
-    pytest.param(
-        "run-exp1", {"domain": {"kind": "simplex"}, **SIMPLEX_START}, SIMPLEX_START,
-        id="exp1-simplex",
-    ),
-    pytest.param("run-exp1", {"predictor": {"kind": "persistence"}}, {}, id="exp1-persistence"),
-    pytest.param("run-exp1", {"predictor": {"indices": [0]}}, {}, id="exp1-indices"),
-    pytest.param("run-exp2", {"scenario": MOVED_STATES}, {}, id="exp2-states"),
-    pytest.param("run-exp2", {"scenario": {"noise_clip": 0.5}}, {}, id="exp2-noise_clip"),
-    pytest.param("run-exp2", {"domain": {"center": [0.0, 5.0]}}, {}, id="exp2-center"),
-    pytest.param("run-exp2", {"predictor": {"indices": [0]}}, {}, id="exp2-indices"),
-    pytest.param(
-        "run-exp3", {"exp3": {**SHORT_EXP3, "eta": 0.05}}, {"exp3": SHORT_EXP3},
-        id="exp3-eta",
-    ),
-    pytest.param(
-        "run-exp3", {"exp3": {**SHORT_EXP3, "lookbacks": [20, 40]}}, {"exp3": SHORT_EXP3},
-        id="exp3-lookbacks",
-    ),
-]
+# per command, the small run every case changes; config keys are dotted
+BASES = {
+    "run-exp1": {"repetitions": 2, "horizon": 30, "bounds.check": False},
+    "run-exp2": {"repetitions": 2, "horizon": 30, "bounds.check": False},
+    "run-exp3": {"repetitions": 2, "horizon": 6, "bounds.check": False},
+}
 
-# (command, a change to a key that the README says the command does not read)
-UNREAD_KEY_CASES = [
-    pytest.param("run-exp3", {"descent": {"eta": 0.001}}, id="exp3-descent.eta"),
-    pytest.param("run-exp3", {"smad": {"gamma": 1.0}}, id="exp3-smad.gamma"),
-    pytest.param("run-exp3", {"horizon": 30}, id="exp3-horizon"),
-    pytest.param("run-exp2", {"predictor": {"order": 2}}, id="exp2-predictor.order"),
-    pytest.param("run-exp1", {"smad": {"beta": 0.5}}, id="exp1-smad.beta"),
-    pytest.param("run-exp1", {"exp3": {"eta": 0.5}}, id="exp1-exp3.eta"),
-]
+
+class Row(NamedTuple):
+    alternate: object  # a valid value other than the one in every base run
+    reads: tuple  # the study commands that read the key; the others ignore it
+    context: dict = {}  # config both runs of a read case share
+
+
+# every SCHEMA key under each study command: a read key alone changes
+# curve.csv or summary.txt, and an unread key leaves both byte-identical
+KEY_TABLE = {
+    # the command names the experiment, so another one is refused
+    "experiment": Row("custom", STUDY_COMMANDS),
+    "seed": Row(3, STUDY_COMMANDS),
+    "repetitions": Row(3, STUDY_COMMANDS),
+    "horizon": Row(5, STUDY_COMMANDS),  # study 3's evaluation months
+    "descent.eta": Row(0.004, SWITCHING),
+    "descent.inner_steps": Row(2, SWITCHING),
+    "descent.x1": Row([0.0, 20.0], SWITCHING),
+    "domain.kind": Row("simplex", SWITCHING, SIMPLEX_START),
+    "domain.center": Row([0.0, 5.0], SWITCHING),
+    "domain.radius": Row(45.0, SWITCHING),
+    # it acts only on a simplex
+    "domain.projection_mode": Row(
+        "renormalize", SWITCHING, {"domain.kind": "simplex", **SIMPLEX_START}
+    ),
+    "objective.weights": Row([50.0, 1.0], SWITCHING),
+    "predictor.kind": Row("persistence", ("run-exp1",)),
+    "predictor.order": Row(2, ("run-exp1",)),
+    "predictor.min_history": Row(20, ("run-exp1",)),
+    "predictor.indices": Row([0], SWITCHING),
+    "scenario.state_a": Row(MOVED_STATES["state_a"], SWITCHING),
+    "scenario.state_b": Row(MOVED_STATES["state_b"], SWITCHING),
+    "scenario.dwell": Row([3, 5], SWITCHING),
+    "scenario.noise_scale": Row(5.0, SWITCHING),
+    "scenario.noise_clip": Row(0.5, SWITCHING),
+    "smad.beta": Row(0.5, ("run-exp2",)),
+    "smad.gamma": Row("auto", ("run-exp2",)),
+    # the first expert, joining at round 10, changes order
+    "smad.expert_orders": Row([2, 2, 3, 4, 5], ("run-exp2",)),
+    "smad.first_activation": Row(5, ("run-exp2",)),
+    "smad.activation_every": Row(5, ("run-exp2",)),
+    "smad.activation_times": Row([5, 10, 15, 20, 25], ("run-exp2",)),
+    "exp3.csv_path": Row(MARKET_CSV, ("run-exp3",)),
+    "exp3.risk_free": Row(False, ("run-exp3",)),
+    "exp3.synth_assets": Row(4, ("run-exp3",)),
+    "exp3.lookbacks": Row([20, 40], ("run-exp3",)),
+    "exp3.ar_orders": Row([1, 2], ("run-exp3",)),
+    "exp3.client_lookback": Row(40, ("run-exp3",)),
+    "exp3.eta": Row(0.05, ("run-exp3",)),
+    "exp3.gamma": Row(10.0, ("run-exp3",)),
+    "exp3.observe_months": Row(12, ("run-exp3",)),
+    "exp3.month_days": Row(20, ("run-exp3",)),
+    "exp3.risk_base": Row(8.0, ("run-exp3",)),
+    "exp3.risk_warmup_days": Row(120, ("run-exp3",)),
+    "exp3.risk_stay_prob": Row(0.5, ("run-exp3",)),
+    "exp3.risk_noise_var": Row(0.1, ("run-exp3",)),
+    "exp3.risk_jump_low": Row(5, ("run-exp3",)),
+    "exp3.risk_jump_high": Row(10, ("run-exp3",)),
+    "bounds.check": Row(True, SWITCHING),
+    "bounds.runs": Row(7, ()),
+    "bounds.expert_runs": Row(7, ()),
+}
+
+
+def _read_cases() -> list:
+    """(command, key) for every key a command reads, named by the key's bare
+    name unless another key the command reads shares it."""
+    cases = []
+    for command in STUDY_COMMANDS:
+        reads = [key for key, row in KEY_TABLE.items() if command in row.reads]
+        names = [key.rpartition(".")[2] for key in reads]
+        cases += [
+            pytest.param(command, key, id=f"{command[4:]}-{key if names.count(name) > 1 else name}")
+            for key, name in zip(reads, names)
+        ]
+    return cases
+
+
+def _unread_cases() -> list:
+    """(command, keys): each key a command ignores alone, named by its dotted
+    name, then all of them together."""
+    cases = []
+    for command in STUDY_COMMANDS:
+        unread = [key for key, row in KEY_TABLE.items() if command not in row.reads]
+        cases += [pytest.param(command, (key,), id=f"{command[4:]}-{key}") for key in unread]
+        cases.append(pytest.param(command, tuple(unread), id=f"{command[4:]}-all-together"))
+    return cases
+
+
+def _config(command: str, changes: dict) -> dict:
+    """The command's base config with dotted-key ``changes`` applied."""
+    cfg = {}
+    for key, value in {**BASES[command], **changes}.items():
+        section, _, name = key.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[name] = value
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def study_outputs(tmp_path_factory):
+    """``outputs(command, cfg)``: the exit code and the curve.csv and
+    summary.txt bytes (None when absent) of one quiet run; a config that
+    has run already is not run again."""
+    root = tmp_path_factory.mktemp("keys")
+    market = root / "market.csv"
+    days = synthetic_market(n_assets=3, n_days=480, seed=5).relatives
+    market.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in days))
+    runs = {}
+
+    def outputs(command: str, cfg: dict) -> tuple:
+        text = json.dumps(cfg, sort_keys=True).replace(MARKET_CSV, str(market))
+        if (command, text) not in runs:
+            path, out = root / f"cfg{len(runs)}.json", root / f"out{len(runs)}"
+            path.write_text(text)
+            code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+            files = (out / name for name in ("curve.csv", "summary.txt"))
+            runs[command, text] = (code, *(f.read_bytes() if f.exists() else None for f in files))
+        return runs[command, text]
+
+    return outputs
 
 
 class TestBadCsvIsADataError:
@@ -446,7 +565,7 @@ class TestBadCsvIsADataError:
     def _exit_code(self, tmp_path, command, path):
         if command == "fit-ar":
             return main(["fit-ar", "--csv", str(path), "--order", "1"])
-        cfg = {"repetitions": 1, "exp3": {"csv_path": str(path), "eval_months": 2}}
+        cfg = {"repetitions": 1, "horizon": 2, "exp3": {"csv_path": str(path)}}
         return _run(tmp_path, "run-exp3", "o", cfg)[0]
 
     @pytest.mark.parametrize("command", ["fit-ar", "run-exp3"])
@@ -477,25 +596,30 @@ class TestBadCsvIsADataError:
 
 
 class TestConfigReachesTheRun:
-    @pytest.mark.parametrize("command,change,reference", DROPPED_KEY_CASES)
-    def test_key_changes_the_curve(self, tmp_path, command, change, reference):
-        base = {"repetitions": 2, "horizon": 60}
-        curves = []
-        for name, extra in (("reference", reference), ("changed", change)):
-            code, out = _run(tmp_path, command, name, {**base, **extra})
-            assert code == EXIT_OK
-            curves.append((out / "curve.csv").read_bytes())
-        assert curves[0] != curves[1]
+    def test_table_covers_the_schema(self):
+        keys = {
+            f"{sec}.{key}" if sec else key for sec, section in SCHEMA.items() for key in section
+        }
+        assert set(KEY_TABLE) == keys
 
-    @pytest.mark.parametrize("command,change", UNREAD_KEY_CASES)
-    def test_unread_key_leaves_the_outputs(self, tmp_path, command, change):
-        base = {"repetitions": 2, "horizon": 60, "exp3": SHORT_EXP3}
-        outputs = []
-        for name, extra in (("reference", {}), ("changed", change)):
-            code, out = _run(tmp_path, command, name, {**base, **extra})
-            assert code == EXIT_OK
-            outputs.append([(out / f).read_bytes() for f in ("curve.csv", "summary.txt")])
-        assert outputs[0] == outputs[1]
+    @pytest.mark.parametrize("command,key", _read_cases())
+    def test_key_changes_the_curve(self, study_outputs, command, key):
+        """The key alone changes curve.csv or summary.txt."""
+        row = KEY_TABLE[key]
+        reference = study_outputs(command, _config(command, row.context))
+        changed = study_outputs(command, _config(command, {**row.context, key: row.alternate}))
+        assert reference[0] == EXIT_OK
+        if key == "experiment":
+            assert changed == (EXIT_CONFIG, None, None)
+        else:
+            assert changed[0] == EXIT_OK and changed != reference
+
+    @pytest.mark.parametrize("command,keys", _unread_cases())
+    def test_unread_key_leaves_the_outputs(self, study_outputs, command, keys):
+        reference = study_outputs(command, _config(command, {}))
+        changes = {key: KEY_TABLE[key].alternate for key in keys}
+        changed = study_outputs(command, _config(command, changes))
+        assert reference[0] == EXIT_OK and changed == reference
 
     def test_gamma_auto_sized_from_the_scenario_the_run_draws(self, tmp_path, monkeypatch):
         import poco.experiments as experiments
@@ -619,12 +743,14 @@ class TestConfigReachesTheRun:
     @pytest.mark.parametrize(
         "command,cfg,message",
         [("run-exp2", {"smad": {"beta": 1.5}}, "smad.beta expects a number in (0, 1)"),
-         ("run-exp3", {"exp3": {"beta": 1.0}}, "exp3.beta expects a number in (0, 1)"),
+         ("run-exp3", {"exp3": {"risk_stay_prob": -0.1}},
+          "exp3.risk_stay_prob expects a number in [0, 1]"),
          ("run-exp3", {"exp3": {"risk_stay_prob": 1.5}},
           "exp3.risk_stay_prob expects a number in [0, 1]"),
          # month 1's client window would hold one day, too few for a covariance
          ("run-exp3", {"exp3": {"month_days": 1}}, "exp3.month_days expects an integer >= 2")],
-        ids=["smad.beta", "exp3.beta", "exp3.risk_stay_prob", "exp3.month_days"],
+        ids=["smad.beta", "exp3.risk_stay_prob-negative", "exp3.risk_stay_prob",
+             "exp3.month_days"],
     )
     def test_out_of_range_fraction_is_a_config_error(
         self, tmp_path, capsys, command, cfg, message

@@ -35,8 +35,10 @@ def unchecked(experiment, **overrides):
     return resolve_config({"bounds": {"check": False}, **overrides}, experiment)
 
 
-def exp3_config(seed, repetitions, **exp3):
-    return resolve_config({"seed": seed, "repetitions": repetitions, "exp3": exp3}, "exp3")
+def exp3_config(seed, repetitions, horizon=150, **exp3):
+    return resolve_config(
+        {"seed": seed, "repetitions": repetitions, "horizon": horizon, "exp3": exp3}, "exp3"
+    )
 
 
 class TestSeedSplitting:
@@ -82,7 +84,7 @@ class TestPairedHarness:
             lambda: run_exp1(dict(resolve_config({}, "exp1"), repetitions=0)),
             lambda: run_exp2(dict(resolve_config({}, "exp2"), repetitions=0)),
             lambda: run_exp3(
-                dict(exp3_config(1729, 1, eval_months=5), repetitions=0), data=market
+                dict(exp3_config(1729, 1, horizon=5), repetitions=0), data=market
             ),
         ):
             with pytest.raises(ValueError, match="repetitions must be >= 1"):
@@ -97,7 +99,7 @@ class TestPairedHarness:
             "exp2": run_exp2,
             "exp3": lambda cfg: run_exp3(cfg, data=market),
         }[experiment]
-        extra = {"exp3": {"eval_months": 20}} if experiment == "exp3" else {}
+        extra = {"horizon": 20} if experiment == "exp3" else {}
         two, four = (
             run(unchecked(experiment, repetitions=reps, **extra)).curve.diffs
             for reps in (2, 4)
@@ -199,7 +201,7 @@ def market():
 class TestExp3:
 
     def test_uniform_start_and_shapes(self, market):
-        res = run_exp3(exp3_config(11, 2, eval_months=30), data=market)
+        res = run_exp3(exp3_config(11, 2, horizon=30), data=market)
         assert res.curve.horizon == 30
         assert res.curve.n_reps == 2
         assert market.n_assets == 37  # 36 stocks plus the risk-free column
@@ -215,14 +217,12 @@ class TestExp3:
         from poco.experiments import MomentCache, _client_thetas
         from poco.scenarios import gen_risk_path
 
-        sec = exp3_config(11, 1, eval_months=5)["exp3"]
-        moments = MomentCache(
-            market, sec["month_days"], sec["observe_months"] + sec["eval_months"],
-            [sec["client_lookback"]],
-        )
+        cfg = exp3_config(11, 1, horizon=5)
+        sec = cfg["exp3"]
+        months = sec["observe_months"] + cfg["horizon"]
+        moments = MomentCache(market, sec["month_days"], months, [sec["client_lookback"]])
         family = MarkowitzTable(moments.mu, moments.sigma)
         child = np.random.SeedSequence(11).spawn(1)[0]
-        months = sec["observe_months"] + sec["eval_months"]
         # the exp3 risk defaults are RiskProcessSpec's own
         risk = gen_risk_path(RiskProcessSpec(), sec["month_days"] * months, child)
         thetas = _client_thetas(sec, moments, risk)
@@ -251,7 +251,7 @@ class TestExp3:
 
         monkeypatch.setattr(experiments, "var_forecasts", counting_pass)
         monkeypatch.setattr(predictors, "_yule_walker", counting_fit)
-        run_exp3(exp3_config(14, 2, eval_months=6, lookbacks=[15, 30]), data=market)
+        run_exp3(exp3_config(14, 2, horizon=6, lookbacks=[15, 30]), data=market)
         # one pass per repetition, over the 10 observation months and the
         # first 5 evaluation months: every risk level a month observes
         assert passes == [((15,), [1, 2, 3, 4, 5, 6])] * 2
@@ -289,7 +289,7 @@ class TestExp3:
         for name in ("pack", "unpack", "_unpack_rows"):
             monkeypatch.setattr(Markowitz, name, recording(name, getattr(Markowitz, name)))
         monkeypatch.setattr(ExpertPool, "step", recording_step)
-        run_exp3(exp3_config(14, 2, eval_months=6, lookbacks=[15, 30]), data=market)
+        run_exp3(exp3_config(14, 2, horizon=6, lookbacks=[15, 30]), data=market)
         first_step = events.index("step")
         assert events.count("table") == 1 and events.index("table") < first_step
         # 16 months fill one block: one stacked call per lookback (2 experts'
@@ -300,15 +300,15 @@ class TestExp3:
         assert len(in_step) == 2 * 6 and not any(in_step)
 
     def test_determinism(self, market):
-        cfg = exp3_config(12, 2, eval_months=20)
+        cfg = exp3_config(12, 2, horizon=20)
         a = run_exp3(cfg, data=market)
         b = run_exp3(cfg, data=market)
         np.testing.assert_array_equal(a.curve.diffs, b.curve.diffs)
 
     def test_constant_risk_shrinks_the_gap(self, market):
-        noisy = run_exp3(exp3_config(13, 3, eval_months=40), data=market)
+        noisy = run_exp3(exp3_config(13, 3, horizon=40), data=market)
         quiet = run_exp3(
-            exp3_config(13, 3, eval_months=40, risk_stay_prob=1.0, risk_noise_var=0.0),
+            exp3_config(13, 3, horizon=40, risk_stay_prob=1.0, risk_noise_var=0.0),
             data=market,
         )
         assert abs(quiet.curve.mean_diff[-1]) < abs(noisy.curve.mean_diff[-1])
@@ -318,7 +318,7 @@ class TestExp3:
         # is too short must be rejected with the day counts
         path = tmp_path / "short.csv"
         path.write_text("1.0,1.0\n" * 50)
-        cfg = exp3_config(1729, 1, csv_path=str(path), eval_months=150)
+        cfg = exp3_config(1729, 1, horizon=150, csv_path=str(path))
         with pytest.raises(Exception, match="4800 days"):
             load_exp3_market(cfg)
 

@@ -23,7 +23,7 @@ from poco.scenarios import (
     synthetic_market,
 )
 
-from helpers import cov_moments
+from helpers import cov_moments, stacked_switching
 
 STATE_A = np.array([-100.0, 0.0, 30.0])
 STATE_B = np.array([100.0, 20.0, -50.0])
@@ -49,6 +49,26 @@ class TestSwitchingProcess:
         series = gen_switching(spec, 0)
         for t in range(1, 13):
             np.testing.assert_array_equal(series[t - 1], switching_base(spec, t))
+
+    @given(
+        dwell=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        horizon=st.integers(1, 400),
+        noise_scale=st.sampled_from([0.0, 10.0, 0.3]),
+        noise_clip=st.sampled_from([None, 2.0, 6.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dwell=(4, 4), horizon=200, noise_scale=10.0, noise_clip=None, seed=1729)
+    @example(dwell=(1, 1), horizon=1, noise_scale=0.0, noise_clip=None, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_stacked_base_rule_bit_for_bit(
+        self, dwell, horizon, noise_scale, noise_clip, seed
+    ):
+        spec = SwitchingProcessSpec(
+            dwell=dwell, horizon=horizon, noise_scale=noise_scale, noise_clip=noise_clip
+        )
+        got, want = gen_switching(spec, seed), stacked_switching(spec, seed)
+        assert got.shape == want.shape == (horizon, 3)
+        assert got.tobytes() == want.tobytes()
 
     def test_seeded_determinism(self):
         spec = SwitchingProcessSpec(horizon=50)

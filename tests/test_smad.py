@@ -582,7 +582,7 @@ class TestAimTableRuns:
             assert asked == ["FixedAim"] * (30 - 5)
         else:
             cfg = resolve_config(
-                {"repetitions": 2, "exp3": {"eval_months": 6, "lookbacks": [15, 30]}}, "exp3"
+                {"repetitions": 2, "horizon": 6, "exp3": {"lookbacks": [15, 30]}}, "exp3"
             )
             run_exp3(cfg, data=synthetic_market(n_assets=3, n_days=16 * 30, seed=3))
             assert asked == []
