@@ -749,7 +749,7 @@ class TestConfigReachesTheRun:
           "exp3.risk_stay_prob expects a number in [0, 1]"),
          # month 1's client window would hold one day, too few for a covariance
          ("run-exp3", {"exp3": {"month_days": 1}}, "exp3.month_days expects an integer >= 2")],
-        ids=["smad.beta", "exp3.risk_stay_prob-negative", "exp3.risk_stay_prob",
+        ids=["smad.beta", "exp3.stay-neg", "exp3.risk_stay_prob",
              "exp3.month_days"],
     )
     def test_out_of_range_fraction_is_a_config_error(
