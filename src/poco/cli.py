@@ -87,6 +87,10 @@ def _load_config(args, experiment) -> dict:
     for key, value in (("seed", args.seed), ("repetitions", getattr(args, "reps", None))):
         if value is not None:
             user[key] = value
+    if hasattr(args, "runs"):  # check-bounds: refuse another experiment before adding bounds
+        named = experiment or user.get("experiment") or "exp1"
+        if named not in BOUND_EXPERIMENTS:
+            raise ConfigError(f"check-bounds takes an exp1 or exp2 config, not {named!r}")
     # check-bounds' flags; a bounds value that is not an object is left to the schema
     for key in ("runs", "expert_runs"):
         value = getattr(args, key, None)
@@ -112,8 +116,6 @@ def cmd_run_study(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     cfg = _load_config(args, args.experiment)
-    if cfg["experiment"] not in BOUND_EXPERIMENTS:
-        raise ConfigError(f"check-bounds takes an exp1 or exp2 config, not {cfg['experiment']!r}")
     studies = [
         experiments.run_predictive_bound_study(cfg, cfg["bounds"]["runs"], inner_steps=k)
         for k in (1, 2, 3)

@@ -1,10 +1,13 @@
 """Config files: schema, defaults, validation, and result emission.
 
-A run is described by a flat JSON object with one section per module.  Every
-key is declared once in ``SCHEMA``, with its validator and its default;
-``PRESETS`` holds the few per-experiment departures.  The minimal config is
-just ``{"experiment": "exp1"}`` (or even ``{}`` when the CLI command names
-the experiment).  Unknown keys are rejected with a suggestion.
+A run is described by a JSON object of four top-level keys and the schema
+sections that its experiment holds: the ones some command taking its config
+reads.  Every key is declared once in ``SCHEMA``, with its validator and its
+default; ``EXPERIMENTS`` gives each experiment its sections and its few
+departures from those defaults.  The minimal config is just
+``{"experiment": "exp1"}`` (or even ``{}`` when the CLI command names the
+experiment).  Unknown keys are rejected with a suggestion, and a section
+the experiment does not hold is refused.
 ``emit_results`` writes three files per run: ``curve.csv`` (t, mean_diff,
 std_diff), ``summary.txt`` (human-readable accounting and bound checks) and
 ``manifest.json`` (the fully resolved config, the CLI's run flags merged in,
@@ -21,7 +24,15 @@ import math
 import os
 from typing import Any, Callable, NamedTuple, Optional
 
-EXPERIMENTS = ("exp1", "exp2", "exp3", "custom")
+# per experiment, the schema sections its config holds and its departures
+# from the SCHEMA defaults
+SWITCHING = ("descent", "domain", "objective", "predictor", "scenario", "bounds")
+EXPERIMENTS = {
+    "exp1": (SWITCHING, {}),
+    "exp2": (SWITCHING + ("smad",), {"scenario": {"dwell": [4, 6]}}),
+    "exp3": (("exp3",), {"repetitions": 200, "horizon": 150}),  # 150 evaluation months
+    "custom": (SWITCHING, {}),
+}
 DEFAULT_SEED = 1729
 
 
@@ -101,10 +112,12 @@ def _v_choice(*choices):
     return check
 
 
-def _v_num_list():
+def _v_num_list(positive=False):
     def check(section, key, val):
         if not isinstance(val, list) or not all(_is_number(x) for x in val):
             raise _type_error(section, key, "a list of finite numbers", val)
+        if positive and min(val, default=1.0) <= 0:
+            raise _type_error(section, key, "a list of positive numbers", val)
         return [float(x) for x in val]
 
     return check
@@ -172,7 +185,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "projection_mode": Key(_v_choice("exact", "renormalize"), "exact"),
     },
     "objective": {
-        "weights": Key(_v_num_list(), [100.0, 1.0]),
+        "weights": Key(_v_num_list(positive=True), [100.0, 1.0]),
     },
     "predictor": {
         "kind": Key(_v_choice("var", "persistence"), "var"),
@@ -220,16 +233,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
     },
 }
 
-# the only per-experiment departures from the SCHEMA defaults
-PRESETS = {
-    "exp2": {"scenario": {"dwell": [4, 6]}},
-    "exp3": {
-        "repetitions": 200,
-        "horizon": 150,  # study 3's evaluation months
-        "bounds": {"check": False},
-    },
-}
-
 # common wrong names worth a pointed suggestion
 SYNONYMS = {
     "stepsize": "eta",
@@ -253,24 +256,23 @@ def _suggest(key: str, known) -> str:
 
 
 def default_config(experiment: str) -> dict:
-    """Fully populated config for one experiment: the SCHEMA defaults with
-    the experiment's preset applied."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+    """Fully populated config for one experiment: the SCHEMA defaults of its
+    sections with its departures applied."""
+    sections, departures = EXPERIMENTS[experiment]
     cfg = {key: entry.default for key, entry in SCHEMA[""].items()}
-    for section, keys in SCHEMA.items():
-        if section:
-            cfg[section] = {key: entry.default for key, entry in keys.items()}
+    for section in sections:
+        cfg[section] = {key: entry.default for key, entry in SCHEMA[section].items()}
     cfg["experiment"] = experiment
-    return _validate_into(copy.deepcopy(cfg), PRESETS.get(experiment, {}))
+    return _validate_into(copy.deepcopy(cfg), departures)
 
 
 def _validate_into(base: dict, user: dict) -> dict:
-    top_known = set(SCHEMA[""].keys()) | {s for s in SCHEMA if s}
     for key, val in user.items():
         if key in SCHEMA[""]:
             base[key] = SCHEMA[""][key].check("", key, val)
         elif key in SCHEMA:
+            if key not in base:
+                raise ConfigError(f"no {base['experiment']} run reads config section {key!r}; delete it")
             if not isinstance(val, dict):
                 raise ConfigError(f"config section {key!r} must be an object")
             section_schema = SCHEMA[key]
@@ -282,11 +284,19 @@ def _validate_into(base: dict, user: dict) -> dict:
                     )
                 base[key][sub] = section_schema[sub].check(key, sub, subval)
         else:
-            raise ConfigError(f"unknown config key {key!r}" + _suggest(key, top_known))
+            raise ConfigError(f"unknown config key {key!r}" + _suggest(key, base))
     return base
 
 
 def _cross_checks(cfg: dict) -> None:
+    for sec, key in (("objective", "weights"), ("smad", "expert_orders"),
+                     ("exp3", "lookbacks"), ("exp3", "ar_orders")):
+        if sec in cfg and not cfg[sec][key]:
+            raise ConfigError(f"{sec}.{key} is empty; it must list at least one entry")
+    if "exp3" in cfg:
+        if cfg["exp3"]["risk_jump_low"] > cfg["exp3"]["risk_jump_high"]:
+            raise ConfigError("exp3.risk_jump_low must not exceed exp3.risk_jump_high")
+        return
     if cfg["bounds"]["check"]:
         big_l = 2.0 * max(cfg["objective"]["weights"])
         eta = cfg["descent"]["eta"]
@@ -306,29 +316,19 @@ def _cross_checks(cfg: dict) -> None:
             "scenario.state_a and state_b must hold one target per objective "
             "weight plus an offset"
         )
-    m = len(cfg["scenario"]["state_a"])
-    if any(i >= m for i in cfg["predictor"]["indices"] or ()):
+    m, indices = n + 1, cfg["predictor"]["indices"]
+    if indices is not None and not (indices and max(indices) < m):
         raise ConfigError(
-            f"predictor.indices={cfg['predictor']['indices']} must index the {m} "
+            f"predictor.indices={indices} must name one or more of the {m} "
             "parameter components that scenario.state_a defines"
         )
     if len(cfg["descent"]["x1"]) != n:
         raise ConfigError("descent.x1 and objective.weights must agree on dimension")
     if cfg["domain"]["kind"] == "ball" and len(cfg["domain"]["center"]) != n:
         raise ConfigError("domain.center and objective.weights must agree on dimension")
-    for sec, key in (("smad", "expert_orders"), ("exp3", "lookbacks"), ("exp3", "ar_orders")):
-        if not cfg[sec][key]:
-            raise ConfigError(f"{sec}.{key} is empty; an expert pool needs at least one expert")
-    smad = cfg["smad"]
-    if smad["activation_times"] is not None and len(smad["activation_times"]) != len(
-        smad["expert_orders"]
-    ):
-        raise ConfigError(
-            "smad.activation_times must list one round per expert order"
-        )
-    exp3 = cfg["exp3"]
-    if exp3["risk_jump_low"] > exp3["risk_jump_high"]:
-        raise ConfigError("exp3.risk_jump_low must not exceed exp3.risk_jump_high")
+    times = cfg["smad"]["activation_times"] if "smad" in cfg else None
+    if times is not None and len(times) != len(cfg["smad"]["expert_orders"]):
+        raise ConfigError("smad.activation_times must list one round per expert order")
 
 
 def resolve_config(user: Optional[dict] = None, experiment: Optional[str] = None) -> dict:
@@ -336,7 +336,7 @@ def resolve_config(user: Optional[dict] = None, experiment: Optional[str] = None
     user = dict(user or {})
     exp = experiment or user.get("experiment") or "exp1"
     if not isinstance(exp, str) or exp not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {exp!r}; expected one of {EXPERIMENTS}")
+        raise ConfigError(f"unknown experiment {exp!r}; expected one of {tuple(EXPERIMENTS)}")
     if experiment is not None and "experiment" in user and user["experiment"] != experiment:
         raise ConfigError(
             f"config names experiment {user['experiment']!r} but the command "

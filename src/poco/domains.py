@@ -80,8 +80,8 @@ class EuclideanBall:
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if center.ndim != 1 or not np.all(np.isfinite(center)):
-            raise ValueError("center must be a finite vector")
+        if center.ndim != 1 or center.size == 0 or not np.all(np.isfinite(center)):
+            raise ValueError("center must be a finite vector of dimension >= 1")
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be positive, got {self.radius}")
         object.__setattr__(self, "center", center)

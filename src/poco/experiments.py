@@ -540,9 +540,9 @@ class BoundStudyResult:
 
 def _bound_setup(cfg: dict, n_runs: int):
     """``switching_setup`` for a bound study of ``n_runs`` runs (at least
-    one), which refuses a domain whose projection is not nonexpansive with
-    a ``ConfigError`` naming ``domain.projection_mode``: no regret bound
-    applies there."""
+    one), which refuses with a ``ConfigError`` what no regret bound applies
+    to: a domain whose projection is not nonexpansive, named by
+    ``domain.projection_mode``, and a ``descent.eta`` above 1/L."""
     if n_runs < 1:
         raise ValueError(f"a bound study needs at least one run, got {n_runs}")
     family, cset, proc = switching_setup(cfg)
@@ -552,6 +552,10 @@ def _bound_setup(cfg: dict, n_runs: int):
             "nonexpansive, so no regret bound applies and a bound study has "
             "nothing to check; use projection_mode 'exact'"
         )
+    eta, big_l = cfg["descent"]["eta"], family.curvature()[1]
+    if eta > 1.0 / big_l * (1 + 1e-12):
+        raise ConfigError(f"descent.eta={eta} violates the step-size condition "
+                          f"eta <= 1/L = {1.0 / big_l} that every regret bound needs")
     return family, cset, proc
 
 

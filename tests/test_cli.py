@@ -14,6 +14,7 @@ from poco.config import (
     emit_results,
     parse_config,
     resolve_config,
+    EXPERIMENTS,
     SCHEMA,
 )
 from poco.scenarios import synthetic_market
@@ -51,6 +52,13 @@ class TestConfigResolution:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             resolve_config({"optimizer": {}}, "exp1")
+
+    def test_suggestions_name_only_what_the_experiment_holds(self):
+        # smad is a key of exp2 configs, so an exp1 config gets no pointer to it
+        with pytest.raises(ConfigError, match=r"^unknown config key 'smadd'$"):
+            resolve_config({"smadd": {}}, "exp1")
+        with pytest.raises(ConfigError, match='did you mean "smad"'):
+            resolve_config({"smadd": {}}, "exp2")
 
     def test_removed_bounds_inner_steps_rejected(self):
         # check-bounds always runs k = 1, 2, 3; the key was never read
@@ -424,53 +432,72 @@ class TestOverridesValidated:
 
 
 MOVED_STATES = {"state_a": [-60.0, 5.0, 30.0], "state_b": [60.0, 25.0, -50.0]}
-STUDY_COMMANDS = ("run-exp1", "run-exp2", "run-exp3")
-SWITCHING = ("run-exp1", "run-exp2")
+COMMANDS = ("run-exp1", "run-custom", "run-exp2", "run-exp3", "check-bounds")
+STUDY_1 = ("run-exp1", "run-custom")
+RUNS = (*STUDY_1, "run-exp2")  # the study commands on the switching process
+SWITCHING = (*RUNS, "check-bounds")
 SIMPLEX_START = {"descent.x1": [0.5, 0.5]}
 MARKET_CSV = "<market.csv>"  # a short historical market, written once per module
 
-# per command, the small run every case changes; config keys are dotted
+# every command with each experiment whose config it takes, and the small run
+# every case changes; config keys are dotted
+SMALL_BOUNDS = {"horizon": 30, "bounds.check": False, "bounds.runs": 1, "bounds.expert_runs": 1}
 BASES = {
-    "run-exp1": {"repetitions": 2, "horizon": 30, "bounds.check": False},
-    "run-exp2": {"repetitions": 2, "horizon": 30, "bounds.check": False},
-    "run-exp3": {"repetitions": 2, "horizon": 6, "bounds.check": False},
+    "exp1": ("run-exp1", "exp1", {"repetitions": 2, "horizon": 30, "bounds.check": False}),
+    "custom": ("run-custom", "custom", {"repetitions": 2, "horizon": 30, "bounds.check": False}),
+    "exp2": ("run-exp2", "exp2", {"repetitions": 2, "horizon": 30, "bounds.check": False}),
+    "exp3": ("run-exp3", "exp3", {"repetitions": 2, "horizon": 6}),
+    "bounds": ("check-bounds", "exp1", SMALL_BOUNDS),
+    "bounds-exp2": ("check-bounds", "exp2", {"experiment": "exp2", **SMALL_BOUNDS}),
 }
+# check-bounds reads the same keys whatever its base, so it is changed key by
+# key on one
+READ_BASES = ("exp1", "custom", "exp2", "exp3", "bounds")
+REFUSED = (EXIT_CONFIG, None, None, [])  # a config error writes nothing
+# check-bounds refuses custom configs, so these keys of one go unread
+HELD_UNREAD = {("custom", "bounds.runs"), ("custom", "bounds.expert_runs")}
 
 
 class Row(NamedTuple):
     alternate: object  # a valid value other than the one in every base run
-    reads: tuple  # the study commands that read the key; the others ignore it
+    reads: tuple  # the commands that read the key; the others ignore it
     context: dict = {}  # config both runs of a read case share
+    refused_by: tuple = ()  # the reading commands that refuse the alternate
 
 
-# every SCHEMA key under each study command: a read key alone changes
-# curve.csv or summary.txt, and an unread key leaves both byte-identical
+# every SCHEMA key under each command: a read key alone changes its outputs
+# (curve.csv, summary.txt and the regret ledgers) or is refused; an unread
+# key in the config leaves them byte-identical, and one outside it is refused
 KEY_TABLE = {
-    # the command names the experiment, so another one is refused
-    "experiment": Row("custom", STUDY_COMMANDS),
-    "seed": Row(3, STUDY_COMMANDS),
-    "repetitions": Row(3, STUDY_COMMANDS),
-    "horizon": Row(5, STUDY_COMMANDS),  # study 3's evaluation months
+    # the command names the experiment, and check-bounds takes only exp1 and
+    # exp2, so another one is refused (run-custom's case names exp1)
+    "experiment": Row("custom", COMMANDS, refused_by=COMMANDS),
+    "seed": Row(3, COMMANDS),
+    "repetitions": Row(3, (*RUNS, "run-exp3")),  # check-bounds counts bounds.runs
+    "horizon": Row(5, COMMANDS),  # study 3's evaluation months
     "descent.eta": Row(0.004, SWITCHING),
-    "descent.inner_steps": Row(2, SWITCHING),
+    "descent.inner_steps": Row(2, RUNS),  # check-bounds runs k = 1, 2, 3
     "descent.x1": Row([0.0, 20.0], SWITCHING),
     "domain.kind": Row("simplex", SWITCHING, SIMPLEX_START),
     "domain.center": Row([0.0, 5.0], SWITCHING),
     "domain.radius": Row(45.0, SWITCHING),
-    # it acts only on a simplex
+    # it acts only on a simplex, and no regret bound holds under it
     "domain.projection_mode": Row(
-        "renormalize", SWITCHING, {"domain.kind": "simplex", **SIMPLEX_START}
+        "renormalize", SWITCHING, {"domain.kind": "simplex", **SIMPLEX_START},
+        refused_by=("check-bounds",),
     ),
     "objective.weights": Row([50.0, 1.0], SWITCHING),
-    "predictor.kind": Row("persistence", ("run-exp1",)),
-    "predictor.order": Row(2, ("run-exp1",)),
-    "predictor.min_history": Row(20, ("run-exp1",)),
+    # study 2's experts are the AR orders of smad.expert_orders
+    "predictor.kind": Row("persistence", (*STUDY_1, "check-bounds")),
+    "predictor.order": Row(2, (*STUDY_1, "check-bounds")),
+    "predictor.min_history": Row(20, (*STUDY_1, "check-bounds")),
     "predictor.indices": Row([0], SWITCHING),
     "scenario.state_a": Row(MOVED_STATES["state_a"], SWITCHING),
     "scenario.state_b": Row(MOVED_STATES["state_b"], SWITCHING),
     "scenario.dwell": Row([3, 5], SWITCHING),
     "scenario.noise_scale": Row(5.0, SWITCHING),
     "scenario.noise_clip": Row(0.5, SWITCHING),
+    # the expert-pool bound study uses its own beta and tuned gamma
     "smad.beta": Row(0.5, ("run-exp2",)),
     "smad.gamma": Row("auto", ("run-exp2",)),
     # the first expert, joining at round 10, changes order
@@ -494,41 +521,58 @@ KEY_TABLE = {
     "exp3.risk_noise_var": Row(0.1, ("run-exp3",)),
     "exp3.risk_jump_low": Row(5, ("run-exp3",)),
     "exp3.risk_jump_high": Row(10, ("run-exp3",)),
-    "bounds.check": Row(True, SWITCHING),
-    "bounds.runs": Row(7, ()),
-    "bounds.expert_runs": Row(7, ()),
+    "bounds.check": Row(True, RUNS),
+    "bounds.runs": Row(2, ("check-bounds",)),
+    "bounds.expert_runs": Row(2, ("check-bounds",)),
 }
 
 
+def _held(experiment: str) -> list:
+    """The dotted keys a config of ``experiment`` holds."""
+    sections = ("", *EXPERIMENTS[experiment][0])
+    return [key for key in KEY_TABLE if key.rpartition(".")[0] in sections]
+
+
+def _unread(base: str) -> tuple:
+    """The keys the base's command does not read: those its config holds,
+    and those it does not."""
+    command, experiment, _ = BASES[base]
+    unread = [key for key in KEY_TABLE if command not in KEY_TABLE[key].reads]
+    held = _held(experiment)
+    return [key for key in unread if key in held], [key for key in unread if key not in held]
+
+
 def _read_cases() -> list:
-    """(command, key) for every key a command reads, named by the key's bare
-    name unless another key the command reads shares it."""
+    """(base, key) for every key a base's command reads, named by the key's
+    bare name unless another key the command reads shares it."""
     cases = []
-    for command in STUDY_COMMANDS:
+    for base in READ_BASES:
+        command = BASES[base][0]
         reads = [key for key, row in KEY_TABLE.items() if command in row.reads]
         names = [key.rpartition(".")[2] for key in reads]
         cases += [
-            pytest.param(command, key, id=f"{command[4:]}-{key if names.count(name) > 1 else name}")
+            pytest.param(base, key, id=f"{base}-{key if names.count(name) > 1 else name}")
             for key, name in zip(reads, names)
         ]
     return cases
 
 
 def _unread_cases() -> list:
-    """(command, keys): each key a command ignores alone, named by its dotted
-    name, then all of them together."""
+    """(base, keys): each key a base's command ignores alone, named by its
+    dotted name, then those its config holds all together."""
     cases = []
-    for command in STUDY_COMMANDS:
-        unread = [key for key, row in KEY_TABLE.items() if command not in row.reads]
-        cases += [pytest.param(command, (key,), id=f"{command[4:]}-{key}") for key in unread]
-        cases.append(pytest.param(command, tuple(unread), id=f"{command[4:]}-all-together"))
+    for base in BASES:
+        held, other = _unread(base)
+        cases += [pytest.param(base, (key,), id=f"{base}-{key}") for key in held + other]
+        if held:
+            cases.append(pytest.param(base, tuple(held), id=f"{base}-all-together"))
     return cases
 
 
-def _config(command: str, changes: dict) -> dict:
-    """The command's base config with dotted-key ``changes`` applied."""
+def _config(base: str, changes: dict) -> dict:
+    """The base's config with dotted-key ``changes`` applied."""
     cfg = {}
-    for key, value in {**BASES[command], **changes}.items():
+    for key, value in {**BASES[base][2], **changes}.items():
         section, _, name = key.rpartition(".")
         (cfg.setdefault(section, {}) if section else cfg)[name] = value
     return cfg
@@ -536,23 +580,38 @@ def _config(command: str, changes: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def study_outputs(tmp_path_factory):
-    """``outputs(command, cfg)``: the exit code and the curve.csv and
-    summary.txt bytes (None when absent) of one quiet run; a config that
-    has run already is not run again."""
+    """``outputs(command, cfg)``: the exit code, the curve.csv and
+    summary.txt bytes (None when absent) and the summary lines of every
+    regret ledger built, of one quiet run.  check-bounds' summary.txt holds
+    only its verdicts, so its ledgers show what its runs played.  A config
+    that has run already is not run again."""
+    import poco.experiments as experiments
+
     root = tmp_path_factory.mktemp("keys")
     market = root / "market.csv"
     days = synthetic_market(n_assets=3, n_days=480, seed=5).relatives
     market.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in days))
-    runs = {}
+    build_ledgers, runs = experiments.build_ledgers, {}
 
     def outputs(command: str, cfg: dict) -> tuple:
         text = json.dumps(cfg, sort_keys=True).replace(MARKET_CSV, str(market))
         if (command, text) not in runs:
             path, out = root / f"cfg{len(runs)}.json", root / f"out{len(runs)}"
             path.write_text(text)
-            code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+            lines = []
+
+            def kept(*args):
+                records = build_ledgers(*args)
+                lines.extend(line for record in records for line in record.summary_lines())
+                return records
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(experiments, "build_ledgers", kept)
+                code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
             files = (out / name for name in ("curve.csv", "summary.txt"))
-            runs[command, text] = (code, *(f.read_bytes() if f.exists() else None for f in files))
+            runs[command, text] = (
+                code, *(f.read_bytes() if f.exists() else None for f in files), lines
+            )
         return runs[command, text]
 
     return outputs
@@ -602,24 +661,57 @@ class TestConfigReachesTheRun:
         }
         assert set(KEY_TABLE) == keys
 
-    @pytest.mark.parametrize("command,key", _read_cases())
-    def test_key_changes_the_curve(self, study_outputs, command, key):
-        """The key alone changes curve.csv or summary.txt."""
+    def test_configs_hold_only_what_their_commands_read(self):
+        # some command taking a config reads each key it holds, but for the
+        # marked exception; and each command ignores only a few
+        held = {(exp, key) for _, exp, _ in BASES.values() for key in _held(exp)}
+        read = {
+            (exp, key) for command, exp, _ in BASES.values() for key in _held(exp)
+            if command in KEY_TABLE[key].reads
+        }
+        assert held - read == HELD_UNREAD
+        counts = {base: len(_unread(base)[0]) for base in BASES}
+        assert counts == {"exp1": 2, "custom": 2, "exp2": 5, "exp3": 0, "bounds": 3, "bounds-exp2": 9}
+
+    @pytest.mark.parametrize("base,key", _read_cases())
+    def test_key_changes_the_curve(self, study_outputs, base, key):
+        """The key alone changes the outputs, or is refused."""
+        command, _, _ = BASES[base]
         row = KEY_TABLE[key]
-        reference = study_outputs(command, _config(command, row.context))
-        changed = study_outputs(command, _config(command, {**row.context, key: row.alternate}))
+        alternate = "exp1" if (key, command) == ("experiment", "run-custom") else row.alternate
+        reference = study_outputs(command, _config(base, row.context))
+        changed = study_outputs(command, _config(base, {**row.context, key: alternate}))
         assert reference[0] == EXIT_OK
-        if key == "experiment":
-            assert changed == (EXIT_CONFIG, None, None)
+        if command in row.refused_by:
+            assert changed == REFUSED
         else:
             assert changed[0] == EXIT_OK and changed != reference
 
-    @pytest.mark.parametrize("command,keys", _unread_cases())
-    def test_unread_key_leaves_the_outputs(self, study_outputs, command, keys):
-        reference = study_outputs(command, _config(command, {}))
+    @pytest.mark.parametrize("base,keys", _unread_cases())
+    def test_unread_key_leaves_the_outputs(self, study_outputs, base, keys):
+        """A key the config holds leaves the outputs byte-identical; one in a
+        section it does not hold is refused."""
+        command, experiment, _ = BASES[base]
+        reference = study_outputs(command, _config(base, {}))
         changes = {key: KEY_TABLE[key].alternate for key in keys}
-        changed = study_outputs(command, _config(command, changes))
-        assert reference[0] == EXIT_OK and changed == reference
+        changed = study_outputs(command, _config(base, changes))
+        assert reference[0] == EXIT_OK
+        if set(keys) <= set(_held(experiment)):
+            assert changed == reference
+        else:
+            assert changed == REFUSED
+
+    @pytest.mark.parametrize(
+        "experiment,section",
+        [pytest.param(exp, sec, id=f"{exp}-{sec}") for exp, (sections, _) in EXPERIMENTS.items()
+         for sec in SCHEMA if sec and sec not in sections],
+    )
+    def test_section_not_held_is_refused(self, tmp_path, capsys, experiment, section):
+        # even an empty one: a config holds exactly its experiment's sections
+        code, out = _run(tmp_path, f"run-{experiment}", "other", {section: {}})
+        assert code == EXIT_CONFIG and not out.exists()
+        message = f"no {experiment} run reads config section {section!r}; delete it"
+        assert message in capsys.readouterr().err
 
     def test_gamma_auto_sized_from_the_scenario_the_run_draws(self, tmp_path, monkeypatch):
         import poco.experiments as experiments
@@ -748,9 +840,13 @@ class TestConfigReachesTheRun:
          ("run-exp3", {"exp3": {"risk_stay_prob": 1.5}},
           "exp3.risk_stay_prob expects a number in [0, 1]"),
          # month 1's client window would hold one day, too few for a covariance
-         ("run-exp3", {"exp3": {"month_days": 1}}, "exp3.month_days expects an integer >= 2")],
+         ("run-exp3", {"exp3": {"month_days": 1}}, "exp3.month_days expects an integer >= 2"),
+         ("run-exp1", {"objective": {"weights": [-100.0, 1.0]}},
+          "objective.weights expects a list of positive numbers"),
+         ("check-bounds", {"objective": {"weights": [-100.0, 1.0]}},
+          "objective.weights expects a list of positive numbers")],
         ids=["smad.beta", "exp3.stay-neg", "exp3.risk_stay_prob",
-             "exp3.month_days"],
+             "exp3.month_days", "weights", "cb-weights"],
     )
     def test_out_of_range_fraction_is_a_config_error(
         self, tmp_path, capsys, command, cfg, message
@@ -763,8 +859,11 @@ class TestConfigReachesTheRun:
         "command,section,key",
         [("run-exp2", "smad", "expert_orders"),
          ("run-exp3", "exp3", "lookbacks"),
-         ("run-exp3", "exp3", "ar_orders")],
-        ids=["smad.expert_orders", "exp3.lookbacks", "exp3.ar_orders"],
+         ("run-exp3", "exp3", "ar_orders"),
+         ("run-exp1", "objective", "weights"),
+         ("check-bounds", "objective", "weights")],
+        ids=["smad.expert_orders", "exp3.lookbacks", "exp3.ar_orders",
+             "objective.weights", "cb-objective.weights"],
     )
     def test_empty_expert_list_is_a_config_error(self, tmp_path, capsys, command, section, key):
         cfg = {"repetitions": 1, "horizon": 20, section: {key: []}}
@@ -789,13 +888,22 @@ class TestConfigReachesTheRun:
         assert f"config key {key} expects a " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run-exp1", "run-exp2", "run-custom", "check-bounds"])
-    def test_indices_beyond_the_parameter_are_a_config_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command,indices",
+        [("run-exp1", [5]), ("run-exp2", [5]), ("run-custom", [5]), ("check-bounds", [5]),
+         ("run-exp1", []), ("check-bounds", [])],
+        ids=["run-exp1", "run-exp2", "run-custom", "check-bounds",
+             "run-exp1-empty", "check-bounds-empty"],
+    )
+    def test_indices_beyond_the_parameter_are_a_config_error(
+        self, tmp_path, capsys, command, indices
+    ):
+        # an empty list models no component at all
         flags = ("--runs", "1", "--expert-runs", "1") if command == "check-bounds" else ()
-        cfg = {"repetitions": 1, "predictor": {"indices": [5]}}
+        cfg = {"repetitions": 1, "predictor": {"indices": indices}}
         code, out = _run(tmp_path, command, "indices", cfg, *flags)
         assert code == EXIT_CONFIG
-        assert "predictor.indices=[5]" in capsys.readouterr().err and not out.exists()
+        assert f"predictor.indices={indices}" in capsys.readouterr().err and not out.exists()
 
     def test_check_bounds_on_a_renormalizing_simplex_is_a_config_error(
         self, tmp_path, capsys, monkeypatch
@@ -818,6 +926,25 @@ class TestConfigReachesTheRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: domain.projection_mode='renormalize'")
         assert "not nonexpansive" in err and not out.exists()
+
+    def test_check_bounds_on_a_step_above_one_over_l_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import poco.experiments as experiments
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a bound-study run was played")
+
+        # check-bounds does not read bounds.check, which lifts the parse-time
+        # guard, so the studies refuse the step themselves, before any run
+        monkeypatch.setattr(experiments, "run_predictive_ogd", no_run)
+        monkeypatch.setattr(experiments, "run_smad", no_run)
+        cfg = {"descent": {"eta": 0.1}, "bounds": {"check": False}}
+        code, out = _run(tmp_path, "check-bounds", "eta", cfg, "--runs", "1", "--expert-runs", "1")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: descent.eta=0.1 violates the step-size condition")
+        assert "1/L = 0.005" in err and not out.exists()
 
     def test_check_bounds_fails_on_a_hedge_violation_alone(self, tmp_path, monkeypatch):
         import dataclasses

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from poco.config import resolve_config
+from poco.config import EXPERIMENTS, resolve_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "poco").glob("*.py"))
@@ -28,6 +28,34 @@ def test_config_files_example_resolves():
             assert {k: cfg[name][k] for k in value} == value
         else:
             assert cfg[name] == value
+
+
+def _dotted(departures: dict) -> dict:
+    """``{"scenario": {"dwell": v}}`` as ``{"scenario.dwell": v}``."""
+    flat = {}
+    for key, value in departures.items():
+        if isinstance(value, dict):
+            flat.update({f"{key}.{sub}": v for sub, v in value.items()})
+        else:
+            flat[key] = value
+    return flat
+
+
+def test_config_files_table_matches_the_experiments():
+    # an experiment's sections or departures change in the docs with the code
+    section = README.read_text().split("## Config files", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*?) \| (.*?) \|$", section, flags=re.MULTILINE)
+    documented = {
+        name: (
+            tuple(re.findall(r"`(\w+)`", sections)),
+            {key: json.loads(value) for key, value in re.findall(r"`([\w.]+)`: `(.*?)`", departs)},
+        )
+        for name, sections, departs in rows
+    }
+    assert documented == {
+        name: (sections, _dotted(departures))
+        for name, (sections, departures) in EXPERIMENTS.items()
+    }
 
 
 def _lookup(obj, dotted: str) -> bool:

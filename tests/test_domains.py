@@ -54,6 +54,11 @@ class TestEuclideanBall:
         with pytest.raises(ValueError, match="radius"):
             EuclideanBall(center=np.zeros(2), radius=0.0)
 
+    def test_bad_dimension(self):
+        # like UnitSimplex(0): a set with no coordinates has no point to play
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            EuclideanBall(center=np.zeros(0), radius=1.0)
+
     def test_project_rows_matches_scalar(self):
         rng = np.random.default_rng(3)
         ball = EuclideanBall(center=rng.normal(size=3), radius=1.5)

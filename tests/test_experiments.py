@@ -99,9 +99,9 @@ class TestPairedHarness:
             "exp2": run_exp2,
             "exp3": lambda cfg: run_exp3(cfg, data=market),
         }[experiment]
-        extra = {"horizon": 20} if experiment == "exp3" else {}
         two, four = (
-            run(unchecked(experiment, repetitions=reps, **extra)).curve.diffs
+            run(exp3_config(1729, reps, horizon=20) if experiment == "exp3"
+                else unchecked(experiment, repetitions=reps)).curve.diffs
             for reps in (2, 4)
         )
         np.testing.assert_array_equal(two, four[:2])
