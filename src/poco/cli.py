@@ -6,12 +6,15 @@ run-exp1 / run-exp2 / run-exp3 / run-custom
     Run one of the three studies and write curve.csv, summary.txt and
     manifest.json into the output directory.  run-custom is study 1 with
     its arms labelled baseline and method; run-exp1 is its exp1 preset.
+    A regret ledger whose descent.eta exceeds 1/L skips its bound check.
 check-bounds
     Batch-verify the regret bounds (single-step, multi-step, expert pool)
     and the aggregation inequality on an exp1 or exp2 config, writing
     summary.txt and manifest.json; nonzero exit when any run violates one.
+    A descent.eta above 1/L is a config error here.
 project
-    Project a vector onto a ball or simplex and print the result.
+    Project a vector onto a ball (--center, --radius) or a simplex (--mode)
+    and print the result; a flag the chosen set does not read is refused.
 fit-ar
     Fit an autoregression to a CSV series by the Yule-Walker equations and
     print the coefficients.
@@ -57,8 +60,7 @@ def run_custom(cfg: dict) -> ExperimentResult:
     notes = [
         f"custom comparison: predictor={cfg['predictor']['kind']} repetitions={cfg['repetitions']} "
         f"horizon={cfg['horizon']} seed={cfg['seed']}",
-        "curve = cumulative regret (method) - cumulative regret (baseline)"
-        + (experiments.LEDGER_NOTE if result.ledgers else ""),
+        "curve = cumulative regret (method) - cumulative regret (baseline)" + experiments.LEDGER_NOTE,
     ]
     ledgers = dict(zip(("baseline", "method"), result.ledgers.values()))
     return ExperimentResult(curve=result.curve, ledgers=ledgers, notes=notes)
@@ -73,30 +75,27 @@ STUDIES = {
     "custom": run_custom,
 }
 
-BOUND_EXPERIMENTS = ("exp1", "exp2")  # the configs check-bounds takes as its base
-
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _load_config(args, experiment) -> dict:
+def _load_config(args) -> dict:
     """Resolve the config file (or the defaults) with every run flag merged
     into its key first, so the schema validates it and the manifest records it."""
     user = read_config(args.config) if args.config else {}
     for key, value in (("seed", args.seed), ("repetitions", getattr(args, "reps", None))):
         if value is not None:
             user[key] = value
-    if hasattr(args, "runs"):  # check-bounds: refuse another experiment before adding bounds
-        named = experiment or user.get("experiment") or "exp1"
-        if named not in BOUND_EXPERIMENTS:
+    if args.experiment is None:  # check-bounds: refuse another experiment, then add its flags
+        named = user.get("experiment") or "exp1"
+        if named not in ("exp1", "exp2"):
             raise ConfigError(f"check-bounds takes an exp1 or exp2 config, not {named!r}")
-    # check-bounds' flags; a bounds value that is not an object is left to the schema
-    for key in ("runs", "expert_runs"):
-        value = getattr(args, key, None)
-        if value is not None and isinstance(user.setdefault("bounds", {}), dict):
-            user["bounds"][key] = value
-    return resolve_config(user, experiment=experiment)
+        for key in ("runs", "expert_runs"):  # a bounds value not an object is left to the schema
+            value = getattr(args, key)
+            if value is not None and isinstance(user.setdefault("bounds", {}), dict):
+                user["bounds"][key] = value
+    return resolve_config(user, experiment=args.experiment)
 
 
 def _emit_and_report(curve, lines: list, cfg: dict, args) -> None:
@@ -108,14 +107,14 @@ def _emit_and_report(curve, lines: list, cfg: dict, args) -> None:
 
 
 def cmd_run_study(args) -> int:
-    cfg = _load_config(args, args.experiment)
+    cfg = _load_config(args)
     result = STUDIES[args.experiment](cfg)
     _emit_and_report(result.curve, result.summary_lines(), cfg, args)
     return EXIT_OK
 
 
 def cmd_verify_bounds(args) -> int:
-    cfg = _load_config(args, args.experiment)
+    cfg = _load_config(args)
     studies = [
         experiments.run_predictive_bound_study(cfg, cfg["bounds"]["runs"], inner_steps=k)
         for k in (1, 2, 3)
@@ -142,12 +141,15 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def cmd_project(args) -> int:
     v = _parse_vector(args.vector)
+    for name in ("mode",) if args.kind == "ball" else ("center", "radius"):
+        if getattr(args, name) is not None:
+            raise ConfigError(f"--kind {args.kind} does not read --{name}")
     try:
         if args.kind == "ball":
             center = _parse_vector(args.center) if args.center else np.zeros(v.shape[0])
-            cset = EuclideanBall(center=center, radius=args.radius)
+            cset = EuclideanBall(center=center, radius=1.0 if args.radius is None else args.radius)
         else:
-            cset = UnitSimplex(v.shape[0], mode=args.mode)
+            cset = UnitSimplex(v.shape[0], mode=args.mode or "exact")
         projected = cset.project(v)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -205,16 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--runs", type=int, help="descent-bound runs per k (default 100)")
     sub.add_argument("--expert-runs", dest="expert_runs", type=int,
                      help="expert-pool bound runs (default 50)")
-    sub.add_argument("--experiment", choices=BOUND_EXPERIMENTS,
-                     help="base config (default: the config's experiment, else exp1)")
-    sub.set_defaults(func=cmd_verify_bounds)
+    sub.set_defaults(func=cmd_verify_bounds, experiment=None)
 
     sub = subs.add_parser("project", help="project a vector onto a constraint set")
     sub.add_argument("--kind", choices=("ball", "simplex"), required=True)
     sub.add_argument("--vector", required=True, help="comma-separated coordinates")
     sub.add_argument("--center", help="ball center (defaults to the origin)")
-    sub.add_argument("--radius", type=float, default=1.0)
-    sub.add_argument("--mode", choices=("exact", "renormalize"), default="exact")
+    sub.add_argument("--radius", type=float, help="ball radius (default 1)")
+    sub.add_argument("--mode", choices=("exact", "renormalize"), help="simplex (default exact)")
     sub.set_defaults(func=cmd_project)
 
     sub = subs.add_parser("fit-ar", help="Yule-Walker fit of a CSV series")

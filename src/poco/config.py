@@ -4,10 +4,11 @@ A run is described by a JSON object of four top-level keys and the schema
 sections that its experiment holds: the ones some command taking its config
 reads.  Every key is declared once in ``SCHEMA``, with its validator and its
 default; ``EXPERIMENTS`` gives each experiment its sections and its few
-departures from those defaults.  The minimal config is just
-``{"experiment": "exp1"}`` (or even ``{}`` when the CLI command names the
-experiment).  Unknown keys are rejected with a suggestion, and a section
-the experiment does not hold is refused.
+departures from those defaults, and ``KINDS`` the keys each domain and
+predictor kind holds.  The minimal config is just ``{"experiment": "exp1"}``
+(or ``{}`` when the CLI command names the experiment).  Unknown keys are
+rejected with a suggestion; a section the experiment does not hold, or a
+key its kind does not, is refused.
 ``emit_results`` writes three files per run: ``curve.csv`` (t, mean_diff,
 std_diff), ``summary.txt`` (human-readable accounting and bound checks) and
 ``manifest.json`` (the fully resolved config, the CLI's run flags merged in,
@@ -32,6 +33,12 @@ EXPERIMENTS = {
     "exp2": (SWITCHING + ("smad",), {"scenario": {"dwell": [4, 6]}}),
     "exp3": (("exp3",), {"repetitions": 200, "horizon": 150}),  # 150 evaluation months
     "custom": (SWITCHING, {}),
+}
+# per section with a kind, the keys each kind holds
+KINDS = {
+    "domain": {"ball": ("kind", "center", "radius"), "simplex": ("kind", "projection_mode")},
+    "predictor": {"var": ("kind", "order", "min_history", "indices"),
+                  "persistence": ("kind", "indices")},
 }
 DEFAULT_SEED = 1729
 
@@ -227,7 +234,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "risk_jump_high": Key(_v_int(0), 20),
     },
     "bounds": {
-        "check": Key(_v_bool, True),
         "runs": Key(_v_int(1), 100),
         "expert_runs": Key(_v_int(1), 50),
     },
@@ -253,17 +259,6 @@ def _suggest(key: str, known) -> str:
     if close:
         return f'; did you mean "{close[0]}"?'
     return ""
-
-
-def default_config(experiment: str) -> dict:
-    """Fully populated config for one experiment: the SCHEMA defaults of its
-    sections with its departures applied."""
-    sections, departures = EXPERIMENTS[experiment]
-    cfg = {key: entry.default for key, entry in SCHEMA[""].items()}
-    for section in sections:
-        cfg[section] = {key: entry.default for key, entry in SCHEMA[section].items()}
-    cfg["experiment"] = experiment
-    return _validate_into(copy.deepcopy(cfg), departures)
 
 
 def _validate_into(base: dict, user: dict) -> dict:
@@ -297,15 +292,6 @@ def _cross_checks(cfg: dict) -> None:
         if cfg["exp3"]["risk_jump_low"] > cfg["exp3"]["risk_jump_high"]:
             raise ConfigError("exp3.risk_jump_low must not exceed exp3.risk_jump_high")
         return
-    if cfg["bounds"]["check"]:
-        big_l = 2.0 * max(cfg["objective"]["weights"])
-        eta = cfg["descent"]["eta"]
-        if eta > 1.0 / big_l * (1 + 1e-12):
-            raise ConfigError(
-                f"descent.eta={eta} violates the step-size condition "
-                f"eta <= 1/L = {1.0 / big_l} required by the regret-bound "
-                "checks; lower eta or set bounds.check = false"
-            )
     if len(cfg["scenario"]["dwell"]) != 2:
         raise ConfigError("scenario.dwell must be a list of two integers")
     if len(cfg["scenario"]["state_a"]) != len(cfg["scenario"]["state_b"]):
@@ -332,7 +318,9 @@ def _cross_checks(cfg: dict) -> None:
 
 
 def resolve_config(user: Optional[dict] = None, experiment: Optional[str] = None) -> dict:
-    """Merge a user config over the experiment defaults and validate."""
+    """Merge a user config over the experiment's defaults (the SCHEMA
+    defaults of its sections with its departures applied), drop the keys
+    that its kinds do not hold (``KINDS``), and validate."""
     user = dict(user or {})
     exp = experiment or user.get("experiment") or "exp1"
     if not isinstance(exp, str) or exp not in EXPERIMENTS:
@@ -342,9 +330,18 @@ def resolve_config(user: Optional[dict] = None, experiment: Optional[str] = None
             f"config names experiment {user['experiment']!r} but the command "
             f"runs {experiment!r}"
         )
-    base = default_config(exp)
-    cfg = _validate_into(base, user)
+    sections, departures = EXPERIMENTS[exp]
+    cfg = {key: entry.default for key, entry in SCHEMA[""].items()}
+    for section in sections:
+        cfg[section] = {key: entry.default for key, entry in SCHEMA[section].items()}
     cfg["experiment"] = exp
+    cfg = _validate_into(_validate_into(copy.deepcopy(cfg), departures), user)
+    for section in [section for section in KINDS if section in cfg]:
+        kind = cfg[section]["kind"]
+        for key in [key for key in cfg[section] if key not in KINDS[section][kind]]:
+            if key in user.get(section, {}):
+                raise ConfigError(f"a {kind} {section} does not read {section}.{key}; delete it")
+            del cfg[section][key]
     _cross_checks(cfg)
     return cfg
 

@@ -30,7 +30,7 @@ import numpy as np
 from poco.config import ConfigError
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
-from poco.objectives import MarkowitzTable, QuadraticTracking
+from poco.objectives import MarkowitzTable, QuadraticTracking, step_contracts
 from poco.predictors import (
     NoisyOracle, Persistence, PredictorNotReady, VarPredictor, aim_table, var_forecasts
 )
@@ -200,15 +200,11 @@ def run_exp1(cfg: dict) -> ExperimentResult:
         ),
         family, cset, x1, eta, inner_steps,
     )
-    checked = cfg["bounds"]["check"]
-    ledgers = {}
-    if checked:
-        ledgers = dict(zip(("ogd", "predictive"), build_ledgers(family, cset, first)))
+    ledgers = dict(zip(("ogd", "predictive"), build_ledgers(family, cset, first)))
     notes = [
         f"repetitions={cfg['repetitions']} horizon={cfg['horizon']} "
         f"eta={eta} seed={cfg['seed']}",
-        "curve = cumulative regret (predictive) - cumulative regret (ogd)"
-        + (LEDGER_NOTE if checked else ""),
+        "curve = cumulative regret (predictive) - cumulative regret (ogd)" + LEDGER_NOTE,
     ]
     return ExperimentResult(curve=curve, ledgers=ledgers, notes=notes)
 
@@ -253,15 +249,11 @@ def run_exp2(cfg: dict) -> ExperimentResult:
         expert_pool,
         family, cset, x1, eta, inner_steps,
     )
-    checked = cfg["bounds"]["check"]
-    ledgers = {}
-    if checked:
-        ledgers = dict(zip(("ogd", "smad"), build_ledgers(family, cset, first)))
+    ledgers = dict(zip(("ogd", "smad"), build_ledgers(family, cset, first)))
     notes = [
         f"repetitions={cfg['repetitions']} horizon={cfg['horizon']} eta={eta} "
         f"beta={beta} gamma={gamma} seed={cfg['seed']}",
-        "curve = cumulative regret (expert pool) - cumulative regret (ogd)"
-        + (LEDGER_NOTE if checked else ""),
+        "curve = cumulative regret (expert pool) - cumulative regret (ogd)" + LEDGER_NOTE,
     ]
     return ExperimentResult(curve=curve, ledgers=ledgers, notes=notes)
 
@@ -553,7 +545,7 @@ def _bound_setup(cfg: dict, n_runs: int):
             "nothing to check; use projection_mode 'exact'"
         )
     eta, big_l = cfg["descent"]["eta"], family.curvature()[1]
-    if eta > 1.0 / big_l * (1 + 1e-12):
+    if not step_contracts(big_l, eta):
         raise ConfigError(f"descent.eta={eta} violates the step-size condition "
                           f"eta <= 1/L = {1.0 / big_l} that every regret bound needs")
     return family, cset, proc

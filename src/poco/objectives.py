@@ -55,12 +55,17 @@ class ObjectiveConstants:
             raise ValueError(f"lam={self.lam} exceeds L={self.L}")
 
 
+def step_contracts(big_l: float, eta: float) -> bool:
+    """eta <= 1/L, to a relative 1e-12: the step sizes at which projected descent contracts."""
+    return eta <= 1.0 / big_l * (1 + 1e-12)
+
+
 def contraction_factor(constants: ObjectiveConstants, eta: float) -> float:
     """Per-step shrinkage sqrt(1 - 2*lam*eta / (1 + eta*lam)) of projected
     gradient descent, valid for step sizes eta <= 1/L."""
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be positive, got {eta}")
-    if eta > 1.0 / constants.L * (1 + 1e-12):
+    if not step_contracts(constants.L, eta):
         raise ValueError(
             f"eta={eta} violates the contraction step-size condition "
             f"eta <= 1/L = {1.0 / constants.L}"

@@ -14,9 +14,9 @@ regret, and the closed-form bounds the library promises:
 * ``expert_regret_bound``: the first at the best expert's prediction
   regularity plus the second at the tuned gamma, D*sqrt(2T)/4*(1+ln N).
 
-Bound checks refuse to run when the projection is not nonexpansive (the
-renormalizing simplex heuristic), because the contraction argument behind
-the bounds does not survive that substitution.
+Bound checks are skipped when the projection is not nonexpansive (the
+renormalizing simplex heuristic) or eta exceeds 1/L, because the
+contraction argument behind the bounds does not survive either.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from poco.domains import ConstraintSet, SIMPLEX_EXACT, UnitSimplex
-from poco.objectives import ObjectiveConstants, contraction_factor
+from poco.objectives import ObjectiveConstants, contraction_factor, step_contracts
 
 MINIMIZER_STEP_TOL = 1e-12
 MINIMIZER_MAX_ITER = 10**6
@@ -266,8 +266,8 @@ def build_ledgers(
     ``derive_constants`` over the bounding box of the realized parameters
     and the aims actually descended toward (the parameters alone when
     nothing was aimed at).  A bound is evaluated only when the run gives no
-    skip reason and the projection is nonexpansive; otherwise the ledger's
-    ``bound_skipped_reason`` says why.  A descent run gets the predictive-descent
+    skip reason, the projection is nonexpansive and eta <= 1/L; otherwise
+    the ledger's ``bound_skipped_reason`` gives the first reason of these.  A descent run gets the predictive-descent
     bound.  A day-one pool gets it at the farthest expert first play from
     x*_1, plus ``hedge_gap_bound`` at the pool's ``gamma`` and the run's
     largest per-round spread of expert losses, and its ``hedge_gap()`` is
@@ -308,6 +308,9 @@ def _ledger(family, cset, trajectory, xstars, opt_losses) -> RegretLedger:
             "projection mode is not nonexpansive; the contraction "
             "argument behind the bound does not apply"
         )
+    if skipped is None and not step_contracts(constants.L, eta):
+        skipped = (f"eta={eta} exceeds 1/L={1.0 / constants.L}; the contraction "
+                   "argument behind the bound needs eta <= 1/L")
     hedge_gap = hedge_bound = hedge_holds = None
     if skipped is None:
         contraction = contraction_factor(constants, eta)

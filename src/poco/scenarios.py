@@ -219,13 +219,22 @@ def append_risk_free(data: MarketData) -> MarketData:
     )
 
 
+def _number(cell: str) -> Optional[float]:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def read_numeric_csv(path) -> tuple[np.ndarray, tuple, tuple]:
     """The cells of a rectangular CSV of finite numbers, as a (rows, columns)
     array, the names in its header row (empty when it has none) and the
     1-based file line of each data row.
 
-    A first row holding a non-numeric cell is a header; blank lines are
-    skipped.  A missing file, a ragged row and a missing, unparsable or
+    A first row none of whose cells parses as a number is a header; any
+    other first row is data, so one that mixes numbers and text is refused
+    at its first unparsable cell.  Blank lines are skipped.  A missing
+    file, a ragged row (a header counts) and a missing, unparsable or
     non-finite cell raise ``DataError`` naming the path and, for a cell or
     a row, its 1-based row (line) and column.
     """
@@ -237,36 +246,30 @@ def read_numeric_csv(path) -> tuple[np.ndarray, tuple, tuple]:
             ]
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    names: tuple = ()
-    if raw:
-        try:
-            [float(cell) for cell in raw[0][1]]
-        except ValueError:
-            names = tuple(cell.strip() for cell in raw.pop(0)[1])
+    header = [raw.pop(0)] if raw and all(_number(c) is None for c in raw[0][1]) else []
     if not raw:
         raise DataError(f"{path}: no data rows")
     width = len(raw[0][1])
-    rows = []
-    for r, row in raw:
+    for r, row in header + raw:
         if len(row) != width:
             raise DataError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+    rows = []
+    for r, row in raw:
         vals = []
         for c, cell in enumerate(row, start=1):
             cell = cell.strip()
             if not cell:
                 raise DataError(f"{path}: missing cell at row {r}, column {c}")
-            try:
-                val = float(cell)
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: unparsable cell at row {r}, column {c}: {cell!r}"
-                ) from exc
+            val = _number(cell)
+            if val is None:
+                raise DataError(f"{path}: unparsable cell at row {r}, column {c}: {cell!r}")
             if not np.isfinite(val):
                 raise DataError(
                     f"{path}: non-finite cell at row {r}, column {c}: {cell!r}"
                 )
             vals.append(val)
         rows.append(vals)
+    names = tuple(cell.strip() for _, row in header for cell in row)
     return np.array(rows, dtype=float), names, tuple(r for r, _ in raw)
 
 

@@ -7,8 +7,7 @@ reference::
 
 It calls the public study entry points with ``resolve_config(overrides,
 experiment)``, the config the CLI resolves, at each experiment's defaults,
-the default seed and 2 repetitions (3 runs per bound study); run-exp1 and
-run-exp2 skip their regret ledgers, which leave the curves unchanged.
+the default seed and 2 repetitions (3 runs per bound study).
 """
 
 import json
@@ -43,10 +42,9 @@ def study_record(study) -> dict:
 
 
 def record() -> dict:
-    unchecked = {"repetitions": REPS, "bounds": {"check": False}}
     curves = {
-        "run_exp1": run_exp1(resolve_config(unchecked, "exp1")),
-        "run_exp2": run_exp2(resolve_config(unchecked, "exp2")),
+        "run_exp1": run_exp1(resolve_config({"repetitions": REPS}, "exp1")),
+        "run_exp2": run_exp2(resolve_config({"repetitions": REPS}, "exp2")),
         "run_exp3": run_exp3(resolve_config({"repetitions": REPS}, "exp3")),
         "run_custom": run_custom(resolve_config({"repetitions": REPS}, "custom")),
         # standard descent in both arms: persistence aims at the last observation

@@ -165,7 +165,7 @@ def test_criterion_07_study1_shape():
     """Study 1 at the default seed: difference curve exactly zero through
     round 10 and negative on average at the horizon, in < 60 s."""
     start = time.perf_counter()
-    res = run_exp1(resolve_config({"bounds": {"check": False}}, "exp1"))
+    res = run_exp1(resolve_config({}, "exp1"))
     elapsed = time.perf_counter() - start
     flat = bool(np.all(res.curve.diffs[:, :10] == 0.0))
     final = float(res.curve.mean_diff[-1])
@@ -180,7 +180,7 @@ def test_criterion_08_study2_shape():
     """Study 2 at the default seed: nonnegative mean difference over the
     first activation window, negative at the horizon, in < 120 s."""
     start = time.perf_counter()
-    cfg = resolve_config({"bounds": {"check": False}}, "exp2")
+    cfg = resolve_config({}, "exp2")
     res = run_exp2(cfg)
     elapsed = time.perf_counter() - start
     smad = cfg["smad"]

@@ -15,6 +15,7 @@ from poco.config import (
     parse_config,
     resolve_config,
     EXPERIMENTS,
+    KINDS,
     SCHEMA,
 )
 from poco.scenarios import synthetic_market
@@ -85,13 +86,21 @@ class TestConfigResolution:
             resolve_config({"repetitions": "many"}, "exp1")
 
     def test_step_size_precondition_guard(self):
-        with pytest.raises(ConfigError, match="eta <= 1/L"):
-            resolve_config({"descent": {"eta": 0.01}}, "exp1")
-        # disabling bound checks lifts the guard
-        cfg = resolve_config(
-            {"descent": {"eta": 0.01}, "bounds": {"check": False}}, "exp1"
-        )
+        # the config knows no family's curvature, so a step above 1/L
+        # resolves; the ledgers skip their bound checks, and check-bounds
+        # refuses it
+        cfg = resolve_config({"descent": {"eta": 0.01}}, "exp1")
         assert cfg["descent"]["eta"] == 0.01
+
+    def test_resolved_defaults_hold_only_their_kinds_keys(self):
+        # a ball domain holds no projection_mode; a var predictor every key
+        counts = {exp: sum(len(v) if isinstance(v, dict) else 1 for v in
+                           resolve_config({}, exp).values()) for exp in EXPERIMENTS}
+        assert counts == {"exp1": 22, "exp2": 28, "exp3": 20, "custom": 22}
+        cfg = resolve_config({"domain": {"kind": "simplex"}, "predictor": {"kind": "persistence"},
+                              "descent": {"x1": [0.5, 0.5]}}, "exp1")
+        assert cfg["domain"] == {"kind": "simplex", "projection_mode": "exact"}
+        assert cfg["predictor"] == {"kind": "persistence", "indices": [0, 1]}
 
     def test_experiment_mismatch_detected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -176,8 +185,8 @@ class TestCommands:
             pytest.param(["run-exp3"], {"horizon": 12}, id="run-exp3"),
             pytest.param(["run-custom"], {}, id="run-custom"),
             pytest.param(
-                ["check-bounds", "--experiment", "exp2", "--runs", "2", "--expert-runs", "1"],
-                {}, id="check-bounds",
+                ["check-bounds", "--runs", "2", "--expert-runs", "1"],
+                {"experiment": "exp2"}, id="check-bounds",
             ),
         ],
     )
@@ -265,20 +274,12 @@ class TestCommands:
         )
         assert captured.err == ""
 
-    @pytest.mark.parametrize(
-        "cfg, flags, message",
-        [
-            ({"experiment": "exp3"}, [], "check-bounds takes an exp1 or exp2 config"),
-            ({"experiment": "custom"}, [], "check-bounds takes an exp1 or exp2 config"),
-            ({"experiment": "exp1"}, ["--experiment", "exp2"], "config names experiment 'exp1'"),
-        ],
-        ids=["exp3", "custom", "conflict"],
-    )
-    def test_check_bounds_refuses_another_experiment(self, tmp_path, capsys, cfg, flags, message):
-        code, out = _run(
-            tmp_path, "check-bounds", "other", cfg, "--runs", "1", "--expert-runs", "1", *flags
-        )
+    @pytest.mark.parametrize("experiment", ["exp3", "custom"])
+    def test_check_bounds_refuses_another_experiment(self, tmp_path, capsys, experiment):
+        cfg = {"experiment": experiment}
+        code, out = _run(tmp_path, "check-bounds", "other", cfg, "--runs", "1", "--expert-runs", "1")
         assert code == EXIT_CONFIG and not out.exists()
+        message = f"check-bounds takes an exp1 or exp2 config, not {experiment!r}"
         assert message in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
@@ -310,6 +311,22 @@ class TestCommands:
         assert capsys.readouterr().out.strip() == "0.0,0.5,0.5"
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--kind", "simplex", "--radius", "5", "--vector=-1,1,1"], "--radius"),
+            (["--kind", "simplex", "--center", "9,9", "--vector=-1,1,1"], "--center"),
+            (["--kind", "ball", "--mode", "renormalize", "--vector", "3,4"], "--mode"),
+        ],
+        ids=["simplex-radius", "simplex-center", "ball-mode"],
+    )
+    def test_project_refuses_a_flag_its_set_does_not_read(self, capsys, argv, flag):
+        # a ball has no projection mode, and a simplex no center or radius
+        assert main(["project", *argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: --kind {argv[1]} does not read {flag}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["project", "--kind", "ball", "--radius", "-1", "--vector", "1,2"],
@@ -330,12 +347,14 @@ class TestCommands:
         [
             ["check-bounds", "--reps", "2"],
             ["project", "--kind", "simplex", "--dimension", "2", "--vector", "1,2"],
+            ["check-bounds", "--experiment", "exp2"],
         ],
-        ids=["check-bounds-reps", "project-dimension"],
+        ids=["check-bounds-reps", "project-dimension", "check-bounds-experiment"],
     )
     def test_removed_flag_is_a_usage_error(self, capsys, argv):
-        # check-bounds counts its runs with --runs and --expert-runs, and the
-        # simplex takes its dimension from the vector
+        # check-bounds counts its runs with --runs and --expert-runs and takes
+        # its base from the config's experiment key, and the simplex takes
+        # its dimension from the vector
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2  # argparse's usage error
@@ -423,7 +442,7 @@ class TestOverridesValidated:
         assert code == EXIT_OK
         manifest = json.load(open(out / "manifest.json"))
         assert manifest["seed"] == 3
-        assert manifest["config"]["bounds"] == {"check": True, "runs": 2, "expert_runs": 1}
+        assert manifest["config"]["bounds"] == {"runs": 2, "expert_runs": 1}
 
     def test_bounds_section_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys):
         code, out = _run(tmp_path, "check-bounds", "o", {"bounds": 5}, "--runs", "2")
@@ -441,11 +460,11 @@ MARKET_CSV = "<market.csv>"  # a short historical market, written once per modul
 
 # every command with each experiment whose config it takes, and the small run
 # every case changes; config keys are dotted
-SMALL_BOUNDS = {"horizon": 30, "bounds.check": False, "bounds.runs": 1, "bounds.expert_runs": 1}
+SMALL_BOUNDS = {"horizon": 30, "bounds.runs": 1, "bounds.expert_runs": 1}
 BASES = {
-    "exp1": ("run-exp1", "exp1", {"repetitions": 2, "horizon": 30, "bounds.check": False}),
-    "custom": ("run-custom", "custom", {"repetitions": 2, "horizon": 30, "bounds.check": False}),
-    "exp2": ("run-exp2", "exp2", {"repetitions": 2, "horizon": 30, "bounds.check": False}),
+    "exp1": ("run-exp1", "exp1", {"repetitions": 2, "horizon": 30}),
+    "custom": ("run-custom", "custom", {"repetitions": 2, "horizon": 30}),
+    "exp2": ("run-exp2", "exp2", {"repetitions": 2, "horizon": 30}),
     "exp3": ("run-exp3", "exp3", {"repetitions": 2, "horizon": 6}),
     "bounds": ("check-bounds", "exp1", SMALL_BOUNDS),
     "bounds-exp2": ("check-bounds", "exp2", {"experiment": "exp2", **SMALL_BOUNDS}),
@@ -467,7 +486,8 @@ class Row(NamedTuple):
 
 # every SCHEMA key under each command: a read key alone changes its outputs
 # (curve.csv, summary.txt and the regret ledgers) or is refused; an unread
-# key in the config leaves them byte-identical, and one outside it is refused
+# key in the config leaves them byte-identical, and one outside it is
+# refused, as is one that the kind of its section does not hold (KINDS)
 KEY_TABLE = {
     # the command names the experiment, and check-bounds takes only exp1 and
     # exp2, so another one is refused (run-custom's case names exp1)
@@ -481,7 +501,7 @@ KEY_TABLE = {
     "domain.kind": Row("simplex", SWITCHING, SIMPLEX_START),
     "domain.center": Row([0.0, 5.0], SWITCHING),
     "domain.radius": Row(45.0, SWITCHING),
-    # it acts only on a simplex, and no regret bound holds under it
+    # only a simplex holds it, and no regret bound holds under it
     "domain.projection_mode": Row(
         "renormalize", SWITCHING, {"domain.kind": "simplex", **SIMPLEX_START},
         refused_by=("check-bounds",),
@@ -521,16 +541,20 @@ KEY_TABLE = {
     "exp3.risk_noise_var": Row(0.1, ("run-exp3",)),
     "exp3.risk_jump_low": Row(5, ("run-exp3",)),
     "exp3.risk_jump_high": Row(10, ("run-exp3",)),
-    "bounds.check": Row(True, RUNS),
     "bounds.runs": Row(2, ("check-bounds",)),
     "bounds.expert_runs": Row(2, ("check-bounds",)),
 }
 
 
 def _held(experiment: str) -> list:
-    """The dotted keys a config of ``experiment`` holds."""
-    sections = ("", *EXPERIMENTS[experiment][0])
-    return [key for key in KEY_TABLE if key.rpartition(".")[0] in sections]
+    """The dotted keys a config of ``experiment`` holds at the default kinds."""
+    sections, held = ("", *EXPERIMENTS[experiment][0]), []
+    for key in KEY_TABLE:
+        section, _, name = key.rpartition(".")
+        kinds = KINDS.get(section)
+        if section in sections and (not kinds or name in kinds[SCHEMA[section]["kind"].default]):
+            held.append(key)
+    return held
 
 
 def _unread(base: str) -> tuple:
@@ -559,14 +583,36 @@ def _read_cases() -> list:
 
 def _unread_cases() -> list:
     """(base, keys): each key a base's command ignores alone, named by its
-    dotted name, then those its config holds all together."""
+    dotted name, then those its config holds all together, but for the
+    ones that a kind set among them does not hold."""
     cases = []
     for base in BASES:
         held, other = _unread(base)
         cases += [pytest.param(base, (key,), id=f"{base}-{key}") for key in held + other]
-        if held:
-            cases.append(pytest.param(base, tuple(held), id=f"{base}-all-together"))
+        # the kind each section gets when its kind key is among them
+        kinds = {
+            key.rpartition(".")[0]: KEY_TABLE[key].alternate for key in held if key.endswith(".kind")
+        }
+        together = []
+        for key in held:
+            section, _, name = key.rpartition(".")
+            if section not in kinds or name in KINDS[section][kinds[section]]:
+                together.append(key)
+        if together:
+            cases.append(pytest.param(base, tuple(together), id=f"{base}-all-together"))
     return cases
+
+
+def _kind_cases() -> list:
+    """(base, section, kind, key): each key that a kind does not hold, under
+    run-exp1 and check-bounds."""
+    return [
+        pytest.param(base, section, kind, key, id=f"{base}-{kind}-{key}")
+        for base in ("exp1", "bounds")
+        for section, kinds in KINDS.items()
+        for kind, held in kinds.items()
+        for key in SCHEMA[section] if key not in held
+    ]
 
 
 def _config(base: str, changes: dict) -> dict:
@@ -671,7 +717,7 @@ class TestConfigReachesTheRun:
         }
         assert held - read == HELD_UNREAD
         counts = {base: len(_unread(base)[0]) for base in BASES}
-        assert counts == {"exp1": 2, "custom": 2, "exp2": 5, "exp3": 0, "bounds": 3, "bounds-exp2": 9}
+        assert counts == {"exp1": 2, "custom": 2, "exp2": 5, "exp3": 0, "bounds": 2, "bounds-exp2": 8}
 
     @pytest.mark.parametrize("base,key", _read_cases())
     def test_key_changes_the_curve(self, study_outputs, base, key):
@@ -700,6 +746,17 @@ class TestConfigReachesTheRun:
             assert changed == reference
         else:
             assert changed == REFUSED
+
+    @pytest.mark.parametrize("base,section,kind,key", _kind_cases())
+    def test_key_its_kind_does_not_hold_is_refused(self, tmp_path, capsys, base, section, kind, key):
+        # a ball reads no projection mode, a simplex no center or radius, and
+        # a persistence predictor no AR order or history
+        dotted = f"{section}.{key}"
+        changes = {f"{section}.kind": kind, dotted: KEY_TABLE[dotted].alternate}
+        code, out = _run(tmp_path, BASES[base][0], "kind", _config(base, changes))
+        assert code == EXIT_CONFIG and not out.exists()
+        message = f"a {kind} {section} does not read {dotted}; delete it"
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "experiment,section",
@@ -742,29 +799,16 @@ class TestConfigReachesTheRun:
         header = (out / "summary.txt").read_text().splitlines()[0]
         assert f"gamma={suggested_gamma(d_range, 50)} " in header
 
-    def test_bounds_check_false_drops_the_ledgers(self, tmp_path):
-        sections = {}
-        for check in (True, False):
-            cfg = {"repetitions": 2, "horizon": 40, "bounds": {"check": check}}
-            code, out = _run(tmp_path, "run-exp1", f"check-{check}", cfg)
-            assert code == EXIT_OK
-            text = (out / "summary.txt").read_text()
-            sections[check] = [s for s in ("[ogd]", "[predictive]") if s in text]
-        assert sections == {True: ["[ogd]", "[predictive]"], False: []}
-
     @pytest.mark.parametrize("command", ["run-exp1", "run-custom", "run-exp2"])
     def test_repetition_note_only_with_ledgers(self, tmp_path, command):
-        notes = {}
-        for check, eta in ((True, 0.005), (False, 0.01)):
-            cfg = {
-                "repetitions": 1, "horizon": 40,
-                "descent": {"eta": eta}, "bounds": {"check": check},
-            }
-            code, out = _run(tmp_path, command, f"check-{check}", cfg)
+        # every switching study reports repetition 1's ledgers, whatever its
+        # step size, so the note is always there
+        for eta in (0.005, 0.01):
+            cfg = {"repetitions": 1, "horizon": 40, "descent": {"eta": eta}}
+            code, out = _run(tmp_path, command, f"eta-{eta}", cfg)
             assert code == EXIT_OK
             text = (out / "summary.txt").read_text()
-            notes[check] = "regret decomposition below is for repetition 1" in text
-        assert notes == {True: True, False: False}
+            assert "regret decomposition below is for repetition 1" in text
 
     def test_pool_that_never_activates_gets_a_ledger(self, tmp_path):
         # the pool is empty for the whole run, so its aggregate is plain
@@ -791,12 +835,19 @@ class TestConfigReachesTheRun:
 
     @pytest.mark.parametrize("command", ["run-exp1", "run-exp2"])
     def test_bounds_check_false_lifts_the_step_size_guard(self, tmp_path, command):
-        # the config guard allows eta > 1/L only with bound checks off, so
-        # the run must then build no regret ledger (it would refuse that eta)
-        cfg = {"repetitions": 1, "horizon": 40, "descent": {"eta": 0.01}, "bounds": {"check": False}}
+        # a step above 1/L runs, and every ledger skips its bound check and
+        # gives no verdict: the descent arms for that step, run-exp2's
+        # mid-run pool for the reason it gives first
+        cfg = {"repetitions": 1, "horizon": 40, "descent": {"eta": 0.01}}
         code, out = _run(tmp_path, command, "big-eta", cfg)
         assert code == EXIT_OK
-        assert "Reg_D" not in (out / "summary.txt").read_text()
+        lines = (out / "summary.txt").read_text().splitlines()
+        skips = [line for line in lines if line.startswith("bound check skipped: ")]
+        assert len(skips) == 2 == sum(line.startswith("Reg_D") for line in lines)
+        step = ("bound check skipped: eta=0.01 exceeds 1/L=0.005; the contraction "
+                "argument behind the bound needs eta <= 1/L")
+        assert skips[0] == step and (skips[1] == step) == (command == "run-exp1")
+        assert not any(line.endswith(("[PASS]", "[FAIL]")) for line in lines)
 
     def test_run_custom_is_run_exp1_under_other_labels(self, tmp_path):
         # min_history below 2*order+1 is raised to it by both commands
@@ -875,8 +926,7 @@ class TestConfigReachesTheRun:
         "command,cfg,key",
         [("run-exp1", {"descent": {"eta": math.nan}}, "descent.eta"),
          ("run-exp2", {"smad": {"gamma": math.inf}}, "smad.gamma"),
-         ("run-exp1", {"bounds": {"check": False}, "scenario": {"state_a": [-100, 0, math.inf]}},
-          "scenario.state_a"),
+         ("run-exp1", {"scenario": {"state_a": [-100, 0, math.inf]}}, "scenario.state_a"),
          ("run-exp1", {"descent": {"eta": 10**400}}, "descent.eta")],
         ids=["nan-eta", "infinite-gamma", "infinite-state", "eta-beyond-float-range"],
     )
@@ -935,11 +985,11 @@ class TestConfigReachesTheRun:
         def no_run(*args, **kwargs):
             raise AssertionError("a bound-study run was played")
 
-        # check-bounds does not read bounds.check, which lifts the parse-time
-        # guard, so the studies refuse the step themselves, before any run
+        # the config does not refuse a step above 1/L, which the study runs
+        # build skipping ledgers for, so the studies refuse it before any run
         monkeypatch.setattr(experiments, "run_predictive_ogd", no_run)
         monkeypatch.setattr(experiments, "run_smad", no_run)
-        cfg = {"descent": {"eta": 0.1}, "bounds": {"check": False}}
+        cfg = {"descent": {"eta": 0.1}}
         code, out = _run(tmp_path, "check-bounds", "eta", cfg, "--runs", "1", "--expert-runs", "1")
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -983,9 +1033,8 @@ class TestConfigReachesTheRun:
             return real(proc, seed)
 
         monkeypatch.setattr(experiments, "gen_switching", capture)
-        code = main([
-            "check-bounds", "--experiment", "exp2", "--runs", "1", "--expert-runs", "1",
-            "--out", str(tmp_path / "cb"), "--quiet",
-        ])
+        code, _ = _run(
+            tmp_path, "check-bounds", "cb", {"experiment": "exp2"}, "--runs", "1", "--expert-runs", "1"
+        )
         assert code == EXIT_OK
         assert dwells == {(4, 6)}

@@ -1,6 +1,7 @@
 """The README's examples stay runnable as the code changes, and the
 docstrings' cross-references name things that exist."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from poco.config import EXPERIMENTS, resolve_config
+from poco.cli import build_parser
+from poco.config import EXPERIMENTS, KINDS, resolve_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "poco").glob("*.py"))
@@ -56,6 +58,46 @@ def test_config_files_table_matches_the_experiments():
         name: (sections, _dotted(departures))
         for name, (sections, departures) in EXPERIMENTS.items()
     }
+
+
+def test_config_files_kinds_table_matches_the_kinds():
+    # a key a kind gains or loses changes in the docs with the code
+    section = README.read_text().split("## Config files", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` (\w+) \| (.*?) \|$", section, flags=re.MULTILINE)
+    documented = {(sec, kind): tuple(re.findall(r"`(\w+)`", keys)) for kind, sec, keys in rows}
+    assert documented == {
+        (sec, kind): held for sec, kinds in KINDS.items() for kind, held in kinds.items()
+    }
+
+
+def test_command_line_synopsis_matches_the_parser():
+    # a flag added to or deleted from a command changes in the synopsis too;
+    # a "..." line repeats the flags of the line above, a line that does not
+    # start with "poco" continues the command above, and a command's lines
+    # combine
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```\n(.*?)```", section, flags=re.DOTALL).group(1)
+    documented, command, flags = {}, None, set()
+    for line in block.splitlines():
+        words = line.split()
+        if words[0] == "poco":
+            command, rest = words[1], " ".join(words[2:])
+            if rest != "...":
+                flags = set()
+        else:
+            rest = line
+        flags = flags | set(re.findall(r"--[\w-]+", rest))
+        documented[command] = documented.get(command, set()) | flags
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {opt for action in sub._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == parsed
 
 
 def _lookup(obj, dotted: str) -> bool:

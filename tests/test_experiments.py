@@ -29,12 +29,6 @@ from poco.experiments import (
 from helpers import cov_moments, model_predict, reference_moment_table, risk_forecast_get
 
 
-def unchecked(experiment, **overrides):
-    """The resolved config of ``experiment`` with ``overrides`` merged in
-    and no regret ledgers."""
-    return resolve_config({"bounds": {"check": False}, **overrides}, experiment)
-
-
 def exp3_config(seed, repetitions, horizon=150, **exp3):
     return resolve_config(
         {"seed": seed, "repetitions": repetitions, "horizon": horizon, "exp3": exp3}, "exp3"
@@ -101,7 +95,7 @@ class TestPairedHarness:
         }[experiment]
         two, four = (
             run(exp3_config(1729, reps, horizon=20) if experiment == "exp3"
-                else unchecked(experiment, repetitions=reps)).curve.diffs
+                else resolve_config({"repetitions": reps}, experiment)).curve.diffs
             for reps in (2, 4)
         )
         np.testing.assert_array_equal(two, four[:2])
@@ -109,7 +103,7 @@ class TestPairedHarness:
 
 class TestExp1:
     def test_prefix_exactly_zero_and_deterministic(self):
-        cfg = unchecked("exp1", repetitions=4, horizon=80, seed=5)
+        cfg = resolve_config({"repetitions": 4, "horizon": 80, "seed": 5}, "exp1")
         a = run_exp1(cfg)
         b = run_exp1(cfg)
         np.testing.assert_array_equal(a.curve.diffs, b.curve.diffs)
@@ -125,8 +119,8 @@ class TestExp1:
     def test_noise_free_predictor_catches_switches(self):
         # with the noise off, an exact-lag model stops paying for jumps that
         # plain descent keeps paying for at every switch
-        cfg = unchecked(
-            "exp1", repetitions=2, horizon=160, seed=7, scenario={"noise_scale": 0.0}
+        cfg = resolve_config(
+            {"repetitions": 2, "horizon": 160, "seed": 7, "scenario": {"noise_scale": 0.0}}, "exp1"
         )
         res = run_exp1(cfg)
         assert res.curve.mean_diff[-1] < 0
@@ -161,7 +155,7 @@ class TestExp1:
 
 class TestExp2:
     def test_smoke_and_determinism(self):
-        cfg = unchecked("exp2", repetitions=3, horizon=120, seed=8)
+        cfg = resolve_config({"repetitions": 3, "horizon": 120, "seed": 8}, "exp2")
         a = run_exp2(cfg)
         b = run_exp2(cfg)
         np.testing.assert_array_equal(a.curve.diffs, b.curve.diffs)

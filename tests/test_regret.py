@@ -13,6 +13,7 @@ from poco.objectives import (
     ObjectiveConstants,
     QuadraticTracking,
     contraction_factor,
+    step_contracts,
 )
 from poco.predictors import NoisyOracle, Persistence, VarPredictor
 from poco.regret import (
@@ -309,6 +310,30 @@ class TestLedger:
         assert ledger.bound is None
         assert "nonexpansive" in ledger.bound_skipped_reason
         assert ledger.reg_d >= -1e-9
+
+    @pytest.mark.parametrize("excess", [0.0, 1e-13, 1e-11, 1.0])
+    def test_step_above_one_over_l_skips_bound(self, excess):
+        # one tolerance decides it for the ledger and for contraction_factor
+        family, cset = tracking_setup()
+        eta = 1.0 / 200.0 * (1.0 + excess)
+        traj = run_predictive_ogd(
+            family, cset, gen_switching(SwitchingProcessSpec(horizon=30), 4),
+            DescentConfig(eta, 1), (0.0, 40.0),
+        )
+        ledger = build_ledger(family, cset, traj)
+        contracts = step_contracts(ledger.constants.L, eta)
+        assert contracts == (excess < 1e-12)
+        if contracts:
+            assert ledger.bound_skipped_reason is None and ledger.bound_holds
+            assert ledger.contraction == contraction_factor(ledger.constants, eta)
+        else:
+            assert ledger.bound is None and ledger.bound_holds is None
+            assert ledger.bound_skipped_reason == (
+                f"eta={eta} exceeds 1/L=0.005; the contraction argument behind "
+                "the bound needs eta <= 1/L"
+            )
+            with pytest.raises(ValueError, match="contraction step-size condition"):
+                contraction_factor(ledger.constants, eta)
 
     def test_realized_box_covers_observations_and_aims(self):
         thetas = np.array([[0.0, 1.0], [2.0, -1.0]])

@@ -168,6 +168,20 @@ class TestMarketData:
         with pytest.raises(DataError, match="row 2"):
             load_market_csv(path)
 
+    def test_csv_first_row_mixing_numbers_and_text_is_refused(self, tmp_path):
+        # a header is a first row of which no cell is a number, so this row
+        # is data, and its text cell is unparsable
+        path = tmp_path / "mixed.csv"
+        path.write_text("1.0,abc\n2.0,3.0\n4.0,5.0\n")
+        with pytest.raises(DataError, match=r"unparsable cell at row 1, column 2: 'abc'"):
+            load_market_csv(path)
+
+    def test_csv_header_width_is_checked(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("a,b,c\n1.0,1.0\n1.0,1.0\n")
+        with pytest.raises(DataError, match="row 1 has 3 cells, expected 2"):
+            load_market_csv(path)
+
     def test_csv_nonpositive_cell(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("1.0,1.0\n1.0,0.0\n")
