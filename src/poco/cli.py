@@ -9,7 +9,7 @@ run-exp1 / run-exp2 / run-exp3 / run-custom
     A regret ledger whose descent.eta exceeds 1/L skips its bound check.
 check-bounds
     Batch-verify the regret bounds (single-step, multi-step, expert pool)
-    and the aggregation inequality on an exp1 or exp2 config, writing
+    and the aggregation inequality on an exp1, exp2 or custom config, writing
     summary.txt and manifest.json; nonzero exit when any run violates one.
     A descent.eta above 1/L is a config error here.
 project
@@ -87,10 +87,9 @@ def _load_config(args) -> dict:
     for key, value in (("seed", args.seed), ("repetitions", getattr(args, "reps", None))):
         if value is not None:
             user[key] = value
-    if args.experiment is None:  # check-bounds: refuse another experiment, then add its flags
-        named = user.get("experiment") or "exp1"
-        if named not in ("exp1", "exp2"):
-            raise ConfigError(f"check-bounds takes an exp1 or exp2 config, not {named!r}")
+    if args.experiment is None:  # check-bounds: refuse study 3, then add its flags
+        if user.get("experiment") == "exp3":
+            raise ConfigError("check-bounds takes an exp1, exp2 or custom config, not 'exp3'")
         for key in ("runs", "expert_runs"):  # a bounds value not an object is left to the schema
             value = getattr(args, key)
             if value is not None and isinstance(user.setdefault("bounds", {}), dict):

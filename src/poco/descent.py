@@ -19,6 +19,12 @@ block of runs of the stack, each inner step is one :func:`ogd_step_rows` call an
 round charges the R losses with one ``value_rows`` call.  The row kernels
 compute a row the same way whatever the row count, so run r of a stack
 equals the run of its sequence alone bit for bit.
+
+Every run, descent or expert pool, is recorded in one :class:`Trajectory`,
+shaped as a pool: a descent run is the one expert that joins in round 1,
+holds all the mass and learns no weights.  The record keeps the run's aim
+table, and its prediction regularity, aim range and first plays are read
+off it, so a regret ledger reads every run the same way.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from poco.domains import ConstraintSet
 from poco.objectives import one_row
-from poco.predictors import aim_table, prediction_regularity
+from poco.predictors import aim_table
 
 
 @dataclass(frozen=True)
@@ -77,43 +83,97 @@ def ogd_step_rows(
 
 @dataclass
 class Trajectory:
-    """One run of (predictive) online gradient descent.
+    """One run, shaped as an expert pool: a descent run is the pool of one
+    expert that joins in round 1 and learns no weights (``gamma`` None).
 
     Row t-1 holds the round-t quantities: the play ``xs[t-1]``, the observed
-    parameter ``thetas[t-1]`` and the realized loss.  ``theta_hats[t-1]`` is
-    the parameter the step that produced x_t descended toward (a prediction,
-    or the previous observation while warming up or without a predictor);
-    entry 0 is a copy of thetas[0] and is never scored by the prediction
-    regularity.  ``p_theta``, the aim range ``aim_lo``/``aim_hi``, ``eta``,
-    ``inner_steps`` and ``bound_skipped_reason`` are the fields a regret
-    ledger reads, as for :class:`poco.smad.SmadTrajectory`.
+    parameter ``thetas[t-1]`` and the realized loss.  Per expert, in
+    activation order, ``expert_xs`` (T, N, n) and ``expert_losses`` (T, N)
+    hold its moves and their losses (NaN before it joins), ``p`` (T, N)
+    the post-update distribution of each round, and ``aims`` (T, N, m) the
+    parameter its round-t move descended toward, NaN where ``aimed`` (T, N)
+    says it had none.  ``activation_times`` lists the joined experts'
+    rounds; roster entries that never joined trail them.  ``eta``,
+    ``inner_steps`` and ``gamma`` are the run's step size, inner steps per
+    round and learning rate.
     """
-
-    bound_skipped_reason = None  # the predictive-descent bound covers every descent run
 
     xs: np.ndarray
     thetas: np.ndarray
-    theta_hats: np.ndarray
     losses: np.ndarray
+    expert_xs: np.ndarray
+    expert_losses: np.ndarray
+    p: np.ndarray
+    aims: np.ndarray
+    aimed: np.ndarray
+    activation_times: tuple
     eta: float
     inner_steps: int
+    gamma: float | None
 
     @property
     def horizon(self) -> int:
         return self.xs.shape[0]
 
     @property
+    def theta_hats(self) -> np.ndarray:
+        """A one-expert run's aims, with the observation in rounds its
+        expert had none (entry 0 of a descent run, never scored)."""
+        return np.where(self.aimed[:, :1], self.aims[:, 0], self.thetas)
+
+    @property
+    def p_theta_by_expert(self) -> np.ndarray:
+        """(N,) each joined expert's prediction regularity, NaN for roster
+        entries that never joined.  An expert is scored in every round after
+        its activation round in which it aims, so its first round's error is
+        absorbed by the starting-gap term; the errors add up in round order,
+        as a running sum would."""
+        joined = len(self.activation_times)
+        rounds = np.arange(1, self.horizon + 1)[:, None]
+        scored = self.aimed[:, :joined] & (rounds > np.asarray(self.activation_times, dtype=int))
+        errors = np.linalg.norm(self.thetas[:, None] - self.aims[:, :joined], axis=2)
+        p_theta = np.full(self.aimed.shape[1], np.nan)
+        p_theta[:joined] = np.cumsum(np.where(scored, errors, 0.0), axis=0)[-1]
+        return p_theta
+
+    @property
     def p_theta(self) -> float:
-        """Prediction regularity of the parameters the steps aimed at."""
-        return prediction_regularity(self.thetas, self.theta_hats)
+        """The best expert's prediction regularity; NaN when none joined."""
+        return float(np.fmin.reduce(self.p_theta_by_expert, initial=np.nan))
 
     @property
-    def aim_lo(self) -> np.ndarray:
-        return self.theta_hats.min(axis=0)
+    def aim_lo(self) -> np.ndarray | None:
+        """Componentwise minimum of every aim; None when nothing aimed."""
+        return self.aims[self.aimed].min(axis=0) if self.aimed.any() else None
 
     @property
-    def aim_hi(self) -> np.ndarray:
-        return self.theta_hats.max(axis=0)
+    def aim_hi(self) -> np.ndarray | None:
+        return self.aims[self.aimed].max(axis=0) if self.aimed.any() else None
+
+    @property
+    def first_plays(self) -> np.ndarray:
+        """(N, n) each expert's play in its activation round; NaN for
+        roster entries that never joined."""
+        first = np.full(self.expert_xs.shape[1:], np.nan)
+        joined = np.arange(len(self.activation_times))
+        first[joined] = self.expert_xs[np.asarray(self.activation_times, dtype=int) - 1, joined]
+        return first
+
+    @property
+    def bound_skipped_reason(self) -> str | None:
+        """None when every expert joined in round 1, which the bounds
+        cover, else why they do not apply."""
+        if not self.activation_times:
+            return "no expert joined the pool; the fixed-pool bound does not apply"
+        if set(self.activation_times) != {1}:
+            return "experts joined mid-run; the fixed-pool bound does not apply"
+        return None
+
+    def hedge_gap(self) -> float:
+        """Aggregated cumulative loss minus the best joined expert's; only
+        meaningful when every expert was active from the first round."""
+        joined = self.expert_losses[:, : len(self.activation_times)]
+        return float(self.losses.sum() - np.nansum(joined, axis=0).min())
 
 
 def run_predictive_ogd(
@@ -151,9 +211,8 @@ def run_predictive_ogd(
 
     xs = np.empty((n_runs, horizon, x.shape[0]))
     losses = np.empty((n_runs, horizon))
-    # entry 0 of each run is a copy of its first parameter, never scored
-    theta_hats = runs.copy()
-    theta_hats[:, 1:] = aim_table([predictor], runs[:, :-1], starts=[1])[0][:, 1:, 0]
+    # the one expert first aims after one observation, at round 2's move
+    aims, aimed = aim_table([predictor], runs[:, :-1], starts=[1])
 
     ids = np.arange(n_runs)
     z = np.tile(x, (n_runs, 1))
@@ -162,12 +221,16 @@ def run_predictive_ogd(
         losses[:, i] = family.value_rows(z, runs[:, i])
         if i + 1 < horizon:
             z = ogd_step_rows(
-                family, cset, z, theta_hats[:, i + 1], config.eta, config.inner_steps,
+                family, cset, z, aims[:, i + 1, 0], config.eta, config.inner_steps,
                 "repetition", ids,
             )
 
     trajectories = [
-        Trajectory(xs[r], runs[r], theta_hats[r], losses[r], config.eta, config.inner_steps)
+        Trajectory(
+            xs=xs[r], thetas=runs[r], losses=losses[r], expert_xs=xs[r][:, None],
+            expert_losses=losses[r][:, None], p=np.ones((horizon, 1)), aims=aims[r], aimed=aimed,
+            activation_times=(1,), eta=config.eta, inner_steps=config.inner_steps, gamma=None,
+        )
         for r in range(n_runs)
     ]
     return trajectories if thetas.ndim == 3 else trajectories[0]

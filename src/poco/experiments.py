@@ -519,7 +519,10 @@ class BoundStudyResult:
         return all(rec.bound_holds and rec.hedge_holds in (None, True) for rec in self.records)
 
     def summary_lines(self) -> list:
+        """The pass counts, each followed by how tight its bound was over
+        the runs: the min, median and max of the measured side over the bound."""
         lines = [f"{self.label}: {self.n_pass}/{self.n_runs} runs satisfied the bound"]
+        lines.append(_tightness(self.label, "Reg_D", [r.reg_d / r.bound for r in self.records]))
         hedged = [r for r in self.records if r.hedge_holds is not None]
         if hedged:
             ok = sum(1 for r in hedged if r.hedge_holds)
@@ -527,7 +530,17 @@ class BoundStudyResult:
                 f"{self.label}: {ok}/{len(hedged)} runs satisfied the "
                 "aggregation (exponential-weights) inequality"
             )
+            ratios = [r.hedge_gap / r.hedge_bound for r in hedged]
+            lines.append(_tightness(self.label, "aggregation gap", ratios))
         return lines
+
+
+def _tightness(label: str, measured: str, ratios: list) -> str:
+    # sorted, not np.median, which imports numpy.ma: a megabyte of peak memory
+    ordered = sorted(ratios)
+    mid = (ordered[(len(ordered) - 1) // 2] + ordered[len(ordered) // 2]) / 2
+    lo, hi = ordered[0], ordered[-1]
+    return f"{label}: {measured} / bound min {lo:.6g} median {mid:.6g} max {hi:.6g}"
 
 
 def _bound_setup(cfg: dict, n_runs: int):

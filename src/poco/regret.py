@@ -258,8 +258,8 @@ def build_ledgers(
     kernels compute each row the same way whatever the row count, so a
     run's ledger does not depend on the runs judged with it.
 
-    A ``trajectory`` is a descent ``Trajectory`` or a pool
-    ``SmadTrajectory``; its ledger reads its ``thetas``, ``losses``,
+    Every run is a :class:`poco.descent.Trajectory`, a descent run being
+    the pool of one expert; its ledger reads its ``thetas``, ``losses``,
     ``xs[0]``, prediction regularity ``p_theta``, aim range
     ``aim_lo``/``aim_hi``, the ``eta`` and ``inner_steps`` it descended
     with and its ``bound_skipped_reason``.  Constants come from
@@ -267,11 +267,12 @@ def build_ledgers(
     and the aims actually descended toward (the parameters alone when
     nothing was aimed at).  A bound is evaluated only when the run gives no
     skip reason, the projection is nonexpansive and eta <= 1/L; otherwise
-    the ledger's ``bound_skipped_reason`` gives the first reason of these.  A descent run gets the predictive-descent
-    bound.  A day-one pool gets it at the farthest expert first play from
-    x*_1, plus ``hedge_gap_bound`` at the pool's ``gamma`` and the run's
-    largest per-round spread of expert losses, and its ``hedge_gap()`` is
-    checked against that penalty.
+    the ledger's ``bound_skipped_reason`` gives the first reason of these.
+    Every run gets the predictive-descent bound at the farthest expert
+    first play from x*_1.  A pool that learns weights (``gamma`` set) adds
+    ``hedge_gap_bound`` at its ``gamma`` and the run's largest per-round
+    spread of expert losses, and its ``hedge_gap()`` is checked against
+    that penalty.
     """
     thetas = np.concatenate([traj.thetas for traj in trajectories])
     xstars = minimizers_batch(family, cset, thetas)
@@ -314,13 +315,13 @@ def _ledger(family, cset, trajectory, xstars, opt_losses) -> RegretLedger:
     hedge_gap = hedge_bound = hedge_holds = None
     if skipped is None:
         contraction = contraction_factor(constants, eta)
-        start_gap, penalty = x1_gap, 0.0
-        if hasattr(trajectory, "expert_losses"):  # a day-one pool
-            n = len(trajectory.activation_times)  # joined experts come first
-            gaps = np.linalg.norm(trajectory.first_plays[:n] - xstars[0], axis=1)
+        n = len(trajectory.activation_times)  # joined experts come first
+        gaps = np.linalg.norm(trajectory.first_plays[:n] - xstars[0], axis=1)
+        start_gap, penalty = float(gaps.max()), 0.0
+        if trajectory.gamma is not None:  # a day-one pool that learns weights
             expert_losses = trajectory.expert_losses[:, :n]
             spread = float((expert_losses.max(1) - expert_losses.min(1)).max())
-            start_gap, hedge_gap = float(gaps.max()), trajectory.hedge_gap()
+            hedge_gap = trajectory.hedge_gap()
             penalty = hedge_bound = hedge_gap_bound(trajectory.gamma, spread, trajectory.horizon, n)
             hedge_holds = hedge_gap <= hedge_bound + BOUND_SLACK
         bound = predictive_regret_bound(

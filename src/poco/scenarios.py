@@ -63,22 +63,21 @@ class SwitchingProcessSpec:
         return len(self.state_a)
 
 
-def switching_base(spec: SwitchingProcessSpec, t: int) -> np.ndarray:
-    """Noise-free state at 1-based round t, by the dwell schedule."""
-    if t < 1:
+def switching_base(spec: SwitchingProcessSpec, t) -> np.ndarray:
+    """Noise-free state at 1-based round t by the dwell schedule, or one row
+    per round of an array of them, as :func:`gen_switching` reads them."""
+    t = np.asarray(t)
+    if (t < 1).any():
         raise ValueError(f"t must be >= 1, got {t}")
     d_a, d_b = int(spec.dwell[0]), int(spec.dwell[1])
-    phase = (t - 1) % (d_a + d_b)
-    state = spec.state_a if phase < d_a else spec.state_b
-    return np.asarray(state, dtype=float)
+    in_b = (t - 1) % (d_a + d_b) >= d_a
+    return np.array([spec.state_a, spec.state_b], dtype=float)[in_b.astype(int)]
 
 
 def gen_switching(spec: SwitchingProcessSpec, seed) -> np.ndarray:
     """Full (T, dim) realization for one seed: every round's :func:`switching_base`, plus noise."""
     rng = np.random.default_rng(seed)
-    d_a, d_b = int(spec.dwell[0]), int(spec.dwell[1])
-    in_b = np.arange(spec.horizon) % (d_a + d_b) >= d_a
-    base = np.array([spec.state_a, spec.state_b], dtype=float)[in_b.astype(int)]
+    base = switching_base(spec, np.arange(1, spec.horizon + 1))
     if spec.noise_scale == 0.0:
         return base
     noise = rng.standard_normal(base.shape)

@@ -22,9 +22,10 @@ too), and one ``value_rows`` call charges the expert moves and the
 aggregate play together.  The row kernels compute each row the same way
 whatever the row count, so the result equals running ``ogd_step`` once per
 expert bit for bit.  A round thus only descends, aggregates, charges and
-reweights: it reads no predictor and keeps no aim state.  What a regret
-ledger needs of the aims, each expert's prediction regularity and the
-range of every aim, is read off the run's aim table once, after the loop.
+reweights: it reads no predictor and keeps no aim state.  The run's
+:class:`poco.descent.Trajectory`, the record of descent runs too, keeps
+the aim table's rows of rounds 1..T, and reads each expert's prediction
+regularity and the range of every aim off them.
 
 Weights are kept in log space; every exposed distribution is normalized.
 """
@@ -32,14 +33,15 @@ Weights are kept in log space; every exposed distribution is normalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from poco.descent import DescentConfig, ogd_step_rows, run_predictive_ogd
+from poco.descent import DescentConfig, Trajectory, ogd_step_rows, run_predictive_ogd
 from poco.domains import ConstraintSet
 from poco.predictors import aim_table
+
+SmadTrajectory = Trajectory  # a pool's run record is the one record of every run
 
 
 def suggested_gamma(d_range: float, horizon: int) -> float:
@@ -61,8 +63,7 @@ class ExpertPool:
     After each :meth:`step`, ``xs`` holds every expert's move of that round,
     ``last_losses`` (N,) its loss against the realized parameter and
     ``last_play_loss`` the aggregate play's.  The pool keeps no aim state:
-    :func:`run_smad` reads the prediction regularity and the aim range off
-    the run's aim table.
+    the run's record keeps the aim table.
     """
 
     def __init__(
@@ -184,99 +185,6 @@ def _logsumexp(v: np.ndarray) -> float:
     return float(hi + np.log(np.exp(v - hi).sum()))
 
 
-def _aim_record(thetas, aims, aimed, activation_times):
-    """Each joined expert's prediction regularity (NaN for roster entries
-    that never joined) and the componentwise range of every aim, from a
-    run's (T, N, m) aim rows and (T, N) mask, one row per round.
-
-    An expert is scored in every round after its activation round in which
-    it aims; its first round's error is absorbed by the starting-gap term.
-    The errors add up in round order, as a running sum would.  The range
-    covers every aimed entry: an expert's column is aimed only from its
-    activation round on.  It is (None, None) when no expert ever aimed.
-    """
-    horizon, n_total = aimed.shape
-    joined = len(activation_times)
-    scored = aimed[:, :joined] & (
-        np.arange(1, horizon + 1)[:, None] > np.asarray(activation_times, dtype=int)
-    )
-    errors = np.zeros((horizon, joined))
-    rounds = np.nonzero(scored)[0]
-    errors[scored] = np.linalg.norm(thetas[rounds] - aims[:, :joined][scored], axis=1)
-    p_theta = np.full(n_total, np.nan)
-    p_theta[:joined] = np.cumsum(errors, axis=0)[-1]
-    if not aimed.any():
-        return p_theta, None, None
-    hit = aims[aimed]
-    return p_theta, hit.min(axis=0), hit.max(axis=0)
-
-
-@dataclass
-class SmadTrajectory:
-    """One SMAD run: aggregated plays plus per-expert bookkeeping.
-
-    Expert arrays are padded with NaN before activation.  ``p`` holds the
-    post-update distribution of each round, aligned to the full roster.
-    ``p_theta_by_expert`` and the aim range ``aim_lo``/``aim_hi`` (None
-    when no expert ever aimed) are read off the run's aim table once, after
-    the loop, as a descent ``Trajectory`` reads them off its
-    ``theta_hats``: an expert is scored in every round after its activation
-    round in which it aims, and the range covers every aim.  ``p_theta`` is
-    the best expert's prediction regularity and
-    ``eta``/``inner_steps``/``gamma`` are the pool's; a regret ledger reads
-    them as it reads a descent ``Trajectory``.  ``bound_skipped_reason`` is
-    None for a day-one pool, which the fixed-pool bound covers, and says
-    why that bound does not apply otherwise.
-    """
-
-    xs: np.ndarray  # (T, n) aggregated plays
-    thetas: np.ndarray  # (T, m)
-    losses: np.ndarray  # (T,)
-    expert_xs: np.ndarray  # (T, N, n)
-    expert_losses: np.ndarray  # (T, N)
-    p: np.ndarray  # (T, N)
-    activation_times: tuple
-    p_theta_by_expert: np.ndarray  # (N,) effective prediction regularity
-    aim_lo: Optional[np.ndarray]  # (m,)
-    aim_hi: Optional[np.ndarray]  # (m,)
-    eta: float  # the pool's step size, inner steps per round and learning rate
-    inner_steps: int
-    gamma: float
-
-    @property
-    def horizon(self) -> int:
-        return self.xs.shape[0]
-
-    @property
-    def p_theta(self) -> float:
-        """The smallest expert regularity; NaN when no expert was active."""
-        return float(np.fmin.reduce(self.p_theta_by_expert, initial=np.nan))
-
-    @property
-    def first_plays(self) -> np.ndarray:
-        """(N, n) each expert's play in its activation round; NaN for
-        roster entries that never joined."""
-        first = np.full(self.expert_xs.shape[1:], np.nan)
-        joined = np.arange(len(self.activation_times))
-        rounds = np.asarray(self.activation_times, dtype=int) - 1
-        first[joined] = self.expert_xs[rounds, joined]
-        return first
-
-    @property
-    def bound_skipped_reason(self) -> Optional[str]:
-        if not self.activation_times:
-            return "no expert joined the pool; the fixed-pool bound does not apply"
-        if set(self.activation_times) != {1}:
-            return "experts joined mid-run; the fixed-pool bound does not apply"
-        return None
-
-    def hedge_gap(self) -> float:
-        """Aggregated cumulative loss minus the best joined expert's; only
-        meaningful when every expert was active from the first round."""
-        joined = self.expert_losses[:, : len(self.activation_times)]
-        return float(self.losses.sum() - np.nansum(joined, axis=0).min())
-
-
 def run_smad(
     family,
     cset: ConstraintSet,
@@ -285,7 +193,7 @@ def run_smad(
     x1,
     roster: Sequence[tuple[int, object]] = (),
     initial_history=None,
-) -> SmadTrajectory:
+) -> Trajectory:
     """Drive an expert pool over a realized parameter sequence.
 
     ``pool`` supplies ``beta``, ``gamma``, ``eta`` and ``inner_steps`` and
@@ -306,8 +214,9 @@ def run_smad(
     :func:`poco.predictors.aim_table` over the record, built before the
     loop, whose column for an expert joining in round t starts at the
     record length that round observes; round t passes the table's row for
-    that length to :meth:`ExpertPool.step`.  The same table gives the
-    trajectory's prediction regularities and aim range after the loop.
+    that length to :meth:`ExpertPool.step`.  The trajectory keeps the
+    table's rows of rounds 1..T, from which it reads its prediction
+    regularities and aim range.
     """
     if pool.n_active:
         raise ValueError(
@@ -374,21 +283,9 @@ def run_smad(
         log_p[i, :m_act] = pool.log_p
 
     # table rows seed_len.. are the aims of rounds 1..T
-    p_theta, aim_lo, aim_hi = _aim_record(
-        thetas, aims[seed_len:], aimed[seed_len:], pool.activated_at
-    )
-    return SmadTrajectory(
-        xs=xs,
-        thetas=thetas,
-        losses=losses,
-        expert_xs=expert_xs,
-        expert_losses=expert_losses,
-        p=np.exp(log_p),
+    return Trajectory(
+        xs=xs, thetas=thetas, losses=losses, expert_xs=expert_xs, expert_losses=expert_losses,
+        p=np.exp(log_p), aims=aims[seed_len:], aimed=aimed[seed_len:],
         activation_times=tuple(pool.activated_at),
-        p_theta_by_expert=p_theta,
-        aim_lo=aim_lo,
-        aim_hi=aim_hi,
-        eta=pool.eta,
-        inner_steps=pool.inner_steps,
-        gamma=pool.gamma,
+        eta=pool.eta, inner_steps=pool.inner_steps, gamma=pool.gamma,
     )

@@ -274,13 +274,22 @@ class TestCommands:
         )
         assert captured.err == ""
 
-    @pytest.mark.parametrize("experiment", ["exp3", "custom"])
+    @pytest.mark.parametrize("experiment", ["exp3"])
     def test_check_bounds_refuses_another_experiment(self, tmp_path, capsys, experiment):
         cfg = {"experiment": experiment}
         code, out = _run(tmp_path, "check-bounds", "other", cfg, "--runs", "1", "--expert-runs", "1")
         assert code == EXIT_CONFIG and not out.exists()
-        message = f"check-bounds takes an exp1 or exp2 config, not {experiment!r}"
+        message = f"check-bounds takes an exp1, exp2 or custom config, not {experiment!r}"
         assert message in capsys.readouterr().err
+
+    def test_check_bounds_takes_a_custom_config(self, tmp_path):
+        # a custom config is study 1 under other labels, so its bounds match exp1's
+        flags = ("--runs", "1", "--expert-runs", "1")
+        code, custom = _run(tmp_path, "check-bounds", "custom", {"experiment": "custom"}, *flags)
+        assert code == EXIT_OK
+        code, exp1 = _run(tmp_path, "check-bounds", "exp1", {"experiment": "exp1"}, *flags)
+        assert code == EXIT_OK
+        assert (custom / "summary.txt").read_bytes() == (exp1 / "summary.txt").read_bytes()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -468,13 +477,12 @@ BASES = {
     "exp3": ("run-exp3", "exp3", {"repetitions": 2, "horizon": 6}),
     "bounds": ("check-bounds", "exp1", SMALL_BOUNDS),
     "bounds-exp2": ("check-bounds", "exp2", {"experiment": "exp2", **SMALL_BOUNDS}),
+    "bounds-custom": ("check-bounds", "custom", {"experiment": "custom", **SMALL_BOUNDS}),
 }
 # check-bounds reads the same keys whatever its base, so it is changed key by
 # key on one
 READ_BASES = ("exp1", "custom", "exp2", "exp3", "bounds")
-REFUSED = (EXIT_CONFIG, None, None, [])  # a config error writes nothing
-# check-bounds refuses custom configs, so these keys of one go unread
-HELD_UNREAD = {("custom", "bounds.runs"), ("custom", "bounds.expert_runs")}
+REFUSED = (EXIT_CONFIG, None, None)  # a config error writes nothing
 
 
 class Row(NamedTuple):
@@ -485,13 +493,13 @@ class Row(NamedTuple):
 
 
 # every SCHEMA key under each command: a read key alone changes its outputs
-# (curve.csv, summary.txt and the regret ledgers) or is refused; an unread
-# key in the config leaves them byte-identical, and one outside it is
-# refused, as is one that the kind of its section does not hold (KINDS)
+# (curve.csv and summary.txt) or is refused; an unread key in the config
+# leaves them byte-identical, and one outside it is refused, as is one that
+# the kind of its section does not hold (KINDS)
 KEY_TABLE = {
-    # the command names the experiment, and check-bounds takes only exp1 and
-    # exp2, so another one is refused (run-custom's case names exp1)
-    "experiment": Row("custom", COMMANDS, refused_by=COMMANDS),
+    # a run command names the experiment, so another one is refused
+    # (run-custom's case names exp1); check-bounds takes the defaults of exp2
+    "experiment": Row("custom", COMMANDS, refused_by=(*RUNS, "run-exp3")),
     "seed": Row(3, COMMANDS),
     "repetitions": Row(3, (*RUNS, "run-exp3")),  # check-bounds counts bounds.runs
     "horizon": Row(5, COMMANDS),  # study 3's evaluation months
@@ -626,38 +634,24 @@ def _config(base: str, changes: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def study_outputs(tmp_path_factory):
-    """``outputs(command, cfg)``: the exit code, the curve.csv and
-    summary.txt bytes (None when absent) and the summary lines of every
-    regret ledger built, of one quiet run.  check-bounds' summary.txt holds
-    only its verdicts, so its ledgers show what its runs played.  A config
-    that has run already is not run again."""
-    import poco.experiments as experiments
-
+    """``outputs(command, cfg)``: the exit code and the curve.csv and
+    summary.txt bytes (None when absent) of one quiet run.  check-bounds'
+    summary.txt prints how tight each bound was over its runs, so it moves
+    with what they played.  A config that has run already is not run again."""
     root = tmp_path_factory.mktemp("keys")
     market = root / "market.csv"
     days = synthetic_market(n_assets=3, n_days=480, seed=5).relatives
     market.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in days))
-    build_ledgers, runs = experiments.build_ledgers, {}
+    runs = {}
 
     def outputs(command: str, cfg: dict) -> tuple:
         text = json.dumps(cfg, sort_keys=True).replace(MARKET_CSV, str(market))
         if (command, text) not in runs:
             path, out = root / f"cfg{len(runs)}.json", root / f"out{len(runs)}"
             path.write_text(text)
-            lines = []
-
-            def kept(*args):
-                records = build_ledgers(*args)
-                lines.extend(line for record in records for line in record.summary_lines())
-                return records
-
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(experiments, "build_ledgers", kept)
-                code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+            code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
             files = (out / name for name in ("curve.csv", "summary.txt"))
-            runs[command, text] = (
-                code, *(f.read_bytes() if f.exists() else None for f in files), lines
-            )
+            runs[command, text] = (code, *(f.read_bytes() if f.exists() else None for f in files))
         return runs[command, text]
 
     return outputs
@@ -708,23 +702,28 @@ class TestConfigReachesTheRun:
         assert set(KEY_TABLE) == keys
 
     def test_configs_hold_only_what_their_commands_read(self):
-        # some command taking a config reads each key it holds, but for the
-        # marked exception; and each command ignores only a few
+        # some command taking a config reads each key it holds, and each
+        # command ignores only a few
         held = {(exp, key) for _, exp, _ in BASES.values() for key in _held(exp)}
         read = {
             (exp, key) for command, exp, _ in BASES.values() for key in _held(exp)
             if command in KEY_TABLE[key].reads
         }
-        assert held - read == HELD_UNREAD
+        assert held == read
         counts = {base: len(_unread(base)[0]) for base in BASES}
-        assert counts == {"exp1": 2, "custom": 2, "exp2": 5, "exp3": 0, "bounds": 2, "bounds-exp2": 8}
+        assert counts == {
+            "exp1": 2, "custom": 2, "exp2": 5, "exp3": 0,
+            "bounds": 2, "bounds-exp2": 8, "bounds-custom": 2,
+        }
 
     @pytest.mark.parametrize("base,key", _read_cases())
     def test_key_changes_the_curve(self, study_outputs, base, key):
         """The key alone changes the outputs, or is refused."""
         command, _, _ = BASES[base]
         row = KEY_TABLE[key]
-        alternate = "exp1" if (key, command) == ("experiment", "run-custom") else row.alternate
+        alternate = row.alternate
+        if key == "experiment":
+            alternate = {"run-custom": "exp1", "check-bounds": "exp2"}.get(command, alternate)
         reference = study_outputs(command, _config(base, row.context))
         changed = study_outputs(command, _config(base, {**row.context, key: alternate}))
         assert reference[0] == EXIT_OK
@@ -746,6 +745,16 @@ class TestConfigReachesTheRun:
             assert changed == reference
         else:
             assert changed == REFUSED
+
+    @pytest.mark.parametrize("base", ["exp1", "custom", "bounds"])
+    def test_persistence_indices_reach_only_the_expert_study(self, study_outputs, base):
+        # a persistence predictor models every coordinate, so study 1 ignores
+        # predictor.indices; check-bounds' expert-pool study gives them to its AR expert
+        command, persistence = BASES[base][0], {"predictor.kind": "persistence"}
+        reference = study_outputs(command, _config(base, persistence))
+        changed = study_outputs(command, _config(base, {**persistence, "predictor.indices": [0]}))
+        assert reference[0] == changed[0] == EXIT_OK
+        assert (changed == reference) == (command != "check-bounds")
 
     @pytest.mark.parametrize("base,section,kind,key", _kind_cases())
     def test_key_its_kind_does_not_hold_is_refused(self, tmp_path, capsys, base, section, kind, key):

@@ -1,7 +1,9 @@
-"""numpy is poco's only runtime dependency, importing the package loads
-neither scipy nor logging, and the config layer loads no study code.
+"""numpy is poco's only runtime dependency, every module reads each name
+it imports, importing the package loads neither scipy nor logging, a
+check-bounds run loads no numpy.ma, and the config layer loads no study
+code.
 
-Guards: a static scan of every import statement under ``src/poco``, and
+Guards: static scans of every import statement under ``src/poco``, and
 fresh interpreters that import part of the package and then list what got
 loaded.
 """
@@ -37,6 +39,30 @@ def test_numpy_is_the_only_third_party_import():
     assert set(third_party) == {"numpy"}, third_party
 
 
+def _unread_imports(path: Path) -> list:
+    """The names that ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - read)
+
+
+def test_every_imported_name_is_read():
+    # the package re-exports its names, so __init__.py is not scanned
+    files = [path for path in sorted((SRC / "poco").glob("*.py")) if path.name != "__init__.py"]
+    assert files
+    unread = {path.name: _unread_imports(path) for path in files}
+    assert {name: names for name, names in unread.items() if names} == {}
+
+
 def _loaded_after(statement: str, modules: tuple) -> str:
     """Which of ``modules`` a fresh interpreter has loaded after running
     ``statement``, as a printed sorted list."""
@@ -60,6 +86,14 @@ def test_importing_poco_loads_no_scipy():
 def test_importing_poco_loads_no_logging():
     # the CLI's import time is a benchmark metric; logging costs milliseconds of it
     assert _loaded_after("import poco, poco.cli", ("logging",)) == "[]"
+
+
+def test_check_bounds_loads_no_numpy_ma(tmp_path):
+    # numpy.ma (np.median imports it) adds about a megabyte to the peak memory
+    # of a check-bounds run, a benchmark metric
+    argv = ["check-bounds", "--runs", "1", "--expert-runs", "1", "--out", str(tmp_path), "--quiet"]
+    statement = f"from poco.cli import main\nmain({argv!r})"
+    assert _loaded_after(statement, ("numpy.ma",)) == "[]"
 
 
 def test_config_imports_no_study_code():
