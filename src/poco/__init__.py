@@ -23,7 +23,7 @@ from poco.objectives import (
 )
 from poco.predictors import NoisyOracle, Persistence, VarPredictor, fit_var_yule_walker
 from poco.descent import DescentConfig, Trajectory, ogd_step, run_predictive_ogd
-from poco.smad import ExpertPool, SmadTrajectory, run_smad, suggested_gamma
+from poco.smad import ExpertPool, SmadTrajectory, run_smad
 from poco.regret import (
     RegretLedger,
     build_ledger,
@@ -32,6 +32,7 @@ from poco.regret import (
     minimizer_oracle,
     path_length,
     predictive_regret_bound,
+    suggested_gamma,
 )
 
 __version__ = "0.1.0"

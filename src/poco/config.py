@@ -365,11 +365,6 @@ def read_config(path: str) -> dict:
     return raw
 
 
-def parse_config(path: str, experiment: Optional[str] = None) -> dict:
-    """Load and resolve a config file; manifests are accepted as configs."""
-    return resolve_config(read_config(path), experiment=experiment)
-
-
 def canonical_json(cfg: dict) -> str:
     return json.dumps(cfg, sort_keys=True, indent=2)
 

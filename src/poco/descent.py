@@ -202,8 +202,9 @@ def run_predictive_ogd(
     """
     thetas = np.asarray(thetas, dtype=float)
     runs = thetas if thetas.ndim == 3 else thetas[None]
-    if runs.ndim != 3 or 0 in runs.shape[:2]:
-        raise ValueError("thetas must be a nonempty (T, m) array or an (R, T, m) stack of them")
+    if runs.ndim != 3 or 0 in runs.shape[:2] or runs.shape[2] != family.m:
+        raise ValueError(f"thetas must be a nonempty (T, m) array or an (R, T, m) stack of "
+                         f"them, m = family.m = {family.m}; got shape {thetas.shape}")
     n_runs, horizon, _ = runs.shape
     x = np.asarray(x1, dtype=float)
     if not cset.contains(x, tol=1e-9):

@@ -8,16 +8,15 @@ dynamic regret (the per-round optimal values cancel) and is exactly zero
 wherever the two arms are algorithmically identical.  ``compare_to_ogd``
 runs that comparison for every study, with the baseline runs of all
 repetitions advancing in lockstep, and keeps only the losses of every
-repetition but the first.  Study 3 reads its moments from one table per run
-(:class:`MomentCache`), filled by one stacked moments call per lookback
-and block of ``MONTH_BLOCK`` months, so its parameters are (slot, risk)
-rows and its pools' prediction regularity and aim range are in slot
-coordinates; nothing reads them, as its renormalizing projection gets no
-regret ledger.
-
-Per-repetition seeds are derived from the master seed with
-``numpy.random.SeedSequence(master_seed).spawn(repetitions)``; repetition r
-uses child r.  Rerunning with the same master seed reproduces every byte.
+repetition but the first.  It is also the one seed rule: repetition r
+draws from child r of
+``numpy.random.SeedSequence(master_seed).spawn(repetitions)``, so
+rerunning with the same master seed reproduces every byte.  Study 3 reads
+its moments from one table per run (:class:`MomentCache`), filled by one
+stacked moments call per lookback and block of ``MONTH_BLOCK`` months, so
+its parameters are (slot, risk) rows and its pools' prediction regularity
+and aim range are in slot coordinates; nothing reads them, as its
+renormalizing projection gets no regret ledger.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from poco.objectives import MarkowitzTable, QuadraticTracking, step_contracts
 from poco.predictors import (
     NoisyOracle, Persistence, PredictorNotReady, VarPredictor, aim_table, var_forecasts
 )
-from poco.regret import build_ledgers
+from poco.regret import build_ledgers, suggested_gamma
 from poco.scenarios import (
     DataError,
     MarketData,
@@ -48,7 +47,7 @@ from poco.scenarios import (
     switching_declared_box,
     synthetic_market,
 )
-from poco.smad import ExpertPool, run_smad, suggested_gamma
+from poco.smad import ExpertPool, run_smad
 
 # appended to a study's curve note when it reports repetition 1's ledgers
 LEDGER_NOTE = "; regret decomposition below is for repetition 1"
@@ -98,9 +97,9 @@ class ExperimentResult:
         return lines
 
 
-def compare_to_ogd(seeds, scenario, method, family, cset, x1, eta, inner_steps=1):
+def compare_to_ogd(seed, repetitions, scenario, method, family, cset, x1, eta, inner_steps=1):
     """Play a method arm against plain projected descent, one repetition per
-    spawned seed.
+    child seed that the master ``seed`` spawns.
 
     ``scenario(child)`` draws a repetition's ``(thetas, history)``, where
     ``history`` holds parameters observed before round 1 (or None), and
@@ -113,9 +112,9 @@ def compare_to_ogd(seeds, scenario, method, family, cset, x1, eta, inner_steps=1
     except repetition 1's whole run.  Returns the difference curve and
     repetition 1's ``(baseline, method)`` trajectories.
     """
-    if not seeds:
+    if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    draws = [scenario(child) for child in seeds]
+    draws = [scenario(child) for child in np.random.SeedSequence(seed).spawn(repetitions)]
     baselines = run_predictive_ogd(
         family, cset, np.stack([thetas for thetas, _ in draws]),
         DescentConfig(eta, inner_steps), x1,
@@ -193,7 +192,7 @@ def run_exp1(cfg: dict) -> ExperimentResult:
     descent = DescentConfig(eta, inner_steps)
     predictor = make_predictor(cfg)
     curve, first = compare_to_ogd(
-        np.random.SeedSequence(cfg["seed"]).spawn(cfg["repetitions"]),
+        cfg["seed"], cfg["repetitions"],
         lambda child: (gen_switching(proc, child), None),
         lambda thetas, _: run_predictive_ogd(
             family, cset, thetas, descent, x1, predictor=predictor
@@ -244,7 +243,7 @@ def run_exp2(cfg: dict) -> ExperimentResult:
         return run_smad(family, cset, thetas, pool, x1, roster=roster)
 
     curve, first = compare_to_ogd(
-        np.random.SeedSequence(cfg["seed"]).spawn(cfg["repetitions"]),
+        cfg["seed"], cfg["repetitions"],
         lambda child: (gen_switching(proc, child), None),
         expert_pool,
         family, cset, x1, eta, inner_steps,
@@ -476,7 +475,7 @@ def run_exp3(cfg: dict, data: Optional[MarketData] = None) -> ExperimentResult:
         )
 
     curve, _ = compare_to_ogd(
-        np.random.SeedSequence(cfg["seed"]).spawn(cfg["repetitions"]),
+        cfg["seed"], cfg["repetitions"],
         scenario, expert_pool, family, cset, x1, eta,
     )
     notes = [

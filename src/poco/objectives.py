@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -378,6 +377,3 @@ class MarkowitzTable(Markowitz):
         return np.asarray(theta, dtype=float)[None]
 
     pack = derive_constants = None
-
-
-ObjectiveFamily = Union[QuadraticTracking, FunctionalTimeSeries, Markowitz]

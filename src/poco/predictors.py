@@ -417,21 +417,3 @@ def aim_table(predictors, observed, starts=None) -> tuple[np.ndarray, np.ndarray
             aims[:, ns, col] = [[step_aim(predictor, run[:n]) for n in ns] for run in runs]
         aimed[ns, col] = True
     return (aims if obs.ndim == 3 else aims[0]), aimed
-
-
-def prediction_regularity(thetas, theta_hats) -> float:
-    """Cumulative prediction error sum_{t>=2} ||theta_t - theta_hat_t||.
-
-    Both sequences are aligned by time; the first entry is never scored
-    because no prediction precedes the first observation.
-    """
-    a = np.asarray(thetas, dtype=float)
-    b = np.asarray(theta_hats, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"aligned sequences required, got {a.shape} vs {b.shape}")
-    if a.ndim == 1:
-        a = a[:, None]
-        b = b[:, None]
-    if a.shape[0] < 2:
-        return 0.0
-    return float(np.linalg.norm(a[1:] - b[1:], axis=1).sum())

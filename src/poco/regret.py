@@ -10,9 +10,11 @@ regret, and the closed-form bounds the library promises:
   minimizer path length and the prediction regularity (the k-step variant
   raises the contraction factor to the k-th power in the first two terms);
 * ``hedge_gap_bound``: the exponential-weights aggregation penalty
-  T*gamma*D^2/8 + ln(N)/gamma (Cesa-Bianchi & Lugosi 2006, Thm 2.2);
+  T*gamma*D^2/8 + ln(N)/gamma (Cesa-Bianchi & Lugosi 2006, Thm 2.2), which
+  ``suggested_gamma`` minimizes;
 * ``expert_regret_bound``: the first at the best expert's prediction
-  regularity plus the second at the tuned gamma, D*sqrt(2T)/4*(1+ln N).
+  regularity plus the second at ``suggested_gamma``, where it equals
+  D*sqrt(2T)/4*(1+ln N).
 
 Bound checks are skipped when the projection is not nonexpansive (the
 renormalizing simplex heuristic) or eta exceeds 1/L, because the
@@ -157,22 +159,20 @@ def expert_regret_bound(
     n_experts: int,
     k: int = 1,
 ) -> float:
-    """Dynamic-regret bound for the expert-learning aggregate.
-
-    The descent part is evaluated at the best expert's prediction regularity;
-    the aggregation penalty D*sqrt(2T)/4*(1 + ln N) assumes the learning rate
-    gamma = sqrt(8/(T*D^2)) and a pool fixed from the first round.  A constant
-    objective has D = 0 and pays no aggregation penalty.
+    """Dynamic-regret bound for the expert-learning aggregate:
+    ``predictive_regret_bound`` at the best expert's prediction regularity
+    plus ``hedge_gap_bound`` at the tuned learning rate ``suggested_gamma``,
+    for a pool fixed from the first round.  A constant objective has D = 0
+    and pays no aggregation penalty.
     """
     if not (np.isfinite(d_range) and d_range >= 0):
         raise ValueError(f"loss range D must be nonnegative, got {d_range}")
     if int(horizon) < 1 or int(n_experts) < 1:
         raise ValueError("need horizon >= 1 and n_experts >= 1")
-    descent_part = predictive_regret_bound(
-        constants, eta, x1_gap, p_star, min_p_theta, k=k
-    )
-    mixing_part = d_range * math.sqrt(2.0 * horizon) / 4.0 * (1.0 + math.log(n_experts))
-    return descent_part + mixing_part
+    bound = predictive_regret_bound(constants, eta, x1_gap, p_star, min_p_theta, k=k)
+    if d_range > 0:
+        bound += hedge_gap_bound(suggested_gamma(d_range, horizon), d_range, horizon, n_experts)
+    return bound
 
 
 def hedge_gap_bound(gamma: float, d_range: float, horizon: int, n_experts: int) -> float:
@@ -181,6 +181,16 @@ def hedge_gap_bound(gamma: float, d_range: float, horizon: int, n_experts: int) 
     if gamma <= 0 or d_range < 0 or horizon < 1 or n_experts < 1:
         raise ValueError("need gamma > 0, D >= 0, T >= 1, N >= 1")
     return horizon * gamma * d_range * d_range / 8.0 + math.log(n_experts) / gamma
+
+
+def suggested_gamma(d_range: float, horizon: int) -> float:
+    """Learning rate sqrt(8 / (T * D^2)) that minimizes ``hedge_gap_bound``
+    for a loss range D over T rounds, to D*sqrt(2T)/4*(1 + ln N)."""
+    if not (np.isfinite(d_range) and d_range > 0):
+        raise ValueError(f"loss range D must be positive, got {d_range}")
+    if int(horizon) < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    return math.sqrt(8.0 / (horizon * d_range * d_range))
 
 
 def realized_theta_box(*theta_arrays) -> tuple[np.ndarray, np.ndarray]:

@@ -44,16 +44,6 @@ from poco.predictors import aim_table
 SmadTrajectory = Trajectory  # a pool's run record is the one record of every run
 
 
-def suggested_gamma(d_range: float, horizon: int) -> float:
-    """Learning rate sqrt(8 / (T * D^2)) that optimizes the aggregation
-    penalty for a loss range D over T rounds."""
-    if not (np.isfinite(d_range) and d_range > 0):
-        raise ValueError(f"loss range D must be positive, got {d_range}")
-    if int(horizon) < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return math.sqrt(8.0 / (horizon * d_range * d_range))
-
-
 class ExpertPool:
     """Roster of experts with a normalized log-space weight vector.
 
@@ -224,8 +214,9 @@ def run_smad(
             f"ExpertPool, not one holding {pool.n_active} experts"
         )
     thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[0] < 1:
-        raise ValueError("thetas must be a nonempty (T, m) array")
+    if thetas.ndim != 2 or thetas.shape[0] < 1 or thetas.shape[1] != family.m:
+        raise ValueError(f"thetas must be a nonempty (T, m) array, m = family.m = {family.m}; "
+                         f"got shape {thetas.shape}")
     horizon = thetas.shape[0]
     x = np.asarray(x1, dtype=float)
     if not cset.contains(x, tol=1e-9):

@@ -12,7 +12,7 @@ from poco.config import (
     config_hash,
     default_out_dir,
     emit_results,
-    parse_config,
+    read_config,
     resolve_config,
     EXPERIMENTS,
     KINDS,
@@ -27,7 +27,7 @@ class TestConfigResolution:
     def test_minimal_config_gets_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 7}))
-        cfg = parse_config(str(path), experiment="exp1")
+        cfg = resolve_config(read_config(str(path)), experiment="exp1")
         assert cfg["seed"] == 7
         assert cfg["descent"]["eta"] == pytest.approx(1.0 / 200.0)
         assert cfg["domain"]["radius"] == 50.0
@@ -106,17 +106,17 @@ class TestConfigResolution:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "exp2"}))
         with pytest.raises(ConfigError, match="exp2"):
-            parse_config(str(path), experiment="exp1")
+            resolve_config(read_config(str(path)), experiment="exp1")
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
-            parse_config("/nonexistent/cfg.json")
+            read_config("/nonexistent/cfg.json")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="JSON"):
-            parse_config(str(path))
+            read_config(str(path))
 
     def test_round_trip_through_manifest(self, tmp_path):
         cfg = resolve_config({"seed": 11, "horizon": 60}, "exp1")
@@ -127,7 +127,7 @@ class TestConfigResolution:
         }
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
-        again = parse_config(str(path))
+        again = resolve_config(read_config(str(path)))
         assert again == cfg
 
     def test_out_dir_resolution(self, monkeypatch):
@@ -784,7 +784,7 @@ class TestConfigReachesTheRun:
         from poco.domains import EuclideanBall
         from poco.objectives import QuadraticTracking
         from poco.scenarios import switching_declared_box
-        from poco.smad import suggested_gamma
+        from poco.regret import suggested_gamma
 
         drawn = []
         real = experiments.gen_switching

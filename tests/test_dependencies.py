@@ -1,20 +1,22 @@
 """numpy is poco's only runtime dependency, every module reads each name
-it imports, importing the package loads neither scipy nor logging, a
-check-bounds run loads no numpy.ma, and the config layer loads no study
-code.
+it imports, something reads each module-level definition, importing the
+package loads neither scipy nor logging, a check-bounds run loads no
+numpy.ma, and the config layer loads no study code.
 
-Guards: static scans of every import statement under ``src/poco``, and
-fresh interpreters that import part of the package and then list what got
-loaded.
+Guards: static scans of every import statement and module-level definition
+under ``src/poco``, and fresh interpreters that import part of the package
+and then list what got loaded.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _imported_top_levels(path: Path) -> set:
@@ -61,6 +63,65 @@ def test_every_imported_name_is_read():
     assert files
     unread = {path.name: _unread_imports(path) for path in files}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def _module_definitions(path: Path) -> list:
+    """The functions, classes and assigned names at the top level of ``path``."""
+    names = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.extend(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _loaded_names(path: Path) -> set:
+    """Every name ``path`` reads, as a variable or an attribute, or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _traced_definitions() -> set:
+    """(module, top-level name) of every function ``benchmark/spans.py`` traces."""
+    spec = importlib.util.spec_from_file_location("_bench_spans", ROOT / "benchmark" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {
+        (module, qualname.split(".")[0])
+        for targets in spans.LAYERS.values()
+        for module, qualname in (target.split(":") for target in targets)
+    }
+
+
+def test_every_module_definition_is_read():
+    # a definition counts as read when some module of the package (other than
+    # the re-exporting __init__.py) or of the benchmark loads its name, when
+    # the package exports it, or when the benchmark traces it
+    import poco
+
+    modules = [path for path in sorted((SRC / "poco").glob("*.py")) if path.name != "__init__.py"]
+    readers = modules + sorted((ROOT / "benchmark").glob("*.py"))
+    assert modules and len(readers) > len(modules)
+    loaded = set().union(*(_loaded_names(path) for path in readers))
+    traced = _traced_definitions()
+    unread = [
+        f"{path.stem}.{name}"
+        for path in modules
+        for name in _module_definitions(path)
+        if name not in loaded and name not in poco.__all__
+        and (f"poco.{path.stem}", name) not in traced
+    ]
+    assert unread == []
 
 
 def _loaded_after(statement: str, modules: tuple) -> str:

@@ -111,6 +111,15 @@ class TestRunLoop:
                 family, cset, thetas, DescentConfig(ETA, 1), (60.0, 0.0)
             )
 
+    @pytest.mark.parametrize("width", [5, 2], ids=["wider", "narrower"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_parameters_of_the_wrong_width_rejected(self, width, stacked):
+        # m = 3 for a 2-d tracking family; neither width may run
+        family, cset = tracking_setup()
+        thetas = np.zeros((2, 20, width) if stacked else (20, width))
+        with pytest.raises(ValueError, match=r"family\.m = 3"):
+            run_predictive_ogd(family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0))
+
     def test_bitwise_determinism(self):
         family, cset = tracking_setup()
         proc = SwitchingProcessSpec(horizon=60)

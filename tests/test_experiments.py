@@ -11,7 +11,7 @@ from poco.config import resolve_config
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall
 from poco.objectives import QuadraticTracking
-from poco.predictors import NoisyOracle, aim_table
+from poco.predictors import RUN_BLOCK, NoisyOracle, aim_table
 from poco.regret import hedge_gap_bound
 from poco.scenarios import RiskProcessSpec, SwitchingProcessSpec, gen_switching
 from poco.smad import ExpertPool, run_smad
@@ -37,10 +37,26 @@ def exp3_config(seed, repetitions, horizon=150, **exp3):
 
 class TestSeedSplitting:
     def test_documented_rule_reproduces(self):
-        master = 99
-        a = np.random.SeedSequence(master).spawn(5)
-        b = np.random.SeedSequence(master).spawn(5)
-        for x, y in zip(a, b):
+        # compare_to_ogd hands repetition r child r of SeedSequence(master).spawn(R)
+        from poco.experiments import compare_to_ogd
+
+        master, children = 99, []
+
+        def scenario(child):
+            children.append(child)
+            return np.random.default_rng(child).normal(size=(4, 3)), None
+
+        family, cset = QuadraticTracking([1.0, 2.0]), EuclideanBall(center=[0.0, 0.0], radius=1.0)
+        compare_to_ogd(
+            master, 5, scenario, lambda thetas, _: run_predictive_ogd(
+                family, cset, thetas, DescentConfig(0.1), [0.0, 0.0]
+            ), family, cset, [0.0, 0.0], 0.1,
+        )
+        rule = np.random.SeedSequence(master).spawn(5)
+        assert [(c.entropy, c.spawn_key) for c in children] == [
+            (c.entropy, c.spawn_key) for c in rule
+        ]
+        for x, y in zip(children, rule):
             np.testing.assert_array_equal(
                 np.random.default_rng(x).random(4), np.random.default_rng(y).random(4)
             )
@@ -66,8 +82,7 @@ class TestPairedHarness:
             return np.random.default_rng(child).normal(size=(6, 3)), None
 
         family, cset = QuadraticTracking([1.0, 2.0]), EuclideanBall(center=[0.0, 0.0], radius=1.0)
-        seeds = np.random.SeedSequence(5).spawn(4)
-        curve, (_, first) = compare_to_ogd(seeds, scenario, method, family, cset, [0.0, 0.0], 0.1)
+        curve, (_, first) = compare_to_ogd(5, 4, scenario, method, family, cset, [0.0, 0.0], 0.1)
         assert curve.n_reps == 4 and len(runs) == 4
         assert first is runs[0]()
         # repetitions 2..R were dropped as soon as their losses were read
@@ -227,37 +242,42 @@ class TestExp3:
         )
         np.testing.assert_allclose(traj.xs[0], np.full(37, 1.0 / 37.0))
 
-    def test_risk_forecasts_take_one_pass_per_repetition(self, market, monkeypatch):
+    def test_risk_forecasts_cover_each_risk_path_once(self, market, monkeypatch):
+        # the series handed to the Yule-Walker kernel are each repetition's
+        # risk path, every risk level a month observes, once: no month
+        # refits, and a pass holds at most RUN_BLOCK runs and every AR order
         import poco.experiments as experiments
         import poco.predictors as predictors
 
-        passes, fits = [], []
-        var_forecasts = experiments.var_forecasts
+        paths, fits = [], []
+        gen_risk_path = experiments.gen_risk_path
         kernel = predictors._yule_walker
 
-        def counting_pass(series, orders, *args, **kwargs):
-            passes.append((np.shape(series), sorted(orders)))
-            return var_forecasts(series, orders, *args, **kwargs)
+        def recording_path(*args, **kwargs):
+            paths.append(gen_risk_path(*args, **kwargs))
+            return paths[-1]
 
-        def counting_fit(y, orders, ridge, first):
-            fits.append((y.shape, list(orders)))
+        def recording_fit(y, orders, ridge, first):
+            fits.append((y.copy(), list(orders)))
             return kernel(y, orders, ridge, first)
 
-        monkeypatch.setattr(experiments, "var_forecasts", counting_pass)
-        monkeypatch.setattr(predictors, "_yule_walker", counting_fit)
+        monkeypatch.setattr(experiments, "gen_risk_path", recording_path)
+        monkeypatch.setattr(predictors, "_yule_walker", recording_fit)
         run_exp3(exp3_config(14, 2, horizon=6, lookbacks=[15, 30]), data=market)
-        # one pass per repetition, over the 10 observation months and the
-        # first 5 evaluation months: every risk level a month observes
-        assert passes == [((15,), [1, 2, 3, 4, 5, 6])] * 2
-        assert fits == [((1, 15, 1), [1, 2, 3, 4, 5, 6])] * 2
+        # 10 observation months and the first 5 evaluation months
+        observed = np.stack([path[:15, None] for path in paths])
+        assert len(paths) == 2 and observed.shape == (2, 15, 1)
+        assert all(len(y) <= RUN_BLOCK and orders == [1, 2, 3, 4, 5, 6] for y, orders in fits)
+        assert np.concatenate([y for y, _ in fits]).tobytes() == observed.tobytes()
 
     def test_table_is_built_once_before_the_first_step(self, market, monkeypatch):
-        # the hot loop passes (slot, risk) rows: no pool round packs,
+        # the moments table is built once, before the first round charges a
+        # loss; then the rounds pass (slot, risk) rows: no round packs,
         # unpacks or estimates moments
         import poco.experiments as experiments
-        from poco.objectives import Markowitz
+        from poco.objectives import Markowitz, MarkowitzTable
 
-        events, in_step = [], []
+        events = []
 
         def recording(name, fn):
             def wrapper(*args, **kwargs):
@@ -266,15 +286,6 @@ class TestExp3:
 
             return wrapper
 
-        step = ExpertPool.step
-
-        def recording_step(self, *args, **kwargs):
-            before = len(events)
-            out = step(self, *args, **kwargs)
-            in_step.append(events[before:])
-            events.append("step")
-            return out
-
         table = experiments.MomentCache.__init__
         monkeypatch.setattr(experiments.MomentCache, "__init__", recording("table", table))
         monkeypatch.setattr(
@@ -282,16 +293,17 @@ class TestExp3:
         )
         for name in ("pack", "unpack", "_unpack_rows"):
             monkeypatch.setattr(Markowitz, name, recording(name, getattr(Markowitz, name)))
-        monkeypatch.setattr(ExpertPool, "step", recording_step)
+        # every round charges its losses through value_rows
+        monkeypatch.setattr(
+            MarkowitzTable, "value_rows", recording("round", MarkowitzTable.value_rows)
+        )
         run_exp3(exp3_config(14, 2, horizon=6, lookbacks=[15, 30]), data=market)
-        first_step = events.index("step")
-        assert events.count("table") == 1 and events.index("table") < first_step
+        first_round = events.index("round")
         # 16 months fill one block: one stacked call per lookback (2 experts'
         # and the client's), plus a one-row call for the client's 50-day
         # window clamped to month 1's 30 days
-        assert events[:first_step] == ["table"] + ["estimate"] * 4
-        assert set(events[first_step:]) == {"step"}
-        assert len(in_step) == 2 * 6 and not any(in_step)
+        assert events[:first_round] == ["table"] + ["estimate"] * 4
+        assert set(events[first_round:]) == {"round"}
 
     def test_determinism(self, market):
         cfg = exp3_config(12, 2, horizon=20)

@@ -14,7 +14,6 @@ from poco.predictors import (
     VarFit,
     VarPredictor,
     fit_var_yule_walker,
-    prediction_regularity,
     aim_table,
     step_aim,
     var_forecast_table,
@@ -627,9 +626,8 @@ class TestNoisyOracle:
         truth = np.arange(12.0).reshape(4, 3)
         oracle = NoisyOracle(truth, 0.0)
         np.testing.assert_array_equal(oracle.predict(truth[:2]), truth[2])
-        # perfect prediction over a run gives zero prediction regularity
-        hats = np.stack([oracle.predict(truth[:t]) for t in range(0, 3)])
-        assert prediction_regularity(truth[:3], hats) == 0.0
+        hats = np.stack([oracle.predict(truth[:t]) for t in range(0, 4)])
+        np.testing.assert_array_equal(hats, truth)
 
     def test_exhausted_truth(self):
         oracle = NoisyOracle(np.zeros((3, 2)), 0.0)
@@ -654,21 +652,67 @@ class TestNoisyOracle:
 
 
 class TestPredictionRegularity:
+    """P^theta is read off the run record (``Trajectory.p_theta_by_expert``):
+    the sum over t >= 2 of ||theta_t - theta_hat_t||, in round order."""
+
+    ETA, X1 = 1.0 / 200.0, [0.0, 40.0]
+
+    @staticmethod
+    def _setup():
+        from poco.domains import EuclideanBall
+        from poco.objectives import QuadraticTracking
+        from poco.scenarios import SwitchingProcessSpec, gen_switching
+
+        family = QuadraticTracking((100.0, 1.0))
+        cset = EuclideanBall(center=np.zeros(2), radius=50.0)
+        return family, cset, gen_switching(SwitchingProcessSpec(horizon=200), 12)
+
+    def _descent(self, predictor):
+        from poco.descent import DescentConfig, run_predictive_ogd
+
+        family, cset, thetas = self._setup()
+        return run_predictive_ogd(
+            family, cset, thetas, DescentConfig(self.ETA), self.X1, predictor=predictor
+        )
+
     def test_perfect(self):
-        th = np.random.default_rng(12).normal(size=(6, 2))
-        assert prediction_regularity(th, th) == 0.0
+        # a zero-noise oracle predicts every round exactly
+        traj = self._descent(NoisyOracle(self._setup()[2], 0.0))
+        assert traj.aimed[1:].all()
+        assert traj.p_theta == 0.0 and traj.p_theta_by_expert.tolist() == [0.0]
 
     def test_first_entry_never_scored(self):
-        assert prediction_regularity([[0.0], [1.0]], [[0.0], [0.0]]) == 1.0
-        assert prediction_regularity([[99.0], [1.0]], [[0.0], [1.0]]) == 0.0
+        from poco.smad import ExpertPool, run_smad
+
+        family, cset, thetas = self._setup()
+        wrong_first = thetas.copy()
+        wrong_first[0] += 99.0
+        # a descent run first aims in round 2: round 1 has no prediction
+        traj = self._descent(NoisyOracle(wrong_first, 0.0))
+        assert not traj.aimed[0].any() and traj.p_theta == 0.0
+        # a day-one pool expert aims in round 1 too, but that error is the
+        # starting gap's
+        pool = ExpertPool(beta=0.2, gamma=1.0, eta=self.ETA)
+        pooled = run_smad(
+            family, cset, thetas, pool, self.X1, roster=[(1, NoisyOracle(wrong_first, 0.0))]
+        )
+        assert pooled.aimed[0, 0] and pooled.p_theta == 0.0
+        # round 2 is scored
+        wrong_second = thetas.copy()
+        wrong_second[1] += 3.0
+        traj = self._descent(NoisyOracle(wrong_second, 0.0))
+        assert traj.p_theta == np.linalg.norm(wrong_second[1] - thetas[1]) > 0.0
 
     def test_matches_reaccumulation(self):
-        rng = np.random.default_rng(13)
-        th = rng.normal(size=(5, 3))
-        hats = rng.normal(size=(5, 3))
-        total = sum(np.linalg.norm(th[i] - hats[i]) for i in range(1, 5))
-        assert prediction_regularity(th, hats) == pytest.approx(total, rel=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="aligned"):
-            prediction_regularity(np.zeros((3, 1)), np.zeros((4, 1)))
+        # the round-order running sum of the per-round errors, bit for bit
+        thetas = self._setup()[2]
+        for predictor in (
+            VarPredictor(order=2, indices=(0, 1)),
+            NoisyOracle(thetas, 1.0, rng=np.random.default_rng(13)),
+        ):
+            traj = self._descent(predictor)
+            errors = np.linalg.norm(traj.thetas - traj.theta_hats, axis=1)
+            total = 0.0
+            for t in range(2, traj.horizon + 1):
+                total += errors[t - 1]
+            assert total > 0.0 and traj.p_theta == total

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import Markowitz, QuadraticTracking
-from poco.predictors import NoisyOracle, Persistence, VarPredictor, aim_table
-from poco.regret import hedge_gap_bound
+from poco.predictors import RUN_BLOCK, NoisyOracle, Persistence, VarPredictor, aim_table
+from poco.regret import hedge_gap_bound, suggested_gamma
 from poco.scenarios import SwitchingProcessSpec, gen_switching
-from poco.smad import ExpertPool, run_smad, suggested_gamma
+from poco.smad import ExpertPool, run_smad
 
 from helpers import reference_smad, scalar_ogd_step, scalar_project, scalar_value
 
@@ -246,6 +246,15 @@ class TestRunSmad:
         pool.activate([Persistence()], x_init=[0.0, 40.0], t=1)
         with pytest.raises(ValueError, match="only from its roster"):
             run_smad(family, cset, thetas, pool, (0.0, 40.0), roster=[(1, Persistence())])
+
+    @pytest.mark.parametrize("width", [5, 2], ids=["wider", "narrower"])
+    def test_parameters_of_the_wrong_width_rejected(self, width):
+        # m = 3 for a 2-d tracking family; neither width may run
+        family, cset = tracking_setup()
+        pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
+        with pytest.raises(ValueError, match=r"family\.m = 3"):
+            run_smad(family, cset, np.zeros((20, width)), pool, (0.0, 40.0),
+                     roster=[(1, Persistence())])
 
     def test_same_round_entrants_into_an_empty_pool_start_uniform(self):
         family, cset = tracking_setup()
@@ -489,55 +498,64 @@ class TestPoolReference:
 
 class TestSharedFit:
     def test_run_exp2_fits_once_per_run(self, tmp_path, monkeypatch):
-        # each pool run makes one var_forecasts pass, one kernel pass, for
-        # its AR experts, all modelling the same coordinates, before its
-        # loop; no pool round fits or calls VarPredictor.predict
+        # the series handed to the Yule-Walker kernel are each pool run's
+        # observed record, once, in passes of at most RUN_BLOCK runs that
+        # fit every AR order of the experts modelling those coordinates;
+        # within a run every fit comes before the first round, and no round
+        # calls VarPredictor.predict
         import poco.experiments as experiments
         import poco.predictors as predictors
         from poco.cli import EXIT_OK, main
+        from poco.config import resolve_config
 
-        passes, fits, predicts, in_step, runs = [], [], [], [], []
-        var_forecasts = predictors.var_forecasts
+        events, fits, draws = [], [], []
         kernel = predictors._yule_walker
         predict = predictors.VarPredictor.predict
-        step = ExpertPool.step
-        run = experiments.run_smad
+        value_rows = QuadraticTracking.value_rows
+        run, draw = experiments.run_smad, experiments.gen_switching
 
-        def counting_pass(series, orders, *args, **kwargs):
-            passes.append(sorted(orders))
-            return var_forecasts(series, orders, *args, **kwargs)
-
-        def counting_fit(y, orders, ridge, first):
-            fits.append(list(orders))
+        def recording_fit(y, orders, ridge, first):
+            events.append("fit")
+            fits.append((y.copy(), list(orders)))
             return kernel(y, orders, ridge, first)
 
-        def counting_predict(self, history):
-            predicts.append(1)
+        def recording_predict(self, history):
+            events.append("predict")
             return predict(self, history)
 
-        def counting_step(self, *args, **kwargs):
-            before = len(passes) + len(fits) + len(predicts)
-            out = step(self, *args, **kwargs)
-            in_step.append(len(passes) + len(fits) + len(predicts) - before)
-            return out
+        def recording_round(self, *args, **kwargs):
+            events.append("round")
+            return value_rows(self, *args, **kwargs)
 
-        def counting_run(*args, **kwargs):
-            before = len(passes)
-            out = run(*args, **kwargs)
-            runs.append(len(passes) - before)
-            return out
+        def recording_run(*args, **kwargs):
+            events.append("run")
+            return run(*args, **kwargs)
 
-        monkeypatch.setattr(predictors, "var_forecasts", counting_pass)
-        monkeypatch.setattr(predictors, "_yule_walker", counting_fit)
-        monkeypatch.setattr(predictors.VarPredictor, "predict", counting_predict)
-        monkeypatch.setattr(ExpertPool, "step", counting_step)
-        monkeypatch.setattr(experiments, "run_smad", counting_run)
+        def recording_draw(*args, **kwargs):
+            draws.append(draw(*args, **kwargs))
+            return draws[-1]
+
+        monkeypatch.setattr(predictors, "_yule_walker", recording_fit)
+        monkeypatch.setattr(predictors.VarPredictor, "predict", recording_predict)
+        monkeypatch.setattr(QuadraticTracking, "value_rows", recording_round)
+        monkeypatch.setattr(experiments, "run_smad", recording_run)
+        monkeypatch.setattr(experiments, "gen_switching", recording_draw)
         argv = ["run-exp2", "--reps", "2", "--out", str(tmp_path), "--quiet"]
         assert main(argv) == EXIT_OK
-        assert runs == [1, 1]
-        assert passes == [[1, 2, 3, 4, 5]] * 2
-        assert fits == [[1, 2, 3, 4, 5]] * 2 and predicts == []
-        assert in_step and not any(in_step)
+        indices = resolve_config({}, "exp2")["predictor"]["indices"]
+        observed = np.stack([thetas[:-1, indices] for thetas in draws])
+        assert len(draws) == 2 and "predict" not in events
+        assert all(len(y) <= RUN_BLOCK and orders == [1, 2, 3, 4, 5] for y, orders in fits)
+        assert np.concatenate([y for y, _ in fits]).tobytes() == observed.tobytes()
+        runs = []  # each pool run's events
+        for event in events:
+            if event == "run":
+                runs.append([])
+            elif runs:
+                runs[-1].append(event)
+        assert runs
+        for run_events in runs:
+            assert "fit" not in run_events[run_events.index("round"):]
 
 
 class TestAimTableRuns:
@@ -545,28 +563,27 @@ class TestAimTableRuns:
     def test_no_predictor_is_asked_inside_a_step(self, study, monkeypatch):
         # every aim comes from the table built before the loop; only the
         # protocol-only double is asked, once per prefix from its join on,
-        # and outside the steps
+        # and before the first round charges a loss
         from poco.config import resolve_config
         from poco.experiments import MarkowitzModelPredictor, run_exp3
+        from poco.objectives import MarkowitzTable
         from poco.predictors import VarPredictor
         from poco.scenarios import synthetic_market
 
-        asked, in_step = [], []
+        events = []
         for cls in (VarPredictor, Persistence, NoisyOracle, MarkowitzModelPredictor, FixedAim):
             def counting(self, history, _predict=cls.predict):
-                asked.append(type(self).__name__)
+                events.append(type(self).__name__)
                 return _predict(self, history)
 
             monkeypatch.setattr(cls, "predict", counting)
-        step = ExpertPool.step
+        # every round charges its losses through value_rows
+        for cls in (QuadraticTracking, MarkowitzTable):
+            def charging(self, *args, _value_rows=cls.value_rows, **kwargs):
+                events.append("round")
+                return _value_rows(self, *args, **kwargs)
 
-        def counting_step(self, *args, **kwargs):
-            before = len(asked)
-            out = step(self, *args, **kwargs)
-            in_step.append(len(asked) - before)
-            return out
-
-        monkeypatch.setattr(ExpertPool, "step", counting_step)
+            monkeypatch.setattr(cls, "value_rows", charging)
         if study == "tracking":
             family, cset = tracking_setup()
             thetas = gen_switching(SwitchingProcessSpec(horizon=30), 13)
@@ -579,11 +596,13 @@ class TestAimTableRuns:
             pool = ExpertPool(beta=0.2, gamma=1e-6, eta=ETA)
             run_smad(family, cset, thetas, pool, [0.0, 40.0], roster=roster)
             # the double joins in round 6, after 5 observations
-            assert asked == ["FixedAim"] * (30 - 5)
+            expected = ["FixedAim"] * (30 - 5)
         else:
             cfg = resolve_config(
                 {"repetitions": 2, "horizon": 6, "exp3": {"lookbacks": [15, 30]}}, "exp3"
             )
             run_exp3(cfg, data=synthetic_market(n_assets=3, n_days=16 * 30, seed=3))
-            assert asked == []
-        assert in_step and not any(in_step)
+            expected = []
+        first_round = events.index("round")
+        assert events[:first_round] == expected
+        assert set(events[first_round:]) == {"round"}
