@@ -63,21 +63,30 @@ def ogd_step_rows(
     family, cset: ConstraintSet, xs, aims, eta: float, inner_steps: int, owner: str, ids
 ) -> np.ndarray:
     """``inner_steps`` projected gradient updates of every row of ``xs``
-    toward the same row of ``aims``, one ``family.gradient_x_rows`` and one
-    ``cset.project_rows`` call per update; row i equals ``ogd_step`` on it
-    bit for bit.  The one row update of descent runs and expert pools.  A
-    non-finite gradient raises ``FloatingPointError`` naming the ``owner``
-    and ``ids`` entry of the first bad row."""
+    toward the same row of ``aims``; row i equals ``ogd_step`` on it bit for
+    bit.  The one row update of descent runs and expert pools.  Each update
+    makes one ``family.gradient_x_rows`` call, checks once that every step
+    x - eta*g is finite and hands the steps to the set's projection kernel
+    ``cset._project_rows``.  A non-finite step raises ``FloatingPointError``
+    naming the ``owner`` and ``ids`` entry of the first bad row: a
+    non-finite gradient, if any row has one, else a step that overflowed."""
     z = xs
     for _ in range(inner_steps):
         g = family.gradient_x_rows(z, aims)
-        if not np.isfinite(g).all():
-            bad = int(np.flatnonzero(~np.isfinite(g).all(axis=1))[0])
+        y = z - eta * g
+        if not np.isfinite(y).all():
+            bad_grad = ~np.isfinite(g).all(axis=1)
+            bad = int(np.flatnonzero(bad_grad if bad_grad.any() else ~np.isfinite(y).all(1))[0])
+            if bad_grad[bad]:
+                raise FloatingPointError(
+                    f"non-finite gradient for {owner} {ids[bad]} at x={z[bad]!r}; "
+                    "the iterate left the region where the objective is well behaved"
+                )
             raise FloatingPointError(
-                f"non-finite gradient for {owner} {ids[bad]} at x={z[bad]!r}; "
-                "the iterate left the region where the objective is well behaved"
+                f"the step of {owner} {ids[bad]} from x={z[bad]!r} overflowed: "
+                f"x - eta*g is not finite at eta={eta}"
             )
-        z = cset.project_rows(z - eta * g)
+        z = cset._project_rows(y)
     return z
 
 

@@ -10,11 +10,13 @@ projection modes:
   sum to one.  Cheap and common in portfolio practice, but not a metric
   projection, so bound checks refuse to run on it.
 
-``project_rows`` projects each row of a (k, dim) array and rejects a
-non-finite row; ``project`` checks its vector's shape and projects it as
-one row, so it equals row i of any row call bit for bit.  All projections
-are pure functions of their inputs and can be called from any number of
-workers.
+``project_rows`` checks that its input is a (k, dim) array of finite rows,
+then calls the set's private ``_project_rows`` kernel, which holds the only
+projection arithmetic; a round loop that has checked its rows already calls
+the kernel directly.  ``project`` checks its vector's shape and projects it
+as one row, so it equals row i of any row call bit for bit.  All
+projections are pure functions of their inputs and can be called from any
+number of workers.
 """
 
 from __future__ import annotations
@@ -100,7 +102,9 @@ class EuclideanBall:
 
     def project_rows(self, vs: np.ndarray) -> np.ndarray:
         """Project each row of ``vs``; a non-finite row raises ValueError."""
-        vs = _check_rows(vs, self.dim)
+        return self._project_rows(_check_rows(vs, self.dim))
+
+    def _project_rows(self, vs: np.ndarray) -> np.ndarray:
         d = vs - self.center
         norms = np.sqrt((d * d).sum(axis=1))
         # scale 1 inside the ball, radius / norm outside
@@ -167,7 +171,9 @@ class UnitSimplex:
 
     def project_rows(self, vs: np.ndarray) -> np.ndarray:
         """Project each row of ``vs``; a non-finite row raises ValueError."""
-        vs = _check_rows(vs, self.dim)
+        return self._project_rows(_check_rows(vs, self.dim))
+
+    def _project_rows(self, vs: np.ndarray) -> np.ndarray:
         if self.mode == SIMPLEX_EXACT:
             return project_simplex_sorted_rows(vs)
         return self._renormalize_rows(vs)

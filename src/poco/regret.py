@@ -1,9 +1,11 @@
 """Dynamic-regret accounting and empirical verification of the regret bounds.
 
-The per-round benchmark is the constrained minimizer x*_t of f(., theta_t).
-This module computes those minimizers, the regularities (the path length of
-the minimizers and the cumulative prediction error), the measured dynamic
-regret, and the closed-form bounds the library promises:
+The per-round benchmark is the constrained minimizer x*_t of f(., theta_t),
+solved in closed form for ``QuadraticTracking`` and by projected descent to
+convergence otherwise.  This module computes those minimizers, the
+regularities (the path length of the minimizers and the cumulative
+prediction error), the measured dynamic regret, and the closed-form bounds
+the library promises:
 
 * ``predictive_regret_bound``: dynamic regret of predictive projected
   descent in terms of the contraction factor, the starting gap, the
@@ -30,10 +32,13 @@ from typing import Optional
 import numpy as np
 
 from poco.domains import ConstraintSet, SIMPLEX_EXACT, UnitSimplex
-from poco.objectives import ObjectiveConstants, contraction_factor, step_contracts
+from poco.objectives import (
+    ObjectiveConstants, QuadraticTracking, contraction_factor, step_contracts
+)
 
 MINIMIZER_STEP_TOL = 1e-12
 MINIMIZER_MAX_ITER = 10**6
+SECULAR_MAX_ITER = 100  # Newton steps on the ball's secular equation
 
 
 def _exact_twin(cset: ConstraintSet) -> ConstraintSet:
@@ -55,20 +60,29 @@ def minimizers_batch(
     family, cset: ConstraintSet, thetas, max_iter: int = MINIMIZER_MAX_ITER
 ) -> np.ndarray:
     """Constrained minimizer of f(., theta), to high accuracy, for each row
-    of the (k, m) ``thetas``.
+    of the (k, m) ``thetas``; a non-finite row raises ValueError naming it.
 
-    A row whose unconstrained stationary point is feasible gets that point.
-    Every other row starts from its projection, or from
-    ``cset.interior_point()`` when it is not finite (a singular covariance),
-    and runs projected gradient descent with the exact parameter and step
-    1/L until a step moves less than ``MINIMIZER_STEP_TOL``, which the
-    contraction property turns into a guarantee on ||x - x*||.  A row still
-    moving after ``max_iter`` steps raises ``RuntimeError``.
+    ``QuadraticTracking`` is solved from its optimality conditions
+    (:func:`_tracking_minimizers`).  For every other family a row whose
+    unconstrained stationary point is feasible gets that point.  Every other
+    row starts from its projection, or from ``cset.interior_point()`` when
+    it is not finite (a singular covariance), and runs projected gradient
+    descent with the exact parameter and step 1/L until a step moves less
+    than ``MINIMIZER_STEP_TOL``, which the contraction property turns into a
+    guarantee on ||x - x*||.  A row still moving after ``max_iter`` steps
+    raises ``RuntimeError``; ``max_iter`` is read only on this path.
     """
     cset = _exact_twin(cset)
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != family.m:
         raise ValueError(f"thetas must be (k, {family.m}) rows, got shape {thetas.shape}")
+    if cset.dim != family.n:
+        raise ValueError(f"the family has n = {family.n} but the set dimension {cset.dim}")
+    finite = np.isfinite(thetas).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"parameter row {np.flatnonzero(~finite)[0]} must be finite")
+    if isinstance(family, QuadraticTracking):
+        return _tracking_minimizers(family.weights, cset, thetas[:, : family.n])
     xu = family.unconstrained_minimizer_rows(thetas)
     finite = np.isfinite(xu).all(axis=1)
     out = np.tile(cset.interior_point(), (len(thetas), 1))
@@ -95,6 +109,47 @@ def minimizers_batch(
         z_act = z_new
     if idx.size:
         raise RuntimeError(f"minimizer iteration cap {max_iter} reached without convergence")
+    return out
+
+
+def _tracking_minimizers(w, cset: ConstraintSet, targets) -> np.ndarray:
+    """argmin of sum_i w_i (x_i - a_i)^2 over the ball or the exact simplex
+    for each row a of ``targets``, from the optimality conditions."""
+    if isinstance(cset, UnitSimplex):
+        # x_i = max(a_i - tau/(2 w_i), 0) summing to one, tau the root of a
+        # continuous quadratic knapsack (Pardalos & Kovoor 1990): with the
+        # breakpoints 2 w_i a_i descending, the support is the longest prefix
+        # whose last breakpoint lies above the prefix's tau (the first always does)
+        order = np.argsort(-(w * targets), axis=1)
+        a_sorted, half_inv = np.take_along_axis(targets, order, axis=1), 0.5 / w
+        taus = (np.cumsum(a_sorted, axis=1) - 1.0) / np.cumsum(half_inv[order], axis=1)
+        above = a_sorted > taus * half_inv[order]
+        rho = targets.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
+        tau = np.take_along_axis(taus, rho[:, None], axis=1)
+        return np.maximum(targets - tau * half_inv, 0.0)
+    # x(nu) = (w a + nu c)/(w + nu) with nu >= 0 the root of ||x(nu) - c|| = r,
+    # a target inside the ball being its own minimizer (nu = 0).  Newton on
+    # psi(nu) = 1/r - 1/||x(nu) - c||, convex and decreasing, rises from
+    # nu = 0 to the root without overshooting (More & Sorensen 1983).
+    d, r = targets - cset.center, cset.radius
+    out, idx = targets.copy(), np.flatnonzero((d * d).sum(axis=1) > r * r)
+    d, nu = d[idx], np.zeros(len(idx))
+    for _ in range(SECULAR_MAX_ITER):
+        if not idx.size:
+            break
+        h = w + nu[:, None]
+        e = w * d / h  # x(nu) - c
+        s2 = (e * e).sum(axis=1)
+        step = (np.sqrt(s2) - r) * s2 / (r * (e * e / h).sum(axis=1))
+        nu = nu + step
+        # a step near the rounding floor of ||x - c|| - r is the row's last
+        done = step <= 1e-13 * (w.max() + nu)
+        if done.any():
+            out[idx[done]] = cset.center + w * d[done] / (w + nu[done, None])
+            idx, d, nu = idx[~done], d[~done], nu[~done]
+    if idx.size:
+        raise RuntimeError(f"secular equation of row {idx[0]} unsolved at the iteration cap "
+                           f"{SECULAR_MAX_ITER}")
     return out
 
 

@@ -91,12 +91,15 @@ class ExpertPool:
         Entrants that find the pool empty share its mass uniformly, the
         day-one pool that the aggregation guarantee T*gamma*D^2/8 +
         ln(N)/gamma assumes; into a nonempty pool each entrant in turn
-        scales the incumbents by (1 - beta) and takes mass beta.
+        scales the incumbents by (1 - beta) and takes mass beta.  A
+        non-finite ``x_init`` raises ValueError.
         """
         predictors = list(predictors)
         if not predictors:
             raise ValueError("need at least one predictor")
         rows = np.tile(np.asarray(x_init, dtype=float), (len(predictors), 1))
+        if not np.isfinite(rows).all():
+            raise ValueError(f"x_init must be finite, got {x_init!r}")
         if self.n_active == 0:
             self.xs = rows
             self.log_p = np.full(len(predictors), -math.log(len(predictors)))
@@ -146,7 +149,8 @@ class ExpertPool:
                     "expert", rows,
                 )
 
-        x_t = cset.project_rows((self.distribution() @ moves)[None])
+        # a weighted mean of checked moves needs no finiteness check
+        x_t = cset._project_rows((self.distribution() @ moves)[None])
         values = family.value_rows(np.concatenate([moves, x_t]), theta_t[None, :])
         losses = values[:-1]
 

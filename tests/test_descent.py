@@ -269,3 +269,12 @@ class TestLockstep:
         named = r"non-finite gradient for repetition 1 at x=array\(\[ 0\., 40\.\]\)"
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=named):
             run_predictive_ogd(family, cset, thetas, DescentConfig(ETA, 1), (0.0, 40.0))
+
+    def test_overflowing_step_names_the_repetition(self):
+        # a finite gradient -2e307 whose step eta * g overflows at eta = 10
+        family, cset = tracking_setup()
+        thetas = np.stack([gen_switching(SwitchingProcessSpec(horizon=5), r) for r in range(3)])
+        thetas[1, 0, 1] = 1e307
+        named = r"the step of repetition 1 from x=array\(\[ 0\., 40\.\]\) overflowed"
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=named):
+            run_predictive_ogd(family, cset, thetas, DescentConfig(10.0, 1), (0.0, 40.0))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
@@ -127,9 +129,12 @@ class TestMinimizerOracle:
         )
 
     def test_iteration_cap(self):
-        family, cset = tracking_setup()
+        # the minimum-variance portfolio (0.8, 0.2) lies off the unconstrained
+        # minimizer 0, so the search descends and needs more than 3 steps
+        family = Markowitz(2)
+        theta = family.pack([0.0, 0.0], np.diag([1.0, 4.0]), 1.0)
         with pytest.raises(RuntimeError, match="cap"):
-            minimizers_batch(family, cset, [[100.0, 20.0, 0.0]], max_iter=3)
+            minimizers_batch(family, UnitSimplex(2), [theta], max_iter=3)
 
     def test_batch_matches_scalar(self):
         family, cset = tracking_setup()
@@ -140,6 +145,96 @@ class TestMinimizerOracle:
         batch = minimizers_batch(family, cset, thetas)
         for theta, row in zip(thetas, batch):
             assert np.linalg.norm(row - scalar_tracking_minimizer(family, cset, theta)) <= 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("case", ["tracking-ball", "tracking-simplex", "markowitz-simplex"])
+    def test_non_finite_parameter_row_is_named(self, case, bad):
+        if case == "markowitz-simplex":
+            family, cset = Markowitz(2), UnitSimplex(2)
+            thetas = np.stack([family.pack([0.1, 0.2], np.eye(2), 1.0)] * 3)
+        else:
+            family = QuadraticTracking((100.0, 1.0))
+            cset = EuclideanBall(np.zeros(2), 50.0) if case == "tracking-ball" else UnitSimplex(2)
+            thetas = np.array([[0.3, 0.6, 0.0], [90.0, 2.0, 1.0], [0.5, 0.5, 0.0]])
+        thetas[1, 0] = bad
+        with pytest.raises(ValueError, match="parameter row 1 must be finite"):
+            minimizers_batch(family, cset, thetas)
+
+    def test_unsolved_secular_equation_names_its_row(self):
+        # ||x(nu) - c||^2 overflows for this target, so Newton never settles
+        family, cset = tracking_setup()
+        thetas = [[1.0, 2.0, 0.0], [1e200, 1e200, 0.0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="row 1 unsolved at the iteration cap"):
+                minimizers_batch(family, cset, thetas)
+
+
+def _tracking_weights(data, n):
+    """n weights whose largest ratio is at most 1e3, drawn on a log scale."""
+    scale = data.draw(st.floats(0.01, 100.0))
+    exponents = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+    return scale * 10.0 ** np.array(exponents)
+
+
+def _fixed_point_residual(family, cset, target, x):
+    """||P(x - grad f(x)/L) - x||, zero exactly at the constrained minimizer."""
+    grad = 2.0 * family.weights * (x - target)
+    return np.linalg.norm(cset.project(x - grad / (2.0 * family.weights.max())) - x)
+
+
+unit_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+class TestClosedFormMinimizers:
+    """``QuadraticTracking`` minimizers from the optimality conditions against
+    bisection on the ball's secular equation and projected descent on the
+    simplex."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4),
+           where=st.sampled_from(["inside", "boundary", "outside"]))
+    def test_ball_matches_bisection(self, data, n, where):
+        family = QuadraticTracking(_tracking_weights(data, n))
+        center = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+        radius = data.draw(st.floats(0.1, 10.0))
+        direction = np.array(data.draw(st.lists(unit_floats, min_size=n, max_size=n)))
+        length = np.linalg.norm(direction)
+        if length < 1e-3:
+            direction, length = np.ones(n), math.sqrt(n)
+        reach = {"inside": data.draw(st.floats(0.0, 0.999)), "boundary": 1.0,
+                 "outside": 1.0 + 10.0 ** data.draw(st.floats(-6.0, 4.0))}[where]
+        target = center + radius * reach * direction / length
+        cset = EuclideanBall(center, radius)
+        x = minimizers_batch(family, cset, np.append(target, 0.0)[None])[0]
+        ref = secular_ball_minimizer(family.weights, target, center, radius)
+        assert np.linalg.norm(x - ref) <= 1e-9
+        if where == "inside":
+            np.testing.assert_array_equal(x, target)
+        size = 1.0 + np.abs(target).max() + np.abs(center).max() + radius
+        assert _fixed_point_residual(family, cset, target, x) <= 1e-14 * size
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5),
+           where=st.sampled_from(["anywhere", "inside", "boundary", "tied"]))
+    def test_simplex_matches_projected_descent(self, data, n, where):
+        weights = _tracking_weights(data, n)
+        target = 3.0 * np.array(data.draw(st.lists(unit_floats, min_size=n, max_size=n)))
+        if where in ("inside", "boundary"):
+            mass = np.abs(target) + (1e-3 if where == "inside" else 0.0)
+            if where == "boundary":
+                mass[data.draw(st.integers(0, n - 1))] = 0.0
+            target = mass / mass.sum() if mass.sum() > 0 else np.full(n, 1.0 / n)
+        elif where == "tied" and n > 1:
+            # two coordinates with one weight and one target share a breakpoint
+            weights[1], target[1] = weights[0], target[0]
+        family, cset = QuadraticTracking(weights), UnitSimplex(n)
+        theta = np.append(target, 0.0)
+        x = minimizers_batch(family, cset, theta[None])[0]
+        # descent stopped at a step below tol lies within tol/(1 - C) of the
+        # minimizer; C is up to 1 - 5e-4 at a weight ratio of 1e3
+        ref = scalar_tracking_minimizer(family, cset, theta, tol=1e-13)
+        assert np.linalg.norm(x - ref) <= 1e-9
+        assert _fixed_point_residual(family, cset, target, x) <= 1e-14 * (1.0 + np.abs(target).max())
 
 
 class TestAccounting:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import FunctionalTimeSeries, Markowitz, MarkowitzTable, QuadraticTracking
+from poco.regret import minimizers_batch
 
 
 def _family(kind, rng):
@@ -118,3 +119,21 @@ def test_projection_rows_do_not_depend_on_the_row_count(kind, dim, k, seed):
     _same_rows((cset.project_rows(vs),), [(cset.project_rows(vs[i : i + 1]),) for i in range(k)])
     for i in range(k):
         _same_bytes(cset.project(vs[i]), cset.project_rows(vs[i : i + 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["ball", "exact"]), k=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+def test_tracking_minimizer_rows_do_not_depend_on_the_row_count(kind, k, seed):
+    # a ledger solves the rounds of all its runs in one minimizers_batch call
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    family = QuadraticTracking(rng.uniform(0.5, 100.0, size=n))
+    if kind == "ball":
+        cset = EuclideanBall(center=rng.normal(size=n), radius=rng.uniform(0.1, 3.0))
+    else:
+        cset = UnitSimplex(n)
+    thetas = rng.normal(scale=rng.choice([0.1, 1.0, 30.0], size=(k, 1)), size=(k, n + 1))
+    _same_rows(
+        (minimizers_batch(family, cset, thetas),),
+        [(minimizers_batch(family, cset, thetas[i : i + 1]),) for i in range(k)],
+    )

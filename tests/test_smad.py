@@ -126,6 +126,14 @@ class TestActivation:
         pool.activate([Persistence()], x_init=[0.0, 0.0], t=5)
         np.testing.assert_allclose(pool.distribution(), [0.25, 0.25, 0.5])
 
+    def test_non_finite_start_rejected(self):
+        # an expert without an aim plays its start, which the step's
+        # projection of the aggregate play no longer re-checks
+        pool = ExpertPool(beta=0.2, gamma=1.0, eta=ETA)
+        with pytest.raises(ValueError, match="x_init must be finite"):
+            pool.activate([Persistence()], x_init=[np.nan, 0.0], t=1)
+        assert pool.n_active == 0
+
     def test_empty_pool_entrants_start_uniform(self):
         pool = ExpertPool(beta=0.2, gamma=1.0, eta=ETA)
         pool.activate([Persistence()] * 4, x_init=[0.0, 0.0], t=1)
@@ -397,6 +405,18 @@ class TestBatchedStep:
         )
         with pytest.raises(FloatingPointError, match="non-finite gradient for expert 2"):
             step_after(pool, family, cset, np.zeros(3), np.zeros((1, 3)))
+
+    def test_overflowing_step_names_the_expert(self):
+        # expert 1's gradient -2e307 is finite, its step eta * g is not
+        family, cset = tracking_setup()
+        pool = ExpertPool(beta=0.2, gamma=1.0, eta=10.0)
+        pool.activate(
+            [FixedAim([1.0, 1.0, 0.0]), FixedAim([0.0, 1e307, 0.0]), FixedAim([0.0, 0.0, 0.0])],
+            x_init=[0.0, 0.0], t=1,
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match="the step of expert 1 .* overflowed"):
+                step_after(pool, family, cset, np.zeros(3), np.zeros((1, 3)))
 
     def test_asymmetric_aim_rejected(self):
         family = Markowitz(2)
