@@ -16,9 +16,15 @@ fits all prefixes of the observed sequence in one pass instead of refitting
 every round.  A stack of R parameter sequences advances in lockstep, its
 runs as rows: one aim table call covers all R runs, with one AR pass per
 block of runs of the stack, each inner step is one :func:`ogd_step_rows` call and each
-round charges the R losses with one ``value_rows`` call.  The row kernels
+round charges the R losses with one ``_value_rows`` call.  The row kernels
 compute a row the same way whatever the row count, so run r of a stack
 equals the run of its sequence alone bit for bit.
+
+A run checks its parameters once, at its entry: the family's
+``_check_thetas`` refuses a bad row of the realized parameters or of an
+aimed entry of the aim table before round 1 (:func:`check_run_thetas`).
+The loop then calls only the family's private row kernels, which read
+their rows unchecked.
 
 Every run, descent or expert pool, is recorded in one :class:`Trajectory`,
 shaped as a pool: a descent run is the one expert that joins in round 1,
@@ -54,9 +60,21 @@ class DescentConfig:
 
 def ogd_step(family, cset: ConstraintSet, x, theta_ref, eta: float, inner_steps: int = 1):
     """Apply ``inner_steps`` projected gradient updates toward theta_ref: a
-    one-row :func:`ogd_step_rows` call after a check of both lengths."""
+    one-row :func:`ogd_step_rows` call after a check of both lengths and of
+    the family's ``_check_thetas``."""
     xs, aims = one_row(x, family.n, "x"), one_row(theta_ref, family.m, "theta_ref")
+    family._check_thetas(aims)
     return ogd_step_rows(family, cset, xs, aims, eta, inner_steps, "row", [0])[0]
+
+
+def check_run_thetas(family, thetas, rows, what: str) -> None:
+    """``family._check_thetas`` on a run's (k, m) parameter rows before its
+    first round; an error names ``what`` and the bad row's entry of
+    ``rows``."""
+    try:
+        family._check_thetas(thetas, rows)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def ogd_step_rows(
@@ -64,15 +82,16 @@ def ogd_step_rows(
 ) -> np.ndarray:
     """``inner_steps`` projected gradient updates of every row of ``xs``
     toward the same row of ``aims``; row i equals ``ogd_step`` on it bit for
-    bit.  The one row update of descent runs and expert pools.  Each update
-    makes one ``family.gradient_x_rows`` call, checks once that every step
+    bit.  The one row update of descent runs and expert pools, on rows that
+    ``family._check_thetas`` accepted.  Each update makes one call of the
+    family's ``_gradient_x_rows`` kernel, checks once that every step
     x - eta*g is finite and hands the steps to the set's projection kernel
     ``cset._project_rows``.  A non-finite step raises ``FloatingPointError``
     naming the ``owner`` and ``ids`` entry of the first bad row: a
     non-finite gradient, if any row has one, else a step that overflowed."""
     z = xs
     for _ in range(inner_steps):
-        g = family.gradient_x_rows(z, aims)
+        g = family._gradient_x_rows(z, aims)
         y = z - eta * g
         if not np.isfinite(y).all():
             bad_grad = ~np.isfinite(g).all(axis=1)
@@ -207,7 +226,10 @@ def run_predictive_ogd(
     identical to standard descent, which is also what makes paired
     difference curves start at exactly zero.  The aims of all runs come from
     one :func:`poco.predictors.aim_table` call over the stack, built before
-    the loop; the runs then advance as rows of one array.
+    the loop; the runs then advance as rows of one array.  Before round 1
+    the family's ``_check_thetas`` refuses a bad row of a run's parameters
+    or of its aims, naming the repetition and the row; the loop then calls
+    only the row kernels.
     """
     thetas = np.asarray(thetas, dtype=float)
     runs = thetas if thetas.ndim == 3 else thetas[None]
@@ -223,12 +245,16 @@ def run_predictive_ogd(
     losses = np.empty((n_runs, horizon))
     # the one expert first aims after one observation, at round 2's move
     aims, aimed = aim_table([predictor], runs[:, :-1], starts=[1])
+    steps = np.flatnonzero(aimed[1:, 0]) + 1  # the table rows the steps read
+    for r in range(n_runs):
+        check_run_thetas(family, runs[r], None, f"thetas of repetition {r}")
+        check_run_thetas(family, aims[r, steps, 0], steps, f"aim table of repetition {r}")
 
     ids = np.arange(n_runs)
     z = np.tile(x, (n_runs, 1))
     for i in range(horizon):
         xs[:, i] = z
-        losses[:, i] = family.value_rows(z, runs[:, i])
+        losses[:, i] = family._value_rows(z, runs[:, i])
         if i + 1 < horizon:
             z = ogd_step_rows(
                 family, cset, z, aims[:, i + 1, 0], config.eta, config.inner_steps,

@@ -183,7 +183,7 @@ class UnitSimplex:
         totals = clipped.sum(axis=1)
         degenerate = totals <= 0.0
         n_degenerate = int(np.count_nonzero(degenerate))
-        clipped /= np.where(degenerate, 1.0, totals)[:, None]
+        clipped /= (np.where(degenerate, 1.0, totals) if n_degenerate else totals)[:, None]
         # one warning per degenerate row, as row-by-row projection would
         # emit, attributed to the first caller outside this module
         for _ in range(n_degenerate):

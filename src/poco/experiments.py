@@ -324,6 +324,8 @@ class MomentCache:
             raise ValueError(
                 f"month {months[outside].flat[0]} is outside the table's months 1..{self.months}"
             )
+        if int(lookback) not in self.lookbacks:
+            raise ValueError(f"lookback {lookback} is not one of the table's {self.lookbacks}")
         return (months - 1) * len(self.lookbacks) + self.lookbacks.index(int(lookback))
 
     def get(self, month: int, lookback: int):

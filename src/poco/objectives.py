@@ -16,6 +16,14 @@ Every ``*_rows`` method computes row i the same way whatever k is
 BLAS kernels round differently for different row counts), so a run's
 results do not depend on how many runs advance with it, and a scalar method
 equals row i of any row call bit for bit.
+
+The round loops call private kernels, ``_value_rows`` and
+``_gradient_x_rows``, after checking a run's parameters once, at its entry,
+with the family's ``_check_thetas``: the per-call checks of a parameter
+stack, which every public ``*_rows`` method makes too.  The Markowitz
+families check the width and the covariance symmetry or the table slots;
+the others check nothing.  Only :class:`MarkowitzTable` has kernels that
+read rows unchecked; every other family's kernels are its public methods.
 """
 
 from __future__ import annotations
@@ -110,6 +118,17 @@ class _OneRowFront:
 
     def _theta_row(self, theta) -> np.ndarray:
         return one_row(theta, self.m, "theta")
+
+    def _check_thetas(self, thetas, rows=None) -> None:
+        """Refuse a (k, m) parameter stack the row kernels cannot read, with
+        a ValueError that names a bad row by its entry of ``rows`` (its
+        index by default).  This family's kernels read any stack."""
+
+    def _value_rows(self, xs, thetas):
+        return self.value_rows(xs, thetas)
+
+    def _gradient_x_rows(self, xs, thetas):
+        return self.gradient_x_rows(xs, thetas)
 
     def value(self, x, theta) -> float:
         return float(self.value_rows(one_row(x, self.n, "x"), self._theta_row(theta))[0])
@@ -259,35 +278,59 @@ class Markowitz(_OneRowFront):
 
     def _unpack_rows(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read a (k, m) parameter array into mu (k, n), Sigma (k, n, n) and
-        lam_risk (k,); a covariance block that is not symmetric to 1e-9
-        raises ValueError naming its row."""
+        lam_risk (k,), after :meth:`_check_thetas`."""
+        thetas = np.asarray(thetas, dtype=float)
+        self._check_thetas(thetas)
+        return self._moments(thetas)
+
+    def _check_thetas(self, thetas, rows=None) -> None:
+        """Refuse rows that are not (k, m), or a covariance block that is
+        not symmetric to 1e-9, naming its row."""
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.m:
             raise ValueError(f"thetas must be (k, {self.m}) rows, got shape {thetas.shape}")
-        mu = thetas[:, : self.n]
-        sigma = thetas[:, self.n : self.n + self.n * self.n].reshape(-1, self.n, self.n)
+        sigma = self._moments(thetas)[1]
         asym = np.max(np.abs(sigma - sigma.transpose(0, 2, 1)), axis=(1, 2))
         bad = np.flatnonzero(asym > _SYMMETRY_TOL)
         if bad.size:
-            raise ValueError(
-                f"covariance block of row {bad[0]} is not symmetric (beyond 1e-9)"
-            )
+            row = bad[0] if rows is None else rows[bad[0]]
+            raise ValueError(f"covariance block of row {row} is not symmetric (beyond 1e-9)")
+
+    def _moments(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """mu, Sigma and lam_risk of checked rows."""
+        mu = thetas[:, : self.n]
+        sigma = thetas[:, self.n : self.n + self.n * self.n].reshape(-1, self.n, self.n)
         return mu, sigma, thetas[:, -1]
 
-    def _sigma_x_rows(self, xs, thetas):
+    def _checked(self, xs, thetas) -> tuple[np.ndarray, np.ndarray]:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.n:
             raise ValueError(f"xs must be (k, {self.n}) rows, got shape {xs.shape}")
-        mu, sigma, lam_risk = self._unpack_rows(thetas)
-        return xs, (sigma @ xs[:, :, None])[:, :, 0], mu, lam_risk
+        thetas = np.asarray(thetas, dtype=float)
+        self._check_thetas(thetas)
+        return xs, thetas
 
-    def value_rows(self, xs, thetas) -> np.ndarray:
-        xs, sx, mu, lam_risk = self._sigma_x_rows(xs, thetas)
+    def _sigma_x_rows(self, xs, thetas):
+        mu, sigma, lam_risk = self._moments(thetas)
+        return (sigma @ xs[:, :, None])[:, :, 0], mu, lam_risk
+
+    def _unchecked_value_rows(self, xs, thetas) -> np.ndarray:
+        sx, mu, lam_risk = self._sigma_x_rows(xs, thetas)
         return (xs * sx).sum(axis=1) - lam_risk * (xs * mu).sum(axis=1)
 
-    def gradient_x_rows(self, xs, thetas) -> np.ndarray:
-        _, sx, mu, lam_risk = self._sigma_x_rows(xs, thetas)
+    def _unchecked_gradient_x_rows(self, xs, thetas) -> np.ndarray:
+        sx, mu, lam_risk = self._sigma_x_rows(xs, thetas)
         return 2.0 * sx - lam_risk[:, None] * mu
+
+    def value_rows(self, xs, thetas) -> np.ndarray:
+        return self._unchecked_value_rows(*self._checked(xs, thetas))
+
+    def gradient_x_rows(self, xs, thetas) -> np.ndarray:
+        return self._unchecked_gradient_x_rows(*self._checked(xs, thetas))
+
+    # A packed row carries its own covariance block, so the kernels stay the
+    # checked methods (the default): a pool round on packed rows that no run
+    # checked still refuses an asymmetric block.
 
     value, gradient_x = _OneRowFront.value, _OneRowFront.gradient_x  # traced here
 
@@ -351,29 +394,37 @@ class MarkowitzTable(Markowitz):
     """:class:`Markowitz` on a moments table ``mu`` (S, n), ``sigma`` (S, n, n):
     theta is (slot, lam_risk), m = 2, and only the lookup differs, so values
     and gradients equal the packed family's on ``pack(mu[slot], sigma[slot],
-    lam_risk)`` bit for bit.  A lookup checks that each slot is an integer in
-    [0, S).  Slots span no parameter box: no ``pack``, no ``derive_constants``."""
+    lam_risk)`` bit for bit.  The check of a stack refuses a slot that is
+    not an integer in [0, S).  Slots span no parameter box: no ``pack``, no
+    ``derive_constants``."""
 
     def __init__(self, mu: np.ndarray, sigma: np.ndarray):
         self.mu, self.sigma = mu, sigma
         self.n, self.m = mu.shape[1], 2
 
-    def _unpack_rows(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _check_thetas(self, thetas, rows=None) -> None:
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != 2:
             raise ValueError(f"theta rows must be (slot, lam_risk), got shape {thetas.shape}")
         slots = thetas[:, 0]
         good = (slots >= 0) & (slots < len(self.mu)) & (np.floor(slots) == slots)
         if not good.all():
-            bad = np.flatnonzero(~good)
+            bad = np.flatnonzero(~good)[0]
+            row = bad if rows is None else rows[bad]
             raise ValueError(
-                f"row {bad[0]}: slot {slots[bad[0]]!r} is not an integer in [0, {len(self.mu)})"
+                f"row {row}: slot {slots[bad]!r} is not an integer in [0, {len(self.mu)})"
             )
-        slots = slots.astype(np.intp)
+
+    def _moments(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        slots = thetas[:, 0].astype(np.intp)
         return self.mu[slots], self.sigma[slots], thetas[:, 1]
 
+    # the kernels read rows whose slots a run checked at its entry
+    _value_rows = Markowitz._unchecked_value_rows
+    _gradient_x_rows = Markowitz._unchecked_gradient_x_rows
+
     def _theta_row(self, theta) -> np.ndarray:
-        # the width is checked with the slots, by _unpack_rows
+        # the width is checked with the slots, by _check_thetas
         return np.asarray(theta, dtype=float)[None]
 
     pack = derive_constants = None

@@ -9,6 +9,9 @@ Three sources of parameter paths drive the studies:
   generated by a seeded geometric random walk stand-in.
 
 Every generator is a pure function of (spec, seed), so replays are exact.
+The risk chain reads its random stream in bulk and walks only the switch
+days, replaying numpy's PCG64 ``random()`` and scalar ``integers()`` rules
+bit for bit; the tests keep the day-by-day loop as its reference.
 """
 
 from __future__ import annotations
@@ -127,20 +130,94 @@ class RiskProcessSpec:
             raise ValueError("noise_var must be nonnegative")
         if int(self.warmup_days) < 0 or int(self.obs_every_days) < 1:
             raise ValueError("bad warmup/observation cadence")
+        for name in ("jump_low", "jump_high"):
+            bound = getattr(self, name)
+            if not _is_int64(bound):
+                raise ValueError(f"{name} must be an integer in the int64 range, got {bound!r}")
         if int(self.jump_low) > int(self.jump_high):
             raise ValueError("jump_low must not exceed jump_high")
 
 
+def _is_int64(v) -> bool:
+    try:
+        return int(v) == v and -(2**63) <= int(v) < 2**63
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def risk_state_chain(spec: RiskProcessSpec, n_days: int, seed) -> np.ndarray:
-    """Latent daily states after warmup: hold or redraw, day by day."""
-    rng = np.random.default_rng(seed)
-    states = np.empty(n_days)
-    b = float(spec.base)
-    for d in range(n_days):
-        states[d] = b
-        if rng.random() >= spec.stay_prob:
-            b = float(rng.integers(spec.jump_low, spec.jump_high + 1))
-    return states
+    """Latent daily states after warmup: hold or redraw, day by day.
+
+    Bit for bit the loop that, each day, records the state, then draws
+    ``rng.random()`` from ``np.random.default_rng(seed)`` and on a draw of
+    at least ``stay_prob`` redraws the state as ``rng.integers(jump_low,
+    jump_high + 1)``.  The stream is read in bulk instead: raw 64-bit words
+    in blocks of ``2 * n_days``, the switch days found by one vectorized
+    test of each word's ``random()`` value, ``(word >> 11) * 2**-53``, and a
+    Python walk over the switch events only, which replays numpy's scalar
+    ``integers`` rule for PCG64 (Lemire, "Fast random integer generation in
+    an interval", ACM TOMACS 29(1), 2019).  A one-value range draws nothing.
+    A range of at most 2**32 values maps 32-bit half-words by Lemire's
+    multiply-shift with rejection; the generator buffers half-words, so a
+    fresh word serves its low half and saves its high half for the next
+    draw, even across the ``random()`` draws in between.  A wider range
+    maps whole words by the 64-bit rule.  The states fill by one
+    ``np.repeat``.  This couples the chain to numpy's ``Generator``
+    internals; the tests keep the loop as its reference.
+    """
+    source = np.random.default_rng(seed).bit_generator
+    stay, low = spec.stay_prob, int(spec.jump_low)
+    width = int(spec.jump_high) - low + 1
+    bits = 32 if width <= 2**32 else 64
+    mask, threshold = (1 << bits) - 1, (1 << bits) % width
+    raw, hits = np.empty(0, dtype=np.uint64), []  # the words read; the switch words among them
+
+    def read():
+        nonlocal raw
+        block = source.random_raw(2 * n_days)
+        hits.extend((np.flatnonzero((block >> 11) * 2.0**-53 >= stay) + len(raw)).tolist())
+        raw = np.concatenate([raw, block])
+
+    def word() -> int:
+        nonlocal pos
+        if pos == len(raw):
+            read()
+        pos += 1
+        return int(raw[pos - 1])
+
+    read()
+    values, starts = [float(spec.base)], []  # each state and the day it starts
+    day = pos = h = 0  # the next day, raw word and switch word to read
+    half = None  # the buffered high half-word
+    while True:
+        while h < len(hits) and hits[h] < pos:
+            h += 1
+        if h == len(hits):
+            if pos + n_days - day <= len(raw):
+                break
+            read()
+            continue
+        day += hits[h] - pos + 1
+        if day > n_days:
+            break
+        pos = hits[h] + 1
+        value = low
+        if width > 1:
+            while True:
+                if bits == 64:
+                    u = word()
+                elif half is None:
+                    u = word()
+                    u, half = u & mask, u >> 32
+                else:
+                    u, half = half, None
+                product = u * width
+                if product & mask >= threshold:
+                    break
+            value += product >> bits
+        starts.append(day)
+        values.append(float(value))
+    return np.repeat(values, np.diff([0, *starts, n_days]))
 
 
 def _as_seedseq(seed) -> np.random.SeedSequence:
@@ -357,7 +434,8 @@ def estimate_moments(
     windows -= mu[:, None, :]
     sigma = np.matmul(windows.transpose(0, 2, 1), windows)
     sigma *= 1.0 / (lookback_days - 1)
-    sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
+    sigma = np.add(sigma, sigma.transpose(0, 2, 1))
+    sigma *= 0.5  # halving by a product is exact, as by a quotient
     n = sigma.shape[1]
     sigma.reshape(days.shape[0], n * n)[:, :: n + 1] += MOMENT_RIDGE  # the diagonals
     return (mu[0], sigma[0]) if ends.ndim == 0 else (mu, sigma)

@@ -18,7 +18,7 @@ one pass (the AR experts that model the same coordinates share one
 Yule-Walker pass), and no round asks a predictor.  Each round reads its
 row of aims, every expert descends toward its own aim in one row-wise
 update (:func:`poco.descent.ogd_step_rows`, the update descent runs use
-too), and one ``value_rows`` call charges the expert moves and the
+too), and one ``_value_rows`` call charges the expert moves and the
 aggregate play together.  The row kernels compute each row the same way
 whatever the row count, so the result equals running ``ogd_step`` once per
 expert bit for bit.  A round thus only descends, aggregates, charges and
@@ -26,6 +26,11 @@ reweights: it reads no predictor and keeps no aim state.  The run's
 :class:`poco.descent.Trajectory`, the record of descent runs too, keeps
 the aim table's rows of rounds 1..T, and reads each expert's prediction
 regularity and the range of every aim off them.
+
+A run checks its parameters once, at its entry: the family's
+``_check_thetas`` refuses a bad row of the realized parameters, or of an
+aimed entry of the aim table, before round 1.  The rounds then call only
+the family's private row kernels.
 
 Weights are kept in log space; every exposed distribution is normalized.
 """
@@ -37,7 +42,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from poco.descent import DescentConfig, Trajectory, ogd_step_rows, run_predictive_ogd
+from poco.descent import (
+    DescentConfig,
+    Trajectory,
+    check_run_thetas,
+    ogd_step_rows,
+    run_predictive_ogd,
+)
 from poco.domains import ConstraintSet
 from poco.predictors import aim_table
 
@@ -119,15 +130,16 @@ class ExpertPool:
 
         ``theta_t`` is the parameter revealed this round.  ``aims`` (N, m)
         and ``aimed`` (N,) are the round's row of the run's
-        :func:`poco.predictors.aim_table` for the N active experts: each
+        :func:`poco.predictors.aim_table` for the N active experts, a table
+        that :func:`run_smad` checked at its entry, as it did ``theta_t``: each
         expert's :func:`poco.predictors.step_aim` (its own prediction of
         theta_t, or the last observation while its predictor warms up), and
         no aim when there is no history at all, in which case the expert
         holds still.  No predictor is asked here.  Every expert that has
         an aim takes its ``inner_steps`` projected gradient updates
         together (:func:`poco.descent.ogd_step_rows`).  The aggregate plays
-        the projected weighted mean of the expert moves; one
-        ``family.value_rows`` call charges the moves and the aggregate play
+        the projected weighted mean of the expert moves; one call of the
+        family's ``_value_rows`` kernel charges the moves and the aggregate play
         against theta_t, and the expert losses tilt the weights once.  A NaN
         loss raises ``FloatingPointError``; weights that all vanish otherwise
         raise ``ArithmeticError`` naming gamma.
@@ -151,7 +163,7 @@ class ExpertPool:
 
         # a weighted mean of checked moves needs no finiteness check
         x_t = cset._project_rows((self.distribution() @ moves)[None])
-        values = family.value_rows(np.concatenate([moves, x_t]), theta_t[None, :])
+        values = family._value_rows(np.concatenate([moves, x_t]), theta_t[None, :])
         losses = values[:-1]
 
         self.xs = moves
@@ -210,7 +222,10 @@ def run_smad(
     record length that round observes; round t passes the table's row for
     that length to :meth:`ExpertPool.step`.  The trajectory keeps the
     table's rows of rounds 1..T, from which it reads its prediction
-    regularities and aim range.
+    regularities and aim range.  Before round 1 the family's
+    ``_check_thetas`` refuses a bad row of ``thetas``, or of an expert's
+    aimed entries in the table, naming the row; the rounds then call only
+    the row kernels.
     """
     if pool.n_active:
         raise ValueError(
@@ -245,6 +260,10 @@ def run_smad(
         [predictor for _, predictor in pending], record,
         starts=[seed_len + max(when, 1) - 1 for when, _ in pending],
     )
+    check_run_thetas(family, thetas, None, "thetas")
+    for j in range(aimed.shape[1]):
+        rows = np.flatnonzero(aimed[:, j])
+        check_run_thetas(family, aims[rows, j], rows, f"aim table, expert {j}")
     n_total = len(pending)
     n = x.shape[0]
     xs = np.empty((horizon, n))

@@ -12,7 +12,8 @@ study-3 moments table filled slot by slot that the library now fills by
 stacked windows, the scalar aim rules of one history at a time that
 the library's ``predict`` methods replaced with their aim-table rows, and
 the switching path stacked round by round that the library now builds with
-one array rule.
+one array rule, and the risk chain drawn day by day that the library now
+reads from the raw stream in bulk.
 """
 
 from __future__ import annotations
@@ -432,3 +433,17 @@ def stacked_switching(spec, seed):
     if spec.noise_clip is not None:
         noise = np.clip(noise, -spec.noise_clip, spec.noise_clip)
     return base + np.sqrt(spec.noise_scale) * noise
+
+
+def reference_risk_state_chain(spec, n_days, seed):
+    """The latent risk states drawn day by day: each day records the state,
+    then one ``random()`` draw decides whether it redraws from the jump
+    range by one scalar ``integers()`` draw."""
+    rng = np.random.default_rng(seed)
+    states = np.empty(n_days)
+    b = float(spec.base)
+    for d in range(n_days):
+        states[d] = b
+        if rng.random() >= spec.stay_prob:
+            b = float(rng.integers(spec.jump_low, spec.jump_high + 1))
+    return states

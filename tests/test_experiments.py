@@ -293,9 +293,9 @@ class TestExp3:
         )
         for name in ("pack", "unpack", "_unpack_rows"):
             monkeypatch.setattr(Markowitz, name, recording(name, getattr(Markowitz, name)))
-        # every round charges its losses through value_rows
+        # every round charges its losses through the charge kernel
         monkeypatch.setattr(
-            MarkowitzTable, "value_rows", recording("round", MarkowitzTable.value_rows)
+            MarkowitzTable, "_value_rows", recording("round", MarkowitzTable._value_rows)
         )
         run_exp3(exp3_config(14, 2, horizon=6, lookbacks=[15, 30]), data=market)
         first_round = events.index("round")
@@ -349,6 +349,14 @@ class TestMomentCache:
             for month in (0, 11):
                 with pytest.raises(ValueError, match=f"month {month} is outside"):
                     table.get(month, 45)
+
+    def test_an_unknown_lookback_is_named(self):
+        from poco.experiments import MomentCache
+        from poco.scenarios import synthetic_market
+
+        table = MomentCache(synthetic_market(n_assets=2, n_days=200, seed=1), 20, 10, [2, 45])
+        with pytest.raises(ValueError, match=r"lookback 0 is not one of the table's \[2, 45\]"):
+            table.slot(5, 0)
 
     @pytest.mark.parametrize(
         "n_assets, month_days, months, lookbacks",

@@ -101,6 +101,25 @@ def test_family_rows_do_not_depend_on_the_row_count(kind, k, seed):
 
 @settings(max_examples=120, deadline=None)
 @given(
+    kind=st.sampled_from(["quadratic", "functional", "markowitz", "table"]),
+    k=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_public_rows_equal_their_kernels(kind, k, seed):
+    # the round loops check a run once and then call the kernels; a public
+    # row call is the check plus the same kernel
+    rng = np.random.default_rng(seed)
+    family, points, params = _family(kind, rng)
+    xs, thetas = points(k), params(k)
+    family._check_thetas(thetas)
+    for name in ("value_rows", "gradient_x_rows"):
+        public, kernel = getattr(family, name), getattr(family, "_" + name)
+        assert public(xs, thetas).tobytes() == kernel(xs, thetas).tobytes()
+        assert public(xs, thetas[:1]).tobytes() == kernel(xs, thetas[:1]).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
     kind=st.sampled_from(["ball", "exact", "renormalize"]),
     dim=st.integers(1, 40),
     k=st.integers(2, 40),

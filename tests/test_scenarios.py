@@ -23,7 +23,7 @@ from poco.scenarios import (
     synthetic_market,
 )
 
-from helpers import cov_moments, stacked_switching
+from helpers import cov_moments, reference_risk_state_chain, stacked_switching
 
 STATE_A = np.array([-100.0, 0.0, 30.0])
 STATE_B = np.array([100.0, 20.0, -50.0])
@@ -134,6 +134,35 @@ class TestRiskProcess:
         np.testing.assert_array_equal(
             gen_risk_path(spec, 3000, 11), gen_risk_path(spec, 3000, 11)
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stay_prob=st.one_of(st.sampled_from([0.0, 1.0, 0.9]), st.floats(0.0, 1.0)),
+        # one value; the default; about 2**31, where about half of all
+        # 32-bit draws are rejected; exactly 2**32; the 64-bit rule
+        width=st.sampled_from([1, 20, 2**31 + 1, 2**31 + 2**29, 2**32, 2**40]),
+        jump_low=st.sampled_from([1, 0, -7, -(2**35)]),
+        n_days=st.one_of(st.integers(0, 40), st.integers(1, 3000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chain_equals_the_day_by_day_loop(self, stay_prob, width, jump_low, n_days, seed):
+        # the bulk read replays numpy's random() and scalar integers() rules
+        # for PCG64; a numpy release that changes either fails here
+        spec = RiskProcessSpec(stay_prob=stay_prob, jump_low=jump_low, jump_high=jump_low + width - 1)
+        got = risk_state_chain(spec, n_days, seed)
+        assert got.tobytes() == reference_risk_state_chain(spec, n_days, seed).tobytes()
+
+    @pytest.mark.parametrize("field", ["jump_low", "jump_high"])
+    @pytest.mark.parametrize("bound", [1.5, 20.25, np.nan, np.inf, 2**63, "3"])
+    def test_a_jump_bound_numpy_cannot_draw_is_refused(self, field, bound):
+        # numpy would truncate 1.5 to 1 silently
+        kwargs = {"jump_low": -30, "jump_high": 30, field: bound}
+        with pytest.raises(ValueError, match=field):
+            RiskProcessSpec(**kwargs)
+
+    def test_integral_jump_bounds_are_accepted(self):
+        RiskProcessSpec(jump_low=-(2**63), jump_high=2**63 - 1)
+        RiskProcessSpec(jump_low=np.int64(2), jump_high=20.0)
 
 
 class TestMarketData:

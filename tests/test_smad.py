@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
-from poco.objectives import Markowitz, QuadraticTracking
+from poco.objectives import Markowitz, MarkowitzTable, QuadraticTracking
 from poco.predictors import RUN_BLOCK, NoisyOracle, Persistence, VarPredictor, aim_table
 from poco.regret import hedge_gap_bound, suggested_gamma
 from poco.scenarios import SwitchingProcessSpec, gen_switching
@@ -597,13 +597,13 @@ class TestAimTableRuns:
                 return _predict(self, history)
 
             monkeypatch.setattr(cls, "predict", counting)
-        # every round charges its losses through value_rows
+        # every round charges its losses through the charge kernel
         for cls in (QuadraticTracking, MarkowitzTable):
-            def charging(self, *args, _value_rows=cls.value_rows, **kwargs):
+            def charging(self, *args, _value_rows=cls._value_rows, **kwargs):
                 events.append("round")
                 return _value_rows(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "value_rows", charging)
+            monkeypatch.setattr(cls, "_value_rows", charging)
         if study == "tracking":
             family, cset = tracking_setup()
             thetas = gen_switching(SwitchingProcessSpec(horizon=30), 13)
@@ -626,3 +626,88 @@ class TestAimTableRuns:
         first_round = events.index("round")
         assert events[:first_round] == expected
         assert set(events[first_round:]) == {"round"}
+
+
+class SlotAt(FixedAim):
+    """Test double: aims at slot 0, except after ``n_obs`` observations,
+    where it aims at ``slot``."""
+
+    def __init__(self, n_obs, slot):
+        super().__init__([0.0, 1.0])
+        self.n_obs, self.slot = n_obs, slot
+
+    def predict(self, history):
+        return np.array([self.slot if len(history) == self.n_obs else 0.0, 1.0])
+
+
+class TestEntryChecks:
+    """A run checks its parameters and aimed entries once, before round 1,
+    and names the bad row; its rounds then call only the row kernels."""
+
+    BAD_SLOTS = [1.5, -1.0, 3.0, np.nan]
+
+    @pytest.fixture
+    def table(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, 2, 2))
+        family = MarkowitzTable(rng.normal(size=(3, 2)), a @ a.transpose(0, 2, 1) + np.eye(2))
+        rounds = []  # every row call, kernel or public
+        for name in ("_value_rows", "_gradient_x_rows", "value_rows", "gradient_x_rows"):
+            def recording(*args, _name=name, _method=getattr(MarkowitzTable, name)):
+                rounds.append(_name)
+                return _method(*args)
+
+            monkeypatch.setattr(MarkowitzTable, name, recording)
+        return family, UnitSimplex(2), rounds
+
+    @staticmethod
+    def thetas(horizon=8):
+        return np.column_stack([np.arange(horizon) % 3, np.full(horizon, 2.0)])
+
+    @pytest.mark.parametrize("slot", BAD_SLOTS)
+    def test_descent_refuses_a_bad_parameter_slot(self, table, slot):
+        family, cset, rounds = table
+        thetas = self.thetas()
+        thetas[5, 0] = slot
+        with pytest.raises(ValueError, match="thetas of repetition 0: row 5: slot"):
+            run_predictive_ogd(family, cset, thetas, DescentConfig(0.1), [0.5, 0.5])
+        stack = np.stack([self.thetas(), thetas])
+        with pytest.raises(ValueError, match="thetas of repetition 1: row 5: slot"):
+            run_predictive_ogd(family, cset, stack, DescentConfig(0.1), [0.5, 0.5])
+        assert rounds == []
+
+    @pytest.mark.parametrize("slot", BAD_SLOTS)
+    def test_descent_refuses_a_bad_aimed_slot(self, table, slot):
+        family, cset, rounds = table
+        with pytest.raises(ValueError, match="aim table of repetition 0: row 4: slot"):
+            run_predictive_ogd(
+                family, cset, self.thetas(), DescentConfig(0.1), [0.5, 0.5], SlotAt(4, slot)
+            )
+        assert rounds == []
+
+    @pytest.mark.parametrize("slot", BAD_SLOTS)
+    def test_pool_refuses_a_bad_parameter_slot(self, table, slot):
+        family, cset, rounds = table
+        thetas = self.thetas()
+        thetas[7, 0] = slot  # the last parameter: charged, never observed
+        pool = ExpertPool(beta=0.2, gamma=1.0, eta=0.1)
+        with pytest.raises(ValueError, match="thetas: row 7: slot"):
+            run_smad(family, cset, thetas, pool, [0.5, 0.5], roster=[(1, FixedAim([0.0, 1.0]))])
+        assert rounds == []
+
+    @pytest.mark.parametrize("slot", BAD_SLOTS)
+    def test_pool_refuses_a_bad_aimed_slot(self, table, slot):
+        family, cset, rounds = table
+        pool = ExpertPool(beta=0.2, gamma=1.0, eta=0.1)
+        roster = [(1, FixedAim([0.0, 1.0])), (3, SlotAt(4, slot))]
+        with pytest.raises(ValueError, match="aim table, expert 1: row 4: slot"):
+            run_smad(family, cset, self.thetas(), pool, [0.5, 0.5], roster=roster)
+        assert rounds == []
+
+    def test_good_runs_call_only_the_kernels(self, table):
+        family, cset, rounds = table
+        roster = [(1, FixedAim([0.0, 1.0])), (3, SlotAt(4, 2.0))]
+        pool = ExpertPool(beta=0.2, gamma=1.0, eta=0.1)
+        run_smad(family, cset, self.thetas(), pool, [0.5, 0.5], roster=roster)
+        # every round steps the aimed experts once and charges once
+        assert rounds == ["_gradient_x_rows", "_value_rows"] * 8
