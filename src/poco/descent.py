@@ -21,10 +21,13 @@ compute a row the same way whatever the row count, so run r of a stack
 equals the run of its sequence alone bit for bit.
 
 A run checks its parameters once, at its entry: the family's
-``_check_thetas`` refuses a bad row of the realized parameters or of an
-aimed entry of the aim table before round 1 (:func:`check_run_thetas`).
-The loop then calls only the family's private row kernels, which read
-their rows unchecked.
+``_check_thetas`` refuses a row of the realized parameters or an aimed
+entry of the aim table that is not finite, or that the family cannot read,
+before round 1 (:func:`check_run_thetas`), naming the repetition and the
+row.  The loop then calls only the family's private row kernels, which
+read their rows unchecked.  :func:`ogd_step_rows` is also the step of the
+minimizer search (:func:`poco.regret.minimizers_batch`), with a step size
+per row.
 
 Every run, descent or expert pool, is recorded in one :class:`Trajectory`,
 shaped as a pool: a descent run is the one expert that joins in round 1,
@@ -39,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from poco.domains import ConstraintSet
-from poco.objectives import one_row
+from poco.domains import ConstraintSet, one_row
 from poco.predictors import aim_table
 
 
@@ -82,8 +84,9 @@ def ogd_step_rows(
 ) -> np.ndarray:
     """``inner_steps`` projected gradient updates of every row of ``xs``
     toward the same row of ``aims``; row i equals ``ogd_step`` on it bit for
-    bit.  The one row update of descent runs and expert pools, on rows that
-    ``family._check_thetas`` accepted.  Each update makes one call of the
+    bit.  The one row update of descent runs, expert pools and the minimizer
+    search, on rows that ``family._check_thetas`` accepted; ``eta`` is one
+    step size or a (k, 1) column of them.  Each update makes one call of the
     family's ``_gradient_x_rows`` kernel, checks once that every step
     x - eta*g is finite and hands the steps to the set's projection kernel
     ``cset._project_rows``.  A non-finite step raises ``FloatingPointError``
@@ -103,7 +106,7 @@ def ogd_step_rows(
                 )
             raise FloatingPointError(
                 f"the step of {owner} {ids[bad]} from x={z[bad]!r} overflowed: "
-                f"x - eta*g is not finite at eta={eta}"
+                f"x - eta*g is not finite at eta={eta[bad, 0] if np.ndim(eta) else eta}"
             )
         z = cset._project_rows(y)
     return z
@@ -227,9 +230,9 @@ def run_predictive_ogd(
     difference curves start at exactly zero.  The aims of all runs come from
     one :func:`poco.predictors.aim_table` call over the stack, built before
     the loop; the runs then advance as rows of one array.  Before round 1
-    the family's ``_check_thetas`` refuses a bad row of a run's parameters
-    or of its aims, naming the repetition and the row; the loop then calls
-    only the row kernels.
+    the family's ``_check_thetas`` refuses a bad row of a run's parameters,
+    a non-finite one included, or of its aims, naming the repetition and
+    the row; the loop then calls only the row kernels.
     """
     thetas = np.asarray(thetas, dtype=float)
     runs = thetas if thetas.ndim == 3 else thetas[None]

@@ -10,13 +10,17 @@ projection modes:
   sum to one.  Cheap and common in portfolio practice, but not a metric
   projection, so bound checks refuse to run on it.
 
-``project_rows`` checks that its input is a (k, dim) array of finite rows,
-then calls the set's private ``_project_rows`` kernel, which holds the only
-projection arithmetic; a round loop that has checked its rows already calls
-the kernel directly.  ``project`` checks its vector's shape and projects it
-as one row, so it equals row i of any row call bit for bit.  All
-projections are pure functions of their inputs and can be called from any
-number of workers.
+``project_rows`` checks that its input is a (k, dim) array of finite rows
+with :func:`check_rows`, the one row check, which the objective families'
+parameter checks use too, then calls the set's private ``_project_rows``
+kernel, which holds the only projection arithmetic; a round loop that has
+checked its rows already calls the kernel directly.  ``project`` and
+``contains`` check their vector's length with :func:`one_row`, the one
+length check, which the families' scalar methods use too; ``project``
+projects its vector as one row, so it equals row i of any row call bit for
+bit, and ``contains`` finds no non-finite point in a set.  All projections
+are pure functions of their inputs and can be called from any number of
+workers.
 """
 
 from __future__ import annotations
@@ -38,19 +42,27 @@ class DegenerateProjectionWarning(UserWarning):
     """Renormalizing projection received a vector with no positive mass."""
 
 
-def _check_shape(v, dim: int, name: str = "v") -> np.ndarray:
+def one_row(v, length: int, name: str) -> np.ndarray:
+    """``v`` as a (1, length) row; ValueError naming ``name`` unless ``v``
+    is a length-``length`` vector."""
     arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != dim:
-        raise ValueError(
-            f"{name} must be a length-{dim} vector, got shape {arr.shape}"
-        )
-    return arr
+    if arr.shape != (length,):
+        raise ValueError(f"{name} must be a length-{length} vector, got shape {arr.shape}")
+    return arr[None]
 
 
-def _check_vector(v, dim: int, name: str = "v") -> np.ndarray:
-    arr = _check_shape(v, dim, name)
+def check_rows(vs, width: int, name: str, row: str, ids=None, form=None) -> np.ndarray:
+    """``vs`` as a (k, width) float array of finite rows.  Otherwise a
+    ValueError: ``name`` must be ``form`` (a (k, width) array by default),
+    or the ``row`` named by its entry of ``ids`` (its index by default)
+    must be finite."""
+    arr = np.asarray(vs, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"{name} must be {form or f'a (k, {width}) array'}, "
+                         f"got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
+        bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
+        raise ValueError(f"{row} {bad if ids is None else ids[bad]} must be finite")
     return arr
 
 
@@ -61,16 +73,6 @@ def _outside_stacklevel() -> int:
     while sys._getframe(level).f_globals is globals():
         level += 1
     return level
-
-
-def _check_rows(vs, dim: int) -> np.ndarray:
-    arr = np.asarray(vs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"rows must be a (k, {dim}) array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
-        raise ValueError(f"row {bad} must be finite")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -98,11 +100,11 @@ class EuclideanBall:
         return True
 
     def project(self, v) -> np.ndarray:
-        return self.project_rows(_check_shape(v, self.dim)[None])[0]
+        return self.project_rows(one_row(v, self.dim, "v"))[0]
 
     def project_rows(self, vs: np.ndarray) -> np.ndarray:
         """Project each row of ``vs``; a non-finite row raises ValueError."""
-        return self._project_rows(_check_rows(vs, self.dim))
+        return self._project_rows(check_rows(vs, self.dim, "rows", "row"))
 
     def _project_rows(self, vs: np.ndarray) -> np.ndarray:
         d = vs - self.center
@@ -111,7 +113,7 @@ class EuclideanBall:
         return self.center + d * (self.radius / np.maximum(norms, self.radius))[:, None]
 
     def contains(self, v, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-        v = _check_vector(v, self.dim)
+        v = one_row(v, self.dim, "v")[0]
         return float(np.linalg.norm(v - self.center)) <= self.radius + tol
 
     def coordinate_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -167,11 +169,11 @@ class UnitSimplex:
         return self.mode == SIMPLEX_EXACT
 
     def project(self, v) -> np.ndarray:
-        return self.project_rows(_check_shape(v, self.dim)[None])[0]
+        return self.project_rows(one_row(v, self.dim, "v"))[0]
 
     def project_rows(self, vs: np.ndarray) -> np.ndarray:
         """Project each row of ``vs``; a non-finite row raises ValueError."""
-        return self._project_rows(_check_rows(vs, self.dim))
+        return self._project_rows(check_rows(vs, self.dim, "rows", "row"))
 
     def _project_rows(self, vs: np.ndarray) -> np.ndarray:
         if self.mode == SIMPLEX_EXACT:
@@ -198,7 +200,7 @@ class UnitSimplex:
         return clipped
 
     def contains(self, v, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-        v = _check_vector(v, self.dim)
+        v = one_row(v, self.dim, "v")[0]
         return bool(np.all(v >= -tol) and abs(v.sum() - 1.0) <= tol)
 
     def coordinate_bounds(self) -> tuple[np.ndarray, np.ndarray]:

@@ -367,11 +367,10 @@ class MarkowitzModelPredictor:
     moments after the months of the history, and the client's risk level
     forecast by the repetition's :class:`RiskForecastCache` at the history's
     length.  Falls back to the last observed risk until the AR order has
-    2k+1 observations; a negative forecast is clamped to zero, a NaN one is
-    left for the pool's finite-gradient check to report.  ``aim_rows`` is
-    the one aim rule: a run's aim table column at once, the slot column
-    plus the clamped forecast column.  ``predict`` is its row at the
-    history's length.
+    2k+1 observations; a negative forecast is clamped to zero, and a run
+    refuses a NaN one at its entry.  ``aim_rows`` is the one aim rule: a
+    run's aim table column at once, the slot column plus the clamped
+    forecast column.  ``predict`` is its row at the history's length.
     """
 
     def __init__(

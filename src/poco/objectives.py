@@ -17,13 +17,16 @@ BLAS kernels round differently for different row counts), so a run's
 results do not depend on how many runs advance with it, and a scalar method
 equals row i of any row call bit for bit.
 
-The round loops call private kernels, ``_value_rows`` and
-``_gradient_x_rows``, after checking a run's parameters once, at its entry,
-with the family's ``_check_thetas``: the per-call checks of a parameter
-stack, which every public ``*_rows`` method makes too.  The Markowitz
-families check the width and the covariance symmetry or the table slots;
-the others check nothing.  Only :class:`MarkowitzTable` has kernels that
-read rows unchecked; every other family's kernels are its public methods.
+The round loops and the minimizer search call private kernels,
+``_value_rows`` and ``_gradient_x_rows``, after checking a run's parameters
+once, at its entry, with the family's ``_check_thetas``.  Every family's
+check holds the shape and the finiteness of a parameter stack, through
+:func:`poco.domains.check_rows`, the row check of the projections too; the
+packed Markowitz family adds the covariance symmetry and
+:class:`MarkowitzTable` the table slots.  The Markowitz families' public
+``*_rows`` methods make that check on every call; the other families'
+public methods are their kernels and check nothing.  Only
+:class:`MarkowitzTable` has kernels that read rows unchecked.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from poco.domains import ConstraintSet
+from poco.domains import ConstraintSet, check_rows, one_row
 
 _SYMMETRY_TOL = 1e-9
 
@@ -100,15 +103,6 @@ def _interval_gap(x_lo, x_hi, a_lo, a_hi) -> np.ndarray:
     return np.maximum(x_hi - a_lo, a_hi - x_lo)
 
 
-def one_row(v, length: int, name: str) -> np.ndarray:
-    """``v`` as a (1, length) row; ValueError naming ``name`` unless ``v``
-    is a length-``length`` vector."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (length,):
-        raise ValueError(f"{name} must have length {length}, got shape {v.shape}")
-    return v[None]
-
-
 class _OneRowFront:
     """The scalar methods of a family with n-vectors x and m-vector
     parameters: each checks its inputs' lengths, then calls its row kernel
@@ -119,10 +113,11 @@ class _OneRowFront:
     def _theta_row(self, theta) -> np.ndarray:
         return one_row(theta, self.m, "theta")
 
-    def _check_thetas(self, thetas, rows=None) -> None:
-        """Refuse a (k, m) parameter stack the row kernels cannot read, with
-        a ValueError that names a bad row by its entry of ``rows`` (its
-        index by default).  This family's kernels read any stack."""
+    def _check_thetas(self, thetas, rows=None) -> np.ndarray:
+        """``thetas`` as a float array once the row kernels can read it: a
+        (k, m) stack of finite rows.  A ValueError names a bad row by its
+        entry of ``rows`` (its index by default)."""
+        return check_rows(thetas, self.m, "thetas", "parameter row", rows)
 
     def _value_rows(self, xs, thetas):
         return self.value_rows(xs, thetas)
@@ -279,22 +274,19 @@ class Markowitz(_OneRowFront):
     def _unpack_rows(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read a (k, m) parameter array into mu (k, n), Sigma (k, n, n) and
         lam_risk (k,), after :meth:`_check_thetas`."""
-        thetas = np.asarray(thetas, dtype=float)
-        self._check_thetas(thetas)
-        return self._moments(thetas)
+        return self._moments(self._check_thetas(thetas))
 
-    def _check_thetas(self, thetas, rows=None) -> None:
-        """Refuse rows that are not (k, m), or a covariance block that is
-        not symmetric to 1e-9, naming its row."""
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim != 2 or thetas.shape[1] != self.m:
-            raise ValueError(f"thetas must be (k, {self.m}) rows, got shape {thetas.shape}")
+    def _check_thetas(self, thetas, rows=None) -> np.ndarray:
+        """The base check, then a covariance block that is not symmetric to
+        1e-9 is refused, naming its row."""
+        thetas = super()._check_thetas(thetas, rows)
         sigma = self._moments(thetas)[1]
         asym = np.max(np.abs(sigma - sigma.transpose(0, 2, 1)), axis=(1, 2))
         bad = np.flatnonzero(asym > _SYMMETRY_TOL)
         if bad.size:
             row = bad[0] if rows is None else rows[bad[0]]
             raise ValueError(f"covariance block of row {row} is not symmetric (beyond 1e-9)")
+        return thetas
 
     def _moments(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """mu, Sigma and lam_risk of checked rows."""
@@ -306,9 +298,7 @@ class Markowitz(_OneRowFront):
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.n:
             raise ValueError(f"xs must be (k, {self.n}) rows, got shape {xs.shape}")
-        thetas = np.asarray(thetas, dtype=float)
-        self._check_thetas(thetas)
-        return xs, thetas
+        return xs, self._check_thetas(thetas)
 
     def _sigma_x_rows(self, xs, thetas):
         mu, sigma, lam_risk = self._moments(thetas)
@@ -395,25 +385,26 @@ class MarkowitzTable(Markowitz):
     theta is (slot, lam_risk), m = 2, and only the lookup differs, so values
     and gradients equal the packed family's on ``pack(mu[slot], sigma[slot],
     lam_risk)`` bit for bit.  The check of a stack refuses a slot that is
-    not an integer in [0, S).  Slots span no parameter box: no ``pack``, no
+    not an integer in [0, S) before the base check, so a non-finite slot is
+    named as a slot.  Slots span no parameter box: no ``pack``, no
     ``derive_constants``."""
 
     def __init__(self, mu: np.ndarray, sigma: np.ndarray):
         self.mu, self.sigma = mu, sigma
         self.n, self.m = mu.shape[1], 2
 
-    def _check_thetas(self, thetas, rows=None) -> None:
+    def _check_thetas(self, thetas, rows=None) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim != 2 or thetas.shape[1] != 2:
-            raise ValueError(f"theta rows must be (slot, lam_risk), got shape {thetas.shape}")
-        slots = thetas[:, 0]
-        good = (slots >= 0) & (slots < len(self.mu)) & (np.floor(slots) == slots)
-        if not good.all():
-            bad = np.flatnonzero(~good)[0]
-            row = bad if rows is None else rows[bad]
-            raise ValueError(
-                f"row {row}: slot {slots[bad]!r} is not an integer in [0, {len(self.mu)})"
-            )
+        if thetas.ndim == 2 and thetas.shape[1] == 2:  # else refused by the base check
+            slots = thetas[:, 0]
+            good = (slots >= 0) & (slots < len(self.mu)) & (np.floor(slots) == slots)
+            if not good.all():
+                bad = np.flatnonzero(~good)[0]
+                row = bad if rows is None else rows[bad]
+                raise ValueError(
+                    f"row {row}: slot {slots[bad]!r} is not an integer in [0, {len(self.mu)})"
+                )
+        return check_rows(thetas, 2, "theta rows", "parameter row", rows, "(slot, lam_risk)")
 
     def _moments(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         slots = thetas[:, 0].astype(np.intp)

@@ -1,11 +1,13 @@
 """Dynamic-regret accounting and empirical verification of the regret bounds.
 
 The per-round benchmark is the constrained minimizer x*_t of f(., theta_t),
-solved in closed form for ``QuadraticTracking`` and by projected descent to
-convergence otherwise.  This module computes those minimizers, the
-regularities (the path length of the minimizers and the cumulative
-prediction error), the measured dynamic regret, and the closed-form bounds
-the library promises:
+solved in closed form for ``QuadraticTracking`` and otherwise by the
+projected descent update of the runs (:func:`poco.descent.ogd_step_rows`)
+at step 1/L, to convergence.  The search checks its parameters once, with
+the family's ``_check_thetas``, as a run does at its entry.  This module
+computes those minimizers, the regularities (the path length of the
+minimizers and the cumulative prediction error), the measured dynamic
+regret, and the closed-form bounds the library promises:
 
 * ``predictive_regret_bound``: dynamic regret of predictive projected
   descent in terms of the contraction factor, the starting gap, the
@@ -31,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from poco.descent import ogd_step_rows
 from poco.domains import ConstraintSet, SIMPLEX_EXACT, UnitSimplex
 from poco.objectives import (
     ObjectiveConstants, QuadraticTracking, contraction_factor, step_contracts
@@ -56,37 +59,32 @@ def minimizer_oracle(family, cset: ConstraintSet, theta) -> np.ndarray:
     return minimizers_batch(family, cset, np.asarray(theta, dtype=float)[None])[0]
 
 
-def minimizers_batch(
-    family, cset: ConstraintSet, thetas, max_iter: int = MINIMIZER_MAX_ITER
-) -> np.ndarray:
+def minimizers_batch(family, cset: ConstraintSet, thetas) -> np.ndarray:
     """Constrained minimizer of f(., theta), to high accuracy, for each row
-    of the (k, m) ``thetas``; a non-finite row raises ValueError naming it.
+    of the (k, m) ``thetas``, which the family's ``_check_thetas`` checks:
+    a non-finite row raises ValueError naming it.
 
     ``QuadraticTracking`` is solved from its optimality conditions
     (:func:`_tracking_minimizers`).  For every other family a row whose
     unconstrained stationary point is feasible gets that point.  Every other
     row starts from its projection, or from ``cset.interior_point()`` when
     it is not finite (a singular covariance), and runs projected gradient
-    descent with the exact parameter and step 1/L until a step moves less
-    than ``MINIMIZER_STEP_TOL``, which the contraction property turns into a
-    guarantee on ||x - x*||.  A row still moving after ``max_iter`` steps
-    raises ``RuntimeError``; ``max_iter`` is read only on this path.
+    descent with the exact parameter and step 1/L, the update of the runs
+    (:func:`poco.descent.ogd_step_rows`, whose errors name the parameter
+    row), until a step moves less than ``MINIMIZER_STEP_TOL``, which the
+    contraction property turns into a guarantee on ||x - x*||.  A row still
+    moving after ``MINIMIZER_MAX_ITER`` steps raises ``RuntimeError``.
     """
     cset = _exact_twin(cset)
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != family.m:
-        raise ValueError(f"thetas must be (k, {family.m}) rows, got shape {thetas.shape}")
     if cset.dim != family.n:
         raise ValueError(f"the family has n = {family.n} but the set dimension {cset.dim}")
-    finite = np.isfinite(thetas).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"parameter row {np.flatnonzero(~finite)[0]} must be finite")
+    thetas = family._check_thetas(thetas)
     if isinstance(family, QuadraticTracking):
         return _tracking_minimizers(family.weights, cset, thetas[:, : family.n])
     xu = family.unconstrained_minimizer_rows(thetas)
     finite = np.isfinite(xu).all(axis=1)
     out = np.tile(cset.interior_point(), (len(thetas), 1))
-    out[finite] = cset.project_rows(xu[finite])
+    out[finite] = cset._project_rows(xu[finite])
     direct = np.linalg.norm(out - xu, axis=1) <= 1e-12  # False on a non-finite row
 
     idx = np.flatnonzero(~direct)
@@ -96,11 +94,10 @@ def minimizers_batch(
     if rough.any():
         raise ValueError(f"objective is not smooth at the parameter of row {idx[rough][0]}")
     eta_act = (1.0 / big_l)[:, None]
-    for _ in range(max_iter):
+    for _ in range(MINIMIZER_MAX_ITER):
         if not idx.size:
             break
-        g = family.gradient_x_rows(z_act, th_act)
-        z_new = cset.project_rows(z_act - eta_act * g)
+        z_new = ogd_step_rows(family, cset, z_act, th_act, eta_act, 1, "parameter row", idx)
         done = np.linalg.norm(z_new - z_act, axis=1) < MINIMIZER_STEP_TOL
         if done.any():
             out[idx[done]] = z_new[done]
@@ -108,7 +105,7 @@ def minimizers_batch(
             idx, z_new, th_act, eta_act = idx[keep], z_new[keep], th_act[keep], eta_act[keep]
         z_act = z_new
     if idx.size:
-        raise RuntimeError(f"minimizer iteration cap {max_iter} reached without convergence")
+        raise RuntimeError(f"minimizer iteration cap {MINIMIZER_MAX_ITER} reached without convergence")
     return out
 
 
@@ -340,8 +337,8 @@ def build_ledgers(
     that penalty.
     """
     thetas = np.concatenate([traj.thetas for traj in trajectories])
-    xstars = minimizers_batch(family, cset, thetas)
-    opt_losses = family.value_rows(xstars, thetas)
+    xstars = minimizers_batch(family, cset, thetas)  # checks the parameters
+    opt_losses = family._value_rows(xstars, thetas)
     cuts = np.cumsum([traj.thetas.shape[0] for traj in trajectories])[:-1]
     return [
         _ledger(family, cset, traj, xs, opt)

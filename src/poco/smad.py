@@ -28,9 +28,9 @@ the aim table's rows of rounds 1..T, and reads each expert's prediction
 regularity and the range of every aim off them.
 
 A run checks its parameters once, at its entry: the family's
-``_check_thetas`` refuses a bad row of the realized parameters, or of an
-aimed entry of the aim table, before round 1.  The rounds then call only
-the family's private row kernels.
+``_check_thetas`` refuses a non-finite or unreadable row of the realized
+parameters, or an aimed entry of the aim table, before round 1.  The
+rounds then call only the family's private row kernels.
 
 Weights are kept in log space; every exposed distribution is normalized.
 """
@@ -141,8 +141,9 @@ class ExpertPool:
         the projected weighted mean of the expert moves; one call of the
         family's ``_value_rows`` kernel charges the moves and the aggregate play
         against theta_t, and the expert losses tilt the weights once.  A NaN
-        loss raises ``FloatingPointError``; weights that all vanish otherwise
-        raise ``ArithmeticError`` naming gamma.
+        loss, which only a step outside a run meets, raises
+        ``FloatingPointError``; weights that all vanish otherwise raise
+        ``ArithmeticError`` naming gamma.
         """
         if self.n_active == 0:
             raise RuntimeError("cannot step an empty expert pool")
@@ -223,9 +224,9 @@ def run_smad(
     that length to :meth:`ExpertPool.step`.  The trajectory keeps the
     table's rows of rounds 1..T, from which it reads its prediction
     regularities and aim range.  Before round 1 the family's
-    ``_check_thetas`` refuses a bad row of ``thetas``, or of an expert's
-    aimed entries in the table, naming the row; the rounds then call only
-    the row kernels.
+    ``_check_thetas`` refuses a bad row of ``thetas``, a non-finite one
+    included, or of an expert's aimed entries in the table, naming the row;
+    the rounds then call only the row kernels.
     """
     if pool.n_active:
         raise ValueError(

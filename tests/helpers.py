@@ -12,8 +12,9 @@ study-3 moments table filled slot by slot that the library now fills by
 stacked windows, the scalar aim rules of one history at a time that
 the library's ``predict`` methods replaced with their aim-table rows, and
 the switching path stacked round by round that the library now builds with
-one array rule, and the risk chain drawn day by day that the library now
-reads from the raw stream in bulk.
+one array rule, the risk chain drawn day by day that the library now
+reads from the raw stream in bulk, and the minimizer search with its own
+descent update that the library now steps with the runs' update.
 """
 
 from __future__ import annotations
@@ -216,6 +217,34 @@ def scalar_tracking_minimizer(family, cset, theta, tol=1e-12, max_iter=10**6):
             return z_new
         z = z_new
     raise RuntimeError("reference minimizer did not converge")
+
+
+def reference_minimizers(family, cset, thetas, tol=1e-12, max_iter=10**6):
+    """The minimizer search of an iterative family as it ran with its own
+    update: each row from its projected unconstrained minimizer (the set's
+    interior point when that is not finite), kept when the projection moves
+    it at most 1e-12, else projected gradient descent at step 1/L through
+    the public ``gradient_x_rows`` and ``project_rows`` until a step moves
+    less than ``tol``.  ``cset`` is the set searched, an exact one."""
+    thetas = np.asarray(thetas, dtype=float)
+    xu = family.unconstrained_minimizer_rows(thetas)
+    finite = np.isfinite(xu).all(axis=1)
+    out = np.tile(cset.interior_point(), (len(thetas), 1))
+    out[finite] = cset.project_rows(xu[finite])
+    direct = np.linalg.norm(out - xu, axis=1) <= 1e-12
+
+    idx = np.flatnonzero(~direct)
+    z_act, th_act = out[idx], thetas[idx]
+    eta_act = (1.0 / family.curvature_rows(th_act)[1])[:, None]
+    for _ in range(max_iter):
+        if not idx.size:
+            return out
+        g = family.gradient_x_rows(z_act, th_act)
+        z_new = cset.project_rows(z_act - eta_act * g)
+        done = np.linalg.norm(z_new - z_act, axis=1) < tol
+        out[idx[done]] = z_new[done]
+        idx, z_act, th_act, eta_act = idx[~done], z_new[~done], th_act[~done], eta_act[~done]
+    raise RuntimeError("reference minimizer search did not converge")
 
 
 def sample_autocovariances(series, max_lag):

@@ -17,6 +17,7 @@ from poco.objectives import (
     contraction_factor,
     step_contracts,
 )
+from poco import regret
 from poco.predictors import NoisyOracle, Persistence, VarPredictor
 from poco.regret import (
     build_ledger,
@@ -33,7 +34,12 @@ from poco.regret import (
 from poco.scenarios import SwitchingProcessSpec, gen_switching
 from poco.smad import ExpertPool, run_smad
 
-from helpers import scalar_tracking_minimizer, secular_ball_minimizer, simplex_mesh_argmin
+from helpers import (
+    reference_minimizers,
+    scalar_tracking_minimizer,
+    secular_ball_minimizer,
+    simplex_mesh_argmin,
+)
 
 
 def tracking_setup():
@@ -128,13 +134,14 @@ class TestMinimizerOracle:
             xstar, family.unconstrained_minimizer(theta), atol=1e-10
         )
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         # the minimum-variance portfolio (0.8, 0.2) lies off the unconstrained
         # minimizer 0, so the search descends and needs more than 3 steps
         family = Markowitz(2)
         theta = family.pack([0.0, 0.0], np.diag([1.0, 4.0]), 1.0)
+        monkeypatch.setattr(regret, "MINIMIZER_MAX_ITER", 3)
         with pytest.raises(RuntimeError, match="cap"):
-            minimizers_batch(family, UnitSimplex(2), [theta], max_iter=3)
+            minimizers_batch(family, UnitSimplex(2), [theta])
 
     def test_batch_matches_scalar(self):
         family, cset = tracking_setup()
@@ -160,6 +167,18 @@ class TestMinimizerOracle:
         with pytest.raises(ValueError, match="parameter row 1 must be finite"):
             minimizers_batch(family, cset, thetas)
 
+    def test_failing_step_names_the_parameter_row(self):
+        # row 0 stops at its feasible stationary point (0.5, 0.5); row 1's
+        # gradient overflows from its first iterate, and the error names it
+        # among all rows, not among the rows still iterating
+        family = Markowitz(2)
+        good = family.pack([1.0, 1.0], np.eye(2), 1.0)
+        bad = family.pack([1e300, 0.0], np.eye(2), 1e10)
+        named = r"(non-finite gradient for|the step of) parameter row 1 "
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=named):
+                minimizers_batch(family, UnitSimplex(2), [good, bad])
+
     def test_unsolved_secular_equation_names_its_row(self):
         # ||x(nu) - c||^2 overflows for this target, so Newton never settles
         family, cset = tracking_setup()
@@ -167,6 +186,60 @@ class TestMinimizerOracle:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="row 1 unsolved at the iteration cap"):
                 minimizers_batch(family, cset, thetas)
+
+
+class TestIterativeOracleReference:
+    """The minimizer search of the iterative families, stepped by the runs'
+    update, against the search with its own update (``helpers``), bit for
+    bit.  Each row aims at a point inside the set (its stationary point is
+    feasible, so it is taken directly) or outside it (the row descends)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        k=st.integers(1, 6),
+        kind=st.sampled_from(["packed", "table", "functional"]),
+        where=st.sampled_from(["ball", "simplex", "renormalize"]),
+        rows=st.sampled_from(["direct", "iterate", "mix"]),
+    )
+    def test_equals_the_search_with_its_own_update(self, seed, n, k, kind, where, rows):
+        rng = np.random.default_rng(seed)
+        inside = {"direct": np.ones(k, bool), "iterate": np.zeros(k, bool),
+                  "mix": np.arange(k) % 2 == 0}[rows]
+        if where == "ball":
+            cset = searched = EuclideanBall(rng.normal(size=n), rng.uniform(0.5, 3.0))
+            direction = rng.normal(size=(k, n))
+            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+            reach = np.where(inside, rng.uniform(0.0, 0.9, k), rng.uniform(1.1, 5.0, k))
+            aims = cset.center + cset.radius * reach[:, None] * direction
+        else:
+            cset, searched = UnitSimplex(n, mode="exact" if where == "simplex" else where), \
+                UnitSimplex(n)
+            interior = rng.dirichlet(np.ones(n), size=k)
+            outside = interior + rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0, (k, 1))
+            aims = np.where(inside[:, None], interior, outside)
+        if kind == "functional":
+            # one basis per row, centred on its aim: theta picks it out
+            family = FunctionalTimeSeries(rng.uniform(0.5, 2.0, size=(k, n)), aims)
+            thetas = np.eye(k)
+        else:
+            a = rng.normal(size=(k, n, n))
+            sigma = a @ a.transpose(0, 2, 1) / n + 0.5 * np.eye(n)
+            sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
+            lam = rng.uniform(0.5, 5.0, size=k)
+            # mu puts each row's stationary point, solving 2 Sigma x = lam mu, at its aim
+            mu = 2.0 * (sigma @ aims[:, :, None])[:, :, 0] / lam[:, None]
+            if kind == "table":
+                family, thetas = MarkowitzTable(mu, sigma), np.column_stack([np.arange(k), lam])
+            else:
+                family = Markowitz(n)
+                thetas = np.stack([family.pack(*blocks) for blocks in zip(mu, sigma, lam)])
+        xu = family.unconstrained_minimizer_rows(thetas)
+        taken = np.linalg.norm(searched.project_rows(xu) - xu, axis=1) <= 1e-12
+        np.testing.assert_array_equal(taken, inside)
+        got = minimizers_batch(family, cset, thetas)
+        assert got.tobytes() == reference_minimizers(family, searched, thetas).tobytes()
 
 
 def _tracking_weights(data, n):

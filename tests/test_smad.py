@@ -216,16 +216,27 @@ class TestGibbsUpdate:
             run_smad(family, cset, thetas, pool, [0.0, 0.0], roster=roster)
 
     def test_nan_loss_names_the_parameter_not_gamma(self):
-        # a NaN in a revealed parameter makes every loss NaN, which no gamma
-        # causes; a loss that overflows to inf still names gamma (above)
+        # a run refuses a NaN revealed parameter at its entry, naming its row,
+        # before any expert joins
         thetas = np.zeros((5, 3))
         thetas[2, 0] = np.nan
         pool = ExpertPool(beta=0.2, gamma=1e-3, eta=1 / 200)
-        with pytest.raises(FloatingPointError, match="revealed parameter is not finite"):
+        with pytest.raises(ValueError, match="thetas: parameter row 2 must be finite"):
             run_smad(
                 QuadraticTracking(), EuclideanBall(np.zeros(2), 50.0), thetas, pool,
                 [0.0, 40.0], roster=[(1, Persistence())],
             )
+        assert pool.n_active == 0
+
+    def test_nan_loss_of_a_direct_step_names_the_parameter_not_gamma(self):
+        # a step outside a run checks nothing: a NaN in the revealed parameter
+        # makes every loss NaN, which no gamma causes; a loss that overflows
+        # to inf still names gamma (above)
+        family, cset = tracking_setup()
+        pool = ExpertPool(beta=0.2, gamma=1e-3, eta=ETA)
+        pool.activate([Persistence()], x_init=[0.0, 40.0], t=1)
+        with pytest.raises(FloatingPointError, match="revealed parameter is not finite"):
+            step_after(pool, family, cset, np.array([np.nan, 0.0, 0.0]), np.zeros((1, 3)))
 
     def test_step_empty_pool_rejected(self):
         family, cset = tracking_setup()
@@ -711,3 +722,68 @@ class TestEntryChecks:
         run_smad(family, cset, self.thetas(), pool, [0.5, 0.5], roster=roster)
         # every round steps the aimed experts once and charges once
         assert rounds == ["_gradient_x_rows", "_value_rows"] * 8
+
+
+class TestNonFiniteEntry:
+    """Both runners refuse a NaN or infinite parameter, realized or aimed
+    at, before any row call, naming ``thetas`` or the repetition, and the
+    row: a non-finite loss offset, which no step reads, and the last
+    parameter, which no round observes, included."""
+
+    BAD = [np.nan, np.inf, -np.inf]
+    WHERE = {"last row": (7, 0), "middle row": (3, 1), "offset column": (5, 2)}
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        rounds = []  # every row call of the family
+        for name in ("value_rows", "gradient_x_rows"):
+            def recording(*args, _name=name, _method=getattr(QuadraticTracking, name)):
+                rounds.append(_name)
+                return _method(*args)
+
+            monkeypatch.setattr(QuadraticTracking, name, recording)
+        return rounds
+
+    @staticmethod
+    def thetas(bad, where, seed=6):
+        thetas = gen_switching(SwitchingProcessSpec(horizon=8), seed)
+        thetas[TestNonFiniteEntry.WHERE[where]] = bad
+        return thetas
+
+    @pytest.mark.parametrize("where", WHERE)
+    @pytest.mark.parametrize("bad", BAD)
+    def test_descent_refuses_a_non_finite_parameter(self, rounds, bad, where):
+        family, cset = tracking_setup()
+        thetas, row = self.thetas(bad, where), self.WHERE[where][0]
+        named = f"thetas of repetition 0: parameter row {row} must be finite"
+        with pytest.raises(ValueError, match=named):
+            run_predictive_ogd(family, cset, thetas, DescentConfig(ETA), [0.0, 40.0])
+        stack = np.stack([self.thetas(0.0, where), thetas, self.thetas(1.0, where)])
+        named = f"thetas of repetition 1: parameter row {row} must be finite"
+        with pytest.raises(ValueError, match=named):
+            run_predictive_ogd(family, cset, stack, DescentConfig(ETA), [0.0, 40.0])
+        assert rounds == []
+
+    @pytest.mark.parametrize("where", WHERE)
+    @pytest.mark.parametrize("bad", BAD)
+    def test_pool_refuses_a_non_finite_parameter(self, rounds, bad, where):
+        family, cset = tracking_setup()
+        thetas, row = self.thetas(bad, where), self.WHERE[where][0]
+        pool = ExpertPool(beta=0.2, gamma=1e-3, eta=ETA)
+        roster = [(1, Persistence()), (3, FixedAim([1.0, 1.0, 0.0]))]
+        with pytest.raises(ValueError, match=f"thetas: parameter row {row} must be finite"):
+            run_smad(family, cset, thetas, pool, [0.0, 40.0], roster=roster)
+        assert rounds == []
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_both_runners_refuse_a_non_finite_aim(self, rounds, bad):
+        family, cset = tracking_setup()
+        thetas = self.thetas(0.0, "last row")
+        aim = LateAim([1.0, 1.0, bad], 4)  # aims after 4 observations
+        with pytest.raises(ValueError, match="aim table of repetition 0: parameter row 4 must be"):
+            run_predictive_ogd(family, cset, thetas, DescentConfig(ETA), [0.0, 40.0], aim)
+        pool = ExpertPool(beta=0.2, gamma=1e-3, eta=ETA)
+        roster = [(1, Persistence()), (2, aim)]
+        with pytest.raises(ValueError, match="aim table, expert 1: parameter row 4 must be"):
+            run_smad(family, cset, thetas, pool, [0.0, 40.0], roster=roster)
+        assert rounds == []

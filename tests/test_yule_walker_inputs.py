@@ -7,7 +7,7 @@ as a data error naming its row and column.  A degenerate system must still
 be reported as singular.  Inputs that never reach a fit (too short for any
 order, non-finite only in unmodeled coordinates, or only in the last
 parameter of a run, which no round observes before its step) are not
-rejected.
+rejected by a fit; a run refuses every non-finite parameter at its entry.
 """
 
 import numpy as np
@@ -90,19 +90,29 @@ class TestNonFiniteSeries:
 
     def test_unmodeled_coordinate_of_a_run_is_not_checked(self, bad):
         # a tracking parameter is (target, loss offset); the offset in
-        # column 2 is charged, never forecast
+        # column 2 is charged, never forecast, so no fit checks it; the run
+        # refuses it at its entry, as any non-finite parameter
         thetas = _series(bad, row=20, col=2, dim=3)
-        traj = _descent_run(thetas, VarPredictor(order=2, indices=[0, 1]))
-        assert np.isfinite(traj.theta_hats[:, :2]).all()
-        table = var_forecast_table([VarPredictor(order=2, indices=[0, 1])], thetas[:-1])
+        predictor = VarPredictor(order=2, indices=[0, 1])
+        aims, aimed = aim_table([predictor], thetas[:-1], starts=[1])
+        assert np.isfinite(aims[aimed][:, :2]).all()
+        table = var_forecast_table([predictor], thetas[:-1])
         assert np.isfinite(table[(0, 1)][2][5:]).all()
+        with pytest.raises(ValueError, match="repetition 0: parameter row 20 must be finite"):
+            _descent_run(thetas, predictor)
 
     def test_last_parameter_is_never_observed(self, bad):
-        # no step follows the last round, so no fit reads its parameter
+        # no step follows the last round, so a run's aims, and every fit,
+        # read only the record before it; the run refuses it at its entry,
+        # as any non-finite parameter
         thetas = _series(bad, row=29, col=1, dim=3)
-        traj = _descent_run(thetas, VarPredictor(order=2, indices=[0, 1]))
-        assert np.isfinite(traj.theta_hats).all()
-        assert np.isfinite(traj.losses[:-1]).all()
+        predictor = VarPredictor(order=2, indices=[0, 1])
+        aims, aimed = aim_table([predictor], thetas[:-1], starts=[1])
+        assert np.isfinite(aims[aimed]).all()
+        table = var_forecast_table([predictor], thetas[:-1])
+        assert np.isfinite(table[(0, 1)][2][5:]).all()
+        with pytest.raises(ValueError, match="repetition 0: parameter row 29 must be finite"):
+            _descent_run(thetas, predictor)
 
 
 def _descent_run(thetas, predictor):
