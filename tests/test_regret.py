@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poco import regret
 from poco.descent import DescentConfig, run_predictive_ogd
 from poco.domains import EuclideanBall, UnitSimplex
 from poco.objectives import (
@@ -17,7 +18,6 @@ from poco.objectives import (
     contraction_factor,
     step_contracts,
 )
-from poco import regret
 from poco.predictors import NoisyOracle, Persistence, VarPredictor
 from poco.regret import (
     build_ledger,
@@ -214,8 +214,8 @@ class TestIterativeOracleReference:
             reach = np.where(inside, rng.uniform(0.0, 0.9, k), rng.uniform(1.1, 5.0, k))
             aims = cset.center + cset.radius * reach[:, None] * direction
         else:
-            cset, searched = UnitSimplex(n, mode="exact" if where == "simplex" else where), \
-                UnitSimplex(n)
+            searched = UnitSimplex(n)
+            cset = searched if where == "simplex" else UnitSimplex(n, mode="renormalize")
             interior = rng.dirichlet(np.ones(n), size=k)
             outside = interior + rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0, (k, 1))
             aims = np.where(inside[:, None], interior, outside)
