@@ -395,7 +395,7 @@ class MarkowitzTable(Markowitz):
 
     def _check_thetas(self, thetas, rows=None) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim == 2 and thetas.shape[1] == 2:  # else refused by the base check
+        if thetas.ndim == 2 and thetas.shape[1] == 2:  # else refused by check_rows below
             slots = thetas[:, 0]
             good = (slots >= 0) & (slots < len(self.mu)) & (np.floor(slots) == slots)
             if not good.all():
