@@ -4,7 +4,7 @@ Two set kinds cover every experiment: a Euclidean ball (tracking problems)
 and the unit simplex (portfolio weights).  The simplex supports two
 projection modes:
 
-* ``"exact"``: true Euclidean projection via sort-and-threshold, which is
+* ``"exact"``: true Euclidean projection by a knapsack threshold rule,
   nonexpansive and therefore admissible in the regret-bound checks;
 * ``"renormalize"``: clip negative entries to zero and rescale the rest to
   sum to one.  Cheap and common in portfolio practice, but not a metric
@@ -13,8 +13,11 @@ projection modes:
 ``project_rows`` checks that its input is a (k, dim) array of finite rows
 with :func:`check_rows`, the one row check, which the objective families'
 parameter checks use too, then calls the set's private ``_project_rows``
-kernel, which holds the only projection arithmetic; a round loop that has
-checked its rows already calls the kernel directly.  ``project`` and
+kernel, which holds the only projection arithmetic, through ``_landed_rows``,
+which recomputes a row that overflow or rounding put off its point; a round
+loop that has checked its rows already calls the kernel directly.  Given
+weights w, a kernel minimizes sum_i w_i (x_i - v_i)^2 over its set instead:
+the regret oracle's ``QuadraticTracking`` minimizers.  ``project`` and
 ``contains`` check their vector's length with :func:`one_row`, the one
 length check, which the families' scalar methods use too; ``project``
 projects its vector as one row, so it equals row i of any row call bit for
@@ -33,6 +36,8 @@ from typing import Union
 import numpy as np
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
+SUM_TOL = 1e-12  # per coordinate, on the sum of a checked simplex row
+SECULAR_MAX_ITER = 100  # Newton steps on the weighted ball's secular equation
 
 SIMPLEX_EXACT = "exact"
 SIMPLEX_RENORMALIZE = "renormalize"
@@ -104,13 +109,53 @@ class EuclideanBall:
 
     def project_rows(self, vs: np.ndarray) -> np.ndarray:
         """Project each row of ``vs``; a non-finite row raises ValueError."""
-        return self._project_rows(check_rows(vs, self.dim, "rows", "row"))
+        return self._landed_rows(check_rows(vs, self.dim, "rows", "row"))
 
-    def _project_rows(self, vs: np.ndarray) -> np.ndarray:
+    def _project_rows(self, vs: np.ndarray, weights=None) -> np.ndarray:
         d = vs - self.center
-        norms = np.sqrt((d * d).sum(axis=1))
-        # scale 1 inside the ball, radius / norm outside
-        return self.center + d * (self.radius / np.maximum(norms, self.radius))[:, None]
+        if weights is None:
+            norms = np.sqrt((d * d).sum(axis=1))
+            # scale 1 inside the ball, radius / norm outside
+            return self.center + d * (self.radius / np.maximum(norms, self.radius))[:, None]
+        # argmin of sum_i w_i (x_i - v_i)^2: x(nu) = (w v + nu c)/(w + nu), nu >= 0
+        # the root of ||x(nu) - c|| = r, a row inside being its own minimizer (nu = 0).
+        # Newton on psi(nu) = 1/r - 1/||x(nu) - c||, convex and decreasing, rises
+        # from nu = 0 to the root without overshooting (More & Sorensen 1983).
+        w, r = weights, self.radius
+        out, idx = vs.copy(), np.flatnonzero((d * d).sum(axis=1) > r * r)
+        d, nu = d[idx], np.zeros(len(idx))
+        for _ in range(SECULAR_MAX_ITER):
+            if not idx.size:
+                break
+            h = w + nu[:, None]
+            e = w * d / h  # x(nu) - c
+            s2 = (e * e).sum(axis=1)
+            step = (np.sqrt(s2) - r) * s2 / (r * (e * e / h).sum(axis=1))
+            nu = nu + step
+            # a step near the rounding floor of ||x - c|| - r is the row's
+            # last; a row whose multiplier overflowed stays unsolved
+            done = (step <= 1e-13 * (w.max() + nu)) & np.isfinite(nu)
+            if done.any():
+                out[idx[done]] = self.center + w * d[done] / (w + nu[done, None])
+                idx, d, nu = idx[~done], d[~done], nu[~done]
+        if idx.size:
+            raise RuntimeError(f"secular equation of row {idx[0]} unsolved at the iteration cap "
+                               f"{SECULAR_MAX_ITER}")
+        return out
+
+    def _landed_rows(self, vs: np.ndarray, weights=None) -> np.ndarray:
+        """``_project_rows``, but a unit-weight row whose squared distance
+        d.d from the center overflows goes to c + r d/||d||, d scaled by its
+        largest magnitude first."""
+        if weights is not None:
+            return self._project_rows(vs, weights)
+        with np.errstate(over="ignore"):
+            out, d = self._project_rows(vs), vs - self.center
+            far = np.isinf((d * d).sum(axis=1))
+        if far.any():
+            e = d[far] / np.abs(d[far]).max(axis=1, keepdims=True)
+            out[far] = self.center + e * (self.radius / np.sqrt((e * e).sum(axis=1)))[:, None]
+        return out
 
     def contains(self, v, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
         v = one_row(v, self.dim, "v")[0]
@@ -128,21 +173,26 @@ class EuclideanBall:
         return self.center.copy()
 
 
-def project_simplex_sorted_rows(vs: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the unit simplex by sort and
-    threshold: sort the coordinates descending, find the largest support
-    size rho for which the shifted entries stay positive, and clip.
-    O(n log n) per row."""
+def project_simplex_sorted_rows(vs: np.ndarray, weights=None) -> np.ndarray:
+    """argmin over the unit simplex of sum_i w_i (x_i - v_i)^2 for each row v,
+    the Euclidean projection at unit weights (``weights`` None), by the
+    threshold rule of a continuous quadratic knapsack (Pardalos & Kovoor
+    1990): x_i = max(v_i - tau h_i, 0), h_i = 1/(2 w_i) (1 at unit weights),
+    over the breakpoints v_i/h_i sorted descending.  O(n log n) per row."""
     vs = np.asarray(vs, dtype=float)
     n = vs.shape[1]
-    u = -np.sort(-vs, axis=1)
-    css = np.cumsum(u, axis=1)
-    ks = np.arange(1, n + 1)
-    cond = u + (1.0 - css) / ks > 0
-    # index of the last True per row; cond[:, 0] is always True
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    tau = (1.0 - css[np.arange(len(vs)), rho]) / (rho + 1)
-    return np.maximum(vs + tau[:, None], 0.0)
+    if weights is None:  # sort the values themselves
+        u, h, h_sorted, spread = -np.sort(-vs, axis=1), 1.0, 1.0, np.arange(1, n + 1)
+    else:
+        order, h = np.argsort(-(weights * vs), axis=1), 0.5 / weights
+        u, h_sorted = np.take_along_axis(vs, order, axis=1), h[order]
+        spread = np.cumsum(h_sorted, axis=1)
+    taus = (np.cumsum(u, axis=1) - 1.0) / spread
+    # the support is the longest prefix whose last breakpoint lies above its
+    # tau; the first does unless its sum absorbs the 1, from 2^53 up
+    rho = n - 1 - np.argmax((u > taus * h_sorted)[:, ::-1], axis=1)
+    tau = np.take_along_axis(taus, rho[:, None], axis=1)
+    return np.maximum(vs - tau * h, 0.0)
 
 
 @dataclass(frozen=True)
@@ -173,12 +223,33 @@ class UnitSimplex:
 
     def project_rows(self, vs: np.ndarray) -> np.ndarray:
         """Project each row of ``vs``; a non-finite row raises ValueError."""
-        return self._project_rows(check_rows(vs, self.dim, "rows", "row"))
+        return self._landed_rows(check_rows(vs, self.dim, "rows", "row"))
 
-    def _project_rows(self, vs: np.ndarray) -> np.ndarray:
-        if self.mode == SIMPLEX_EXACT:
-            return project_simplex_sorted_rows(vs)
+    def _project_rows(self, vs: np.ndarray, weights=None) -> np.ndarray:
+        if self.mode == SIMPLEX_EXACT:  # the renormalizing rule reads no weights
+            return project_simplex_sorted_rows(vs, weights)
         return self._renormalize_rows(vs)
+
+    def _landed_rows(self, vs: np.ndarray, weights=None) -> np.ndarray:
+        """``_project_rows``, but a row whose sum misses 1 by more than
+        ``SUM_TOL`` per coordinate is recomputed from an input with the same
+        image: for the exact rule shifted by its largest breakpoint (and
+        clipped at the 0 that only rounding exceeds), for the renormalizing
+        rule scaled by its largest magnitude."""
+        with np.errstate(over="ignore"):
+            out = self._project_rows(vs, weights)
+            missed = ~(np.abs(out.sum(axis=1) - 1.0) <= SUM_TOL * self.dim)
+            if missed.any():
+                v = vs[missed]
+                if self.mode == SIMPLEX_EXACT:
+                    w = np.ones(self.dim) if weights is None else weights
+                    top = np.argmax(w * v, axis=1)[:, None]
+                    # v_i - v_top w_top / w_i, exactly 0 at the top
+                    v = np.minimum(v - np.take_along_axis(v, top, axis=1) * (w[top] / w), 0.0)
+                else:
+                    v = v / np.abs(v).max(axis=1, keepdims=True)
+                out[missed] = self._project_rows(v, weights)
+        return out
 
     def _renormalize_rows(self, vs: np.ndarray) -> np.ndarray:
         clipped = np.maximum(vs, 0.0)

@@ -13,8 +13,11 @@ stacked windows, the scalar aim rules of one history at a time that
 the library's ``predict`` methods replaced with their aim-table rows, and
 the switching path stacked round by round that the library now builds with
 one array rule, the risk chain drawn day by day that the library now
-reads from the raw stream in bulk, and the minimizer search with its own
-descent update that the library now steps with the runs' update.
+reads from the raw stream in bulk, the minimizer search with its own
+descent update that the library now steps with the runs' update, and the
+sort-and-threshold simplex projection and the tracking minimizers' own
+knapsack and secular solve, which the library now computes in each set's
+one weighted projection kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from poco.descent import DescentConfig, ogd_step_rows, run_predictive_ogd
-from poco.domains import SIMPLEX_EXACT, EuclideanBall
+from poco.domains import SIMPLEX_EXACT, EuclideanBall, UnitSimplex
 from poco.objectives import Markowitz, QuadraticTracking
 from poco.predictors import DEFAULT_RIDGE, PredictorNotReady, VarFit, aim_table
 from poco.scenarios import switching_base
@@ -70,6 +73,54 @@ def secular_ball_minimizer(weights, target, center, radius, tol=1e-13):
         else:
             hi = mid
     return x_of(0.5 * (lo + hi))
+
+
+def reference_simplex_sorted_rows(vs):
+    """Euclidean projection of each row onto the unit simplex by sort and
+    threshold: sort the coordinates descending, find the largest support
+    size rho for which the shifted entries stay positive, and clip."""
+    vs = np.asarray(vs, dtype=float)
+    n = vs.shape[1]
+    u = -np.sort(-vs, axis=1)
+    css = np.cumsum(u, axis=1)
+    ks = np.arange(1, n + 1)
+    cond = u + (1.0 - css) / ks > 0
+    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
+    tau = (1.0 - css[np.arange(len(vs)), rho]) / (rho + 1)
+    return np.maximum(vs + tau[:, None], 0.0)
+
+
+def reference_tracking_minimizers(w, cset, targets, max_iter=100):
+    """argmin of sum_i w_i (x_i - a_i)^2 over the ball or the exact simplex
+    for each row a of ``targets``, from the optimality conditions: on the
+    simplex the continuous quadratic knapsack over the breakpoints
+    2 w_i a_i sorted descending (Pardalos & Kovoor 1990), on the ball Newton
+    on the secular equation from nu = 0 (More & Sorensen 1983)."""
+    if isinstance(cset, UnitSimplex):
+        order = np.argsort(-(w * targets), axis=1)
+        a_sorted, half_inv = np.take_along_axis(targets, order, axis=1), 0.5 / w
+        taus = (np.cumsum(a_sorted, axis=1) - 1.0) / np.cumsum(half_inv[order], axis=1)
+        above = a_sorted > taus * half_inv[order]
+        rho = targets.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
+        tau = np.take_along_axis(taus, rho[:, None], axis=1)
+        return np.maximum(targets - tau * half_inv, 0.0)
+    d, r = targets - cset.center, cset.radius
+    out, idx = targets.copy(), np.flatnonzero((d * d).sum(axis=1) > r * r)
+    d, nu = d[idx], np.zeros(len(idx))
+    for _ in range(max_iter):
+        if not idx.size:
+            return out
+        h = w + nu[:, None]
+        e = w * d / h
+        s2 = (e * e).sum(axis=1)
+        step = (np.sqrt(s2) - r) * s2 / (r * (e * e / h).sum(axis=1))
+        nu = nu + step
+        done = step <= 1e-13 * (w.max() + nu)
+        out[idx[done]] = cset.center + w * d[done] / (w + nu[done, None])
+        idx, d, nu = idx[~done], d[~done], nu[~done]
+    if idx.size:
+        raise RuntimeError("reference secular equation unsolved")
+    return out
 
 
 def simplex_mesh(dim, step):

@@ -13,7 +13,18 @@ from poco.domains import (
     project_simplex_sorted_rows,
 )
 
-from helpers import scalar_project, simplex_mesh_projection
+from helpers import (
+    reference_simplex_sorted_rows,
+    reference_tracking_minimizers,
+    scalar_project,
+    simplex_mesh_projection,
+)
+from poco.cli import main
+from poco.objectives import QuadraticTracking
+from poco.regret import minimizers_batch
+
+# an overflow inside a projection fails the test instead of printing a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 moderate_floats = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 
@@ -233,3 +244,129 @@ class TestUnitSimplexRenormalize:
                 warnings.simplefilter("ignore", DegenerateProjectionWarning)
                 p = s.project(rng.normal(size=3))
             np.testing.assert_allclose(s.project(p), p, atol=1e-12)
+
+
+huge_floats = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+# values up to 1e6 with ties, zeros and -0.0 among them
+tied_floats = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+)
+weights_arrays = st.integers(1, 6).flatmap(
+    lambda n: arrays(np.float64, n, elements=st.floats(0.01, 10.0)).map(lambda w: w * 10.0)
+)
+
+
+def _simplex_lands(x):
+    n = x.shape[-1]
+    return np.all(x >= 0.0, axis=-1) & (np.abs(x.sum(axis=-1) - 1.0) <= 1e-12 * n)
+
+
+def _ball_lands(ball, v, x):
+    """x in the ball, and on its sphere when v lies outside."""
+    d = v - ball.center
+    scale = np.maximum(np.abs(d).max(axis=-1), 1e-300)
+    outside = scale * np.linalg.norm(d / scale[:, None], axis=-1) > ball.radius
+    dist = np.linalg.norm(x - ball.center, axis=-1)
+    return (dist <= ball.radius * (1.0 + 1e-12)) & (~outside | (dist >= ball.radius * (1.0 - 1e-12)))
+
+
+class TestEveryRuleLandsInItsSet:
+    """Finite rows up to 1e300 in magnitude map into the set, through the
+    checked entry points: ``project_rows`` and the oracle's closed form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), k=st.integers(1, 4),
+           rule=st.sampled_from(["ball", "exact", "renormalize", "weighted simplex",
+                                 "weighted ball"]))
+    def test_rows_land(self, data, n, k, rule):
+        vs = data.draw(arrays(np.float64, (k, n), elements=huge_floats))
+        center = data.draw(arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
+        # a radius of at least 1 keeps the rounding of x = c + (x - c) at a
+        # center of up to 10 below the tolerance
+        ball = EuclideanBall(center, data.draw(st.floats(1.0, 1e3)))
+        if rule.startswith("weighted"):
+            weights = data.draw(arrays(np.float64, n, elements=st.floats(0.01, 100.0)))
+            cset = ball if rule == "weighted ball" else UnitSimplex(n)
+            thetas = np.column_stack([vs, np.zeros(k)])
+            try:
+                # a target whose ||x(nu) - c||^2 overflows leaves the
+                # secular equation unsolved, and the error names its row
+                with np.errstate(over="ignore", invalid="ignore"):
+                    x = minimizers_batch(QuadraticTracking(weights), cset, thetas)
+            except RuntimeError:
+                assert rule == "weighted ball"
+                return
+        else:
+            cset = ball if rule == "ball" else UnitSimplex(n, mode=rule)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateProjectionWarning)
+                x = cset.project_rows(vs)
+        assert np.all(_ball_lands(ball, vs, x) if cset is ball else _simplex_lands(x))
+
+    def test_exact_rule_on_entries_of_2_to_the_53(self, capsys):
+        assert main(["project", "--kind", "simplex", "--vector", "1e16,0"]) == 0
+        assert capsys.readouterr().out == "1.0,0.0\n"
+        rows = np.random.default_rng(5).normal(size=(2000, 6)) * 5e15
+        assert np.all(_simplex_lands(UnitSimplex(6).project_rows(rows)))
+        # at the end of the float range the shift itself overflows
+        np.testing.assert_array_equal(UnitSimplex(2).project([1e308, -1e308]), [1.0, 0.0])
+
+    def test_weighted_simplex_on_tied_breakpoints(self):
+        # the breakpoints 2 w_i v_i of a row tie at up to 2e302: shifted by
+        # the largest, the others keep a rounding residue above 0
+        rng = np.random.default_rng(8)
+        weights = 10.0 ** rng.uniform(-2.0, 2.0, size=4)
+        targets = 10.0 ** rng.uniform(0.0, 300.0, size=(2000, 1)) / weights
+        thetas = np.column_stack([targets, np.zeros(2000)])
+        x = minimizers_batch(QuadraticTracking(weights), UnitSimplex(4), thetas)
+        assert np.all(_simplex_lands(x))
+
+    def test_renormalizing_rule_on_an_overflowing_total(self, capsys):
+        args = ["project", "--kind", "simplex", "--mode", "renormalize", "--vector", "1e308,1e308"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == "0.5,0.5\n"
+
+    def test_ball_on_an_overflowing_distance(self, capsys):
+        assert main(["project", "--kind", "ball", "--vector", "1e155,0"]) == 0
+        assert capsys.readouterr().out == "1.0,0.0\n"
+
+    def test_weighted_ball_names_a_row_whose_multiplier_overflows(self):
+        # the first Newton step on ||x(nu) - c|| = r overflows to nu = inf,
+        # which once passed for the root and returned the center
+        ball = EuclideanBall(np.zeros(1), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="row 1 unsolved at the iteration cap"):
+                ball._landed_rows(np.array([[3.0], [1e140]]), np.ones(1))
+
+
+class TestSharedKernelsReference:
+    """The weighted kernels against the sort-and-threshold projection and
+    the tracking closed forms they replaced (``helpers``), bit for bit; the
+    checked entry points match them on every row that lands in the set."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 8), weights=weights_arrays)
+    def test_simplex_knapsack(self, data, k, weights):
+        n = weights.size
+        vs = data.draw(arrays(np.float64, (k, n), elements=tied_floats))
+        unit = reference_simplex_sorted_rows(vs)
+        assert project_simplex_sorted_rows(vs).tobytes() == unit.tobytes()
+        lands = _simplex_lands(unit)
+        assert UnitSimplex(n).project_rows(vs)[lands].tobytes() == unit[lands].tobytes()
+        weighted = reference_tracking_minimizers(weights, UnitSimplex(n), vs)
+        assert project_simplex_sorted_rows(vs, weights).tobytes() == weighted.tobytes()
+        lands = _simplex_lands(weighted)
+        got = UnitSimplex(n)._landed_rows(vs, weights)
+        assert got[lands].tobytes() == weighted[lands].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 8), weights=weights_arrays)
+    def test_weighted_ball(self, data, k, weights):
+        n = weights.size
+        vs = data.draw(arrays(np.float64, (k, n), elements=tied_floats))
+        center = data.draw(arrays(np.float64, n, elements=tied_floats))
+        ball = EuclideanBall(center, data.draw(st.floats(1e-3, 1e6)))
+        want = reference_tracking_minimizers(weights, ball, vs)
+        assert ball._project_rows(vs, weights).tobytes() == want.tobytes()
+        assert ball._landed_rows(vs, weights).tobytes() == want.tobytes()

@@ -36,10 +36,14 @@ from poco.smad import ExpertPool, run_smad
 
 from helpers import (
     reference_minimizers,
+    reference_tracking_minimizers,
     scalar_tracking_minimizer,
     secular_ball_minimizer,
     simplex_mesh_argmin,
 )
+
+# an overflow inside the oracle fails the test instead of printing a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def tracking_setup():
@@ -308,6 +312,39 @@ class TestClosedFormMinimizers:
         ref = scalar_tracking_minimizer(family, cset, theta, tol=1e-13)
         assert np.linalg.norm(x - ref) <= 1e-9
         assert _fixed_point_residual(family, cset, target, x) <= 1e-14 * (1.0 + np.abs(target).max())
+
+
+class TestTrackingOracleReference:
+    """``QuadraticTracking`` minimizers, one call of the set's weighted
+    kernel, against the closed forms the oracle kept for itself
+    (``helpers``), bit for bit on every row that lands in the set."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), k=st.integers(1, 6),
+           where=st.sampled_from(["ball", "simplex", "renormalize"]))
+    def test_equals_the_closed_forms_it_replaced(self, data, n, k, where):
+        weights = _tracking_weights(data, n)
+        targets = data.draw(st.lists(
+            st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 0.5])),
+                     min_size=n, max_size=n), min_size=k, max_size=k))
+        targets = np.array(targets)
+        if where == "ball":
+            cset = searched = EuclideanBall(np.zeros(n), data.draw(st.floats(0.1, 1e4)))
+            lands = np.ones(k, bool)
+        else:
+            searched = UnitSimplex(n)
+            cset = searched if where == "simplex" else UnitSimplex(n, mode="renormalize")
+        want = reference_tracking_minimizers(weights, searched, targets)
+        if where != "ball":
+            lands = np.all(want >= 0.0, axis=1) & (np.abs(want.sum(axis=1) - 1.0) <= 1e-12 * n)
+        thetas = np.column_stack([targets, np.ones(k)])
+        got = minimizers_batch(QuadraticTracking(weights), cset, thetas)
+        assert got[lands].tobytes() == want[lands].tobytes()
+
+    def test_exact_simplex_minimizer_of_a_target_of_2_to_the_53(self):
+        # the breakpoint 2e18 absorbs the 1 of the knapsack's first prefix
+        got = minimizers_batch(QuadraticTracking((100.0, 1.0)), UnitSimplex(2), [[1e16, 0, 0]])
+        assert got.tolist() == [[1.0, 0.0]]
 
 
 class TestAccounting:
