@@ -253,7 +253,7 @@ tied_floats = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
 )
 weights_arrays = st.integers(1, 6).flatmap(
-    lambda n: arrays(np.float64, n, elements=st.floats(0.01, 10.0)).map(lambda w: w * 10.0)
+    lambda n: arrays(np.float64, n, elements=st.floats(0.1, 100.0))
 )
 
 
@@ -333,7 +333,7 @@ class TestEveryRuleLandsInItsSet:
 
     def test_weighted_ball_names_a_row_whose_multiplier_overflows(self):
         # the first Newton step on ||x(nu) - c|| = r overflows to nu = inf,
-        # which once passed for the root and returned the center
+        # which is no root: the row stays unsolved
         ball = EuclideanBall(np.zeros(1), 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="row 1 unsolved at the iteration cap"):

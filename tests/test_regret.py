@@ -316,7 +316,7 @@ class TestClosedFormMinimizers:
 
 class TestTrackingOracleReference:
     """``QuadraticTracking`` minimizers, one call of the set's weighted
-    kernel, against the closed forms the oracle kept for itself
+    kernel, against the oracle's own closed forms that it replaced
     (``helpers``), bit for bit on every row that lands in the set."""
 
     @settings(max_examples=150, deadline=None)
@@ -330,13 +330,11 @@ class TestTrackingOracleReference:
         targets = np.array(targets)
         if where == "ball":
             cset = searched = EuclideanBall(np.zeros(n), data.draw(st.floats(0.1, 1e4)))
-            lands = np.ones(k, bool)
         else:
             searched = UnitSimplex(n)
             cset = searched if where == "simplex" else UnitSimplex(n, mode="renormalize")
         want = reference_tracking_minimizers(weights, searched, targets)
-        if where != "ball":
-            lands = np.all(want >= 0.0, axis=1) & (np.abs(want.sum(axis=1) - 1.0) <= 1e-12 * n)
+        lands = (where == "ball") | (np.abs(want.sum(axis=1) - 1.0) <= 1e-12 * n)
         thetas = np.column_stack([targets, np.ones(k)])
         got = minimizers_batch(QuadraticTracking(weights), cset, thetas)
         assert got[lands].tobytes() == want[lands].tobytes()
