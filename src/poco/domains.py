@@ -122,22 +122,26 @@ class EuclideanBall:
         # Newton on psi(nu) = 1/r - 1/||x(nu) - c||, convex and decreasing, rises
         # from nu = 0 to the root without overshooting (More & Sorensen 1983).
         w, r = weights, self.radius
-        out, idx = vs.copy(), np.flatnonzero((d * d).sum(axis=1) > r * r)
-        d, nu = d[idx], np.zeros(len(idx))
-        for _ in range(SECULAR_MAX_ITER):
-            if not idx.size:
-                break
-            h = w + nu[:, None]
-            e = w * d / h  # x(nu) - c
-            s2 = (e * e).sum(axis=1)
-            step = (np.sqrt(s2) - r) * s2 / (r * (e * e / h).sum(axis=1))
-            nu = nu + step
-            # a step near the rounding floor of ||x - c|| - r is the row's
-            # last; a row whose multiplier overflowed stays unsolved
-            done = (step <= 1e-13 * (w.max() + nu)) & np.isfinite(nu)
-            if done.any():
-                out[idx[done]] = self.center + w * d[done] / (w + nu[done, None])
-                idx, d, nu = idx[~done], d[~done], nu[~done]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, idx = vs.copy(), np.flatnonzero((d * d).sum(axis=1) > r * r)
+            d, nu = d[idx], np.zeros(len(idx))
+            for _ in range(SECULAR_MAX_ITER):
+                if not idx.size:
+                    break
+                h = w + nu[:, None]
+                e = w * d / h  # x(nu) - c
+                s2 = (e * e).sum(axis=1)
+                step = (np.sqrt(s2) - r) * s2 / (r * (e * e / h).sum(axis=1))
+                nu = nu + step
+                # an overflow of s2 or of the step leaves nu inf or NaN for good
+                if not np.isfinite(nu).all():
+                    raise RuntimeError(f"row {idx[~np.isfinite(nu)][0]}: its target's distance "
+                                       "from the center overflows the secular equation")
+                # a step near the rounding floor of ||x - c|| - r is the row's last
+                done = step <= 1e-13 * (w.max() + nu)
+                if done.any():
+                    out[idx[done]] = self.center + w * d[done] / (w + nu[done, None])
+                    idx, d, nu = idx[~done], d[~done], nu[~done]
         if idx.size:
             raise RuntimeError(f"secular equation of row {idx[0]} unsolved at the iteration cap "
                                f"{SECULAR_MAX_ITER}")

@@ -6,8 +6,8 @@ the identical scenario realization, so the reported curve
 cumulative_loss(method) - cumulative_loss(baseline) equals the difference in
 dynamic regret (the per-round optimal values cancel) and is exactly zero
 wherever the two arms are algorithmically identical.  ``compare_to_ogd``
-runs that comparison for every study, with the baseline runs of all
-repetitions advancing in lockstep, and keeps only the losses of every
+runs that comparison for every study, handing each arm the stack of all
+repetitions' draws in one call, and keeps only the losses of every
 repetition but the first.  It is also the one seed rule: repetition r
 draws from child r of
 ``numpy.random.SeedSequence(master_seed).spawn(repetitions)``, so
@@ -22,6 +22,7 @@ renormalizing projection gets no regret ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -102,25 +103,27 @@ def compare_to_ogd(seed, repetitions, scenario, method, family, cset, x1, eta, i
     child seed that the master ``seed`` spawns.
 
     ``scenario(child)`` draws a repetition's ``(thetas, history)``, where
-    ``history`` holds parameters observed before round 1 (or None), and
-    ``method(thetas, history)`` plays the method arm on that same draw, one
-    repetition per call.  Every scenario is drawn first, in seed order; the
-    baseline then descends from ``x1`` toward the last observation with
-    ``eta`` and ``inner_steps``, all repetitions in one lockstep
-    ``run_predictive_ogd`` call, whose run r equals a run on its draw alone
-    bit for bit.  Only each method run's losses outlive its repetition,
-    except repetition 1's whole run.  Returns the difference curve and
-    repetition 1's ``(baseline, method)`` trajectories.
+    ``history`` holds parameters observed before round 1 (or None).  Both
+    arms get every draw at once, in seed order: the baseline descends from
+    ``x1`` toward the last observation, with ``eta`` and ``inner_steps``, in
+    one lockstep ``run_predictive_ogd`` call, and ``method(thetas,
+    histories)`` gets the (R, T, m) stack and the R histories and returns
+    its R runs in repetition order, as a list or a lazy iterable; another
+    count raises ``ValueError``.  Only repetition 1's method run outlives
+    its repetition, the others' losses aside.  Returns the difference curve
+    and repetition 1's ``(baseline, method)`` trajectories.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     draws = [scenario(child) for child in np.random.SeedSequence(seed).spawn(repetitions)]
-    baselines = run_predictive_ogd(
-        family, cset, np.stack([thetas for thetas, _ in draws]),
-        DescentConfig(eta, inner_steps), x1,
-    )
-    first = method(*draws[0])
-    losses = [first.losses] + [method(*draw).losses for draw in draws[1:]]
+    stack = np.stack([thetas for thetas, _ in draws])
+    baselines = run_predictive_ogd(family, cset, stack, DescentConfig(eta, inner_steps), x1)
+    runs = iter(method(stack, [history for _, history in draws]))
+    first = next(runs, None)
+    # map drops each run once its losses are read; a loop variable would not
+    losses = [] if first is None else [first.losses, *map(attrgetter("losses"), runs)]
+    if len(losses) != repetitions:
+        raise ValueError(f"the method returned {len(losses)} runs for {repetitions} repetitions")
     diffs = np.array([np.cumsum(arm - base.losses) for arm, base in zip(losses, baselines)])
     return _summarize_diffs(diffs), (baselines[0], first)
 
@@ -245,7 +248,7 @@ def run_exp2(cfg: dict) -> ExperimentResult:
     curve, first = compare_to_ogd(
         cfg["seed"], cfg["repetitions"],
         lambda child: (gen_switching(proc, child), None),
-        expert_pool,
+        lambda thetas, histories: map(expert_pool, thetas, histories),
         family, cset, x1, eta, inner_steps,
     )
     ledgers = dict(zip(("ogd", "smad"), build_ledgers(family, cset, first)))
@@ -477,7 +480,8 @@ def run_exp3(cfg: dict, data: Optional[MarketData] = None) -> ExperimentResult:
 
     curve, _ = compare_to_ogd(
         cfg["seed"], cfg["repetitions"],
-        scenario, expert_pool, family, cset, x1, eta,
+        scenario, lambda thetas, histories: map(expert_pool, thetas, histories),
+        family, cset, x1, eta,
     )
     notes = [
         f"repetitions={cfg['repetitions']} eval_months={cfg['horizon']} "

@@ -8,6 +8,9 @@ from poco.predictors import NoisyOracle, VarPredictor
 from poco.regret import dynamic_regret, minimizer_oracle, minimizers_batch
 from poco.scenarios import SwitchingProcessSpec, gen_switching, switching_base
 
+# an overflow inside a run fails the test instead of printing a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 ETA = 1.0 / 200.0
 
 

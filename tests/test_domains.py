@@ -290,8 +290,8 @@ class TestEveryRuleLandsInItsSet:
             cset = ball if rule == "weighted ball" else UnitSimplex(n)
             thetas = np.column_stack([vs, np.zeros(k)])
             try:
-                # a target whose ||x(nu) - c||^2 overflows leaves the
-                # secular equation unsolved, and the error names its row
+                # a target whose ||x(nu) - c||^2 overflows raises an
+                # error that names its row
                 with np.errstate(over="ignore", invalid="ignore"):
                     x = minimizers_batch(QuadraticTracking(weights), cset, thetas)
             except RuntimeError:
@@ -333,11 +333,10 @@ class TestEveryRuleLandsInItsSet:
 
     def test_weighted_ball_names_a_row_whose_multiplier_overflows(self):
         # the first Newton step on ||x(nu) - c|| = r overflows to nu = inf,
-        # which is no root: the row stays unsolved
+        # which is no root: the row raises at once, with no warning
         ball = EuclideanBall(np.zeros(1), 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError, match="row 1 unsolved at the iteration cap"):
-                ball._landed_rows(np.array([[3.0], [1e140]]), np.ones(1))
+        with pytest.raises(RuntimeError, match="row 1: .* distance from the center overflows"):
+            ball._landed_rows(np.array([[3.0], [1e140]]), np.ones(1))
 
 
 class TestSharedKernelsReference:

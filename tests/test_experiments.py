@@ -19,14 +19,19 @@ from poco.experiments import (
     EXPERT_NOISE_CLIP,
     declared_gamma,
     load_exp3_market,
+    make_predictor,
     run_exp1,
     run_exp2,
     run_exp3,
     run_expert_bound_study,
     run_predictive_bound_study,
+    switching_setup,
 )
 
 from helpers import cov_moments, model_predict, reference_moment_table, risk_forecast_get
+
+# an overflow inside a run fails the test instead of printing a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def exp3_config(seed, repetitions, horizon=150, **exp3):
@@ -72,11 +77,15 @@ class TestPairedHarness:
 
         runs, alive = [], []
 
-        def method(thetas, history):
+        def one_run(thetas):
             alive.extend(run() is not None for run in runs[1:])
             run = Run(np.arange(thetas.shape[0], dtype=float))
             runs.append(weakref.ref(run))
             return run
+
+        def method(stack, histories):
+            for thetas in stack:
+                yield one_run(thetas)
 
         def scenario(child):
             return np.random.default_rng(child).normal(size=(6, 3)), None
@@ -87,6 +96,57 @@ class TestPairedHarness:
         assert first is runs[0]()
         # repetitions 2..R were dropped as soon as their losses were read
         assert not any(alive) and all(run() is None for run in runs[1:])
+
+    @pytest.mark.parametrize("reps, returned", [(3, 2), (3, 4), (1, 0)])
+    def test_a_method_returning_another_run_count_is_refused(self, reps, returned):
+        from poco.experiments import compare_to_ogd
+
+        family, cset = QuadraticTracking([1.0, 2.0]), EuclideanBall(center=[0.0, 0.0], radius=1.0)
+
+        def method(stack, histories):
+            runs = run_predictive_ogd(family, cset, stack, DescentConfig(0.1), [0.0, 0.0])
+            return (runs + runs)[:returned]
+
+        with pytest.raises(ValueError, match=f"returned {returned} runs for {reps} repetitions"):
+            compare_to_ogd(
+                5, reps, lambda child: (np.random.default_rng(child).normal(size=(6, 3)), None),
+                method, family, cset, [0.0, 0.0], 0.1,
+            )
+
+    @pytest.mark.parametrize("reps", [1, 4, 50])
+    def test_study_1_plays_each_arm_in_one_call(self, monkeypatch, tmp_path, reps):
+        # the baseline's lockstep call and the method's, for run_exp1 and for
+        # run-custom through the CLI
+        import poco.experiments
+        from poco.cli import EXIT_OK, main
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[2]))
+            return run_predictive_ogd(*args, **kwargs)
+
+        monkeypatch.setattr(poco.experiments, "run_predictive_ogd", counted)
+        run_exp1(resolve_config({"repetitions": reps}, "exp1"))
+        out = str(tmp_path / "custom")
+        assert main(["run-custom", "--reps", str(reps), "--out", out, "--quiet"]) == EXIT_OK
+        assert calls == [(reps, 200, 3)] * 4
+
+    def test_stacked_method_arm_equals_single_runs(self):
+        # the default study-1 draws: one lockstep call of the method arm
+        # against one call per repetition, bit for bit
+        cfg = resolve_config({}, "exp1")
+        family, cset, proc = switching_setup(cfg)
+        descent = DescentConfig(cfg["descent"]["eta"], cfg["descent"]["inner_steps"])
+        x1, predictor = cfg["descent"]["x1"], make_predictor(cfg)
+        children = np.random.SeedSequence(cfg["seed"]).spawn(cfg["repetitions"])
+        thetas = np.stack([gen_switching(proc, child) for child in children])
+        stacked = run_predictive_ogd(family, cset, thetas, descent, x1, predictor=predictor)
+        assert len(stacked) == 50
+        for run, draw in zip(stacked, thetas):
+            alone = run_predictive_ogd(family, cset, draw, descent, x1, predictor=predictor)
+            np.testing.assert_array_equal(run.losses, alone.losses)
+            np.testing.assert_array_equal(run.xs, alone.xs)
 
     def test_zero_repetitions_rejected(self, market):
         for run in (

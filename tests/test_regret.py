@@ -184,11 +184,12 @@ class TestMinimizerOracle:
                 minimizers_batch(family, UnitSimplex(2), [good, bad])
 
     def test_unsolved_secular_equation_names_its_row(self):
-        # ||x(nu) - c||^2 overflows for this target, so Newton never settles
+        # the first Newton step overflows at 1e120, ||x(nu) - c||^2 itself
+        # at 1e200: either raises at once, naming the row, with no warning
         family, cset = tracking_setup()
-        thetas = [[1.0, 2.0, 0.0], [1e200, 1e200, 0.0]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError, match="row 1 unsolved at the iteration cap"):
+        for target in (1e120, 1e200):
+            thetas = [[1.0, 2.0, 0.0], [target, target, 0.0]]
+            with pytest.raises(RuntimeError, match="row 1: .* distance from the center overflows"):
                 minimizers_batch(family, cset, thetas)
 
 

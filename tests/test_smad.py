@@ -15,6 +15,9 @@ from poco.smad import ExpertPool, run_smad
 
 from helpers import reference_smad, scalar_ogd_step, scalar_project, scalar_value
 
+# an overflow inside a run fails the test instead of printing a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 ETA = 1.0 / 200.0
 
 
