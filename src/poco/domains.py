@@ -130,12 +130,14 @@ class EuclideanBall:
                     break
                 h = w + nu[:, None]
                 e = w * d / h  # x(nu) - c
-                s2 = (e * e).sum(axis=1)
-                step = (np.sqrt(s2) - r) * s2 / (r * (e * e / h).sum(axis=1))
+                s2, slope = (e * e).sum(axis=1), r * (e * e / h).sum(axis=1)
+                step = (np.sqrt(s2) - r) * s2 / slope
                 nu = nu + step
-                # an overflow of s2 or of the step leaves nu inf or NaN for good
-                if not np.isfinite(nu).all():
-                    raise RuntimeError(f"row {idx[~np.isfinite(nu)][0]}: its target's distance "
+                # an overflow of s2 or of the step leaves nu inf or NaN for good,
+                # and one of the slope a zero step that is no root
+                bad = ~(np.isfinite(nu) & np.isfinite(slope))
+                if bad.any():
+                    raise RuntimeError(f"row {idx[bad][0]}: its target's distance "
                                        "from the center overflows the secular equation")
                 # a step near the rounding floor of ||x - c|| - r is the row's last
                 done = step <= 1e-13 * (w.max() + nu)

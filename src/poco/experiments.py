@@ -6,8 +6,9 @@ the identical scenario realization, so the reported curve
 cumulative_loss(method) - cumulative_loss(baseline) equals the difference in
 dynamic regret (the per-round optimal values cancel) and is exactly zero
 wherever the two arms are algorithmically identical.  ``compare_to_ogd``
-runs that comparison for every study, handing each arm the stack of all
-repetitions' draws in one call, and keeps only the losses of every
+runs that comparison for every study: it hands each arm the stack of all
+repetitions' draws in one call, takes back one run per repetition
+(another count is a ``ValueError``), and keeps only the losses of every
 repetition but the first.  It is also the one seed rule: repetition r
 draws from child r of
 ``numpy.random.SeedSequence(master_seed).spawn(repetitions)``, so

@@ -291,9 +291,8 @@ class TestEveryRuleLandsInItsSet:
             thetas = np.column_stack([vs, np.zeros(k)])
             try:
                 # a target whose ||x(nu) - c||^2 overflows raises an
-                # error that names its row
-                with np.errstate(over="ignore", invalid="ignore"):
-                    x = minimizers_batch(QuadraticTracking(weights), cset, thetas)
+                # error that names its row, and no overflow warning
+                x = minimizers_batch(QuadraticTracking(weights), cset, thetas)
             except RuntimeError:
                 assert rule == "weighted ball"
                 return
@@ -337,6 +336,13 @@ class TestEveryRuleLandsInItsSet:
         ball = EuclideanBall(np.zeros(1), 1.0)
         with pytest.raises(RuntimeError, match="row 1: .* distance from the center overflows"):
             ball._landed_rows(np.array([[3.0], [1e140]]), np.ones(1))
+
+    def test_weighted_ball_names_a_row_whose_newton_slope_overflows(self):
+        # at a weight of 1e-300 the slope d'd/w overflows, which would make
+        # the first step zero and pass the target off as its minimizer
+        ball = EuclideanBall(np.zeros(2), 1.0)
+        with pytest.raises(RuntimeError, match="row 0: .* distance from the center overflows"):
+            ball._landed_rows(np.array([[1e10, 1e10]]), np.array([1e-300, 1.0]))
 
 
 class TestSharedKernelsReference:
