@@ -242,14 +242,14 @@ def run_exp2(cfg: dict) -> ExperimentResult:
         for when, k in zip(activation_schedule(smad), orders)
     ]
 
-    def expert_pool(thetas, _):
+    def expert_pool(thetas):
         pool = ExpertPool(beta=beta, gamma=gamma, eta=eta, inner_steps=inner_steps)
         return run_smad(family, cset, thetas, pool, x1, roster=roster)
 
     curve, first = compare_to_ogd(
         cfg["seed"], cfg["repetitions"],
         lambda child: (gen_switching(proc, child), None),
-        lambda thetas, histories: map(expert_pool, thetas, histories),
+        lambda thetas, _: map(expert_pool, thetas),
         family, cset, x1, eta, inner_steps,
     )
     ledgers = dict(zip(("ogd", "smad"), build_ledgers(family, cset, first)))
